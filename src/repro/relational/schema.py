@@ -20,12 +20,17 @@ class TableSchema:
     """A named table with ordered columns and an optional unique key.
 
     ``key`` is a tuple of column names whose combined value must be unique
-    across rows (``()``/``None`` disables the constraint).
+    across rows (``()``/``None`` disables the constraint). ``indexes``
+    declares the secondary indexes the table's access paths rely on: the
+    engine builds them as hash indexes at ``create_table`` and the sqlite
+    mirror creates exactly these — a declaration survives copy-on-write
+    forks, which start with no built hash index.
     """
 
     name: str
     columns: tuple[str, ...]
     key: tuple[str, ...] = ()
+    indexes: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if isinstance(self.columns, list):
@@ -42,6 +47,14 @@ class TableSchema:
             if col not in self.columns:
                 raise SchemaError(
                     f"key column {col!r} not among columns of {self.name!r}"
+                )
+        object.__setattr__(
+            self, "indexes", tuple(tuple(index) for index in self.indexes)
+        )
+        for col in (col for index in self.indexes for col in index):
+            if col not in self.columns:
+                raise SchemaError(
+                    f"index column {col!r} not among columns of {self.name!r}"
                 )
 
     @property

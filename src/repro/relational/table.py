@@ -13,6 +13,16 @@ fork shares the row dict with its origin until either side mutates, at
 which point the mutator copies the shared structures and diverges. Rowids
 are preserved across the copy, so the mutating side's existing indexes
 stay valid; the fork starts with no indexes and rebuilds them on demand.
+
+Rowids are monotone and never reused, a row is immutable under its rowid
+(an update is delete + insert), and both survive the copy-on-write copy.
+So any two tables of one :attr:`Table.lineage` — a table and its forks, at
+any two points in time — differ by exactly "the rows at rowids the older
+one never issued, minus the rowids that are gone": the invariant the
+sqlite mirror's delta sync rests on. Replaying writes onto a *fork*
+(transaction read views do) issues rowids the origin will reuse for other
+rows; such a fork is comparable with its own past, not with the origin's
+future.
 """
 
 from __future__ import annotations
@@ -43,6 +53,10 @@ class Table:
         self._key_values: dict[tuple, int] = {}
         #: True while ``_rows``/``_key_values`` are shared with a fork.
         self._shared = False
+        #: Identity shared with every fork, and with nothing else.
+        self.lineage = object()
+        for columns in schema.indexes:
+            self.create_index(columns)
 
     # -- basic accessors ------------------------------------------------------
 
@@ -57,6 +71,30 @@ class Table:
 
     def items(self) -> Iterator[tuple[int, Row]]:
         return iter(self._rows.items())
+
+    @property
+    def next_rowid(self) -> int:
+        """The rowid the next insert gets; every issued rowid is below it."""
+        return self._next_rowid
+
+    def rows_from(self, rowid: int) -> list[tuple[int, Row]]:
+        """``(rowid, row)`` of every row at or above ``rowid``, ascending.
+
+        O(answer): rowids are issued in increasing order and the row dict
+        keeps insertion order, so these are exactly its tail.
+        """
+        tail = []
+        for item in reversed(self._rows.items()):
+            if item[0] < rowid:
+                break
+            tail.append(item)
+        tail.reverse()
+        return tail
+
+    def missing_rowids(self, rowids: Iterable[int]) -> list[int]:
+        """Those of ``rowids`` that no longer name a row (deleted since)."""
+        rows = self._rows
+        return [rowid for rowid in rowids if rowid not in rows]
 
     def contains_row(self, row: Row) -> bool:
         return any(r == row for r in self.match_columns(dict(enumerate(row))))
@@ -82,6 +120,7 @@ class Table:
         fork._key_positions = self._key_positions
         fork._key_values = self._key_values
         fork._shared = True
+        fork.lineage = self.lineage
         self._shared = True
         return fork
 

@@ -68,27 +68,30 @@ def v_schema(relation: RelationDef) -> TableSchema:
     return TableSchema(
         v_table_name(relation.name),
         ("wid", "tid", "key", "s", "e"),
+        indexes=(("wid", "key"), ("wid",), ("tid",)),
     )
 
 
 def create_internal_tables(
     engine: RelationalDatabase, schema: ExternalSchema
 ) -> None:
-    """Create all internal tables and their hot indexes on ``engine``.
+    """Create all internal tables with their declared hot indexes on ``engine``.
 
     Indexes mirror the paper's setup ("clustered indexes are available over
-    the internal keys"): V is probed by ``(wid, key)`` during updates and by
-    ``(wid,)`` during queries; E by ``(wid1, uid)`` for the E*-chains of
-    Algorithm 1.
+    the internal keys"): V is probed by ``(wid, key)`` during updates, by
+    ``(wid,)`` during queries and by ``(tid,)`` from the star join; E by
+    ``(wid1, uid)`` for the E*-chains of Algorithm 1. They are declared on
+    the schemas, so the engine's hash indexes and the sqlite mirror's
+    b-trees come from this one list.
     """
     engine.create_table(TableSchema(U_TABLE, ("uid", "name"), key=("uid",)))
-    engine.create_table(TableSchema(E_TABLE, ("wid1", "uid", "wid2")))
+    engine.create_table(
+        TableSchema(
+            E_TABLE, ("wid1", "uid", "wid2"), indexes=(("wid1", "uid"),)
+        )
+    )
     engine.create_table(TableSchema(D_TABLE, ("wid", "d"), key=("wid",)))
     engine.create_table(TableSchema(S_TABLE, ("wid1", "wid2"), key=("wid1",)))
-    engine.table(E_TABLE).create_index(("wid1", "uid"))
     for relation in schema.content_relations:
         engine.create_table(star_schema(relation))
-        v = engine.create_table(v_schema(relation))
-        v.create_index(("wid", "key"))
-        v.create_index(("wid",))
-        v.create_index(("tid",))
+        engine.create_table(v_schema(relation))

@@ -18,19 +18,40 @@ Lifecycle of a version:
 3. **retire** — a write bumps the epoch, so the version stops being
    current; it survives while readers still hold pins;
 4. **GC** — once its pin count reaches zero and it is no longer current,
-   the version is dropped (``mvcc_gc_reclaimed_total`` counts these). The
+   the version is dropped (``mvcc_gc_reclaimed_total`` counts these) and
+   its sqlite mirror, if it built one, is handed to the manager. The
    current epoch's version stays cached even at zero pins so back-to-back
    reads with no interleaved write share one snapshot.
 
-Each version lazily owns a private :class:`SqliteMirror` for the
-``"sqlite"`` query backend — the first sqlite read per version pays one
-sync — which is what removes that backend's historical read-to-exclusive
-lock promotion.
+For the ``"sqlite"`` query backend a version's first sqlite read pays one
+:meth:`SqliteMirror.sync`; no reader ever waits on a writer for it. The
+mirror is **carried forward**: the version takes the one the manager holds
+and advances it by the rows that changed since (O(delta), see
+:mod:`repro.relational.sqlite_backend`). That is sound because every
+managed version is a fork of the one live store at a later time, so each
+table's rowids only grow along the chain. The sync is a build from the
+empty base instead in three cases:
+
+* the manager holds no mirror — the first sqlite read ever, or the
+  previous version is still pinned and keeps its mirror so its readers'
+  results stay frozen;
+* the store was replaced wholesale (restore, rollback rebuild): new tables
+  restart their rowids, so :meth:`VersionManager.invalidate` drops the
+  carried mirror, and a straggler handed in later by a reader pinned
+  before it fails the lineage check table by table;
+* the version is a transaction's private read view: it replayed staged
+  writes onto its fork under rowids the live store will issue again for
+  other rows, so it neither takes nor hands on a shared mirror.
+
+At most one mirror is carried, so live sqlite connections never exceed
+live versions + 1.
 
 Metrics (all under the shared registry): ``beliefdb_mvcc_live_versions``,
 ``beliefdb_mvcc_active_pins`` (gauges), ``beliefdb_mvcc_pins_total``,
-``beliefdb_mvcc_gc_reclaimed_total``, ``beliefdb_mvcc_snapshot_builds_total``
-(counters), and ``beliefdb_mvcc_snapshot_build_seconds`` (histogram).
+``beliefdb_mvcc_gc_reclaimed_total``, ``beliefdb_mvcc_snapshot_builds_total``,
+``beliefdb_mvcc_mirror_syncs_total{kind}`` (counters), and
+``beliefdb_mvcc_snapshot_build_seconds``, ``beliefdb_mvcc_mirror_sync_seconds``,
+``beliefdb_mvcc_mirror_delta_rows`` (histograms).
 """
 
 from __future__ import annotations
@@ -40,10 +61,11 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.obs.clock import monotonic_s
+from repro.obs.metrics import COUNT_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover — type-only imports (avoid cycles)
     from repro.obs.metrics import MetricsRegistry
-    from repro.relational.sqlite_backend import SqliteMirror
+    from repro.relational.sqlite_backend import SqliteMirror, SyncReport
     from repro.storage.store import BeliefStore
 
 
@@ -52,17 +74,25 @@ class Version:
 
     ``store`` is a copy-on-write fork frozen at ``epoch``; treat it as
     read-only. ``pins`` is managed by the owning :class:`VersionManager`
-    under its mutex. The sqlite mirror is built on first use and shared by
+    under its mutex. The sqlite mirror is synced on first use and shared by
     every reader of this version (its own lock serializes them — sqlite
-    connections are not concurrency-friendly).
+    connections are not concurrency-friendly). ``manager`` is the
+    :class:`VersionManager` whose carried mirror this version may take;
+    a private fork that was written to (a transaction read view) has none.
     """
 
-    __slots__ = ("epoch", "store", "pins", "_mirror", "_mirror_lock")
+    __slots__ = ("epoch", "store", "pins", "_manager", "_mirror", "_mirror_lock")
 
-    def __init__(self, epoch: int, store: "BeliefStore") -> None:
+    def __init__(
+        self,
+        epoch: int,
+        store: "BeliefStore",
+        manager: "VersionManager | None" = None,
+    ) -> None:
         self.epoch = epoch
         self.store = store
         self.pins = 0
+        self._manager = manager
         self._mirror: "SqliteMirror | None" = None
         # RLock: callers hold it across sync + query (one mirror, many
         # reader threads); synced_mirror re-enters it harmlessly.
@@ -74,10 +104,26 @@ class Version:
 
         with self._mirror_lock:
             if self._mirror is None:
-                mirror = SqliteMirror()
-                mirror.sync(self.store.engine)
+                manager = self._manager
+                mirror = manager.take_mirror(self.epoch) if manager else None
+                if mirror is None:
+                    mirror = SqliteMirror()
+                start = monotonic_s()
+                try:
+                    report = mirror.sync(self.store.engine)
+                except BaseException:
+                    mirror.close()
+                    raise
+                if manager is not None:
+                    manager.note_sync(report, monotonic_s() - start)
                 self._mirror = mirror
             return self._mirror
+
+    def detach_mirror(self) -> "SqliteMirror | None":
+        """Give up the mirror (None if never built); the caller owns it."""
+        with self._mirror_lock:
+            mirror, self._mirror = self._mirror, None
+            return mirror
 
     @property
     def mirror_lock(self) -> threading.RLock:
@@ -86,10 +132,9 @@ class Version:
 
     def close(self) -> None:
         """Release non-GC'able resources (the sqlite connection, if built)."""
-        with self._mirror_lock:
-            if self._mirror is not None:
-                self._mirror.close()
-                self._mirror = None
+        mirror = self.detach_mirror()
+        if mirror is not None:
+            mirror.close()
 
     def __repr__(self) -> str:
         return f"<Version epoch={self.epoch} pins={self.pins}>"
@@ -108,15 +153,24 @@ class VersionManager:
         self._mutex = threading.Lock()
         self._epoch = 0
         self._versions: dict[int, Version] = {}
+        #: The newest GC'd version's sqlite mirror and its epoch, waiting
+        #: for the next version's first sqlite read to advance it.
+        self._carried: "tuple[int, SqliteMirror] | None" = None
         self._stats = {
             "pins_total": 0,
             "snapshot_builds": 0,
             "gc_reclaimed": 0,
+            "mirror_syncs_full": 0,
+            "mirror_syncs_delta": 0,
+            "mirror_delta_rows": 0,
         }
         self._pins_counter: Any = None
         self._gc_counter: Any = None
         self._builds_counter: Any = None
         self._build_hist: Any = None
+        self._sync_counter: Any = None
+        self._sync_hist: Any = None
+        self._delta_rows_hist: Any = None
         if metrics is not None:
             self.bind_metrics(metrics)
 
@@ -144,6 +198,20 @@ class VersionManager:
         self._build_hist = registry.histogram(
             "beliefdb_mvcc_snapshot_build_seconds",
             "Time to fork a copy-on-write snapshot of the store.",
+        )
+        self._sync_counter = registry.counter(
+            "beliefdb_mvcc_mirror_syncs_total",
+            "Sqlite mirror syncs: built from empty (full) or advanced (delta).",
+            labels=("kind",),
+        )
+        self._sync_hist = registry.histogram(
+            "beliefdb_mvcc_mirror_sync_seconds",
+            "Time to sync a version's sqlite mirror, full or delta.",
+        )
+        self._delta_rows_hist = registry.histogram(
+            "beliefdb_mvcc_mirror_delta_rows",
+            "Rows inserted plus deleted by one delta sync of the mirror.",
+            buckets=COUNT_BUCKETS,
         )
 
     # ------------------------------------------------------------------ epochs
@@ -179,7 +247,7 @@ class VersionManager:
             version = self._versions.get(self._epoch)
             if version is None:
                 start = monotonic_s()
-                version = Version(self._epoch, store.fork_snapshot())
+                version = Version(self._epoch, store.fork_snapshot(), self)
                 self._versions[self._epoch] = version
                 self._stats["snapshot_builds"] += 1
                 if self._builds_counter is not None:
@@ -216,7 +284,13 @@ class VersionManager:
             if version.pins <= 0 and epoch != self._epoch
         ]
         for epoch in doomed:
-            self._versions.pop(epoch).close()
+            mirror = self._versions.pop(epoch).detach_mirror()
+            if mirror is None:
+                continue
+            if self._carried is not None and self._carried[0] > epoch:
+                mirror.close()  # the newer one stays
+            else:
+                self._replace_carried_locked((epoch, mirror))
         if doomed:
             self._stats["gc_reclaimed"] += len(doomed)
             if self._gc_counter is not None:
@@ -227,11 +301,49 @@ class VersionManager:
 
         Used by restore / rollback-rebuild: the epoch advances so already
         pinned versions stay valid for their readers, but no new pin may
-        reuse a fork of the discarded store.
+        reuse a fork of the discarded store — nor advance a mirror of it:
+        the replacement's tables restart their rowids.
         """
         with self._mutex:
             self._epoch += 1
             self._gc_locked()
+            self._replace_carried_locked(None)
+
+    # ----------------------------------------------------------------- mirrors
+
+    def _replace_carried_locked(
+        self, carried: "tuple[int, SqliteMirror] | None"
+    ) -> None:
+        """Close the carried mirror, if any, and carry ``carried`` instead."""
+        if self._carried is not None:
+            self._carried[1].close()
+        self._carried = carried
+
+    def take_mirror(self, epoch: int) -> "SqliteMirror | None":
+        """Hand the carried mirror to the version at ``epoch``, which owns
+        it from then on — unless there is none, or it is already past that
+        epoch (a long-pinned reader syncing late): a mirror only advances.
+        """
+        with self._mutex:
+            if self._carried is None or self._carried[0] >= epoch:
+                return None
+            (_, mirror), self._carried = self._carried, None
+            return mirror
+
+    def has_carried_mirror(self) -> bool:
+        return self._carried is not None
+
+    def note_sync(self, report: "SyncReport", seconds: float) -> None:
+        """Account one mirror sync of a managed version."""
+        with self._mutex:
+            self._stats[f"mirror_syncs_{report.kind}"] += 1
+            if report.kind == "delta":
+                self._stats["mirror_delta_rows"] += report.rows
+        if self._sync_counter is not None:
+            self._sync_counter.labels(kind=report.kind).inc()
+            self._sync_hist.observe(seconds)
+            if report.kind == "delta":
+                self._delta_rows_hist.observe(report.rows)
 
     # ------------------------------------------------------------------- views
 

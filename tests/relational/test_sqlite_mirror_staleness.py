@@ -2,11 +2,13 @@
 
 ``BeliefDBMS(backend="sqlite")`` mirrors the internal tables into sqlite
 per MVCC *version*: the first sqlite query against a pinned version pays
-one wholesale sync, and every later query at the same epoch reuses that
-mirror untouched. These tests pin that contract: a query issued right
-after an insert/delete/update/add_user must see the new state (the write
-bumped the epoch, so a fresh version — and mirror — serves it), and a
-version's mirror must never be rebuilt while the epoch is unchanged.
+one sync, and every later query at the same epoch reuses that mirror
+untouched. The sync advances the mirror the previous version handed on by
+the rows that changed since. These tests pin that contract: a query issued
+right after an insert/delete/update/add_user must see the new state (the
+write bumped the epoch, so a fresh version serves it), a version's mirror
+must never be synced again while the epoch is unchanged, and the one sync
+a new epoch pays touches only the rows the writes in between changed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
+from repro.errors import RejectedUpdateError
 
 S1 = ("s1", "Carol", "bald eagle", "6-14-08", "Lake Forest")
 S2 = ("s2", "Alice", "crow", "6-14-08", "Lake Placid")
@@ -79,23 +82,73 @@ def test_interleaved_updates_and_queries_never_stale(db):
         assert len(rows) == k + 1
 
 
+def _record_syncs(mirror) -> list:
+    """Wrap ``mirror.sync`` so every call's report lands in the list."""
+    reports = []
+    original = mirror.sync
+
+    def recording_sync(source):
+        reports.append(original(source))
+        return reports[-1]
+
+    mirror.sync = recording_sync
+    return reports
+
+
 def test_mirror_not_resynced_within_a_version(db):
     db.insert(["Carol"], "Sightings", S1)
-    db.execute_sql(Q_CAROL).legacy()  # builds + syncs the current version's mirror
+    db.execute_sql(Q_CAROL).legacy()  # syncs the current version's mirror
     with db.read_view() as version:
         mirror = version.synced_mirror()
-        synced_with = []
-        original = mirror.sync
-        mirror.sync = (
-            lambda source: synced_with.append(source) or original(source)
-        )
+        reports = _record_syncs(mirror)
         db.execute_sql(Q_CAROL).legacy()
-        assert synced_with == []  # same epoch: no wholesale rebuild
+        assert version.synced_mirror() is mirror
+        assert reports == []  # same epoch: not synced again
     db.insert(["Bob"], "Sightings", S2)
     db.execute_sql(Q_CAROL).legacy()
-    # The write bumped the epoch; the old version's mirror stays untouched
-    # (a *new* version served the post-write query).
-    assert synced_with == []
+    db.execute_sql(Q_CAROL).legacy()
+    # The write bumped the epoch: the retired version handed its mirror on
+    # and the new version advanced it — once, not per query.
+    assert [report.kind for report in reports] == ["delta"]
+    with db.read_view() as version:
+        assert version.synced_mirror() is mirror
+
+
+def test_delta_sync_touches_only_the_changed_tables_rows(db):
+    db.insert(["Carol"], "Sightings", S1)
+    db.execute_sql(Q_CAROL).legacy()
+    before = db.snapshot_stats()["mvcc"]
+    assert (before["mirror_syncs_full"], before["mirror_syncs_delta"]) == (1, 0)
+    with db.read_view() as version:
+        reports = _record_syncs(version.synced_mirror())
+
+    # A second tuple in a world that exists: no new world, user or edge.
+    db.insert(["Carol"], "Sightings", S2)
+    db.execute_sql(Q_CAROL).legacy()
+    assert set(reports[-1].changed) == {"star_Sightings", "v_Sightings"}
+    # One star row; one V row per world that sees Carol's belief.
+    assert reports[-1].changed["star_Sightings"] == 1
+    rows_after_insert = reports[-1].rows
+
+    # Several writes between two reads are one delta (skipped epochs).
+    db.delete(["Carol"], "Sightings", S2)
+    db.add_user("Dave")
+    db.execute_sql(Q_CAROL).legacy()
+    assert reports[-1].kind == "delta"
+    assert "star_Sightings" not in reports[-1].changed  # stars are append-only
+    assert {"U", "E", "v_Sightings"} <= set(reports[-1].changed)
+
+    rows_after_mixed = reports[-1].rows
+
+    # A bumped epoch with nothing changed (a rejected duplicate) is an
+    # empty delta.
+    with pytest.raises(RejectedUpdateError):
+        db.insert(["Carol"], "Sightings", S1)
+    db.execute_sql(Q_CAROL).legacy()
+    assert reports[-1].changed == {}
+    after = db.snapshot_stats()["mvcc"]
+    assert (after["mirror_syncs_full"], after["mirror_syncs_delta"]) == (1, 3)
+    assert after["mirror_delta_rows"] == rows_after_insert + rows_after_mixed
 
 
 def test_queries_at_one_epoch_share_one_mirror(db):

@@ -28,6 +28,40 @@ class TestSchema:
         with pytest.raises(SchemaError):
             TableSchema("T", ("a", "a"))
 
+    def test_declared_index_columns_must_exist(self):
+        with pytest.raises(SchemaError):
+            TableSchema("T", ("a",), indexes=(("a", "z"),))
+
+    def test_declared_indexes_are_built_with_the_table(self):
+        schema = TableSchema("T", ("a", "b"), indexes=[["b", "a"], ["a"]])
+        assert schema.indexes == (("b", "a"), ("a",))
+        t = Table(schema, auto_index=False)
+        assert t.has_index(("a", "b")) and t.has_index(("a",))
+
+
+class TestRowidLineage:
+    """What the sqlite mirror's delta sync reads off a table."""
+
+    def test_rows_from_is_the_tail_by_rowid(self):
+        t = make_table()
+        t.insert_many([(i, i, i) for i in range(5)])
+        t.delete_rowid(3)
+        assert t.next_rowid == 5
+        assert t.rows_from(2) == [(2, (2, 2, 2)), (4, (4, 4, 4))]
+        assert t.rows_from(5) == []
+        assert len(t.rows_from(0)) == 4
+        assert t.missing_rowids(range(6)) == [3, 5]
+
+    def test_forks_share_the_lineage_and_keep_their_rowids(self):
+        t = make_table()
+        t.insert_many([(0, 0, 0), (1, 1, 1)])
+        fork = t.snapshot_fork()
+        t.insert((2, 2, 2))  # copy-on-write: the fork keeps the old tail
+        assert fork.lineage is t.lineage is not make_table().lineage
+        assert (fork.next_rowid, t.next_rowid) == (2, 3)
+        assert fork.rows_from(1) == [(1, (1, 1, 1))]
+        assert t.snapshot_fork().rows_from(2) == [(2, (2, 2, 2))]
+
 
 class TestInsertDelete:
     def test_insert_and_len(self):

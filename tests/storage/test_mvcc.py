@@ -184,6 +184,32 @@ def test_mvcc_metrics_registered_and_tracking():
         assert name in families, name
 
 
+def test_mirror_sync_metrics_tell_full_builds_from_deltas():
+    registry = MetricsRegistry()
+    db = BeliefDBMS(sightings_schema(), backend="sqlite", metrics=registry)
+    db.add_user("Carol")
+    db.insert(["Carol"], "Sightings", ROW)
+    db.query(BCQ)  # full
+    db.insert(["Carol"], "Sightings", ("s2",) + ROW[1:])
+    db.query(BCQ)  # delta
+    db.query(BCQ)  # same epoch: no sync
+    with db.read_view():  # a long-pinned reader...
+        db.insert(["Carol"], "Sightings", ("s3",) + ROW[1:])
+        db.query(BCQ)  # ...costs the next epoch a full build
+    families = {f["name"]: f for f in registry.snapshot()}
+    syncs = {
+        sample["labels"]["kind"]: sample["value"]
+        for sample in families["beliefdb_mvcc_mirror_syncs_total"]["samples"]
+    }
+    assert syncs == {"full": 2, "delta": 1}
+    assert families["beliefdb_mvcc_mirror_sync_seconds"]["samples"][0]["count"] == 3
+    delta_rows = families["beliefdb_mvcc_mirror_delta_rows"]["samples"][0]
+    assert delta_rows["count"] == 1 and delta_rows["sum"] >= 2  # star + V rows
+    mvcc = db.snapshot_stats()["mvcc"]
+    assert (mvcc["mirror_syncs_full"], mvcc["mirror_syncs_delta"]) == (2, 1)
+    assert mvcc["mirror_delta_rows"] == delta_rows["sum"]
+
+
 def test_snapshot_stats_reports_version_and_mvcc_section():
     db = seeded_db()
     stats = db.snapshot_stats()
