@@ -283,6 +283,29 @@ class BeliefDBMS:
             "beliefdb_lifecycle_sweep_seconds",
             "Wall time of confidence decay sweeps.",
         )
+        index_builds = self.metrics.counter(
+            "beliefdb_engine_index_builds_total",
+            "Full passes that built an engine hash index: shared (by the "
+            "live table, maintained from then on) or private (by an MVCC "
+            "fork or a transaction read view, discarded with it).",
+            labels=("scope",),
+        )
+        for scope in ("shared", "private"):
+            index_builds.labels(scope=scope).set_function(
+                lambda scope=scope: self.store.engine.index_counters.builds[scope]
+            )
+        self.metrics.counter(
+            "beliefdb_engine_index_stale_skipped_total",
+            "Index bucket candidates a probe skipped because the probing "
+            "table version does not hold that rowid.",
+        ).set_function(lambda: self.store.engine.index_counters.stale_skipped)
+        self.metrics.gauge(
+            "beliefdb_engine_index_pending_removals",
+            "Deleted rowids still in index buckets because a live fork "
+            "taken before the delete may probe for them.",
+        ).set_function(
+            lambda: self.store.engine.index_stats()["pending_removals"]
+        )
         #: The MVCC version manager: epoch counter, snapshot cache, pin
         #: accounting, and version GC (``mvcc_*`` metrics).
         self.versions = VersionManager(metrics=self.metrics)
@@ -331,7 +354,7 @@ class BeliefDBMS:
         if self._durability is None:
             raise BeliefDBError("no durability manager attached")
         with self._write_mutex:
-            self.store = BeliefStore(self.schema, eager=self.store.eager)
+            self.store = self._replacement_store()
             self.invalidate_statements()
             try:
                 return self._durability.recover(self).as_dict()
@@ -339,6 +362,12 @@ class BeliefDBMS:
                 # The live store was replaced wholesale: drop every cached
                 # version so no new pin reuses a fork of the old object.
                 self.versions.invalidate()
+
+    def _replacement_store(self) -> BeliefStore:
+        """An empty store to rebuild into; the index counters carry on."""
+        store = BeliefStore(self.schema, eager=self.store.eager)
+        store.engine.index_counters.absorb(self.store.engine.index_counters)
+        return store
 
     def close(self) -> None:
         """Flush and release durable resources (no-op when ephemeral)."""
@@ -978,7 +1007,7 @@ class BeliefDBMS:
         # audit log) is untouched by the failed commit: carry the object
         # over to the rebuilt store instead of losing it.
         lifecycle = self.store.lifecycle
-        self.store = BeliefStore(self.schema, eager=self.store.eager)
+        self.store = self._replacement_store()
         self.store.lifecycle = lifecycle
         self.invalidate_statements()
         for uid, name in users:
@@ -1438,6 +1467,7 @@ class BeliefDBMS:
             "statement_timing": timing,
             "transactions": txn_stats,
             "mvcc": self.versions.snapshot_stats(),
+            "engine_indexes": self.store.engine.index_stats(),
             "auto_checkpoint_failures": self._checkpoint_failures,
             "durability": (
                 self._durability.stats()

@@ -28,9 +28,11 @@ session that staged a write sees it in its own selects
 committed state until the commit lands. This is uniform across the
 embedded and remote deployment shapes. Mechanically, :meth:`read_version`
 replays the staged statements onto a private copy-on-write fork of the
-current pinned snapshot (see :mod:`repro.bdms.dml`); the view is cached
-and rebuilt only when the buffer — or the committed epoch underneath
-it — changes.
+current pinned snapshot (see :mod:`repro.bdms.dml`); a table the replay
+writes to leaves the live table's lineage and indexes itself privately
+(:mod:`repro.relational.table`), so staged rows never show in the index
+buckets other readers probe. The view is cached and rebuilt only when
+the buffer — or the committed epoch underneath it — changes.
 
 A Transaction object is not internally synchronized; its owner (an
 :class:`~repro.api.connection.Connection` or a server

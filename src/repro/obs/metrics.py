@@ -167,12 +167,19 @@ class _CounterChild:
     across a C-level copy of the shard table. Thread idents are recycled
     by the OS, so the shard count is bounded by *peak* thread concurrency,
     not by how many threads ever lived.
+
+    A child may instead report a count some other component keeps
+    (:meth:`set_function`), read at collection time.
     """
 
-    __slots__ = ("_shards",)
+    __slots__ = ("_shards", "_fn")
 
     def __init__(self) -> None:
         self._shards: dict[int, list[float]] = {}
+        self._fn: Callable[[], float] | None = None
+
+    def set_function(self, fn: Callable[[], float] | None) -> None:
+        self._fn = fn
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -185,6 +192,8 @@ class _CounterChild:
 
     @property
     def value(self) -> float:
+        if self._fn is not None:
+            return float(self._fn())
         # list() snapshots the dict at C level — safe against concurrent
         # first-time shard inserts.
         return sum(shard[0] for shard in list(self._shards.values()))
@@ -200,6 +209,9 @@ class Counter(_Metric):
 
     def inc(self, amount: float = 1.0) -> None:
         self._require_unlabelled().inc(amount)
+
+    def set_function(self, fn: Callable[[], float] | None) -> None:
+        self._require_unlabelled().set_function(fn)
 
     @property
     def value(self) -> float:

@@ -22,9 +22,8 @@ class TableSchema:
     ``key`` is a tuple of column names whose combined value must be unique
     across rows (``()``/``None`` disables the constraint). ``indexes``
     declares the secondary indexes the table's access paths rely on: the
-    engine builds them as hash indexes at ``create_table`` and the sqlite
-    mirror creates exactly these — a declaration survives copy-on-write
-    forks, which start with no built hash index.
+    engine builds them as hash indexes at ``create_table`` (every fork of
+    the table probes those) and the sqlite mirror creates exactly these.
     """
 
     name: str

@@ -1,42 +1,165 @@
-"""Row storage with hash indexes.
+"""Row storage with hash indexes owned by the table's lineage.
 
-A :class:`Table` stores rows as tuples keyed by a surrogate row id, and
-maintains hash indexes (exact-match, possibly multi-column). The Datalog
-evaluator asks for rows matching a set of bound columns; the table serves the
-request from the best matching index and filters the remainder, creating
-indexes on demand when profitable. This mirrors what the paper relies on from
-its RDBMS ("clustered indexes are available over the internal keys").
+A :class:`Table` stores rows as tuples keyed by a surrogate row id and
+answers "rows whose columns equal these values" from hash indexes
+(exact-match, possibly multi-column). This mirrors what the paper relies on
+from its RDBMS ("clustered indexes are available over the internal keys").
 
-Tables also support **copy-on-write forks** (:meth:`Table.snapshot_fork`),
-the storage primitive under the MVCC layer (:mod:`repro.storage.mvcc`): a
-fork shares the row dict with its origin until either side mutates, at
-which point the mutator copies the shared structures and diverges. Rowids
-are preserved across the copy, so the mutating side's existing indexes
-stay valid; the fork starts with no indexes and rebuilds them on demand.
+Tables support **copy-on-write forks** (:meth:`Table.snapshot_fork`), the
+storage primitive under the MVCC layer (:mod:`repro.storage.mvcc`): a fork
+shares the row dict with its origin until the origin mutates, at which point
+the origin copies it and the fork keeps the frozen one.
 
 Rowids are monotone and never reused, a row is immutable under its rowid
 (an update is delete + insert), and both survive the copy-on-write copy.
 So any two tables of one :attr:`Table.lineage` — a table and its forks, at
 any two points in time — differ by exactly "the rows at rowids the older
-one never issued, minus the rowids that are gone": the invariant the
-sqlite mirror's delta sync rests on. Replaying writes onto a *fork*
-(transaction read views do) issues rowids the origin will reuse for other
-rows; such a fork is comparable with its own past, not with the origin's
-future.
+one never issued, minus the rowids that are gone". The sqlite mirror's
+delta sync rests on that invariant, and so do the indexes:
+
+* **Ownership.** An index belongs to the :class:`Lineage`, not to a table
+  object. The lineage's *owner* — the table that was constructed, the one
+  that is written to — keeps every index up to date on each insert and
+  delete. A fork builds nothing and copies nothing: it probes the owner's
+  indexes by reference.
+* **Visibility.** An index bucket may name rowids the probing table does not
+  hold: rows inserted after a fork was taken, rows deleted since. Every
+  candidate is therefore looked up in the prober's own ``_rows``
+  (``rows.get(rowid)``); by the invariant above a rowid it holds names the
+  very row that was indexed, so the check is exact, never approximate.
+* **Deferred removal.** A fork taken before a delete must still find the
+  row, so the owner does not take a deleted rowid out of the buckets while
+  such a fork is alive. Removals queue in :attr:`Lineage.pending` in delete
+  order; each fork remembers how many removals preceded it, the lineage
+  tracks its forks by weak reference, and the owner's next delete or fork
+  purges the prefix of the queue that no live fork reaches back to. An
+  index the owner builds later covers the queued rows too.
+* **Detach.** Writing to a fork (a transaction's read view replays staged
+  rows onto one) would issue rowids the owner will issue again for other
+  rows. The fork's first mutation therefore moves it onto a fresh lineage
+  of its own, with no indexes; it builds what it probes, as an owner.
+* **Probe policy.** A probe is served by the unique-key dict when the bound
+  columns include the key, else by the largest index they cover, plus a
+  residual filter over the other bound columns; the choice is made once per
+  set of bound columns. Only where nothing covers a pattern is an index
+  built (on ``auto_index`` tables of at least ``_AUTO_INDEX_MIN_ROWS``
+  rows): the largest declared index that fits, else the exact pattern —
+  by the owner into the shared set, by a fork into a private set that
+  dies with it.
+
+A bucket is the bare rowid while one row carries the value and a ``set``
+from the second row on; the unique-key dict is the same shape.
+
+Thread safety: one thread writes (the BDMS write mutex); any number read
+forks. Readers only ``get`` from dicts and snapshot a bucket with
+``tuple()``, both atomic under the interpreter lock; everything that
+restructures a bucket runs on the writer's side.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import threading
+import weakref
+from collections import deque
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import DuplicateKeyError
 from repro.relational.schema import TableSchema
 
 Row = tuple[Any, ...]
+#: value tuple -> the one rowid carrying it, or the set of them.
+Index = dict[tuple, "int | set[int]"]
+#: (index positions, the index or None for the unique-key dict, the bound
+#: positions the index leaves to filter)
+Plan = tuple[tuple[int, ...], "Index | None", tuple[int, ...]]
 
-#: Tables smaller than this are always scanned; indexes are built lazily above.
+#: Tables smaller than this are scanned rather than auto-indexed.
 _AUTO_INDEX_MIN_ROWS = 32
+
+
+class IndexCounters:
+    """What the index layer did, summed over the tables that report here.
+
+    ``builds`` counts full passes that built an index, by scope: ``shared``
+    (by a lineage's owner; kept up to date from then on) or ``private`` (by
+    a fork or a detached fork; thrown away with it). ``stale_skipped``
+    counts bucket candidates a probe dropped because the probing table does
+    not hold that rowid.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.builds = {"shared": 0, "private": 0}
+        self.stale_skipped = 0
+
+    def note_build(self, scope: str) -> None:
+        with self._lock:
+            self.builds[scope] += 1
+
+    def note_stale(self, count: int) -> None:
+        with self._lock:
+            self.stale_skipped += count
+
+    def absorb(self, other: "IndexCounters") -> None:
+        """Continue ``other``'s counts (its database is being replaced)."""
+        with self._lock:
+            for scope, count in other.builds.items():
+                self.builds[scope] += count
+            self.stale_skipped += other.stale_skipped
+
+
+class Lineage:
+    """What a table shares with its forks: identity, indexes, fork liveness.
+
+    ``indexes`` is maintained by the owner alone. ``pending`` holds the
+    ``(rowid, row)`` of deletes not yet taken out of the buckets, oldest
+    first; ``purged`` counts those already taken out, so a delete's sequence
+    number is ``purged`` plus its place in the queue. ``forks`` maps
+    ``id(fork)`` to the number of deletes that preceded the fork and the
+    weak reference whose callback drops the entry when the fork dies.
+    """
+
+    __slots__ = ("indexes", "forks", "pending", "purged", "counters", "scope")
+
+    def __init__(self, counters: IndexCounters, scope: str = "shared") -> None:
+        self.indexes: dict[tuple[int, ...], Index] = {}
+        self.forks: dict[int, tuple[int, weakref.ref]] = {}
+        self.pending: deque[tuple[int, Row]] = deque()
+        self.purged = 0
+        self.counters = counters
+        self.scope = scope
+
+    def track(self, fork: "Table", frozen_at: int) -> None:
+        forks, key = self.forks, id(fork)
+        # The callback may run on any thread: one atomic dict operation.
+        forks[key] = (
+            frozen_at, weakref.ref(fork, lambda _ref: forks.pop(key, None))
+        )
+
+    def oldest_fork(self) -> int | None:
+        """The fewest preceding deletes among live forks; None without one."""
+        live = [frozen_at for frozen_at, _ in list(self.forks.values())]
+        return min(live) if live else None
+
+
+def _bucket_add(index: Index, values: tuple, rowid: int) -> None:
+    bucket = index.get(values)
+    if bucket is None:
+        index[values] = rowid
+    elif type(bucket) is int:
+        index[values] = {bucket, rowid}
+    else:
+        bucket.add(rowid)
+
+
+def _bucket_discard(index: Index, values: tuple, rowid: int) -> None:
+    bucket = index.get(values)
+    if type(bucket) is set:
+        bucket.discard(rowid)
+        if len(bucket) == 1:
+            (index[values],) = bucket
+    elif bucket == rowid:
+        del index[values]
 
 
 class Table:
@@ -47,14 +170,19 @@ class Table:
         self.auto_index = auto_index
         self._rows: dict[int, Row] = {}
         self._next_rowid = 0
-        #: index columns (as sorted position tuple) -> value tuple -> rowids
-        self._indexes: dict[tuple[int, ...], dict[tuple, set[int]]] = {}
         self._key_positions = schema.key_indexes
         self._key_values: dict[tuple, int] = {}
         #: True while ``_rows``/``_key_values`` are shared with a fork.
         self._shared = False
-        #: Identity shared with every fork, and with nothing else.
-        self.lineage = object()
+        #: Shared with every fork, and with nothing else.
+        self.lineage = Lineage(IndexCounters())
+        #: The indexes this table installs into: the lineage's for its
+        #: owner (which also maintains them), a private set for a fork.
+        self._indexes = self.lineage.indexes
+        #: None for the owner; for a fork, the deletes that preceded it.
+        self._frozen_at: int | None = None
+        #: bound positions (in the caller's order) -> access path
+        self._plans: dict[tuple[int, ...], Plan] = {}
         for columns in schema.indexes:
             self.create_index(columns)
 
@@ -102,34 +230,64 @@ class Table:
     # -- copy-on-write forks ----------------------------------------------------
 
     def snapshot_fork(self) -> "Table":
-        """A copy-on-write fork sharing this table's rows until either side
-        mutates.
+        """A frozen copy-on-write fork: nothing is copied, nothing built.
 
-        Both sides are flagged shared; the first mutation on either copies
-        ``_rows``/``_key_values`` (two C-speed dict copies) and diverges.
-        The fork starts with no indexes — it rebuilds them lazily through
-        the normal auto-index path — while this side keeps its indexes,
-        which stay valid because rowids survive the dict copy.
+        It shares this table's rows until this side mutates (which copies
+        ``_rows``/``_key_values``, two C-speed dict copies) and probes the
+        lineage's indexes for as long as it lives. A fork of a fork is
+        frozen at the same point as its parent.
         """
+        lineage = self.lineage
+        frozen_at = self._frozen_at
+        if frozen_at is None:
+            self._purge()
+            frozen_at = lineage.purged + len(lineage.pending)
         fork = Table.__new__(Table)
         fork.schema = self.schema
         fork.auto_index = self.auto_index
         fork._rows = self._rows
         fork._next_rowid = self._next_rowid
-        fork._indexes = {}
         fork._key_positions = self._key_positions
         fork._key_values = self._key_values
         fork._shared = True
-        fork.lineage = self.lineage
+        fork.lineage = lineage
+        fork._indexes = {}
+        fork._frozen_at = frozen_at
+        fork._plans = {}
+        lineage.track(fork, frozen_at)
         self._shared = True
         return fork
 
     def _materialize(self) -> None:
-        """Unshare before a mutation: the writer pays the copy, never readers."""
+        """Unshare before a mutation: the writer pays the copy, never readers.
+
+        A fork that is written to also leaves its lineage first: its new
+        rowids would collide with the owner's.
+        """
         if self._shared:
+            if self._frozen_at is not None:
+                self.lineage.forks.pop(id(self), None)
+                self.lineage = Lineage(self.lineage.counters, scope="private")
+                self._indexes = self.lineage.indexes
+                self._frozen_at = None
+                self._plans = {}
             self._rows = dict(self._rows)
             self._key_values = dict(self._key_values)
             self._shared = False
+
+    def _purge(self) -> None:
+        """Take out of the buckets the deleted rowids no live fork reaches."""
+        lineage = self.lineage
+        pending = lineage.pending
+        if not pending:
+            return
+        oldest = lineage.oldest_fork()
+        reach = len(pending) if oldest is None else oldest - lineage.purged
+        for _ in range(reach):
+            rowid, row = pending.popleft()
+            for positions, index in self._indexes.items():
+                _bucket_discard(index, tuple(row[i] for i in positions), rowid)
+        lineage.purged += reach
 
     # -- mutation ---------------------------------------------------------------
 
@@ -153,7 +311,7 @@ class Table:
         self._next_rowid += 1
         self._rows[rowid] = row
         for positions, index in self._indexes.items():
-            index[tuple(row[i] for i in positions)].add(rowid)
+            _bucket_add(index, tuple(row[i] for i in positions), rowid)
         return rowid
 
     def insert_many(self, rows: Iterable[Iterable[Any]]) -> None:
@@ -165,13 +323,9 @@ class Table:
         row = self._rows.pop(rowid)
         if self._key_positions:
             self._key_values.pop(tuple(row[i] for i in self._key_positions), None)
-        for positions, index in self._indexes.items():
-            vals = tuple(row[i] for i in positions)
-            bucket = index.get(vals)
-            if bucket is not None:
-                bucket.discard(rowid)
-                if not bucket:
-                    del index[vals]
+        # Queue, then purge: with no fork alive that empties the queue.
+        self.lineage.pending.append((rowid, row))
+        self._purge()
         return row
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> int:
@@ -189,100 +343,125 @@ class Table:
         return len(doomed)
 
     def clear(self) -> None:
-        if self._shared:
-            # Don't clear shared dicts in place — replace them.
-            self._rows = {}
-            self._key_values = {}
-            self._shared = False
-        else:
-            self._rows.clear()
-            self._key_values.clear()
-        for index in self._indexes.values():
-            index.clear()
+        for rowid in list(self._rows):
+            self.delete_rowid(rowid)
 
     # -- indexes -------------------------------------------------------------------
 
     def create_index(self, columns: tuple[str, ...]) -> None:
         """Create (or no-op if present) a hash index on the named columns."""
         positions = tuple(sorted(self.schema.column_indexes(columns)))
-        self._create_index_positions(positions)
-
-    def _create_index_positions(self, positions: tuple[int, ...]) -> None:
-        if positions in self._indexes:
-            return
-        # Build fully, then install: concurrent readers of a shared snapshot
-        # either miss the index (and scan) or see it complete — a duplicate
-        # concurrent build just installs an identical mapping.
-        index: dict[tuple, set[int]] = defaultdict(set)
-        for rowid, row in self._rows.items():
-            index[tuple(row[i] for i in positions)].add(rowid)
-        self._indexes[positions] = index
+        if not self._has_index(positions):
+            self._build_index(positions)
 
     def has_index(self, columns: tuple[str, ...]) -> bool:
-        return tuple(sorted(self.schema.column_indexes(columns))) in self._indexes
+        return self._has_index(tuple(sorted(self.schema.column_indexes(columns))))
 
-    def index_names(self) -> list[tuple[str, ...]]:
-        return [
-            tuple(self.schema.columns[i] for i in positions)
-            for positions in self._indexes
-        ]
+    def _has_index(self, positions: tuple[int, ...]) -> bool:
+        return positions in self.lineage.indexes or positions in self._indexes
+
+    def _build_index(self, positions: tuple[int, ...]) -> Index:
+        """One pass over the rows; then install (a reader sees it whole)."""
+        index: Index = {}
+        for rowid, row in self._rows.items():
+            _bucket_add(index, tuple(row[i] for i in positions), rowid)
+        lineage = self.lineage
+        if self._frozen_at is None:
+            # Rows deleted here that live forks still hold.
+            for rowid, row in lineage.pending:
+                _bucket_add(index, tuple(row[i] for i in positions), rowid)
+        self._indexes[positions] = index
+        self._plans.clear()
+        lineage.counters.note_build(
+            lineage.scope if self._frozen_at is None else "private"
+        )
+        return index
 
     # -- lookups ---------------------------------------------------------------------
 
     def match_rowids(self, bound: Mapping[int, Any]) -> Iterator[int]:
         """Rowids of rows matching the position->value constraints."""
-        if not bound:
-            yield from list(self._rows.keys())
-            return
-        positions = tuple(sorted(bound))
-        index = self._best_index(positions)
-        if index is None:
-            for rowid, row in self._rows.items():
-                if all(row[i] == v for i, v in bound.items()):
-                    yield rowid
-            return
-        index_positions, mapping = index
-        probe = tuple(bound[i] for i in index_positions)
-        candidates = mapping.get(probe, ())
-        residual = [i for i in positions if i not in index_positions]
-        for rowid in list(candidates):
-            row = self._rows[rowid]
-            if all(row[i] == bound[i] for i in residual):
-                yield rowid
+        return iter([rowid for rowid, _ in self._match(bound)])
 
     def match_columns(self, bound: Mapping[int, Any]) -> Iterator[Row]:
         """Rows matching the position->value constraints (index-assisted)."""
-        for rowid in self.match_rowids(bound):
-            yield self._rows[rowid]
+        return iter([row for _, row in self._match(bound)])
 
     def match_named(self, **bound: Any) -> Iterator[Row]:
         """Rows matching column-name->value constraints."""
         positions = {self.schema.column_index(c): v for c, v in bound.items()}
         return self.match_columns(positions)
 
-    def _best_index(
-        self, positions: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], dict[tuple, set[int]]] | None:
-        """Pick the largest existing index covered by ``positions``.
+    def _match(self, bound: Mapping[int, Any]) -> list[tuple[int, Row]]:
+        """``(rowid, row)`` of this table's rows matching ``bound``."""
+        rows = self._rows
+        if not bound:
+            return list(rows.items())
+        columns = tuple(bound)
+        plan = self._plans.get(columns) or self._resolve(columns)
+        if plan is None:
+            wanted = list(bound.items())
+            return [
+                item for item in rows.items()
+                if all(item[1][i] == v for i, v in wanted)
+            ]
+        positions, index, residual = plan
+        if index is None:
+            index = self._key_values
+        bucket = index.get(tuple([bound[i] for i in positions]))
+        if bucket is None:
+            return []
+        # tuple(): the owner may add to the set while a fork reads it.
+        candidates = (bucket,) if type(bucket) is int else tuple(bucket)
+        matches = []
+        stale = 0
+        for rowid in candidates:
+            row = rows.get(rowid)
+            if row is None:
+                stale += 1
+                continue
+            for i in residual:
+                if row[i] != bound[i]:
+                    break
+            else:
+                matches.append((rowid, row))
+        if stale:
+            self.lineage.counters.note_stale(stale)
+        return matches
 
-        With ``auto_index`` and a sufficiently large table, build the exact
-        index on first use — the workloads here (V, E lookups) repeat the same
-        access patterns millions of times, so one build pays off immediately.
-        """
-        best: tuple[tuple[int, ...], dict[tuple, set[int]]] | None = None
-        position_set = set(positions)
-        # list(): concurrent readers of one shared snapshot may auto-build
-        # indexes while we iterate (builds install atomically below).
-        for index_positions, mapping in list(self._indexes.items()):
-            if set(index_positions) <= position_set:
-                if best is None or len(index_positions) > len(best[0]):
-                    best = (index_positions, mapping)
-        if best is not None and len(best[0]) == len(positions):
-            return best
-        if self.auto_index and len(self._rows) >= _AUTO_INDEX_MIN_ROWS:
-            self._create_index_positions(positions)
-            return (positions, self._indexes[positions])
-        return best
+    def _resolve(self, columns: tuple[int, ...]) -> Plan | None:
+        """Choose (and remember) the access path for probes binding
+        ``columns``; None means scan, which is decided afresh each time
+        because the table may outgrow it."""
+        bound = set(columns)
+        best: tuple[tuple[int, ...], Index | None] | None = None
+        if self._key_positions and bound.issuperset(self._key_positions):
+            best = (self._key_positions, None)
+        else:
+            # list(): forks of one version resolve (and build) concurrently.
+            available = list(self.lineage.indexes.items())
+            if self._frozen_at is not None:
+                available += list(self._indexes.items())
+            for candidate in available:
+                if bound.issuperset(candidate[0]) and (
+                    best is None or len(candidate[0]) > len(best[0])
+                ):
+                    best = candidate
+            if best is None:
+                if not self.auto_index or len(self._rows) < _AUTO_INDEX_MIN_ROWS:
+                    return None
+                declared = [
+                    positions
+                    for positions in map(
+                        self.schema.column_indexes, self.schema.indexes
+                    )
+                    if bound.issuperset(positions)
+                ]
+                positions = tuple(sorted(max(declared, key=len, default=columns)))
+                best = (positions, self._build_index(positions))
+        plan = (*best, tuple(i for i in columns if i not in best[0]))
+        self._plans[columns] = plan
+        return plan
 
     def __repr__(self) -> str:
         return f"<Table {self.schema.name} rows={len(self._rows)}>"

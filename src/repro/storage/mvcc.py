@@ -12,14 +12,18 @@ mid-scan.
 Lifecycle of a version:
 
 1. **build** — the first pin at a given epoch forks the live store (under
-   the manager's mutex; O(registries), the row dicts stay shared);
+   the manager's mutex; O(registries): the row dicts stay shared, and the
+   fork's tables probe the live tables' hash indexes instead of building
+   any — :mod:`repro.relational.table`);
 2. **share** — later pins at the same epoch reuse the cached fork, each
    incrementing its pin count;
 3. **retire** — a write bumps the epoch, so the version stops being
    current; it survives while readers still hold pins;
 4. **GC** — once its pin count reaches zero and it is no longer current,
    the version is dropped (``mvcc_gc_reclaimed_total`` counts these) and
-   its sqlite mirror, if it built one, is handed to the manager. The
+   its sqlite mirror, if it built one, is handed to the manager. Dropping
+   it is also what tells the live tables (which track their forks by weak
+   reference) that rowids deleted since may leave the index buckets. The
    current epoch's version stays cached even at zero pins so back-to-back
    reads with no interleaved write share one snapshot.
 

@@ -141,6 +141,29 @@ class TestIndexes:
         list(t.match_named(a=2))
         assert t.has_index(("a",))
 
+    def test_a_covering_index_serves_the_probe_and_nothing_is_built(self):
+        schema = TableSchema("T", ("k", "a", "b"), key=("k",), indexes=(("a",),))
+        t = Table(schema)
+        t.insert_many([(i, i % 5, i % 7) for i in range(200)])
+        assert sorted(t.match_named(a=2, b=3)) == [
+            (k, 2, 3) for k in (17, 52, 87, 122, 157, 192)
+        ]
+        assert list(t.match_named(k=17, b=3)) == [(17, 2, 3)]
+        assert list(t.match_named(k=17, b=4)) == []
+        assert not t.has_index(("a", "b")) and not t.has_index(("k", "b"))
+        assert t.lineage.counters.builds == {"shared": 1, "private": 0}
+
+    def test_a_bucket_is_a_bare_rowid_until_a_second_row_shares_the_value(self):
+        t = make_table(auto_index=False)
+        t.create_index(("a",))
+        first, second = t.insert((1, 2, 3)), t.insert((1, 9, 9))
+        (index,) = t.lineage.indexes.values()
+        assert index == {(1,): {first, second}}
+        t.delete_rowid(first)
+        assert index == {(1,): second}
+        t.delete_rowid(second)
+        assert index == {}
+
     def test_no_auto_index_below_threshold(self):
         t = make_table(auto_index=True)
         t.insert_many([(i, i, "x") for i in range(5)])

@@ -78,33 +78,34 @@ def test_rejects_bad_max_inflight():
 # ------------------------------------------------------------------ pipelining
 
 
-def test_inflight_requests_complete_out_of_order(server):
+def test_inflight_requests_complete_out_of_order(server, monkeypatch):
     """A cheap request pipelined behind an expensive one overtakes it —
     the observable difference between the async and threaded cores."""
     db = server.db
     db.add_user("Carol")
-    for i in range(300):
+    for i in range(3):
         db.insert([], "Sightings", [f"s{i:04d}", "Carol", "crow", "d", "l"])
+    # The select is held until the ping has returned, so the ping overtakes
+    # it by construction, however fast the select is.
+    ping_returned = threading.Event()
+    execute_statement = db.execute_statement
+
+    def held(statement):
+        assert ping_returned.wait(30), "the ping never got past the select"
+        return execute_statement(statement)
+
+    monkeypatch.setattr(db, "execute_statement", held)
     with BeliefClient(*server.address) as client:
-        # Under scheduler jitter the cheap request does not overtake on
-        # every attempt — out-of-order delivery is a capability, not a
-        # guarantee — so try a few times and require it at least once.
-        overtook = False
-        for _ in range(10):
-            slow = client.submit(
-                "execute", sql="select S.sid, S.species, S.date from "
-                               "Sightings as S",
-            )
-            fast = client.submit("ping")
-            # Resolve the FAST one first: under the threaded server this
-            # would still work (its response queues behind the slow one);
-            # here the slow response may genuinely not have arrived yet.
-            assert fast.result() == "pong"
-            overtook = not slow.done()
-            assert len(slow.result()) == 300
-            if overtook:
-                break
-        assert overtook, "ping never overtook the slow select in 10 tries"
+        slow = client.submit(
+            "execute", sql="select S.sid, S.species, S.date from Sightings as S",
+        )
+        fast = client.submit("ping")
+        # The threaded core answers a connection's requests in order: there
+        # the ping would wait behind the select, and the select for the ping.
+        assert fast.result() == "pong"
+        assert not slow.done()
+        ping_returned.set()
+        assert len(slow.result()) == 3
 
 
 def test_max_inflight_one_still_serves(monkeypatch):
