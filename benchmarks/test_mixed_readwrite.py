@@ -8,9 +8,11 @@ scans, two ways —
 
 * **mvcc** (the shipping discipline): scans serve lock-free from pinned
   versions, so reader latency is decoupled from the write queue;
-* **locked** (``BeliefServer._force_locked_reads = True``): scans take
-  the readers-writer lock again — the pre-MVCC discipline — so every
-  scan queues behind the writers' fsync-bound exclusive acquisitions.
+* **locked** (this file empties ``repro.server.server._PINNED_READ_OPS``
+  for the cell): scans take the readers-writer lock again — the pre-MVCC
+  discipline — so every scan queues behind the writers' fsync-bound
+  exclusive acquisitions. The server has no switch for it; the control
+  lives here.
 
 Durability is what makes the A/B meaningful: ephemeral in-memory writes
 release the lock in microseconds, so lock queueing costs less than the
@@ -50,6 +52,7 @@ import tempfile
 import threading
 import time
 
+import repro.server.server as server_module
 from repro.bdms.bdms import BeliefDBMS
 from repro.bench.openloop import run_open_loop
 from repro.core.schema import sightings_schema
@@ -110,8 +113,11 @@ def _run_closed_cell(force_locked: bool) -> dict[str, float]:
     scans_per_reader = max(4, writes // 2)
     tmp = tempfile.TemporaryDirectory()
     db = _seeded_db(data_dir=os.path.join(tmp.name, "data"))
-    original = BeliefServer._force_locked_reads
-    BeliefServer._force_locked_reads = force_locked
+    pinned_read_ops = server_module._PINNED_READ_OPS
+    if force_locked:
+        # No op counts as a pinned read: dispatch puts every scan back on
+        # the readers-writer lock.
+        server_module._PINNED_READ_OPS = frozenset()
     try:
         with BeliefServer(db) as server:
             barrier = threading.Barrier(N_WRITERS + N_READERS + 1, timeout=30)
@@ -134,11 +140,12 @@ def _run_closed_cell(force_locked: bool) -> dict[str, float]:
             def reader(r: int) -> None:
                 try:
                     with BeliefClient(*server.address) as client:
-                        client.execute(SELECT)  # warm: parse + first plan
+                        # warm: parse + first plan
+                        client.drain(client.execute_prepared(SELECT))
                         barrier.wait(timeout=30)
                         for _ in range(scans_per_reader):
                             start = monotonic_s()
-                            client.execute(SELECT)
+                            client.drain(client.execute_prepared(SELECT))
                             scan_ms[r].append(
                                 (monotonic_s() - start) * 1000.0
                             )
@@ -162,7 +169,7 @@ def _run_closed_cell(force_locked: bool) -> dict[str, float]:
             assert not any(t.is_alive() for t in threads), "cell deadlocked"
             assert not errors, errors
     finally:
-        BeliefServer._force_locked_reads = original
+        server_module._PINNED_READ_OPS = pinned_read_ops
         db.close()
         tmp.cleanup()
 
@@ -212,17 +219,17 @@ def _run_openloop_cell() -> dict:
             # and measure pure queueing collapse instead of service time.
             probe = BeliefClient(*server.address)
             try:
-                probe.execute(FILTERED_SCAN)
+                probe.execute_prepared(FILTERED_SCAN)
                 start = monotonic_s()
                 for _ in range(30):
-                    probe.execute(FILTERED_SCAN)
+                    probe.execute_prepared(FILTERED_SCAN)
                 capacity = 30 / max(monotonic_s() - start, 1e-9)
             finally:
                 probe.close()
             rate = max(MIN_RATE, min(capacity * 0.5, MAX_STEADY_RATE))
             report = run_open_loop(
                 lambda: BeliefClient(*server.address),
-                lambda i: ("execute", {"sql": FILTERED_SCAN}),
+                lambda i: ("execute_prepared", {"sql": FILTERED_SCAN}),
                 rate=rate, total_ops=_openloop_ops(), workers=N_READERS,
             )
         finally:

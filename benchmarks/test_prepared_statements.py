@@ -71,7 +71,7 @@ def test_embedded_insert_prepared_beats_literal():
     db = _fresh()
     started = time.perf_counter()
     for i in range(n):
-        db.execute_sql(_insert_sql(i)).legacy()
+        db.execute_sql(_insert_sql(i))
     unprepared = time.perf_counter() - started
 
     cur = connect(_fresh()).cursor()
@@ -108,7 +108,7 @@ def test_embedded_select_prepared_beats_uncached_literal():
         db.execute_sql(
             "select S.sid, S.species from BELIEF 'Carol' Sightings as S "
             f"where S.sid = 's{i % 50}'"
-        ).legacy()
+        )
     unprepared = time.perf_counter() - started
 
     db = seeded(cache=128)
@@ -148,7 +148,7 @@ def test_wire_insert_prepared_vs_literal():
                     )
                 else:
                     for i in range(n):
-                        conn.client.execute(_insert_sql(i))
+                        conn.client.execute_prepared(_insert_sql(i))
                 return time.perf_counter() - started
 
     unprepared = run(prepared_mode=False)

@@ -81,7 +81,7 @@ def apply_op(client: BeliefClient, op: ConcurrentOp) -> None:
     elif op.kind == "dispute":
         client.dispute(op.relation, list(op.values))
     elif op.kind == "select":
-        client.execute(op.sql)
+        client.drain(client.execute_prepared(op.sql))
     else:
         raise BeliefDBError(f"unknown op kind {op.kind!r}")
 
@@ -96,7 +96,7 @@ def _drive_pipelined(client: BeliefClient, ops) -> None:
     window: list = []
     for op in ops:
         if op.kind == "select":
-            window.append(client.submit("execute", sql=op.sql))
+            window.append(client.submit("execute_prepared", sql=op.sql))
         else:
             sign = "+" if op.kind == "insert" else "-"
             window.append(client.submit(
@@ -131,7 +131,7 @@ def _drive_batched(client: BeliefClient, user: str, ops) -> None:
                 client.execute_batch(DISPUTE_SQL, disputes)
                 disputes.clear()
         else:
-            window.append(client.submit("execute", sql=op.sql))
+            window.append(client.submit("execute_prepared", sql=op.sql))
             if len(window) >= PIPELINE_WINDOW:
                 window.pop(0).result()
     if inserts:
@@ -171,7 +171,7 @@ def _drive_txn(client: BeliefClient, user: str, ops) -> None:
             pending.append((DISPUTE_SQL, [user] + list(op.values)))
         else:
             flush()
-            client.execute(op.sql)
+            client.drain(client.execute_prepared(op.sql))
         if len(pending) >= BATCH_ROWS:
             flush()
     flush()

@@ -72,7 +72,7 @@ def _drive_blocking(client: BeliefClient, ops) -> None:
         elif op.kind == "dispute":
             client.dispute(op.relation, list(op.values))
         else:
-            client.execute(op.sql)
+            client.drain(client.execute_prepared(op.sql))
 
 
 def _drive_batched(client: BeliefClient, user: str, ops) -> None:
@@ -94,7 +94,7 @@ def _drive_batched(client: BeliefClient, user: str, ops) -> None:
                 client.execute_batch(DISPUTE_SQL, disputes)
                 disputes.clear()
         else:
-            client.execute(op.sql)
+            client.drain(client.execute_prepared(op.sql))
     if inserts:
         client.execute_batch(INSERT_SQL, inserts)
     if disputes:

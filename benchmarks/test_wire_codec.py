@@ -55,7 +55,7 @@ def apply_op(client: BeliefClient, op: ConcurrentOp) -> None:
     elif op.kind == "dispute":
         client.dispute(op.relation, list(op.values))
     elif op.kind == "select":
-        client.execute(op.sql)
+        client.drain(client.execute_prepared(op.sql))
     else:
         raise BeliefDBError(f"unknown op kind {op.kind!r}")
 
@@ -99,8 +99,11 @@ SHAPES: dict[str, tuple[dict, bool]] = {
         }},
         True,
     ),
-    "req.execute": (
-        {"id": 11, "op": "execute", "params": {"sql": _SELECT}}, True,
+    "req.execute_sql": (
+        {"id": 11, "op": "execute_prepared", "params": {
+            "sql": _SELECT, "params": [],
+        }},
+        True,
     ),
     "req.execute_prepared": (
         {"id": 12, "op": "execute_prepared", "params": {

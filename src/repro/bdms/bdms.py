@@ -52,10 +52,9 @@ prepared-statement cache underneath (parse+compile once, bind many)::
 
 Transactions (:meth:`~BeliefDBMS.begin_transaction` /
 :meth:`~BeliefDBMS.commit_transaction`) group DML into atomic units — see
-:mod:`repro.bdms.transaction`. (The long-deprecated ``execute()`` legacy
-shim was removed; the wire protocol's ``execute`` op goes through
-:meth:`~BeliefDBMS.execute_statement`, which keeps the historical
-``list | bool | int`` result shape for the protocol only.)
+:mod:`repro.bdms.transaction`. Every DML route (autocommit, batch, commit,
+and a transaction's read view) applies a statement to a store through
+:func:`repro.bdms.dml.apply_compiled`, and only there.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from typing import TYPE_CHECKING, Any, Literal, Sequence, Union
 if TYPE_CHECKING:  # pragma: no cover — type-only import (avoids a cycle)
     from repro.durability.manager import DurabilityManager
 
-from repro.bdms.dml import apply_delete, apply_update
+from repro.bdms.dml import apply_compiled
 from repro.bdms.result import Result
 from repro.bdms.transaction import Transaction
 from repro.beliefsql.ast import (
@@ -141,12 +140,20 @@ CompiledStatement = Union[
 ]
 
 
-def _execute_entry(sql: str, params: Sequence[Value]) -> dict[str, Any]:
+def _rejected_insert(path: tuple, t: Any, sign: Sign) -> RejectedUpdateError:
+    """Strict mode's error for an insert Alg. 4 refused."""
+    return RejectedUpdateError(
+        f"insert rejected: {t} with sign {sign} conflicts "
+        f"with explicit beliefs at path {path!r} (or is a duplicate)"
+    )
+
+
+def execute_entry(sql: str, params: Sequence[Value]) -> dict[str, Any]:
     """The replayable template+params record one effective DML execution
     contributes to the WAL / server op log. Single source of truth for the
     shape — the single-statement, batched, and transactional write paths
-    all build their records here, so recovery can never see three
-    diverging formats."""
+    (and the server's op log) all build their records here, so recovery
+    and replay can never see diverging formats."""
     return {"op": "execute", "sql": sql, "params": list(params)}
 
 
@@ -217,8 +224,8 @@ class BeliefDBMS:
         self.store = BeliefStore(schema, eager=eager)
         # MVCC: every write runs under this mutex and bumps the epoch;
         # every read pins a copy-on-write snapshot (see read_view()). The
-        # RLock nests — statement execution calls insert()/delete() inside
-        # an already-held write section.
+        # RLock nests — the auto-checkpoint and the lifecycle writes take
+        # it again inside an already-held write section.
         self._write_mutex = threading.RLock()
         self._stmt_cache: OrderedDict[Any, PreparedStatement] = OrderedDict()
         self._stmt_cache_size = max(0, stmt_cache_size)
@@ -228,7 +235,6 @@ class BeliefDBMS:
         }
         self._durability: "DurabilityManager | None" = None
         self._in_recovery = False
-        self._in_statement = False
         self._txn_stats = {
             "begun": 0, "committed": 0, "rolled_back": 0, "aborted": 0,
             "failed": 0, "rows_committed": 0,
@@ -390,11 +396,9 @@ class BeliefDBMS:
 
         Called *after* the in-memory mutation and *before* the operation
         returns, so an acknowledgement implies the record is on disk. No-op
-        while recovering (replayed ops must not be re-logged) or while an
-        enclosing SQL statement is executing (the statement logs itself as
-        one replayable record).
+        while recovering (replayed ops must not be re-logged).
         """
-        if self._durability is None or self._in_recovery or self._in_statement:
+        if self._durability is None or self._in_recovery:
             return
         self._durability.log(entry)
         self._maybe_checkpoint()
@@ -524,10 +528,7 @@ class BeliefDBMS:
                     "sign": str(Sign.coerce(sign)),
                 })
         if not ok and self.strict:
-            raise RejectedUpdateError(
-                f"insert rejected: {t} with sign {Sign.coerce(sign)} conflicts "
-                f"with explicit beliefs at path {resolved!r} (or is a duplicate)"
-            )
+            raise _rejected_insert(resolved, t, Sign.coerce(sign))
         return ok
 
     def delete(
@@ -734,9 +735,7 @@ class BeliefDBMS:
             rows = self._lifecycle_select(compiled.bind(params), version)
             rowcount = len(rows)
         else:
-            # DML: the statement is WAL-logged here as one replayable
-            # template + parameter record; suppress the per-tuple records
-            # the nested insert()/delete() calls would otherwise emit.
+            # DML: WAL-logged as one replayable template + parameter record.
             self._check_durable_writable()
             with self._write_mutex:
                 try:
@@ -744,7 +743,7 @@ class BeliefDBMS:
                 finally:
                     self.versions.bump()
                 if rowcount:
-                    self._log_durable(_execute_entry(prepared.sql, params))
+                    self._log_durable(execute_entry(prepared.sql, params))
         elapsed_ms = self._observe_statement(prepared.kind, watch)
         return Result(
             kind=prepared.kind,
@@ -790,7 +789,7 @@ class BeliefDBMS:
                 for params in param_rows:
                     rowcount = self._execute_dml_row(compiled, params)
                     if rowcount:
-                        entries.append(_execute_entry(prepared.sql, params))
+                        entries.append(execute_entry(prepared.sql, params))
                     rowcounts.append(rowcount)
             except BeliefDBError as exc:
                 # Strict mode stops at the first rejected row. Callers (the
@@ -910,7 +909,7 @@ class BeliefDBMS:
                         total += rowcount
                         if rowcount:
                             entries.append(
-                                _execute_entry(s.prepared.sql, params)
+                                execute_entry(s.prepared.sql, params)
                             )
                     applied_statements += 1
             except BeliefDBError as exc:
@@ -1026,48 +1025,23 @@ class BeliefDBMS:
         """Execute one BeliefSQL statement with ``?`` parameters; typed result."""
         return self.execute_prepared(self.prepare(sql), params)
 
-    def execute_statement(
-        self, statement: Statement, params: Sequence[Value] = ()
-    ) -> list[tuple] | bool | int:
-        """Execute a parsed statement — compatibility shim over the new path."""
-        return self.execute_prepared(
-            self.prepare_parsed(statement), params
-        ).legacy()
-
     def _execute_dml_row(
         self, compiled: CompiledStatement, params: Sequence[Value]
     ) -> int:
-        """Bind and apply one DML parameter vector; rows affected.
+        """Bind one DML parameter vector and apply it to the live store.
 
-        The ``_in_statement`` guard suppresses the per-tuple WAL records
-        the nested insert()/delete() calls would otherwise emit — the
-        caller logs the statement-level record (or batch) itself.
+        The one place a statement reaches the store: autocommit, batch and
+        commit all call this under the write mutex and log / bump the epoch
+        themselves. Returns rows affected; in strict mode an insert that
+        Alg. 4 rejects raises instead, exactly like :meth:`insert`.
         """
-        self._in_statement = True
-        try:
-            if isinstance(compiled, CompiledInsert):
-                return 1 if self._execute_insert(compiled.bind(params)) else 0
-            if isinstance(compiled, CompiledDelete):
-                return self._execute_delete(compiled.bind(params))
-            assert isinstance(compiled, CompiledUpdate)
-            return self._execute_update(compiled.bind(params))
-        finally:
-            self._in_statement = False
-
-    def _execute_insert(self, op: CompiledInsert) -> bool:
-        return self.insert(op.path, op.relation, op.values, op.sign)
-
-    def _execute_delete(self, op: CompiledDelete) -> int:
-        """Delete the *explicit* statements matching the WHERE clause."""
-        return apply_delete(self.store, op)
-
-    def _execute_update(self, op: CompiledUpdate) -> int:
-        """Update beliefs: re-assert matching tuples with new values.
-
-        Semantics live in :func:`repro.bdms.dml.apply_update`, shared with
-        the transaction read view.
-        """
-        return apply_update(self.store, op)
+        rowcount = apply_compiled(self.store, compiled, params)
+        if not rowcount and self.strict and isinstance(compiled, CompiledInsert):
+            op = compiled.bind(params)
+            path = tuple(self.store.resolve_user(u) for u in op.path)
+            t = self.schema.tuple(op.relation, *op.values)
+            raise _rejected_insert(path, t, op.sign)
+        return rowcount
 
     # ------------------------------------------------------------------ views
 

@@ -1,21 +1,23 @@
-"""Store-parameterized DML application — shared by the BDMS and read views.
+"""Store-parameterized DML application — the one apply path.
 
 The BeliefSQL DML semantics (Sect. 5.3: insert/delete on explicit
 annotations, update re-asserting matched entailed tuples) are applied
 against an *explicit* :class:`~repro.storage.store.BeliefStore` rather
-than a DBMS instance. Two call sites share them:
+than a DBMS instance, and :func:`apply_compiled` is the only way a
+compiled statement reaches a store. It has two callers:
 
-* :class:`~repro.bdms.bdms.BeliefDBMS` statement execution applies DML to
-  the live store (with WAL logging, strict-mode handling, and version
-  bumping layered on top by the DBMS);
+* :meth:`BeliefDBMS._execute_dml_row <repro.bdms.bdms.BeliefDBMS>` applies
+  to the live store for autocommit, ``execute_batch`` and
+  ``commit_transaction`` (WAL logging, the strict-mode error and the one
+  epoch bump per statement, batch or commit are layered on by the DBMS);
 * the transaction read view (:meth:`~repro.bdms.transaction.Transaction
-  .read_store`) replays the session's staged statements onto a private
+  .read_version`) replays the session's staged statements onto a private
   copy-on-write fork so in-transaction selects read through the write
   buffer — read-your-own-writes without touching the shared store.
 
 All functions here are non-strict: a rejected insert returns ``False`` /
-counts zero rows instead of raising, exactly like the commit-time apply
-path (strictness is a DBMS policy, not a store semantic).
+counts zero rows instead of raising (strictness is a DBMS policy, not a
+store semantic).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every statement executed through the DB-API surface of :mod:`repro.api` —
 and through :meth:`repro.bdms.bdms.BeliefDBMS.execute_prepared` underneath
-it — returns a :class:`Result` instead of the historical ``list | bool | int`` soup:
+it — returns a :class:`Result`:
 
 * ``rows``       — result tuples (``[]`` for DML), sorted deterministically;
 * ``columns``    — column names derived from the select list (``()`` for DML);
@@ -95,19 +95,6 @@ class Result:
         return self.rows[index]
 
     # -------------------------------------------------------------- adapters
-
-    def legacy(self) -> list[tuple[Any, ...]] | bool | int:
-        """The historical ``BeliefDBMS.execute`` return value.
-
-        Selects return the row list, inserts True/False, delete/update the
-        affected-statement count — kept so pre-Result callers (and the wire
-        protocol's legacy ``execute`` op) behave exactly as before.
-        """
-        if self.kind == "select":
-            return self.rows
-        if self.kind == "insert":
-            return self.rowcount > 0
-        return self.rowcount
 
     def to_wire(self) -> dict[str, Any]:
         """A JSON-serializable form (rows become lists; see ``from_wire``)."""

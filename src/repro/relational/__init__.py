@@ -1,26 +1,10 @@
 """From-scratch relational engine substrate.
 
 Provides the pieces the paper obtains from its RDBMS: indexed row storage,
-relational algebra, a non-recursive Datalog evaluator (the target language of
-Algorithm 1), and a SQLite mirror for executing generated SQL.
+a non-recursive Datalog evaluator (the target language of Algorithm 1), and
+a SQLite mirror for executing generated SQL.
 """
 
-from repro.relational.algebra import (
-    Aggregate,
-    CrossProduct,
-    Difference,
-    Distinct,
-    HashJoin,
-    Limit,
-    Operator,
-    OrderBy,
-    Project,
-    Rename,
-    Rows,
-    Scan,
-    Select,
-    Union,
-)
 from repro.relational.database import RelationalDatabase
 from repro.relational.datalog import (
     Atom,
@@ -50,36 +34,22 @@ from repro.relational.sqlite_backend import SqliteMirror, quote_identifier
 from repro.relational.table import Row, Table
 
 __all__ = [
-    "Aggregate",
     "And",
     "Atom",
     "Cmp",
     "Const",
-    "CrossProduct",
-    "Difference",
-    "Distinct",
     "Expr",
-    "HashJoin",
-    "Limit",
     "NegatedAtom",
     "Not",
-    "Operator",
     "Or",
-    "OrderBy",
     "Program",
-    "Project",
     "Ref",
     "RelationalDatabase",
-    "Rename",
     "Row",
-    "Rows",
     "Rule",
-    "Scan",
-    "Select",
     "SqliteMirror",
     "Table",
     "TableSchema",
-    "Union",
     "Var",
     "compare",
     "conjunction",

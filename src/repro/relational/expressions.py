@@ -1,8 +1,7 @@
-"""Boolean/value expression trees shared by the algebra and Datalog layers.
+"""Boolean/value expression trees of the Datalog layer.
 
 Expressions are evaluated against an *environment* — a mapping from names to
-values. The algebra binds column names; the Datalog evaluator binds variable
-names. The grammar is what Algorithm 1's output needs: comparisons with the
+values; the Datalog evaluator binds variable names. The grammar is what Algorithm 1's output needs: comparisons with the
 operators ``=, !=, <, <=, >, >=`` combined by and/or/not, over variables and
 constants (the nested disjunctions of negative subgoals, Sect. 5.2).
 """

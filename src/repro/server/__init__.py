@@ -45,8 +45,9 @@ Quickstart::
         with BeliefClient(*server.address) as carol:
             carol.add_user("Carol")
             carol.login("Carol")
-            carol.execute("insert into Sightings values "
-                          "('s1','Carol','bald eagle','6-14-08','Lake Forest')")
+            carol.execute_prepared(
+                "insert into Sightings values (?,?,?,?,?)",
+                ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"])
 """
 
 from repro.server.async_client import AsyncBeliefClient

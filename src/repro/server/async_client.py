@@ -307,9 +307,6 @@ class AsyncBeliefClient:
     ) -> bool:
         return await self.insert(relation, values, path=path, sign="-")
 
-    async def execute(self, sql: str) -> list[list[Any]] | bool | int:
-        return await self.call("execute", sql=sql)
-
     async def prepare(self, sql: str) -> RemoteStatement:
         info = await self.call("prepare", sql=sql)
         return RemoteStatement(

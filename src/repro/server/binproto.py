@@ -90,7 +90,9 @@ KIND_JSON_RESPONSE = 0xF1
 #: Part of the wire format — appending is compatible, reordering is not.
 #: An op missing here (anything added to OPS later) simply travels as a
 #: JSON-escape frame until the table catches up, so drift degrades to
-#: the floor instead of breaking.
+#: the floor instead of breaking. ``execute`` (0x0A) is retired — no server
+#: handles it, a frame carrying it gets the normal "unknown operation"
+#: error — and keeps its slot so no later op's code moves.
 OP_TABLE = (
     HELLO_OP,
     "ping", "login", "logout", "whoami", "set_path",

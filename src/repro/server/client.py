@@ -22,9 +22,11 @@ Example::
 
     with BeliefClient("127.0.0.1", 5433) as client:
         client.login("Carol", create=True)
-        client.execute("insert into Sightings values "
-                       "('s1','Carol','bald eagle','6-14-08','Lake Forest')")
-        rows = client.execute("select S.sid, S.species from Sightings as S")
+        client.execute_prepared(
+            "insert into Sightings values (?,?,?,?,?)",
+            ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"])
+        rows = client.drain(client.execute_prepared(
+            "select S.sid, S.species from Sightings as S"))
 
         # pipelined: one round-trip wait for a whole window of requests
         pending = [client.submit("believes", relation="Sightings",
@@ -94,29 +96,11 @@ def batch_statement_params(statement: "RemoteStatement | str") -> dict[str, Any]
 
 
 #: Byte budget per execute_batch chunk — a third of the frame ceiling.
-#: :func:`_estimated_row_bytes` can undercount an all-escapes ASCII string
+#: :func:`~repro.server.protocol.estimated_row_bytes` can undercount an all-escapes ASCII string
 #: by 2x (every ``"`` / ``\\`` doubles when JSON-escaped), so a third —
 #: not half — keeps even that pathological chunk under the 1 MiB ceiling
 #: with room for the op envelope.
 MAX_BATCH_CHUNK_BYTES = protocol.MAX_FRAME_BYTES // 3
-
-
-def _estimated_row_bytes(row: "list[Any]") -> int:
-    """A cheap upper-leaning estimate of one row's JSON-encoded size.
-
-    Deliberately NOT ``len(json.dumps(row))`` — that would serialize every
-    batch twice (once here, once in ``encode_frame``) on the hot bulk-write
-    path. ASCII strings count their length (escaping may double it — the
-    budget's 3x headroom absorbs that); non-ASCII strings count 6 bytes per
-    char, the ``\\uXXXX`` worst case, so they can only be overcounted.
-    """
-    total = 2  # brackets
-    for value in row:
-        if isinstance(value, str):
-            total += (len(value) if value.isascii() else 6 * len(value)) + 3
-        else:
-            total += 24  # numbers; anything else fails validation later
-    return total
 
 
 def iter_batch_chunks(
@@ -139,7 +123,7 @@ def iter_batch_chunks(
     current_bytes = 0
     for raw in param_rows:
         row = list(raw)
-        row_bytes = _estimated_row_bytes(row)
+        row_bytes = protocol.estimated_row_bytes(row)
         if current and (
             len(current) >= max(1, chunk_rows)
             or current_bytes + row_bytes > max_chunk_bytes
@@ -771,10 +755,6 @@ class BeliefClient:
         """Insert a negative belief — "I do not believe this tuple"."""
         return self.insert(relation, values, path=path, sign="-")
 
-    def execute(self, sql: str) -> list[list[Any]] | bool | int:
-        """Run one BeliefSQL statement (session default path applies)."""
-        return self.call("execute", sql=sql)
-
     # ------------------------------------------------- prepared statements
 
     def prepare(self, sql: str) -> RemoteStatement:
@@ -793,7 +773,8 @@ class BeliefClient:
         params: Sequence[Any] = (),
         max_rows: int | None = None,
     ) -> dict[str, Any]:
-        """Execute a prepared handle (or one-shot SQL) with ``?`` parameters.
+        """Execute a prepared handle (or one-shot SQL) with ``?`` parameters;
+        the session's default belief path applies to prefix-less DML.
 
         Returns the structured result payload: ``kind``, ``columns``,
         ``rowcount``, ``status``, ``elapsed_ms``, the first page of ``rows``,

@@ -81,9 +81,9 @@ OPS = frozenset({
     "ping", "login", "logout", "whoami", "set_path",
     # user management
     "add_user", "users",
-    # statements
-    "insert", "delete", "execute",
-    # prepared statements, batched execution, and result paging
+    # one tuple, by value (Alg. 4 on the session's default path)
+    "insert", "delete",
+    # BeliefSQL statements (by handle or inline text), batches, result paging
     "prepare", "execute_prepared", "execute_batch", "close_statement",
     "fetch", "close_cursor",
     # transactions (per-session; DML between begin and commit is staged)
@@ -103,6 +103,25 @@ _LENGTH = struct.Struct(">I")
 
 class ProtocolError(BeliefDBError):
     """The byte stream or frame violates the wire protocol (fail closed)."""
+
+
+def estimated_row_bytes(row: "list[Any] | tuple[Any, ...]") -> int:
+    """A cheap upper-leaning estimate of one row's JSON-encoded size.
+
+    Deliberately NOT ``len(json.dumps(row))`` — that would serialize every
+    batch chunk and result page twice (once here, once in ``encode_frame``)
+    on the hot bulk-write and scan paths. ASCII strings count their length
+    (escaping may double it — the budget's 3x headroom absorbs that);
+    non-ASCII strings count 6 bytes per char, the ``\\uXXXX`` worst case, so
+    they can only be overcounted.
+    """
+    total = 2  # brackets
+    for value in row:
+        if isinstance(value, str):
+            total += (len(value) if value.isascii() else 6 * len(value)) + 3
+        else:
+            total += 24  # numbers; anything else fails validation later
+    return total
 
 
 # --------------------------------------------------------------------- frames

@@ -6,7 +6,8 @@ Concurrency model
 server guards it with a writer-preference :class:`ReadWriteLock`:
 
 * *reads* (``select``, ``query``, ``believes``, ``world``, ``stats``, ...)
-  share the lock — many clients can query concurrently;
+  evaluate against a pinned MVCC version and take no lock at all; the
+  remaining session/catalog reads share the lock;
 * *writes* (``insert``, ``delete``, ``update``, ``add_user``) are exclusive,
   which makes every update atomic and the whole history linearizable: the
   order in which writers acquire the lock *is* the serial order (the op log
@@ -16,11 +17,6 @@ server guards it with a writer-preference :class:`ReadWriteLock`:
   so readers never observe a partial transaction. ``begin``/``rollback``
   and in-transaction staging only touch the per-session buffer and ride
   the read side.
-
-One backend caveat, found by the thread-safety audit: the ``"sqlite"``
-backend resyncs its mirror lazily *inside the query path*, so its reads
-mutate state. The server therefore promotes reads to exclusive when the
-shared BDMS runs on that backend.
 
 Wire behavior
 -------------
@@ -39,9 +35,7 @@ import time
 from contextlib import nullcontext
 from typing import Any, Callable, Sequence
 
-from repro.bdms.bdms import BeliefDBMS, PreparedStatement
-from repro.beliefsql.ast import SelectStatement, bind_statement
-from repro.beliefsql.parser import parse_beliefsql
+from repro.bdms.bdms import BeliefDBMS, PreparedStatement, execute_entry
 from repro.core.paths import format_path
 from repro.errors import (
     BeliefDBError,
@@ -229,12 +223,6 @@ class BeliefServer:
     #: can extend the set (it adds ``shard_status``).
     shed_exempt_ops: frozenset = frozenset({"ping", "metrics"})
 
-    #: Bench/debug escape hatch: force reads back onto the readers-writer
-    #: lock (the pre-MVCC discipline) instead of serving them lock-free from
-    #: pinned versions. Used by the mixed-readwrite benchmark as the A/B
-    #: control; never set in production paths.
-    _force_locked_reads: bool = False
-
     def __init__(
         self,
         db: BeliefDBMS,
@@ -257,6 +245,10 @@ class BeliefServer:
             protocol.MAX_FRAME_BYTES if max_frame_bytes is None
             else int(max_frame_bytes)
         )
+        #: Estimated bytes one result page may carry: a third of the frame
+        #: ceiling, the headroom the size estimate needs (see
+        #: :data:`repro.server.client.MAX_BATCH_CHUNK_BYTES`).
+        self.page_bytes = self.max_frame_bytes // 3
         self.lock = ReadWriteLock()
         self.record_ops = record_ops
         self.checkpoint_interval = checkpoint_interval
@@ -721,23 +713,7 @@ class BeliefServer:
                 with self._state_lock:
                     self.stats["ops_served"] += 1
                 return Response.success(request.id, result)
-            if request.op == "execute":
-                # Parse before classifying so DML can be promoted to the
-                # write lock (selects run lock-free from a pinned version).
-                statement = session.rewrite(
-                    parse_beliefsql(_require(request.params, "sql"))
-                )
-                if not isinstance(statement, SelectStatement):
-                    if session.in_transaction:
-                        raise TransactionError(
-                            "the legacy execute op predates transactions "
-                            "and cannot run DML inside one; use "
-                            "execute_prepared (or commit/rollback first)"
-                        )
-                    kind = "write"
-                func = BeliefServer._op_execute
-                params: dict[str, Any] = {"statement": statement}
-            elif request.op == "execute_prepared":
+            if request.op == "execute_prepared":
                 # Resolve + session-rewrite the prepared statement outside the
                 # lock (the BDMS statement cache has its own internal lock),
                 # then classify read vs write by the statement kind.
@@ -747,7 +723,7 @@ class BeliefServer:
                     # buffer — no shared state is touched, so staging
                     # runs on the read side and writers are undisturbed.
                     func = BeliefServer._op_stage
-                    params = {
+                    params: dict[str, Any] = {
                         "prepared": prepared,
                         "param_rows": [bind],
                         "many": False,
@@ -790,12 +766,9 @@ class BeliefServer:
                 )
             else:
                 params = request.params
-            if self._exclusive(kind):
+            if kind == "write":
                 guard: Any = self.lock.write()
-            elif (
-                request.op in _PINNED_READ_OPS
-                and not self._force_locked_reads
-            ):
+            elif request.op in _PINNED_READ_OPS:
                 # MVCC: these reads evaluate against a pinned copy-on-write
                 # version of the store (the BDMS pins one per call or the
                 # handler pins one explicitly), so they need no lock at all —
@@ -812,13 +785,6 @@ class BeliefServer:
             with self._state_lock:
                 self.stats["op_errors"] += 1
             return Response.failure(request.id, exc)
-
-    def _exclusive(self, kind: str) -> bool:
-        # Only writes need the exclusive lock. The sqlite backend used to be
-        # promoted here too (its shared mirror resynced inside the query
-        # path); per-version mirrors removed that — reads now sync a private
-        # mirror on their pinned snapshot, never shared with the writer.
-        return kind == "write"
 
     # ---------------------------------------------------------------- op log
 
@@ -912,24 +878,6 @@ class BeliefServer:
         sign = params.get("sign", "+")
         return resolved, relation, list(values), sign
 
-    def _op_execute(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        # ``statement`` was parsed and session-rewritten in _dispatch, outside
-        # the lock; DML arrives here under the write lock, selects lock-free.
-        statement = params["statement"]
-        if isinstance(statement, SelectStatement) and session.in_transaction:
-            # Legacy-op selects get the same read-your-own-writes view as
-            # execute_prepared (uniform across the two execute surfaces).
-            prepared = self.db.prepare_parsed(statement)
-            result = self.db.execute_prepared(
-                prepared, (), version=session.transaction().read_version()
-            ).legacy()
-        else:
-            result = self.db.execute_statement(statement)
-        if not isinstance(statement, SelectStatement):
-            self._record({"op": "execute", "sql": str(statement),
-                          "ok": _jsonify(result)})
-        return _jsonify(result)
-
     # ------------------------------------------------- prepared statements
 
     def _resolve_prepared(
@@ -980,14 +928,13 @@ class BeliefServer:
             # the session's private view (committed snapshot + staged DML).
             version = session.transaction().read_version()
         result = self.db.execute_prepared(prepared, bind, version=version)
-        if prepared.kind != "select":
-            bound = bind_statement(prepared.statement, bind)
-            self._record({"op": "execute", "sql": str(bound),
-                          "ok": _jsonify(result.legacy())})
-        max_rows = params["max_rows"]
-        rows = result.rows
-        first, rest = rows[:max_rows], rows[max_rows:]
-        cursor_id = session.register_cursor(rest) if rest else None
+        if prepared.kind != "select" and self.record_ops:
+            self._record({
+                **execute_entry(prepared.sql, bind), "ok": result.rowcount,
+            })
+        first, cursor_id = session.open_cursor(
+            result.rows, params["max_rows"], self.page_bytes
+        )
         # Metadata assembled by hand (not result.to_wire()): serializing the
         # full row set just to overwrite it with the first page would be
         # O(total rows) of waste under the db lock.
@@ -999,7 +946,7 @@ class BeliefServer:
             "elapsed_ms": result.elapsed_ms,
             "rows": _jsonify(first),
             "cursor": cursor_id,
-            "has_more": bool(rest),
+            "has_more": cursor_id is not None,
         }
 
     def _resolve_batch(
@@ -1111,7 +1058,9 @@ class BeliefServer:
 
     def _op_fetch(self, session: ClientSession, params: dict[str, Any]) -> Any:
         count = _page_size(params, "n")
-        rows, has_more = session.fetch_rows(_require(params, "cursor"), count)
+        rows, has_more = session.fetch_rows(
+            _require(params, "cursor"), count, self.page_bytes
+        )
         return {"rows": _jsonify(rows), "has_more": has_more}
 
     def _op_close_cursor(
@@ -1321,9 +1270,9 @@ _HANDLERS: dict[str, tuple[Callable[..., Any], str]] = {
     "users": (BeliefServer._op_users, "read"),
     "insert": (BeliefServer._op_insert, "write"),
     "delete": (BeliefServer._op_delete, "write"),
-    "execute": (BeliefServer._op_execute, "read"),  # DML promoted in _dispatch
     "prepare": (BeliefServer._op_prepare, "read"),
-    "execute_prepared": (BeliefServer._op_execute_prepared, "read"),  # ditto
+    # DML is promoted to "write" (or staged, in a transaction) in _dispatch.
+    "execute_prepared": (BeliefServer._op_execute_prepared, "read"),
     "execute_batch": (BeliefServer._op_execute_batch, "write"),
     "close_statement": (BeliefServer._op_close_statement, "read"),
     # begin/rollback only touch the per-session buffer (read side); commit
@@ -1352,13 +1301,13 @@ _LOCKLESS_OPS = frozenset({"ping", "metrics"})
 #: Read ops that evaluate against a *pinned MVCC version* and therefore skip
 #: the readers-writer lock entirely (see ``_dispatch_inner``): the BDMS pins
 #: a copy-on-write snapshot per call (``query``/``believes``/select
-#: ``execute``/``execute_prepared``/``stats``) or the handler pins one
+#: ``execute_prepared``/``stats``) or the handler pins one
 #: explicitly across its whole iteration (``world``/``worlds``). Staging
 #: in-transaction DML rides the same ops and only touches the per-session
 #: buffer. ``kripke``/``describe`` and the session/catalog ops stay on the
 #: shared read lock — they read the live store directly.
 _PINNED_READ_OPS = frozenset({
-    "execute", "execute_prepared", "query", "believes",
+    "execute_prepared", "query", "believes",
     "world", "worlds", "stats", "audit",
 })
 
@@ -1393,16 +1342,6 @@ def replay_oplog(db: BeliefDBMS, entries: Sequence[dict[str, Any]]) -> None:
                 raise BeliefDBError(
                     f"replay diverged at seq {entry['seq']}: {op} gave {ok!r}, "
                     f"log has {entry['ok']!r}"
-                )
-        elif op == "execute":
-            try:
-                result = _jsonify(db.execute_sql(entry["sql"]).legacy())
-            except BeliefDBError:
-                result = False
-            if result != entry["ok"]:
-                raise BeliefDBError(
-                    f"replay diverged at seq {entry['seq']}: execute gave "
-                    f"{result!r}, log has {entry['ok']!r}"
                 )
         elif op == "execute_batch":
             try:
@@ -1439,21 +1378,22 @@ def replay_oplog(db: BeliefDBMS, entries: Sequence[dict[str, Any]]) -> None:
                     f"{entry['action']} gave {result!r}, log has "
                     f"{entry['ok']!r}"
                 )
-        elif op == "txn":
-            # A committed transaction replays as its statements in commit
-            # order — serially equivalent, since the original applied them
-            # under one uninterrupted write-lock hold.
+        elif op in ("execute", "txn"):
+            # One statement, or a committed transaction's statements in
+            # commit order (serially equivalent: the original applied them
+            # under one uninterrupted write-lock hold) — each the
+            # template + params entry the WAL carries.
+            statements = entry["statements"] if op == "txn" else [entry]
             try:
-                result = 0
-                for stmt in entry["statements"]:
-                    result += db.execute_sql(
-                        stmt["sql"], tuple(stmt.get("params", ()))
-                    ).rowcount
+                result = sum(
+                    db.execute_sql(stmt["sql"], tuple(stmt["params"])).rowcount
+                    for stmt in statements
+                )
             except BeliefDBError:
                 result = False
             if result != entry["ok"]:
                 raise BeliefDBError(
-                    f"replay diverged at seq {entry['seq']}: txn gave "
+                    f"replay diverged at seq {entry['seq']}: {op} gave "
                     f"{result!r}, log has {entry['ok']!r}"
                 )
         else:

@@ -13,12 +13,16 @@ consistency, Alg. 4 accept/reject) stays in the store.
 
 Sessions also hold the connection's server-side *prepared statements*
 (``prepare`` op) and open *result cursors* (rows of a large select awaiting
-``fetch`` paging). Both registries are bounded — statements evict
-least-recently-*used*, cursors oldest-first — so a client hoarding handles
-cannot grow server memory. Under the threaded server they are only ever
-touched by the connection's own handler thread; the pipelined async server
-executes one connection's in-flight requests concurrently in a thread pool,
-so every registry/state mutation here takes a small internal lock.
+``fetch`` paging; every page, the first included, is cut by row count and
+by estimated wire bytes — :func:`page_slice` — so no page can outgrow the
+frame ceiling however wide its rows are). The shard router pages its merged
+fan-out results through the same registry. Both registries are bounded —
+statements evict least-recently-*used*, cursors oldest-first — so a client
+hoarding handles cannot grow server memory. Under the threaded server they
+are only ever touched by the connection's own handler thread; the pipelined
+async server executes one connection's in-flight requests concurrently in a
+thread pool, so every registry/state mutation here takes a small internal
+lock.
 
 Finally, the session owns the connection's **open transaction** (``begin``
 / ``commit`` / ``rollback`` ops): a :class:`~repro.bdms.transaction
@@ -46,11 +50,32 @@ from repro.beliefsql.ast import (
 from repro.bdms.transaction import Transaction
 from repro.core.paths import User
 from repro.errors import BeliefDBError, TransactionError
+from repro.server.protocol import estimated_row_bytes
 
 
 #: Bounds on per-connection handle registries (oldest evicted beyond these).
 MAX_STATEMENTS = 256
 MAX_CURSORS = 32
+
+
+def page_slice(
+    rows: list, offset: int, max_rows: int, byte_budget: int
+) -> tuple[list, int]:
+    """``rows[offset:...]`` capped by row count and estimated wire bytes;
+    returns the page and the offset after it. Always at least one row, so
+    paging can never stall — which is also why a page that can hold only
+    one row is cut without estimating anything."""
+    stop = min(len(rows), offset + max_rows)
+    if stop - offset <= 1:
+        return rows[offset:stop], stop
+    end = offset
+    total = 0
+    while end < stop:
+        total += estimated_row_bytes(rows[end])
+        if total > byte_budget and end > offset:
+            break
+        end += 1
+    return rows[offset:end], end
 
 
 class ClientSession:
@@ -209,24 +234,31 @@ class ClientSession:
 
     # ----------------------------------------------------------- row cursors
 
-    def register_cursor(self, rows: list) -> int:
-        """Park the unsent tail of a large result for ``fetch`` paging."""
+    def open_cursor(
+        self, rows: list, max_rows: int, byte_budget: int
+    ) -> tuple[list, int | None]:
+        """The first page of a result, and a cursor id for the unsent tail
+        parked for ``fetch`` paging (None when the page was everything)."""
+        page, end = page_slice(rows, 0, max_rows, byte_budget)
+        if end >= len(rows):
+            return page, None
         with self._mutex:
             self._cursor_seq += 1
-            self._cursors[self._cursor_seq] = (rows, 0)
+            self._cursors[self._cursor_seq] = (rows, end)
             while len(self._cursors) > MAX_CURSORS:
                 self._cursors.popitem(last=False)
-            return self._cursor_seq
+            return page, self._cursor_seq
 
-    def fetch_rows(self, cursor_id: Any, count: int) -> tuple[list, bool]:
-        """Next ``count`` rows and whether more remain (auto-closes at end)."""
+    def fetch_rows(
+        self, cursor_id: Any, count: int, byte_budget: int
+    ) -> tuple[list, bool]:
+        """The next page and whether more remain (auto-closes at end)."""
         with self._mutex:
             entry = self._cursors.get(cursor_id)
             if entry is None:
                 raise BeliefDBError(f"unknown cursor {cursor_id!r}")
             rows, offset = entry
-            end = offset + max(0, count)
-            batch = rows[offset:end]
+            batch, end = page_slice(rows, offset, count, byte_budget)
             if end < len(rows):
                 self._cursors[cursor_id] = (rows, end)
                 return batch, True

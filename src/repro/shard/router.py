@@ -11,8 +11,8 @@ is classified and either:
   world tree lives together;
 * **fanned out to every shard** — selects, BCQ queries, ``worlds``,
   ``users``, ``stats``, ``metrics``; results are merged (and re-paged
-  through router-side cursors, so large merged results still stream in
-  frame-sized pages);
+  through the session's cursor registry, so large merged results still
+  stream in frame-sized pages);
 * **answered locally** — ``ping``, ``whoami``, session state, paging of
   router-held cursors, and the new ``shard_status`` op.
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import OrderedDict
 from typing import Any, Sequence
 
 from repro.beliefsql.ast import (
@@ -63,7 +62,6 @@ from repro.server import binproto, protocol
 from repro.server.client import (
     BeliefClient,
     ConnectionLost,
-    _estimated_row_bytes,
     merge_batch_payload,
 )
 from repro.server.protocol import Request, Response
@@ -80,10 +78,6 @@ from repro.shard.partitioning import (
     path_head,
     statement_head,
 )
-
-#: Router-held cursors per session (oldest evicted beyond this) — same
-#: bound as the worker-side session cursor registry.
-MAX_ROUTER_CURSORS = 32
 
 #: Shard-count buckets for the fan-out histogram (how many shards one
 #: request touched). Linear — fleets are small.
@@ -129,11 +123,11 @@ class RouterSession:
     """Router-side state of one client connection.
 
     Wraps the base :class:`ClientSession` (identity, default path, prepared
-    statements) and adds what only the router needs: the *raw* belief path
-    for routing (user names, not uids), the per-shard upstream connections,
-    the transaction pin, and router-held cursors for merged fan-out results.
-    Served by the threaded core, so one session's requests are serial — no
-    locking needed here.
+    statements, the cursors merged fan-out results page through) and adds
+    what only the router needs: the *raw* belief path for routing (user
+    names, not uids), the per-shard upstream connections, and the
+    transaction pin. Served by the threaded core, so one session's requests
+    are serial — no locking needed here.
     """
 
     def __init__(self, base: ClientSession) -> None:
@@ -147,9 +141,6 @@ class RouterSession:
         self.in_txn = False
         #: Shard the open transaction is pinned to (None until first DML).
         self.txn_shard: int | None = None
-        #: cursor id -> (merged rows, offset of next unsent row).
-        self.cursors: OrderedDict[int, tuple[list, int]] = OrderedDict()
-        self._cursor_seq = 0
 
     # ----------------------------------------------------------- upstreams
 
@@ -175,51 +166,6 @@ class RouterSession:
     def reset_txn(self) -> None:
         self.in_txn = False
         self.txn_shard = None
-
-    # ------------------------------------------------------------- cursors
-
-    def register_cursor(self, rows: list, offset: int) -> int:
-        self._cursor_seq += 1
-        self.cursors[self._cursor_seq] = (rows, offset)
-        while len(self.cursors) > MAX_ROUTER_CURSORS:
-            self.cursors.popitem(last=False)
-        return self._cursor_seq
-
-    def fetch_rows(
-        self, cursor_id: Any, count: int, byte_budget: int
-    ) -> tuple[list, bool]:
-        """Next page, bounded by ``count`` rows AND estimated bytes — a
-        merged fan-out result must page under the frame ceiling no matter
-        how wide its rows are. Auto-closes at the end, like the worker."""
-        entry = self.cursors.get(cursor_id)
-        if entry is None:
-            raise BeliefDBError(f"unknown cursor {cursor_id!r}")
-        rows, offset = entry
-        batch, end = _page_slice(rows, offset, count, byte_budget)
-        if end < len(rows):
-            self.cursors[cursor_id] = (rows, end)
-            return batch, True
-        del self.cursors[cursor_id]
-        return batch, False
-
-    def close_cursor(self, cursor_id: Any) -> bool:
-        return self.cursors.pop(cursor_id, None) is not None
-
-
-def _page_slice(
-    rows: list, offset: int, max_rows: int, byte_budget: int
-) -> tuple[list, int]:
-    """``rows[offset:...]`` capped by row count and estimated wire bytes
-    (always at least one row, so paging can never stall)."""
-    end = offset
-    total = 0
-    while end < len(rows) and end - offset < max_rows:
-        size = _estimated_row_bytes(rows[end])
-        if end > offset and total + size > byte_budget:
-            break
-        total += size
-        end += 1
-    return rows[offset:end], end
 
 
 class BeliefRouter(BeliefServer):
@@ -602,7 +548,6 @@ class BeliefRouter(BeliefServer):
 
     def _describe(self, rsession: RouterSession) -> dict[str, Any]:
         desc = rsession.base.describe()
-        desc["cursors"] = len(rsession.cursors)
         if not rsession.in_txn:
             desc["transaction"] = None
         elif rsession.txn_shard is None:
@@ -729,29 +674,6 @@ class BeliefRouter(BeliefServer):
         explicit = list(self._raw_effective(rsession, raw_path))
         return self._forward(rsession, shard, "world", path=explicit)
 
-    def _route_execute(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        sql = _require(params, "sql")
-        statement = parse_beliefsql(sql)
-        if isinstance(statement, SelectStatement):
-            merged: list = []
-            targets = self._select_shards(rsession, statement, ())
-            for _, rows in self._fanout(
-                rsession, "execute", shards=targets, sql=sql
-            ):
-                merged.extend(rows)
-            return merged
-        if rsession.in_txn:
-            raise TransactionError(
-                "the legacy execute op predates transactions and cannot "
-                "run DML inside one; use execute_prepared (or "
-                "commit/rollback first)"
-            )
-        rewritten = self._rewrite(rsession, statement)
-        shard = self._shard_for_statement(rsession, rewritten, ())
-        return self._forward(rsession, shard, "execute", sql=str(rewritten))
-
     # ------------------------------------------------- prepared statements
 
     def _route_prepare(
@@ -843,37 +765,6 @@ class BeliefRouter(BeliefServer):
             sql=str(rewritten), params=list(bind), max_rows=max_rows,
         )
 
-    #: First worker page of a fan-out select: small on purpose, to sample
-    #: row width before the byte-adaptive drain picks real page sizes.
-    FANOUT_PROBE_ROWS = 8
-
-    def _drain_budgeted(
-        self, client: BeliefClient, payload: dict[str, Any]
-    ) -> list:
-        """Drain a worker's paged select without ever asking for a page
-        that could overflow the frame ceiling: page sizes adapt to the
-        measured row width, targeting ceiling/3 bytes per page (the same
-        safety factor the batching client uses)."""
-        rows = list(payload["rows"])
-        cursor_id = payload.get("cursor")
-        has_more = bool(payload.get("has_more"))
-        budget = max(1024, self.max_frame_bytes // 3)
-        while has_more and cursor_id is not None:
-            recent = rows[-32:]
-            if recent:
-                avg = max(
-                    1,
-                    sum(_estimated_row_bytes(r) for r in recent)
-                    // len(recent),
-                )
-                n = min(512, max(1, budget // avg))
-            else:
-                n = self.FANOUT_PROBE_ROWS
-            page = client.fetch(cursor_id, n)
-            rows.extend(page["rows"])
-            has_more = bool(page["has_more"])
-        return rows
-
     def _fanout_select(
         self,
         rsession: RouterSession,
@@ -883,18 +774,17 @@ class BeliefRouter(BeliefServer):
         max_rows: int,
     ) -> dict[str, Any]:
         """Route a select to the shards its worlds live on — one shard in
-        the common case — gather+drain each one's pages, and re-page the
-        merged rows through a router-held cursor."""
+        the common case — gather+drain each one's pages (the worker cuts
+        them under the frame ceiling), and re-page the merged rows through
+        the session's cursor registry."""
         rows: list = []
         columns: list[str] | None = None
         elapsed_ms = 0.0
         shards = self._select_shards(rsession, statement, bind)
         for shard in shards:
             def gather(client: BeliefClient) -> tuple[dict[str, Any], list]:
-                payload = client.execute_prepared(
-                    sql, list(bind), max_rows=self.FANOUT_PROBE_ROWS
-                )
-                return payload, self._drain_budgeted(client, payload)
+                payload = client.execute_prepared(sql, list(bind))
+                return payload, client.drain(payload)
 
             payload, shard_rows = self._forward_fn(
                 rsession, shard, "execute_prepared", gather
@@ -904,9 +794,8 @@ class BeliefRouter(BeliefServer):
             elapsed_ms += payload["elapsed_ms"]
             rows.extend(shard_rows)
         self._fanout_hist.observe(float(len(shards)))
-        first, end = _page_slice(rows, 0, max_rows, self.max_frame_bytes // 3)
-        cursor_id = (
-            rsession.register_cursor(rows, end) if end < len(rows) else None
+        first, cursor_id = rsession.base.open_cursor(
+            rows, max_rows, self.page_bytes
         )
         return {
             "kind": "select",
@@ -1025,15 +914,17 @@ class BeliefRouter(BeliefServer):
         self, rsession: RouterSession, params: dict[str, Any]
     ) -> Any:
         count = _page_size(params, "n")
-        rows, has_more = rsession.fetch_rows(
-            _require(params, "cursor"), count, self.max_frame_bytes // 3
+        rows, has_more = rsession.base.fetch_rows(
+            _require(params, "cursor"), count, self.page_bytes
         )
         return {"rows": rows, "has_more": has_more}
 
     def _route_close_cursor(
         self, rsession: RouterSession, params: dict[str, Any]
     ) -> Any:
-        return {"closed": rsession.close_cursor(_require(params, "cursor"))}
+        return {
+            "closed": rsession.base.close_cursor(_require(params, "cursor"))
+        }
 
     # ------------------------------------------------------- fan-out reads
 
@@ -1350,7 +1241,6 @@ _ROUTER_HANDLERS = {
     "users": BeliefRouter._route_users,
     "insert": BeliefRouter._route_insert,
     "delete": BeliefRouter._route_delete,
-    "execute": BeliefRouter._route_execute,
     "prepare": BeliefRouter._route_prepare,
     "close_statement": BeliefRouter._route_close_statement,
     "execute_prepared": BeliefRouter._route_execute_prepared,

@@ -1,4 +1,4 @@
-"""The typed Result: conveniences, legacy adapter, wire round-trip."""
+"""The typed Result: conveniences, wire round-trip."""
 
 from __future__ import annotations
 
@@ -34,19 +34,6 @@ class TestConveniences:
         assert len(result) == 2
         assert result[1] == ("s2", "wren")
         assert result.fetchone() == ("s1", "crow")
-
-
-class TestLegacy:
-    def test_select_legacy_is_rows(self):
-        assert select_result([("s1", "crow")]).legacy() == [("s1", "crow")]
-
-    def test_insert_legacy_is_bool(self):
-        assert Result("insert", [], (), 1, "INSERT 1").legacy() is True
-        assert Result("insert", [], (), 0, "INSERT 0").legacy() is False
-
-    def test_delete_update_legacy_is_count(self):
-        assert Result("delete", [], (), 3, "DELETE 3").legacy() == 3
-        assert Result("update", [], (), 0, "UPDATE 0").legacy() == 0
 
 
 class TestWire:

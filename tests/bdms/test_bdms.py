@@ -32,7 +32,7 @@ def seed_running_example(db: BeliefDBMS) -> None:
         "insert into BELIEF 'Bob' BELIEF 'Alice' Comments values ('c2','black feathers','s2')",
         "insert into BELIEF 'Bob' Comments values ('c2','purple-black feathers','s2')",
     ]:
-        assert db.execute_sql(sql).legacy() is True
+        assert db.execute_sql(sql).ok
 
 
 class TestUsers:
@@ -75,7 +75,7 @@ class TestDML:
 
     def test_execute_delete_counts(self, db):
         seed_running_example(db)
-        n = db.execute_sql("delete from BELIEF 'Bob' not Sightings where sid = 's1'").legacy()
+        n = db.execute_sql("delete from BELIEF 'Bob' not Sightings where sid = 's1'").rowcount
         assert n == 2
         # Bob now inherits Carol's report again.
         assert db.believes(["Bob"], "Sightings",
@@ -83,7 +83,7 @@ class TestDML:
 
     def test_execute_update_root(self, db):
         seed_running_example(db)
-        n = db.execute_sql("update Sightings set species = 'fish eagle' where sid = 's1'").legacy()
+        n = db.execute_sql("update Sightings set species = 'fish eagle' where sid = 's1'").rowcount
         assert n == 1
         assert db.believes([], "Sightings",
                            ("s1", "Carol", "fish eagle", "6-14-08", "Lake Forest"))
@@ -97,7 +97,7 @@ class TestDML:
         n = db.execute_sql(
             "update BELIEF 'Alice' Sightings set species = 'osprey' "
             "where sid = 's2'"
-        ).legacy()
+        ).rowcount
         assert n == 1
         assert db.believes(["Alice"], "Sightings",
                            ("s2", "Alice", "osprey", "6-14-08", "Lake Placid"))
@@ -108,7 +108,7 @@ class TestDML:
         n = db.execute_sql(
             "update BELIEF 'Carol' Sightings set species = 'osprey' "
             "where sid = 's1'"
-        ).legacy()
+        ).rowcount
         assert n == 1
         assert db.believes(["Carol"], "Sightings",
                            ("s1", "Carol", "osprey", "6-14-08", "Lake Forest"))
@@ -120,7 +120,7 @@ class TestDML:
         seed_running_example(db)
         n = db.execute_sql(
             "update Sightings set species = 'bald eagle' where sid = 's1'"
-        ).legacy()
+        ).rowcount
         assert n == 0
 
 
@@ -131,7 +131,7 @@ class TestQueries:
             "select S.sid, S.uid, S.species from Users as U, "
             "BELIEF U.uid Sightings as S "
             "where U.name = 'Bob' and S.location = 'Lake Placid'"
-        ).legacy()
+        ).rows
         assert rows == [("s2", "Alice", "raven")]
 
     def test_paper_q2(self, db):
@@ -142,7 +142,7 @@ class TestQueries:
             "BELIEF U1.uid Sightings as S1, BELIEF U2.uid Sightings as S2 "
             "where U1.name = 'Alice' and S1.sid = S2.sid "
             "and S1.species <> S2.species"
-        ).legacy()
+        ).rows
         assert rows == [("Bob", "crow", "raven")]
 
     def test_textual_bcq(self, db):
@@ -156,7 +156,7 @@ class TestQueries:
         rows = db.execute_sql(
             "select S.sid from Sightings as S "
             "where S.species = 'a' and S.species = 'b'"
-        ).legacy()
+        ).rows
         assert rows == []
 
     @pytest.mark.parametrize("backend", ["engine", "sqlite", "naive", "lazy"])
@@ -170,7 +170,7 @@ class TestQueries:
             "Sightings as G where G.sid = S.sid and G.uid = S.uid "
             "and G.species = S.species and G.date = S.date "
             "and G.location = S.location"
-        ).legacy()
+        ).rows
         assert rows == [("s1", "bald eagle")]
 
     def test_sqlite_mirror_resyncs_after_updates(self):

@@ -247,7 +247,7 @@ class TestQuotingSafety:
             db.execute_sql(
                 f"insert into Sightings values "
                 f"('s1','Carol','{self.SPIKY}','d','l')"
-            ).legacy()
+            )
 
     def test_escaped_literal_equals_bound_parameter(self):
         # The '' escape works — but only if the caller remembers it; binding
@@ -256,7 +256,7 @@ class TestQuotingSafety:
         escaped = self.SPIKY.replace("'", "''")
         db.execute_sql(
             f"insert into Sightings values ('s1','Carol','{escaped}','d','l')"
-        ).legacy()
+        )
         rows = db.execute_sql(
             "select S.species from Sightings as S where S.species = ?",
             (self.SPIKY,),

@@ -42,6 +42,10 @@ def _fresh_db(**kwargs) -> BeliefDBMS:
     return db
 
 
+def _select(client: BeliefClient) -> list[list]:
+    return client.drain(client.execute_prepared(SELECT))
+
+
 def _assert_pairs_complete(sids: set[str], n_pairs: int) -> None:
     """Every committed pair is all-or-nothing in a single scan."""
     for i in range(n_pairs):
@@ -116,7 +120,7 @@ def test_wire_scans_never_tear_pairs(core):
             try:
                 with BeliefClient(*server.address) as reader:
                     while not done.is_set():
-                        sids = {row[0] for row in reader.execute(SELECT)}
+                        sids = {row[0] for row in _select(reader)}
                         _assert_pairs_complete(sids, n_pairs)
             except AssertionError as exc:
                 failures.append(exc)
@@ -138,7 +142,7 @@ def test_wire_scans_never_tear_pairs(core):
                 t.join()
         assert not failures, failures[0]
         with BeliefClient(*server.address) as check:
-            assert len(check.execute(SELECT)) == 2 * n_pairs
+            assert len(_select(check)) == 2 * n_pairs
 
 
 def test_paged_result_is_frozen_at_execute_time():
@@ -178,7 +182,7 @@ def test_sharded_scans_never_tear_pairs():
             try:
                 with BeliefClient(*cluster.address) as reader:
                     while not done.is_set():
-                        sids = {row[0] for row in reader.execute(SELECT)}
+                        sids = {row[0] for row in _select(reader)}
                         _assert_pairs_complete(sids, n_pairs)
             except AssertionError as exc:
                 failures.append(exc)
@@ -201,7 +205,7 @@ def test_sharded_scans_never_tear_pairs():
             t.join()
         assert not failures, failures[0]
         with BeliefClient(*cluster.address) as check:
-            assert len(check.execute(SELECT)) == 2 * n_pairs
+            assert len(_select(check)) == 2 * n_pairs
 
 
 # -------------------------------------------- reads never touch the lock
@@ -231,7 +235,7 @@ def test_pinned_read_ops_never_acquire_the_server_lock(backend):
         with BeliefClient(*server.address) as client:
             client.login("Carol")
             baseline = dict(counts)  # login itself may lock (session op)
-            assert client.execute(SELECT) == [["s1"]]
+            assert _select(client) == [["s1"]]
             stmt = client.prepare(SELECT)
             counts_after_prepare = dict(counts)
             client.execute_prepared(stmt)
@@ -256,7 +260,7 @@ def test_reads_complete_while_a_writer_holds_the_lock():
         server.lock.acquire_write()
         try:
             with BeliefClient(*server.address) as client:
-                assert client.execute(SELECT) == [["s1"]]
+                assert _select(client) == [["s1"]]
                 assert client.stats()["mvcc"]["active_pins"] == 0
         finally:
             server.lock.release_write()

@@ -95,7 +95,7 @@ def _worker(
             client.login(name, create=True)
             for op in ops:
                 if op.kind == "select":
-                    client.execute(op.sql)
+                    client.drain(client.execute_prepared(op.sql))
                     continue
                 sign = "+" if op.kind == "insert" else "-"
                 ok = client.insert(op.relation, list(op.values), sign=sign)

@@ -107,10 +107,10 @@ def test_server_write_path_is_wal_logged_before_ack(tmp_path):
             assert client.insert(
                 "Sightings", ["s1", "Carol", "bald eagle", "6-14-08", "loc"]
             )
-            assert client.execute(
-                "insert into Sightings values "
-                "('s2','Carol','crow','6-15-08','Union Bay')"
-            )
+            assert client.execute_prepared(
+                "insert into Sightings values (?,?,?,?,?)",
+                ["s2", "Carol", "crow", "6-15-08", "Union Bay"],
+            )["rowcount"] == 1
     db.close()  # crash-equivalent: flush only, no checkpoint
 
     db2 = _durable(tmp_path)

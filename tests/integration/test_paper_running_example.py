@@ -33,7 +33,7 @@ def db(request) -> BeliefDBMS:
     for name in ("Alice", "Bob", "Carol"):
         db.add_user(name)
     for sql in INSERTS:
-        assert db.execute_sql(sql).legacy() is True
+        assert db.execute_sql(sql).ok
     return db
 
 
@@ -122,7 +122,7 @@ class TestPaperQueries:
             "select S.sid, S.uid, S.species from Users as U, "
             "BELIEF U.uid Sightings as S "
             "where U.name = 'Bob' and S.location = 'Lake Placid'"
-        ).legacy()
+        ).rows
         assert rows == [("s2", "Alice", "raven")]
 
     def test_q2(self, db):
@@ -132,7 +132,7 @@ class TestPaperQueries:
             "BELIEF U1.uid Sightings as S1, BELIEF U2.uid Sightings as S2 "
             "where U1.name = 'Alice' and S1.sid = S2.sid "
             "and S1.species <> S2.species"
-        ).legacy()
+        ).rows
         assert rows == [("Bob", "crow", "raven")]
 
 

@@ -34,40 +34,40 @@ def db():
 
 
 def test_query_after_insert_sees_new_tuple(db):
-    assert db.execute_sql(Q_CAROL).legacy() == []
+    assert db.execute_sql(Q_CAROL).rows == []
     db.insert(["Carol"], "Sightings", S1)
-    assert db.execute_sql(Q_CAROL).legacy() == [("s1", "bald eagle")]
+    assert db.execute_sql(Q_CAROL).rows == [("s1", "bald eagle")]
 
 
 def test_query_after_delete_stops_seeing_tuple(db):
     db.insert(["Carol"], "Sightings", S1)
-    assert db.execute_sql(Q_CAROL).legacy() == [("s1", "bald eagle")]
+    assert db.execute_sql(Q_CAROL).rows == [("s1", "bald eagle")]
     db.delete(["Carol"], "Sightings", S1)
-    assert db.execute_sql(Q_CAROL).legacy() == []
+    assert db.execute_sql(Q_CAROL).rows == []
 
 
 def test_query_after_beliefsql_insert_and_delete(db):
     db.execute_sql("insert into BELIEF 'Carol' Sightings values "
-               "('s1','Carol','bald eagle','6-14-08','Lake Forest')").legacy()
-    assert db.execute_sql(Q_CAROL).legacy() == [("s1", "bald eagle")]
+               "('s1','Carol','bald eagle','6-14-08','Lake Forest')")
+    assert db.execute_sql(Q_CAROL).rows == [("s1", "bald eagle")]
     count = db.execute_sql("delete from BELIEF 'Carol' Sightings "
-                       "where sid = 's1'").legacy()
+                       "where sid = 's1'").rowcount
     assert count == 1
-    assert db.execute_sql(Q_CAROL).legacy() == []
+    assert db.execute_sql(Q_CAROL).rows == []
 
 
 def test_query_after_update_sees_new_values(db):
     db.insert(["Carol"], "Sightings", S1)
     count = db.execute_sql("update BELIEF 'Carol' Sightings "
-                       "set species = 'fish eagle' where sid = 's1'").legacy()
+                       "set species = 'fish eagle' where sid = 's1'").rowcount
     assert count == 1
-    assert db.execute_sql(Q_CAROL).legacy() == [("s1", "fish eagle")]
+    assert db.execute_sql(Q_CAROL).rows == [("s1", "fish eagle")]
 
 
 def test_query_after_add_user_sees_user_catalog(db):
-    rows = db.execute_sql("select U.name from Users as U").legacy()
+    rows = db.execute_sql("select U.name from Users as U").rows
     db.add_user("Dave")
-    rows_after = db.execute_sql("select U.name from Users as U").legacy()
+    rows_after = db.execute_sql("select U.name from Users as U").rows
     assert len(rows_after) == len(rows) + 1
     assert ("Dave",) in rows_after
 
@@ -77,7 +77,7 @@ def test_interleaved_updates_and_queries_never_stale(db):
     for k in range(8):
         values = (f"s{k}", "Carol", "crow", "6-14-08", "Union Bay")
         db.insert(["Carol"], "Sightings", values)
-        rows = db.execute_sql("select S.sid from BELIEF 'Carol' Sightings as S").legacy()
+        rows = db.execute_sql("select S.sid from BELIEF 'Carol' Sightings as S").rows
         assert (f"s{k}",) in rows
         assert len(rows) == k + 1
 
@@ -97,16 +97,16 @@ def _record_syncs(mirror) -> list:
 
 def test_mirror_not_resynced_within_a_version(db):
     db.insert(["Carol"], "Sightings", S1)
-    db.execute_sql(Q_CAROL).legacy()  # syncs the current version's mirror
+    db.execute_sql(Q_CAROL)  # syncs the current version's mirror
     with db.read_view() as version:
         mirror = version.synced_mirror()
         reports = _record_syncs(mirror)
-        db.execute_sql(Q_CAROL).legacy()
+        db.execute_sql(Q_CAROL)
         assert version.synced_mirror() is mirror
         assert reports == []  # same epoch: not synced again
     db.insert(["Bob"], "Sightings", S2)
-    db.execute_sql(Q_CAROL).legacy()
-    db.execute_sql(Q_CAROL).legacy()
+    db.execute_sql(Q_CAROL)
+    db.execute_sql(Q_CAROL)
     # The write bumped the epoch: the retired version handed its mirror on
     # and the new version advanced it — once, not per query.
     assert [report.kind for report in reports] == ["delta"]
@@ -116,7 +116,7 @@ def test_mirror_not_resynced_within_a_version(db):
 
 def test_delta_sync_touches_only_the_changed_tables_rows(db):
     db.insert(["Carol"], "Sightings", S1)
-    db.execute_sql(Q_CAROL).legacy()
+    db.execute_sql(Q_CAROL)
     before = db.snapshot_stats()["mvcc"]
     assert (before["mirror_syncs_full"], before["mirror_syncs_delta"]) == (1, 0)
     with db.read_view() as version:
@@ -124,7 +124,7 @@ def test_delta_sync_touches_only_the_changed_tables_rows(db):
 
     # A second tuple in a world that exists: no new world, user or edge.
     db.insert(["Carol"], "Sightings", S2)
-    db.execute_sql(Q_CAROL).legacy()
+    db.execute_sql(Q_CAROL)
     assert set(reports[-1].changed) == {"star_Sightings", "v_Sightings"}
     # One star row; one V row per world that sees Carol's belief.
     assert reports[-1].changed["star_Sightings"] == 1
@@ -133,7 +133,7 @@ def test_delta_sync_touches_only_the_changed_tables_rows(db):
     # Several writes between two reads are one delta (skipped epochs).
     db.delete(["Carol"], "Sightings", S2)
     db.add_user("Dave")
-    db.execute_sql(Q_CAROL).legacy()
+    db.execute_sql(Q_CAROL)
     assert reports[-1].kind == "delta"
     assert "star_Sightings" not in reports[-1].changed  # stars are append-only
     assert {"U", "E", "v_Sightings"} <= set(reports[-1].changed)
@@ -144,7 +144,7 @@ def test_delta_sync_touches_only_the_changed_tables_rows(db):
     # empty delta.
     with pytest.raises(RejectedUpdateError):
         db.insert(["Carol"], "Sightings", S1)
-    db.execute_sql(Q_CAROL).legacy()
+    db.execute_sql(Q_CAROL)
     assert reports[-1].changed == {}
     after = db.snapshot_stats()["mvcc"]
     assert (after["mirror_syncs_full"], after["mirror_syncs_delta"]) == (1, 3)
@@ -153,7 +153,7 @@ def test_delta_sync_touches_only_the_changed_tables_rows(db):
 
 def test_queries_at_one_epoch_share_one_mirror(db):
     db.insert(["Carol"], "Sightings", S1)
-    db.execute_sql(Q_CAROL).legacy()
+    db.execute_sql(Q_CAROL)
     with db.read_view() as v1, db.read_view() as v2:
         assert v1 is v2  # same epoch → same cached version
         assert v1.synced_mirror() is v2.synced_mirror()
@@ -173,4 +173,4 @@ def test_sqlite_results_match_engine_backend(db):
         "select U.name, S.sid from Users as U, BELIEF U.uid Sightings as S",
     ]
     for q in queries:
-        assert db.execute_sql(q).legacy() == engine.execute_sql(q).legacy(), q
+        assert db.execute_sql(q).rows == engine.execute_sql(q).rows, q

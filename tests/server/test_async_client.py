@@ -65,7 +65,7 @@ def test_session_ops_and_errors(server):
                 path=["Carol"],
             )
             with pytest.raises(BeliefDBError):
-                await client.execute("select nonsense from Nowhere")
+                await client.execute_prepared("select nonsense from Nowhere")
 
     run(main())
 

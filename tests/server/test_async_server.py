@@ -88,16 +88,17 @@ def test_inflight_requests_complete_out_of_order(server, monkeypatch):
     # The select is held until the ping has returned, so the ping overtakes
     # it by construction, however fast the select is.
     ping_returned = threading.Event()
-    execute_statement = db.execute_statement
+    execute_prepared = db.execute_prepared
 
-    def held(statement):
+    def held(*args, **kwargs):
         assert ping_returned.wait(30), "the ping never got past the select"
-        return execute_statement(statement)
+        return execute_prepared(*args, **kwargs)
 
-    monkeypatch.setattr(db, "execute_statement", held)
+    monkeypatch.setattr(db, "execute_prepared", held)
     with BeliefClient(*server.address) as client:
         slow = client.submit(
-            "execute", sql="select S.sid, S.species, S.date from Sightings as S",
+            "execute_prepared",
+            sql="select S.sid, S.species, S.date from Sightings as S",
         )
         fast = client.submit("ping")
         # The threaded core answers a connection's requests in order: there
@@ -105,7 +106,7 @@ def test_inflight_requests_complete_out_of_order(server, monkeypatch):
         assert fast.result() == "pong"
         assert not slow.done()
         ping_returned.set()
-        assert len(slow.result()) == 3
+        assert len(slow.result()["rows"]) == 3
 
 
 def test_max_inflight_one_still_serves(monkeypatch):
@@ -135,7 +136,7 @@ def test_concurrent_workload_linearizes():
                     window: list = []
                     for op in ops:
                         if op.kind == "select":
-                            client.execute(op.sql)
+                            client.drain(client.execute_prepared(op.sql))
                             continue
                         sign = "+" if op.kind == "insert" else "-"
                         window.append(client.submit(
@@ -267,9 +268,9 @@ def test_unframeable_response_gets_typed_error_and_connection_survives(server):
         for i in range(4):
             client.insert("Sightings", [f"s{i}", "Carol", big, "d", "l"])
         with pytest.raises(FrameTooLargeError, match="frame ceiling"):
-            # The legacy execute op returns ALL rows in one frame: ~1.2 MiB
-            # here, over the 1 MiB ceiling.
-            client.execute("select S.sid, S.species from Sightings as S")
+            # The query op returns ALL rows in one frame: ~1.2 MiB here,
+            # over the 1 MiB ceiling. (A BeliefSQL select pages by bytes.)
+            client.query("q(s, sp) :- [] Sightings+(s, u, sp, d, l)")
         assert client.ping()  # same connection, still serving
 
 

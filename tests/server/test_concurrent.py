@@ -45,9 +45,9 @@ def _worker(address, name: str, index: int, barrier: threading.Barrier,
                         [sid, name, other, "6-14-08", "Lake Forest"],
                     )
                 elif k % 7 == 5:
-                    client.execute(
+                    client.drain(client.execute_prepared(
                         f"select S.sid from BELIEF '{name}' Sightings as S"
-                    )
+                    ))
                     client.insert("Sightings", values)
                 else:
                     client.insert("Sightings", values)

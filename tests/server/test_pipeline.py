@@ -353,7 +353,9 @@ def test_execute_batch_inserts(client):
     )
     assert payload["rowcount"] == 20
     assert payload["status"] == "INSERT 20"
-    rows = client.execute("select S.sid from BELIEF 'Carol' Sightings as S")
+    rows = client.drain(client.execute_prepared(
+        "select S.sid from BELIEF 'Carol' Sightings as S"
+    ))
     assert len(rows) == 20
 
 

@@ -117,7 +117,7 @@ def test_session_rewrite_applies_at_execute_time(client, server):
     client.execute_prepared(insert, ["s1", "Carol", "wren", "d", "l"])
     db = server.db
     # s0 went to plain content, s1 to Carol's belief world.
-    plain = db.execute_sql("select S.sid from Sightings as S").legacy()
+    plain = db.execute_sql("select S.sid from Sightings as S").rows
     assert plain == [("s0",)]
     assert db.believes(["Carol"], "Sightings",
                        ("s1", "Carol", "wren", "d", "l"))
@@ -194,10 +194,17 @@ def test_prepared_writes_logged_as_replayable_sql(client, server):
         ["Carol", "raven", "s1"],
     )
     log = server.oplog()
-    assert any(entry["op"] == "execute" and "''" in entry["sql"]
-               for entry in log)
+    # A statement is logged as the WAL's template + params entry: the
+    # apostrophes travel as data, the SQL keeps its placeholders.
+    executes = [entry for entry in log if entry["op"] == "execute"]
+    assert [entry["ok"] for entry in executes] == [1, 1]
+    assert "?" in executes[0]["sql"]
+    assert "O'Brien's crow" in executes[0]["params"]
     fresh = BeliefDBMS(sightings_schema(), strict=False)
     replay_oplog(fresh, log)  # raises on divergence
+    assert set(fresh.store.explicit_statements()) == set(
+        server.db.store.explicit_statements()
+    )
     assert fresh.believes(
         ["Carol"], "Sightings", ("s1", "Carol", "raven", "d", "l")
     )

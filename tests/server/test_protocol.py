@@ -32,7 +32,7 @@ REQUESTS = [
         "path": None,
         "sign": "+",
     }),
-    Request(id=4, op="execute", params={"sql": "select S.sid from Sightings as S"}),
+    Request(id=4, op="prepare", params={"sql": "select S.sid from Sightings as S"}),
     Request(id=2 ** 40, op="stats", params={}),
 ]
 
@@ -118,7 +118,7 @@ def test_malformed_responses_rejected(payload):
 
 
 def test_oversized_payload_rejected_on_encode():
-    huge = {"id": 1, "op": "execute",
+    huge = {"id": 1, "op": "prepare",
             "params": {"sql": "x" * (MAX_FRAME_BYTES + 1)}}
     with pytest.raises(FrameTooLargeError, match="frame ceiling"):
         encode_frame(huge)
@@ -130,13 +130,13 @@ def test_oversized_body_rejected_on_decode():
 
 
 def test_frame_ceiling_is_configurable():
-    payload = {"id": 1, "op": "execute", "params": {"sql": "x" * 4096}}
+    payload = {"id": 1, "op": "prepare", "params": {"sql": "x" * 4096}}
     with pytest.raises(FrameTooLargeError, match="frame ceiling"):
         encode_frame(payload, max_frame_bytes=1024)
     # The same payload frames fine under the default ceiling ...
     frame = encode_frame(payload)
     # ... and a raised ceiling admits bodies the default would reject.
-    big = {"id": 1, "op": "execute",
+    big = {"id": 1, "op": "prepare",
            "params": {"sql": "x" * (MAX_FRAME_BYTES + 1)}}
     assert decode_frame(
         encode_frame(big, max_frame_bytes=4 * MAX_FRAME_BYTES)[4:],

@@ -316,6 +316,15 @@ def test_op_table_is_append_only_compatible():
         assert len(set(layout)) == len(layout)
 
 
+def test_retired_execute_keeps_its_code_and_has_no_server():
+    # 0x0A stays reserved, so every later op keeps its code ...
+    assert binproto.OP_CODES["execute"] == 0x0A
+    assert binproto.OP_CODES["prepare"] == 0x0B
+    assert binproto.OP_CODES["shard_status"] == len(OP_TABLE) - 1 == 0x1C
+    # ... but nothing serves it: dispatch answers "unknown operation".
+    assert "execute" not in OPS
+
+
 def test_ops_missing_from_table_still_travel():
     codec = BinaryCodec()
     payload = {"id": 1, "op": "brand_new_op", "params": {"x": 1}}

@@ -126,8 +126,7 @@ def test_login_create_and_whoami(client):
 def test_session_rewrites_plain_insert_to_own_world(client):
     info = client.login("Carol", create=True)
     uid = info["user"]
-    client.execute(f"insert into Sightings values "
-                   f"('{S1[0]}','{S1[1]}','{S1[2]}','{S1[3]}','{S1[4]}')")
+    client.execute_prepared("insert into Sightings values (?,?,?,?,?)", S1)
     # The tuple landed in Carol's world, not in plain content.
     assert client.believes("Sightings", S1, path=[uid])
     world_root = client.world(path=[])
@@ -137,7 +136,7 @@ def test_session_rewrites_plain_insert_to_own_world(client):
 def test_explicit_belief_prefix_wins_over_session(client):
     client.login("Carol", create=True)
     client.add_user("Bob")
-    client.execute(
+    client.execute_prepared(
         "insert into BELIEF 'Bob' Sightings values "
         "('s2','Alice','crow','6-14-08','Lake Placid')"
     )
@@ -158,11 +157,13 @@ def test_set_path_controls_default_world(client):
 def test_insert_query_delete_cycle(client):
     client.login("Carol", create=True)
     assert client.insert("Sightings", S1) is True
-    rows = client.execute("select S.sid, S.species "
-                          "from BELIEF 'Carol' Sightings as S")
-    assert rows == [["s1", "bald eagle"]]
+    payload = client.execute_prepared("select S.sid, S.species "
+                                      "from BELIEF 'Carol' Sightings as S")
+    assert payload["rows"] == [["s1", "bald eagle"]]
     assert client.delete("Sightings", S1) is True
-    assert client.execute("select S.sid from BELIEF 'Carol' Sightings as S") == []
+    assert client.execute_prepared(
+        "select S.sid from BELIEF 'Carol' Sightings as S"
+    )["rows"] == []
 
 
 def test_dispute_inserts_negative_belief(client):
@@ -193,7 +194,7 @@ def test_unknown_op_gets_error_response_not_disconnect(server, client):
 
 def test_malformed_sql_gets_error_response(client):
     with pytest.raises(BeliefDBError):
-        client.execute("insert bogus syntax here")
+        client.execute_prepared("insert bogus syntax here")
     assert client.ping()
 
 

@@ -6,7 +6,7 @@ the transaction itself is **per-session** server state (like prepared
 statements and cursors), shared by both server cores. The rules under
 test:
 
-* in-transaction DML stages; other sessions and the legacy/programmatic
+* in-transaction DML stages; other sessions and the programmatic
   write ops are unaffected or rejected loudly;
 * ``commit`` applies under one write-lock acquisition and lands in the op
   log as one ``txn`` entry that replays to the identical state;
@@ -100,23 +100,20 @@ def test_transactions_are_per_session(core):
 
 
 @CORES
-def test_legacy_and_programmatic_ops_rejected_in_transaction(core):
+def test_programmatic_ops_rejected_in_transaction(core):
     _, server = _server(core)
     with server:
         with BeliefClient(*server.address) as client:
             client.login("Carol", create=True)
             client.begin()
-            with pytest.raises(TransactionError, match="legacy execute"):
-                client.execute(
-                    "insert into Sightings values "
-                    "('x','Carol','crow','d','l')"
-                )
             with pytest.raises(TransactionError, match="not transactional"):
                 client.insert("Sightings", ROW)
             with pytest.raises(TransactionError, match="not transactional"):
                 client.delete("Sightings", ROW)
-            # Reads — legacy selects included — keep working.
-            assert client.execute("select S.sid from Sightings as S") == []
+            # Reads keep working.
+            assert client.execute_prepared(
+                "select S.sid from Sightings as S"
+            )["rows"] == []
             client.rollback()
 
 
@@ -167,7 +164,9 @@ def test_session_death_discards_open_transaction(core):
             client.execute_prepared(INSERT, ROW)
         # Connection closed with the transaction open: nothing applied.
         with BeliefClient(*server.address) as fresh:
-            assert fresh.execute("select S.sid from Sightings as S") == []
+            assert fresh.execute_prepared(
+                "select S.sid from Sightings as S"
+            )["rows"] == []
     assert db.annotation_count() == 0
     # The abandoned transaction reached a terminal state: the ledger
     # reconciles (begun == committed + rolled_back + aborted).

@@ -26,6 +26,7 @@ from repro.server import (
     BeliefClient,
     BeliefServer,
 )
+from repro.errors import BeliefDBError
 from repro.server.binproto import CODEC_BINARY, CODEC_JSON
 from repro.server.protocol import ProtocolError
 from repro.shard import ShardCluster
@@ -45,11 +46,15 @@ def _exercise(client: BeliefClient, sid: str) -> None:
     assert info["user_name"] == "Carol"
     row = [sid] + ROW[1:]
     assert client.insert("Sightings", row)
-    rows = client.execute(
+    rows = client.drain(client.execute_prepared(
         "select S.species from BELIEF 'Carol' Sightings as S "
         f"where S.sid = '{sid}'"
-    )
+    ))
     assert rows == [["bald eagle"]]
+    # The retired op: a typed error on every endpoint and codec (binary
+    # still has its reserved code), and the connection survives it.
+    with pytest.raises(BeliefDBError, match="unknown operation 'execute'"):
+        client.call("execute", sql="select S.sid from Sightings as S")
     page = client.execute_prepared(
         "select S.sid from BELIEF 'Carol' Sightings as S where S.sid = ?",
         [sid],
@@ -89,11 +94,15 @@ def test_async_server_async_client(wire):
             assert info["user_name"] == "Carol"
             row = [f"aa-{wire}"] + ROW[1:]
             assert await client.insert("Sightings", row)
-            rows = await client.execute(
+            page = await client.execute_prepared(
                 "select S.species from BELIEF 'Carol' Sightings as S "
                 f"where S.sid = 'aa-{wire}'"
             )
-            assert rows == [["bald eagle"]]
+            assert page["rows"] == [["bald eagle"]]
+            with pytest.raises(
+                BeliefDBError, match="unknown operation 'execute'"
+            ):
+                await client.call("execute", sql="select 1")
             want = CODEC_JSON if wire == "json" else CODEC_BINARY
             assert client._codec.name == want
 
@@ -134,10 +143,10 @@ def test_mixed_codecs_share_one_server_concurrently():
                             "Sightings",
                             [f"m{i}-{j}", f"u{i}", "crow", "d", "l"],
                         )
-                    got = client.execute(
+                    got = client.drain(client.execute_prepared(
                         f"select S.sid from BELIEF 'u{i}' Sightings as S "
                         f"where S.uid = 'u{i}'"
-                    )
+                    ))
                     assert len(got) == 10
             except Exception as exc:  # noqa: BLE001
                 errors.append((i, wire, exc))

@@ -258,10 +258,6 @@ class TestTransactions:
             client.begin()
         with pytest.raises(TransactionError, match="not transactional"):
             client.insert("Sightings", ROW)
-        with pytest.raises(TransactionError, match="legacy execute"):
-            client.execute(
-                "insert into Sightings values ('e','u','c','d','l')"
-            )
         # An empty transaction commits as a no-op with the worker envelope.
         result = client.commit()
         assert result["kind"] == "commit"
@@ -409,7 +405,7 @@ class TestAdmissionPropagation:
                 # Occupy shard 0's single in-flight slot with a blocked
                 # read (submit: don't wait for the reply).
                 pending = blocker.submit(
-                    "execute", sql="select S.sid from Sightings as S"
+                    "execute_prepared", sql="select S.sid from Sightings as S"
                 )
                 import time
                 deadline = time.time() + 5
@@ -419,7 +415,7 @@ class TestAdmissionPropagation:
                     time.sleep(0.01)
                 with pytest.raises(ServerOverloadedError) as excinfo:
                     probe.call(
-                        "execute", sql="select S.sid from Sightings as S"
+                        "execute_prepared", sql="select S.sid from Sightings as S"
                     )
                 assert excinfo.value.code == "SERVER_OVERLOADED"
                 assert "in-flight request limit (1)" in str(excinfo.value)
@@ -440,7 +436,7 @@ class TestAdmissionPropagation:
             probe = BeliefClient(*cluster.address)
             try:
                 pending = blocker.submit(
-                    "execute", sql="select S.sid from Sightings as S"
+                    "execute_prepared", sql="select S.sid from Sightings as S"
                 )
                 import time
                 deadline = time.time() + 5
