@@ -122,6 +122,7 @@ from repro.query.naive import evaluate_naive
 from repro.query.parser import parse_bcq
 from repro.query.sql_gen import evaluate_sql
 from repro.query.translate import evaluate_translated
+from repro.relational.datalog import plan_cache_stats
 from repro.relational.expressions import compare
 from repro.storage.mvcc import Version, VersionManager
 from repro.storage.store import BeliefStore
@@ -312,6 +313,11 @@ class BeliefDBMS:
         ).set_function(
             lambda: self.store.engine.index_stats()["pending_removals"]
         )
+        self.metrics.counter(
+            "beliefdb_engine_rule_compiles_total",
+            "Datalog rule shapes compiled into plans (plan-cache misses); "
+            "process-wide, like the cache.",
+        ).set_function(lambda: plan_cache_stats()["compiles"])
         #: The MVCC version manager: epoch counter, snapshot cache, pin
         #: accounting, and version GC (``mvcc_*`` metrics).
         self.versions = VersionManager(metrics=self.metrics)
@@ -433,6 +439,19 @@ class BeliefDBMS:
 
     # ------------------------------------------------------------------- MVCC
 
+    @contextmanager
+    def _writing(self):
+        """The write mutex, held for a write to the store's tables.
+
+        Lets go of the current version first if no reader has it pinned:
+        the write retires it anyway (every path below bumps the epoch or
+        invalidates), and a table copies its rows on write only for forks
+        that are still alive.
+        """
+        with self._write_mutex:
+            self.versions.retire_idle()
+            yield
+
     def pin_version(self) -> Version:
         """Pin the current store version; pair with :meth:`release_version`.
 
@@ -510,7 +529,7 @@ class BeliefDBMS:
         with explicit beliefs raise (strict) or return False.
         """
         self._check_durable_writable()
-        with self._write_mutex:
+        with self._writing():
             resolved = tuple(self.store.resolve_user(u) for u in path)
             t = self.schema.tuple(relation, *values)
             try:
@@ -540,7 +559,7 @@ class BeliefDBMS:
     ) -> bool:
         """Delete one explicit belief statement (implicit ones cannot be)."""
         self._check_durable_writable()
-        with self._write_mutex:
+        with self._writing():
             resolved = tuple(self.store.resolve_user(u) for u in path)
             t = self.schema.tuple(relation, *values)
             try:
@@ -737,7 +756,7 @@ class BeliefDBMS:
         else:
             # DML: WAL-logged as one replayable template + parameter record.
             self._check_durable_writable()
-            with self._write_mutex:
+            with self._writing():
                 try:
                     rowcount = self._execute_dml_row(compiled, params)
                 finally:
@@ -784,7 +803,7 @@ class BeliefDBMS:
         compiled = prepared.compiled
         rowcounts: list[int] = []
         entries: list[dict[str, Any]] = []
-        with self._write_mutex:
+        with self._writing():
             try:
                 for params in param_rows:
                     rowcount = self._execute_dml_row(compiled, params)
@@ -885,7 +904,7 @@ class BeliefDBMS:
                 elapsed_ms=self._observe_statement("commit", watch),
             )
         self._check_durable_writable()
-        with self._write_mutex:
+        with self._writing():
             # Undo capture: the explicit annotations + users are the complete
             # logical state (snapshots persist exactly this); references only,
             # so the capture is O(annotations) pointer copies per commit.
@@ -1442,6 +1461,7 @@ class BeliefDBMS:
             "transactions": txn_stats,
             "mvcc": self.versions.snapshot_stats(),
             "engine_indexes": self.store.engine.index_stats(),
+            "engine_plans": plan_cache_stats(),
             "auto_checkpoint_failures": self._checkpoint_failures,
             "durability": (
                 self._durability.stats()

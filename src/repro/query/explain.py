@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.query.bcq import BCQuery
 from repro.query.sql_gen import generate_sql
 from repro.query.translate import RESULT_TABLE, translate_bcq
-from repro.relational.datalog import run_program
+from repro.relational.datalog import explain_program, run_program
 from repro.storage.store import BeliefStore
 
 
@@ -28,6 +28,8 @@ class ExplainReport:
     sql: str | None
     sql_params: dict
     empty_reason: str | None = None
+    #: Per rule: the compiled plan's join order and each atom's access path.
+    plan: list[str] = field(default_factory=list)
     temp_cardinalities: dict[str, int] = field(default_factory=dict)
     result_size: int | None = None
 
@@ -39,6 +41,10 @@ class ExplainReport:
         lines.append("Datalog (Algorithm 1):")
         for rule in self.datalog_rules:
             lines.append(f"  {rule}")
+        if self.plan:
+            lines.append("Plan (join order, bound columns, access path):")
+            for step in self.plan:
+                lines.append(f"  {step}")
         if self.temp_cardinalities:
             lines.append("Temporary-table cardinalities:")
             for name, count in self.temp_cardinalities.items():
@@ -85,14 +91,15 @@ def explain(
         sql=generated.sql,
         sql_params=generated.params,
     )
+    tables = store.engine.tables()
     if analyze and store.eager:
-        result, temps = run_program(
-            store.engine.tables(), translation.program, keep_temps=True
-        )
+        result, temps = run_program(tables, translation.program, keep_temps=True)
+        tables.update(temps)
         report.temp_cardinalities = {
             name: len(table)
             for name, table in sorted(temps.items())
             if name != RESULT_TABLE  # reported as result_size instead
         }
         report.result_size = len(result)
+    report.plan = explain_program(tables, translation.program)
     return report

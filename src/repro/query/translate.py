@@ -225,8 +225,7 @@ def _translate_subgoal(
             tuple(_term(t) for t in path) + tuple(star_args) + (sign_term,)
         )
         rule = Rule(Atom(temp, head_terms), tuple(body), tuple(adjacency))
-        final_atom = Atom(temp, head_terms)
-        return rule, final_atom, conditions
+        return rule, _final_atom(index, temp, head_terms), conditions
 
     # --- negative subgoal: the key unifies (Alg. 1 line 5: x̄ti[1] = x̄i[1]);
     # attributes stay free in T_i and go through the Prop. 7 check.
@@ -247,7 +246,7 @@ def _translate_subgoal(
         tuple(_term(t) for t in path) + (v_key,) + attr_vars + (sign_var,)
     )
     rule = Rule(Atom(temp, head_terms), tuple(body), tuple(adjacency))
-    final_atom = Atom(temp, head_terms)
+    final_atom = _final_atom(index, temp, head_terms)
 
     conditions = []
     if not unify_key:
@@ -276,6 +275,22 @@ def _translate_subgoal(
     )
     conditions.append(disjunction([stated, unstated]))
     return rule, final_atom, conditions
+
+
+def _final_atom(index: int, temp: str, head_terms: tuple[Any, ...]) -> Atom:
+    """``T_i`` as the final rule reads it: joined on its variables only.
+
+    Every row of ``T_i`` carries the constants its own head wrote, so the
+    final rule does not select on them again (a probe on a column where all
+    rows match buys nothing and costs a hash build on the temporary).
+    """
+    return Atom(
+        temp,
+        tuple(
+            term if isinstance(term, Var) else Var(f"s{index}_c{j}")
+            for j, term in enumerate(head_terms)
+        ),
+    )
 
 
 def evaluate_translated(

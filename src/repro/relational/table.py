@@ -8,7 +8,10 @@ from its RDBMS ("clustered indexes are available over the internal keys").
 Tables support **copy-on-write forks** (:meth:`Table.snapshot_fork`), the
 storage primitive under the MVCC layer (:mod:`repro.storage.mvcc`): a fork
 shares the row dict with its origin until the origin mutates, at which point
-the origin copies it and the fork keeps the frozen one.
+the origin copies it and the fork keeps the frozen one. The copy is for
+whoever still reads the old dict: an origin that has become its only holder
+again (every fork dropped, no iterator or probe left over it) mutates it in
+place, so a write that no reader is watching costs the delta, not the table.
 
 Rowids are monotone and never reused, a row is immutable under its rowid
 (an update is delete + insert), and both survive the copy-on-write copy.
@@ -58,10 +61,11 @@ restructures a bucket runs on the writer's side.
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DuplicateKeyError
 from repro.relational.schema import TableSchema
@@ -69,9 +73,11 @@ from repro.relational.schema import TableSchema
 Row = tuple[Any, ...]
 #: value tuple -> the one rowid carrying it, or the set of them.
 Index = dict[tuple, "int | set[int]"]
-#: (index positions, the index or None for the unique-key dict, the bound
-#: positions the index leaves to filter)
-Plan = tuple[tuple[int, ...], "Index | None", tuple[int, ...]]
+#: A resolved access path for probes binding a tuple of columns: (the index,
+#: or None for the unique-key dict; where the index's columns sit among the
+#: probe's values, or None when they are the values as given; ``(column,
+#: place among the values)`` of the bound columns the index leaves to filter)
+Plan = tuple["Index | None", "list[int] | None", list[tuple[int, int]]]
 
 #: Tables smaller than this are scanned rather than auto-indexed.
 _AUTO_INDEX_MIN_ROWS = 32
@@ -225,7 +231,7 @@ class Table:
         return [rowid for rowid in rowids if rowid not in rows]
 
     def contains_row(self, row: Row) -> bool:
-        return any(r == row for r in self.match_columns(dict(enumerate(row))))
+        return bool(self.prober(tuple(range(len(row))))(tuple(row)))
 
     # -- copy-on-write forks ----------------------------------------------------
 
@@ -233,9 +239,10 @@ class Table:
         """A frozen copy-on-write fork: nothing is copied, nothing built.
 
         It shares this table's rows until this side mutates (which copies
-        ``_rows``/``_key_values``, two C-speed dict copies) and probes the
-        lineage's indexes for as long as it lives. A fork of a fork is
-        frozen at the same point as its parent.
+        ``_rows``/``_key_values``, two C-speed dict copies, if the fork is
+        still alive by then) and probes the lineage's indexes for as long
+        as it lives. A fork of a fork is frozen at the same point as its
+        parent.
         """
         lineage = self.lineage
         frozen_at = self._frozen_at
@@ -262,7 +269,8 @@ class Table:
         """Unshare before a mutation: the writer pays the copy, never readers.
 
         A fork that is written to also leaves its lineage first: its new
-        rowids would collide with the owner's.
+        rowids would collide with the owner's. The owner copies only while
+        something else still holds its dicts.
         """
         if self._shared:
             if self._frozen_at is not None:
@@ -271,6 +279,16 @@ class Table:
                 self._indexes = self.lineage.indexes
                 self._frozen_at = None
                 self._plans = {}
+            elif (
+                sys.getrefcount(self._rows) == 2
+                and sys.getrefcount(self._key_values) == 2
+            ):
+                # Two references each, ours and the call's: every fork that
+                # shared them is gone, and every iterator and probe over
+                # them. (CPython counts exactly; a count that ran high would
+                # only cost the copy back.)
+                self._shared = False
+                return
             self._rows = dict(self._rows)
             self._key_values = dict(self._key_values)
             self._shared = False
@@ -318,6 +336,25 @@ class Table:
         for row in rows:
             self.insert(row)
 
+    def extend(self, rows: Collection[Row]) -> None:
+        """Insert ``rows`` (tuples) at once: the Datalog layer's bulk load.
+
+        A table with no unique key and no index — every temporary ``T_i``
+        — takes them in one dict update; any other goes row by row through
+        :meth:`insert`.
+        """
+        if self._key_positions or self.lineage.indexes or self._indexes:
+            return self.insert_many(rows)
+        arity = self.schema.arity
+        if not set(map(len, rows)) <= {arity}:
+            raise ValueError(
+                f"{self.schema.name}: expected {arity} values in every row"
+            )
+        self._materialize()
+        start = self._next_rowid
+        self._next_rowid = start + len(rows)
+        self._rows.update(zip(range(start, self._next_rowid), rows))
+
     def delete_rowid(self, rowid: int) -> Row:
         self._materialize()
         row = self._rows.pop(rowid)
@@ -337,7 +374,7 @@ class Table:
 
     def delete_matching(self, bound: Mapping[int, Any]) -> int:
         """Delete rows whose columns (by position) equal the bound values."""
-        doomed = list(self.match_rowids(bound))
+        doomed = self.prober(tuple(bound), rowids=True)(tuple(bound.values()))
         for rid in doomed:
             self.delete_rowid(rid)
         return len(doomed)
@@ -381,85 +418,141 @@ class Table:
 
     def match_rowids(self, bound: Mapping[int, Any]) -> Iterator[int]:
         """Rowids of rows matching the position->value constraints."""
-        return iter([rowid for rowid, _ in self._match(bound)])
+        return iter(self.prober(tuple(bound), rowids=True)(tuple(bound.values())))
 
     def match_columns(self, bound: Mapping[int, Any]) -> Iterator[Row]:
         """Rows matching the position->value constraints (index-assisted)."""
-        return iter([row for _, row in self._match(bound)])
+        return iter(self.prober(tuple(bound))(tuple(bound.values())))
 
     def match_named(self, **bound: Any) -> Iterator[Row]:
         """Rows matching column-name->value constraints."""
-        positions = {self.schema.column_index(c): v for c, v in bound.items()}
-        return self.match_columns(positions)
+        columns = tuple(map(self.schema.column_index, bound))
+        return iter(self.prober(columns)(tuple(bound.values())))
 
-    def _match(self, bound: Mapping[int, Any]) -> list[tuple[int, Row]]:
-        """``(rowid, row)`` of this table's rows matching ``bound``."""
+    def prober(
+        self, columns: tuple[int, ...], rowids: bool = False
+    ) -> Callable[[tuple], Sequence]:
+        """``probe(values)``: this table's rows (or their rowids) whose
+        ``columns`` equal ``values``, given in the same order.
+
+        The one probe loop of the table. The access path is chosen here,
+        once: a caller that probes one pattern many times over (a compiled
+        rule, once per outer row) keeps the probe, good until this table's
+        next mutation; ``match_*`` make one per call.
+        """
         rows = self._rows
-        if not bound:
-            return list(rows.items())
-        columns = tuple(bound)
+        if not columns:
+            return lambda values: list(rows if rowids else rows.values())
         plan = self._plans.get(columns) or self._resolve(columns)
         if plan is None:
-            wanted = list(bound.items())
-            return [
-                item for item in rows.items()
-                if all(item[1][i] == v for i, v in wanted)
-            ]
-        positions, index, residual = plan
-        if index is None:
-            index = self._key_values
-        bucket = index.get(tuple([bound[i] for i in positions]))
-        if bucket is None:
-            return []
-        # tuple(): the owner may add to the set while a fork reads it.
-        candidates = (bucket,) if type(bucket) is int else tuple(bucket)
-        matches = []
-        stale = 0
-        for rowid in candidates:
-            row = rows.get(rowid)
-            if row is None:
-                stale += 1
-                continue
-            for i in residual:
-                if row[i] != bound[i]:
-                    break
-            else:
-                matches.append((rowid, row))
-        if stale:
-            self.lineage.counters.note_stale(stale)
-        return matches
+
+            def scan(values: tuple) -> list:
+                wanted = tuple(zip(columns, values))
+                matches = []
+                for rowid, row in rows.items():
+                    for i, value in wanted:
+                        if row[i] != value:
+                            break
+                    else:
+                        matches.append(rowid if rowids else row)
+                return matches
+
+            return scan
+        index, pick, checks = plan
+        lookup = (self._key_values if index is None else index).get
+        held = rows.get
+        lineage = self.lineage
+
+        def probe(values: tuple) -> Sequence:
+            bucket = lookup(
+                values if pick is None
+                else tuple([values[j] for j in pick])
+            )
+            if bucket is None:
+                return ()
+            matches = []
+            stale = 0
+            # tuple(): the owner may add to the set while a fork reads it.
+            for rowid in (bucket,) if type(bucket) is int else tuple(bucket):
+                row = held(rowid)
+                if row is None:
+                    stale += 1
+                    continue
+                for i, j in checks:
+                    if row[i] != values[j]:
+                        break
+                else:
+                    matches.append(rowid if rowids else row)
+            if stale:
+                lineage.counters.note_stale(stale)
+            return matches
+
+        return probe
+
+    def access_path(self, columns: tuple[int, ...]) -> str:
+        """How a probe binding ``columns`` would be served, for EXPLAIN:
+        ``key``, ``index(cols)`` or ``build(cols)`` (no index covers the
+        pattern: the first probe builds this one), each with
+        ``+residual(cols)`` where bound columns are left to filter, or
+        ``scan``. Builds nothing."""
+        choice = self._choose(columns)
+        if choice is None:
+            return "scan"
+        kind, positions = choice
+        names = self.schema.columns
+        path = kind
+        if kind != "key":
+            path += "(" + ", ".join(names[i] for i in positions) + ")"
+        residual = [names[i] for i in columns if i not in positions]
+        if residual:
+            path += "+residual(" + ", ".join(residual) + ")"
+        return path
+
+    def _choose(self, columns: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
+        """The probe policy for ``columns``, nothing built: ``key``, or
+        ``index`` / ``build`` and the indexed positions; None is a scan."""
+        bound = set(columns)
+        if not bound:
+            return None
+        if self._key_positions and bound.issuperset(self._key_positions):
+            return "key", self._key_positions
+        # list(): forks of one version resolve (and build) concurrently.
+        available = list(self.lineage.indexes)
+        if self._frozen_at is not None:
+            available += list(self._indexes)
+        covered = [positions for positions in available if bound.issuperset(positions)]
+        if covered:
+            return "index", max(covered, key=len)
+        if not self.auto_index or len(self._rows) < _AUTO_INDEX_MIN_ROWS:
+            return None
+        declared = [
+            positions
+            for positions in map(self.schema.column_indexes, self.schema.indexes)
+            if bound.issuperset(positions)
+        ]
+        return "build", tuple(sorted(max(declared, key=len, default=columns)))
 
     def _resolve(self, columns: tuple[int, ...]) -> Plan | None:
         """Choose (and remember) the access path for probes binding
         ``columns``; None means scan, which is decided afresh each time
         because the table may outgrow it."""
-        bound = set(columns)
-        best: tuple[tuple[int, ...], Index | None] | None = None
-        if self._key_positions and bound.issuperset(self._key_positions):
-            best = (self._key_positions, None)
+        choice = self._choose(columns)
+        if choice is None:
+            return None
+        kind, positions = choice
+        if kind == "key":
+            index = None
+        elif kind == "build":
+            index = self._build_index(positions)
         else:
-            # list(): forks of one version resolve (and build) concurrently.
-            available = list(self.lineage.indexes.items())
-            if self._frozen_at is not None:
-                available += list(self._indexes.items())
-            for candidate in available:
-                if bound.issuperset(candidate[0]) and (
-                    best is None or len(candidate[0]) > len(best[0])
-                ):
-                    best = candidate
-            if best is None:
-                if not self.auto_index or len(self._rows) < _AUTO_INDEX_MIN_ROWS:
-                    return None
-                declared = [
-                    positions
-                    for positions in map(
-                        self.schema.column_indexes, self.schema.indexes
-                    )
-                    if bound.issuperset(positions)
-                ]
-                positions = tuple(sorted(max(declared, key=len, default=columns)))
-                best = (positions, self._build_index(positions))
-        plan = (*best, tuple(i for i in columns if i not in best[0]))
+            index = self.lineage.indexes.get(positions)
+            if index is None:
+                index = self._indexes[positions]
+        plan = (
+            index,
+            None if positions == columns else [columns.index(i) for i in positions],
+            [(i, j) for j, i in enumerate(columns) if i not in positions],
+        )
         self._plans[columns] = plan
         return plan
 

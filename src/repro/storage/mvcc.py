@@ -18,7 +18,11 @@ Lifecycle of a version:
 2. **share** — later pins at the same epoch reuse the cached fork, each
    incrementing its pin count;
 3. **retire** — a write bumps the epoch, so the version stops being
-   current; it survives while readers still hold pins;
+   current; it survives while readers still hold pins. A version nobody
+   has pinned is dropped when the write *starts*
+   (:meth:`VersionManager.retire_idle`): a live table copies its row dict
+   on write only for forks that still exist, so a write no reader is
+   watching copies nothing;
 4. **GC** — once its pin count reaches zero and it is no longer current,
    the version is dropped (``mvcc_gc_reclaimed_total`` counts these) and
    its sqlite mirror, if it built one, is handed to the manager. Dropping
@@ -237,6 +241,17 @@ class VersionManager:
             self._gc_locked()
             return self._epoch
 
+    def retire_idle(self) -> None:
+        """Drop the current version unless a reader has it pinned.
+
+        For the start of a write, under the BDMS write mutex (so no pin can
+        rebuild it before the write lands): the write is about to retire it
+        anyway, and while it lives every table the write touches copies its
+        whole row dict for it.
+        """
+        with self._mutex:
+            self._gc_locked(keep_current=False)
+
     # -------------------------------------------------------------------- pins
 
     def pin(self, store: "BeliefStore") -> Version:
@@ -280,12 +295,12 @@ class VersionManager:
 
     # ---------------------------------------------------------------------- GC
 
-    def _gc_locked(self) -> None:
+    def _gc_locked(self, keep_current: bool = True) -> None:
         """Reclaim retired, unpinned versions. Caller holds the mutex."""
         doomed = [
             epoch
             for epoch, version in self._versions.items()
-            if version.pins <= 0 and epoch != self._epoch
+            if version.pins <= 0 and not (keep_current and epoch == self._epoch)
         ]
         for epoch in doomed:
             mirror = self._versions.pop(epoch).detach_mirror()

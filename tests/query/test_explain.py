@@ -61,3 +61,26 @@ class TestExplain:
             unpushed.temp_cardinalities["T0"]
             >= pushed.temp_cardinalities["T0"]
         )
+
+    def test_plan_lines_name_join_order_and_access_paths(self, example_store):
+        query = q(
+            example_store,
+            "q(x) :- [x] Sightings-(k, z, sp, u, v), [1] Sightings+(k, z, sp, u, v)",
+        )
+        report = explain(example_store, query)
+        t0, t1, final = report.plan  # one line per rule, in program order
+        # T0 ranges over every user: E is bound on wid1 alone, which the
+        # declared (wid1, uid) index does not cover — the 4-row E is scanned.
+        assert t0 == (
+            "T0: E[wid1] scan -> v_Sightings[wid] index(wid) -> "
+            "star_Sightings[tid, sid] key+residual(sid)"
+        )
+        assert t1.startswith("T1: E[wid1, uid] index(wid1, uid) -> v_Sightings[wid, s]")
+        # Without ANALYZE the temporaries do not exist; the final rule joins
+        # them on the shared key column only, never on T1's own constants.
+        assert final == "Q_result: T0[] temporary -> T1[c1] temporary"
+        analyzed = explain(example_store, query, analyze=True)
+        assert analyzed.plan[:2] == [t0, t1]
+        assert analyzed.plan[2] == "Q_result: T0[] scan -> T1[c1] scan"
+        assert "Plan (join order, bound columns, access path):" in analyzed.render()
+        assert f"  {t0}" in analyzed.render()

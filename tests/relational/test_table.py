@@ -63,6 +63,49 @@ class TestRowidLineage:
         assert t.snapshot_fork().rows_from(2) == [(2, (2, 2, 2))]
 
 
+class TestCopyOnWrite:
+    """The owner copies its rows on write for whoever still reads the old
+    ones, and for nobody else."""
+
+    def keyed(self) -> Table:
+        t = Table(TableSchema("K", ("a", "b"), key=("a",)))
+        t.insert_many([(i, i * i) for i in range(4)])
+        return t
+
+    def test_a_live_fork_keeps_what_it_saw(self):
+        t = self.keyed()
+        fork = t.snapshot_fork()
+        before = id(t._rows)
+        t.insert((9, 81))
+        t.delete_matching({0: 1})
+        assert id(t._rows) != before
+        assert fork.rows() == [(i, i * i) for i in range(4)]
+        assert list(fork.match_columns({0: 1})) == [(1, 1)]
+        assert list(fork.match_columns({0: 9})) == []
+
+    def test_nothing_is_copied_for_a_fork_that_is_gone(self):
+        t = self.keyed()
+        t.snapshot_fork()  # dropped at once, as an unpinned version is
+        before = id(t._rows), id(t._key_values)
+        t.insert((9, 81))
+        assert (id(t._rows), id(t._key_values)) == before
+        assert len(t) == 5 and list(t.match_columns({0: 9})) == [(9, 81)]
+        held = t.snapshot_fork()  # and the next fork is a fork all the same
+        t.insert((10, 100))
+        assert id(t._rows) != before[0] and len(held) == 5
+
+    def test_a_reader_that_outlives_its_fork_is_still_copied_for(self):
+        t = self.keyed()
+        fork = t.snapshot_fork()
+        scan, probe = iter(fork), fork.prober((0,))
+        assert next(scan) == (0, 0)
+        del fork
+        t.delete_matching({0: 2})
+        t.insert((2, "new"))
+        assert list(scan) == [(1, 1), (2, 4), (3, 9)]
+        assert probe((2,)) == [(2, 4)]
+
+
 class TestInsertDelete:
     def test_insert_and_len(self):
         t = make_table()
@@ -188,6 +231,29 @@ class TestIndexes:
         assert sorted(indexed.match_columns(bound)) == sorted(
             plain.match_columns(bound)
         )
+        # The probe primitive: the same rows, in either column order.
+        for table in (indexed, plain):
+            assert sorted(table.prober((0, 1))((a, b))) == sorted(
+                plain.match_columns(bound)
+            )
+            assert sorted(table.prober((1, 0))((b, a))) == sorted(
+                plain.match_columns(bound)
+            )
+
+    def test_access_path_names_the_probe_policy_and_builds_nothing(self):
+        schema = TableSchema("T", ("k", "a", "b"), key=("k",), indexes=(("a",),))
+        t = Table(schema)
+        t.insert_many([(i, i % 5, i % 7) for i in range(20)])
+        assert t.access_path(()) == "scan"
+        assert t.access_path((0,)) == "key"
+        assert t.access_path((0, 2)) == "key+residual(b)"
+        assert t.access_path((1, 2)) == "index(a)+residual(b)"
+        assert t.access_path((2,)) == "scan"  # 20 rows: below the threshold
+        t.insert_many([(i, i % 5, i % 7) for i in range(20, 40)])
+        assert t.access_path((2,)) == "build(b)"  # what the first probe does
+        assert not t.has_index(("b",))
+        assert len(t.prober((2,))((3,))) == 6
+        assert t.access_path((2,)) == "index(b)"
 
     def test_match_empty_binding_returns_all(self):
         t = make_table()

@@ -77,3 +77,33 @@ def test_the_counters_survive_a_wholesale_store_replacement(tmp_path):
         assert db.snapshot_stats()["engine_indexes"] == before
     finally:
         db.close()
+
+
+def test_served_point_selects_hit_the_plan_cache_across_a_store_replacement(tmp_path):
+    """A new key every call is the same rule shape: nothing recompiles, and
+    the compile count (process-wide, like the cache) survives restore()."""
+    from repro.durability import DurabilityManager
+
+    db = BeliefDBMS(
+        sightings_schema(), strict=False, durability=DurabilityManager(tmp_path)
+    )
+    try:
+        db.add_user("user1")
+        insert, point = db.prepare(INSERT), db.prepare(POINT)
+        db.execute_batch(insert, [_row(8 * i) for i in range(40)])
+        assert db.execute_prepared(point, ["user1", "s0"]).rows == [("s0", "species0")]
+        before = db.snapshot_stats()["engine_plans"]
+        assert set(before) == {"compiles", "hits", "size", "capacity"}
+        assert 0 < before["size"] <= before["capacity"]
+        for i in range(1, 40):
+            assert len(db.execute_prepared(point, ["user1", f"s{8 * i}"]).rows) == 1
+        db.restore()
+        assert len(db.execute_prepared(point, ["user1", "s8"]).rows) == 1
+        after = db.snapshot_stats()["engine_plans"]
+        assert after["compiles"] == before["compiles"]
+        assert after["hits"] >= before["hits"] + 2 * 40  # T0 and the final rule
+        assert db.metrics.counter(
+            "beliefdb_engine_rule_compiles_total", ""
+        ).value == after["compiles"]
+    finally:
+        db.close()

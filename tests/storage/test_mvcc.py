@@ -140,6 +140,43 @@ def test_current_version_stays_cached_at_zero_pins():
     assert db.versions.snapshot_stats()["snapshot_builds"] == builds
 
 
+def test_a_write_copies_rows_only_for_a_pinned_reader():
+    """The idle current version is let go of before the write, not after it:
+    the table then has no fork to copy its row dict for."""
+    db = seeded_db()
+    rows_id = lambda: id(db.store.v_table("Sightings")._rows)  # noqa: E731
+    assert db.query(BCQ) == {("s1",)}
+    assert db.versions.live_versions() == 1  # cached, nobody pins it
+    before, reclaimed = rows_id(), db.versions.snapshot_stats()["gc_reclaimed"]
+    db.insert(["Carol"], "Sightings", ("s2",) + ROW[1:])
+    assert rows_id() == before
+    assert db.versions.snapshot_stats()["gc_reclaimed"] == reclaimed + 1
+    assert db.query(BCQ) == {("s1",), ("s2",)}
+
+    with db.read_view() as reader:  # pinned across the next write: copied for
+        before = rows_id()
+        db.insert(["Carol"], "Sightings", ("s3",) + ROW[1:])
+        assert rows_id() != before
+        assert db.query(BCQ, version=reader) == {("s1",), ("s2",)}
+    assert db.query(BCQ) == {("s1",), ("s2",), ("s3",)}
+
+
+def test_retire_idle_spares_pinned_versions_and_carries_the_mirror():
+    db = seeded_db(backend="sqlite")
+    manager = db.versions
+    assert db.query(BCQ) == {("s1",)}  # builds the version's mirror
+    pinned = db.pin_version()
+    manager.retire_idle()
+    assert manager.live_versions() == 1 and not manager.has_carried_mirror()
+    db.release_version(pinned)
+    manager.retire_idle()
+    assert manager.live_versions() == 0 and manager.has_carried_mirror()
+    db.insert(["Carol"], "Sightings", ("s2",) + ROW[1:])
+    assert db.query(BCQ) == {("s1",), ("s2",)}  # the next version advances it
+    stats = manager.snapshot_stats()
+    assert (stats["mirror_syncs_full"], stats["mirror_syncs_delta"]) == (1, 1)
+
+
 def test_live_versions_bounded_under_write_churn():
     db = seeded_db()
     for i in range(100):
