@@ -4,41 +4,25 @@ The MVCC acceptance cell (``docs/concurrency.md``): 16 writer clients
 insert continuously into a **durable** server (``wal_sync="always"`` —
 every committed write holds the write lock across an fsync, the paper's
 community-curation deployment) while 4 reader clients run full-table
-scans, two ways —
+scans. Scans serve lock-free from pinned MVCC versions, so reader
+latency is decoupled from the write queue: scan CPU hides under the
+writers' fsync waits instead of queueing behind their exclusive lock
+acquisitions. (The lock-based server this cell was once A/B'd against no
+longer exists; earlier runs' "locked" rows are kept in
+``benchmarks/results/experiment_tables.txt``.)
 
-* **mvcc** (the shipping discipline): scans serve lock-free from pinned
-  versions, so reader latency is decoupled from the write queue;
-* **locked** (this file empties ``repro.server.server._PINNED_READ_OPS``
-  for the cell): scans take the readers-writer lock again — the pre-MVCC
-  discipline — so every scan queues behind the writers' fsync-bound
-  exclusive acquisitions. The server has no switch for it; the control
-  lives here.
+The closed cell runs a **fixed work quota** — every writer inserts
+exactly ``writes`` rows and every reader runs exactly ``writes // 2``
+scans — and the throughput metric is the cell **makespan** (barrier to
+last thread done), so runs compare identical workloads end to end.
 
-Durability is what makes the A/B meaningful: ephemeral in-memory writes
-release the lock in microseconds, so lock queueing costs less than the
-per-epoch copy-on-write fork and the disciplines tie. When writes are
-slow, MVCC's decoupling is the whole game: scan CPU hides under the
-writers' fsync waits instead of queueing behind them.
-
-Both cells run a **fixed work quota** — every writer inserts exactly
-``writes`` rows and every reader runs exactly ``writes // 2`` scans —
-and the throughput metric is the cell **makespan** (barrier to last
-thread done). Free-running time-bound readers would do strictly more
-scans in the discipline that unblocks them, and a writer-window timing
-would credit the locked discipline for pushing scan CPU outside the
-window it measures; fixed quotas + makespan compare identical workloads
-end to end.
-
-A third, **open-loop** cell offers scans at a calibrated fixed arrival
+A second, **open-loop** cell offers scans at a calibrated fixed arrival
 rate while background writers hammer closed-loop, measuring scan p50/p99
 in the regime where queueing is visible at all (closed-loop readers
 self-throttle).
 
 ``bench_results.json`` section ``mvcc`` feeds the CI regression gate
-(``check_regression.py --only mvcc.``). The A/B acceptance bar — reader
-p99 improved under MVCC with writer throughput within 10% — is asserted
-at real scale only; CI's smoke run (8 writes/writer) is fixed cost and
-scheduler noise.
+(``check_regression.py --only mvcc.``).
 
 Scale knobs: ``BELIEFDB_BENCH_MIXED_OPS`` (writes per writer, default
 40), ``BELIEFDB_BENCH_MIXED_OPENLOOP_OPS`` (open-loop scans, default
@@ -52,7 +36,6 @@ import tempfile
 import threading
 import time
 
-import repro.server.server as server_module
 from repro.bdms.bdms import BeliefDBMS
 from repro.bench.openloop import run_open_loop
 from repro.core.schema import sightings_schema
@@ -107,17 +90,12 @@ def _percentile(sorted_ms: list[float], q: float) -> float:
     return sorted_ms[index]
 
 
-def _run_closed_cell(force_locked: bool) -> dict[str, float]:
+def _run_closed_cell() -> dict[str, float]:
     """16 durable writers + 4 scanning readers, fixed quotas each."""
     writes = _writes_per_writer()
     scans_per_reader = max(4, writes // 2)
     tmp = tempfile.TemporaryDirectory()
     db = _seeded_db(data_dir=os.path.join(tmp.name, "data"))
-    pinned_read_ops = server_module._PINNED_READ_OPS
-    if force_locked:
-        # No op counts as a pinned read: dispatch puts every scan back on
-        # the readers-writer lock.
-        server_module._PINNED_READ_OPS = frozenset()
     try:
         with BeliefServer(db) as server:
             barrier = threading.Barrier(N_WRITERS + N_READERS + 1, timeout=30)
@@ -169,7 +147,6 @@ def _run_closed_cell(force_locked: bool) -> dict[str, float]:
             assert not any(t.is_alive() for t in threads), "cell deadlocked"
             assert not errors, errors
     finally:
-        server_module._PINNED_READ_OPS = pinned_read_ops
         db.close()
         tmp.cleanup()
 
@@ -243,50 +220,22 @@ def _run_openloop_cell() -> dict:
 
 
 def test_mixed_readwrite(record_json, emit):
-    mvcc = _run_closed_cell(force_locked=False)
-    locked = _run_closed_cell(force_locked=True)
+    mvcc = _run_closed_cell()
     openloop = _run_openloop_cell()
     record_json("mvcc", {
         "writes_per_writer": _writes_per_writer(),
         "closed": mvcc,
-        "closed_locked": locked,
         "openloop": openloop,
     })
-
-    lines = [
+    emit("\n".join([
         f"mixed read/write ({N_WRITERS} durable writers x "
         f"{_writes_per_writer()} inserts, {N_READERS} scanning readers)",
         f"{'cell':<14} {'makespan s':>10} {'writes/s':>9} {'scans':>6} "
         f"{'scan p50 ms':>12} {'scan p99 ms':>12}",
-    ]
-    for name, r in (("mvcc", mvcc), ("locked", locked)):
-        lines.append(
-            f"{name:<14} {r['makespan_seconds']:>10.3f} "
-            f"{r['writes_per_s']:>9.0f} {r['scans']:>6.0f} "
-            f"{r['reader_p50_ms']:>12.3f} {r['reader_p99_ms']:>12.3f}"
-        )
-    lines.append(
+        f"{'mvcc':<14} {mvcc['makespan_seconds']:>10.3f} "
+        f"{mvcc['writes_per_s']:>9.0f} {mvcc['scans']:>6.0f} "
+        f"{mvcc['reader_p50_ms']:>12.3f} {mvcc['reader_p99_ms']:>12.3f}",
         f"{'open-loop':<14} {'':>10} {openloop['target_rate']:>9.0f} "
         f"{openloop['completed']:>6} {openloop['p50_ms']:>12.3f} "
-        f"{openloop['p99_ms']:>12.3f}"
-    )
-    emit("\n".join(lines))
-
-    # The acceptance bar, at real scale only: MVCC scans must not be
-    # slower at the tail than lock-queued scans, and decoupling readers
-    # must not cost the mixed workload more than 10% throughput (the
-    # makespan covers the identical write+scan quota in both cells).
-    # Smoke scale (CI) is all fixed cost — there the gate is
-    # check_regression.py's absolute 3x bound on the recorded numbers.
-    if _writes_per_writer() >= 40:
-        assert mvcc["reader_p99_ms"] <= locked["reader_p99_ms"], (
-            f"MVCC scan p99 {mvcc['reader_p99_ms']}ms worse than the "
-            f"locked discipline's {locked['reader_p99_ms']}ms"
-        )
-        assert (
-            mvcc["makespan_seconds"] <= 1.10 * locked["makespan_seconds"]
-        ), (
-            f"mixed-workload throughput regressed beyond 10%: MVCC "
-            f"makespan {mvcc['makespan_seconds']:.3f}s vs locked "
-            f"{locked['makespan_seconds']:.3f}s"
-        )
+        f"{openloop['p99_ms']:>12.3f}",
+    ]))

@@ -10,15 +10,18 @@ client connection and logged-in session:
 * everyone disputes a sample of the readings the others reported;
 * meanwhile a reader thread keeps asking the server for live stats.
 
-At the end the op log (recorded in writer-lock order) is replayed serially
-into a fresh database and checked against the concurrent result — the
-writer lock makes the history linearizable, and this demo proves it.
+The server is durable: every accepted write is appended to the WAL in
+writer-lock order. At the end a fresh database is recovered from that WAL
+— the same serial replay that runs after a crash — and checked against the
+concurrent result: the writer lock makes the history linearizable, and
+this demo proves it.
 
 Run:  python examples/concurrent_curation.py
 """
 
 import pathlib
 import sys
+import tempfile
 import threading
 
 try:
@@ -28,8 +31,8 @@ except ModuleNotFoundError:  # running from a checkout without PYTHONPATH
 
 from repro import sightings_schema
 from repro.bdms.bdms import BeliefDBMS
+from repro.durability import DurabilityManager
 from repro.server import BeliefClient, BeliefServer
-from repro.server.server import replay_oplog
 
 USERS = ("Alice", "Bob", "Carol", "Dave", "Erin", "Frank")
 SPECIES = ("bald eagle", "fish eagle", "crow", "raven", "osprey", "barred owl")
@@ -72,10 +75,17 @@ def watch(address, stop: threading.Event) -> None:
 
 
 def main() -> None:
-    db = BeliefDBMS(sightings_schema(), strict=False)
-    with BeliefServer(db, record_ops=True) as server:
+    with tempfile.TemporaryDirectory() as data_dir:
+        serve_and_check(data_dir)
+    print("\ndone — server stopped cleanly.")
+
+
+def serve_and_check(data_dir: str) -> None:
+    db = BeliefDBMS(sightings_schema(), strict=False,
+                    durability=DurabilityManager(data_dir))
+    with BeliefServer(db) as server:
         host, port = server.address
-        print(f"== belief server on {host}:{port}, "
+        print(f"== durable belief server on {host}:{port}, "
               f"{len(USERS)} concurrent curators ==")
 
         barrier = threading.Barrier(len(USERS), timeout=10)
@@ -105,17 +115,25 @@ def main() -> None:
         for key, value in stats["server"].items():
             print(f"  {key}: {value}")
 
-        print("\n== linearizability check ==")
-        log = server.oplog()
-        replay = BeliefDBMS(sightings_schema(), strict=False)
-        replay_oplog(replay, log)  # raises if any op outcome diverges
+    print("\n== linearizability check ==")
+    db.close()  # release the data directory; the in-memory state stays
+    recovered = BeliefDBMS(sightings_schema(), strict=False,
+                           durability=DurabilityManager(data_dir))
+    try:  # recovery raises if any logged write fails to re-apply
         concurrent_state = sorted(str(s) for s in db.store.explicit_statements())
-        serial_state = sorted(str(s) for s in replay.store.explicit_statements())
+        serial_state = sorted(
+            str(s) for s in recovered.store.explicit_statements()
+        )
         assert concurrent_state == serial_state, "states diverged!"
-        print(f"  replayed {len(log)} logged writes serially: "
+        assert recovered.users() == db.users(), "users diverged!"
+        for path in db.store.states():
+            assert (recovered.store.entailed_world(path)
+                    == db.store.entailed_world(path)), "worlds diverged!"
+        report = recovered.durability.last_recovery
+        print(f"  recovered {report.wal_records} WAL records serially: "
               f"{len(serial_state)} explicit statements match exactly ✓")
-
-    print("\ndone — server stopped cleanly.")
+    finally:
+        recovered.close()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ read pins an immutable copy-on-write snapshot of the store
 safe to run concurrently with writes, never block behind them, and always
 see a single-version-consistent state. Writers still serialize against
 each other (the network layer's writer-preference lock additionally
-orders them for the op log). On the ``"sqlite"`` backend each pinned
+keeps a stream of readers from starving them). On the ``"sqlite"`` backend each pinned
 version lazily owns its own mirror, so even sqlite reads no longer need
 exclusive access. See ``docs/concurrency.md`` for the full model.
 
@@ -151,10 +151,9 @@ def _rejected_insert(path: tuple, t: Any, sign: Sign) -> RejectedUpdateError:
 
 def execute_entry(sql: str, params: Sequence[Value]) -> dict[str, Any]:
     """The replayable template+params record one effective DML execution
-    contributes to the WAL / server op log. Single source of truth for the
-    shape — the single-statement, batched, and transactional write paths
-    (and the server's op log) all build their records here, so recovery
-    and replay can never see diverging formats."""
+    contributes to the WAL. Single source of truth for the shape — the
+    single-statement, batched, and transactional write paths all build
+    their records here, so recovery can never see diverging formats."""
     return {"op": "execute", "sql": sql, "params": list(params)}
 
 
@@ -801,7 +800,7 @@ class BeliefDBMS:
         watch = Stopwatch()
         self._check_durable_writable()
         compiled = prepared.compiled
-        rowcounts: list[int] = []
+        total = 0
         entries: list[dict[str, Any]] = []
         with self._writing():
             try:
@@ -809,12 +808,7 @@ class BeliefDBMS:
                     rowcount = self._execute_dml_row(compiled, params)
                     if rowcount:
                         entries.append(execute_entry(prepared.sql, params))
-                    rowcounts.append(rowcount)
-            except BeliefDBError as exc:
-                # Strict mode stops at the first rejected row. Callers (the
-                # server's op log) need to know how much of the batch landed.
-                exc.partial_rowcounts = rowcounts  # type: ignore[attr-defined]
-                raise
+                    total += rowcount
             finally:
                 # One epoch bump for the whole batch: readers see the batch
                 # prefix exactly as the log records it.
@@ -822,7 +816,6 @@ class BeliefDBMS:
                 # Log whatever was applied even when a later row raised
                 # (strict mode): memory and log must agree on the prefix.
                 self._log_durable_batch(entries)
-        total = sum(rowcounts)
         elapsed_ms = self._observe_statement(prepared.kind, watch)
         return Result(
             kind=prepared.kind,
@@ -969,7 +962,6 @@ class BeliefDBMS:
                     txn._mark("failed")
                     self._note_txn("failed")
                     raise
-        txn.applied_entries = entries
         txn._mark("committed")
         self._note_txn("committed")
         with self._stmt_lock:

@@ -42,7 +42,7 @@ A Transaction object is not internally synchronized; its owner (an
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.bdms.dml import apply_compiled
 from repro.bdms.result import Result
@@ -82,9 +82,6 @@ class Transaction:
         self.db = db
         self._staged: list[StagedStatement] = []
         self._state = "open"
-        #: Filled by ``commit_transaction``: the WAL entries of the rows
-        #: that actually affected the database (for the server's op log).
-        self.applied_entries: list[dict[str, Any]] = []
         #: Cached read view (committed snapshot + staged writes) and the
         #: (epoch, statements, rows) key it was built for.
         self._view: Version | None = None

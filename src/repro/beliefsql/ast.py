@@ -259,7 +259,7 @@ def check_parameters(expected: int, params: "Sequence[Any]") -> tuple[Any, ...]:
     Only ``str``/``int``/``float`` may bind (the value domain of the external
     schema). Anything else — ``None``, bools, containers — is rejected up
     front: such values would execute but could not be rendered back as
-    parseable BeliefSQL, so the server's replayable op log (and any textual
+    parseable BeliefSQL, so the replayable WAL record (and any textual
     round-trip) would silently break.
     """
     bound = tuple(params)

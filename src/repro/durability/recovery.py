@@ -1,10 +1,9 @@
 """Replay WAL records into a BeliefDBMS — the bulk-restore fast path.
 
-WAL records mirror the server op log's shapes (see
-:mod:`repro.server.server`), with one durability-specific refinement: SQL
-writes are stored as *template + parameters* (``{"op": "execute", "sql":
-"insert into BELIEF ? ...", "params": [...]}``) rather than as bound
-literal SQL. Replay feeds them back through
+The WAL is the one serial log of accepted writes (the order writers took
+the write mutex). SQL writes are stored as *template + parameters*
+(``{"op": "execute", "sql": "insert into BELIEF ? ...", "params": [...]}``)
+rather than as bound literal SQL. Replay feeds them back through
 :meth:`~repro.bdms.bdms.BeliefDBMS.execute_sql`, so the BDMS
 prepared-statement LRU collapses every repetition of a template into one
 parse + one compile — recovering a 50k-op log costs ~as many parses as

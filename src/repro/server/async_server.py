@@ -5,7 +5,7 @@ concurrency *semantics* as the threaded :class:`~repro.server.server
 .BeliefServer` — one shared :class:`~repro.bdms.bdms.BeliefDBMS` with the
 same discipline (MVCC-pinned lock-free reads, exclusively-locked writes),
 the same per-session statement/cursor registries,
-the same op log and background checkpoint thread — but replaces
+the same op table and background checkpoint thread — but replaces
 thread-per-connection blocking I/O with a single asyncio event loop and
 **request pipelining**:
 
@@ -71,7 +71,7 @@ class AsyncBeliefServer(BeliefServer):
     worker_threads:
         Size of the thread pool that runs the lock-guarded database work.
         Reads share the RW lock across the pool; writes serialize on it
-        exactly as in the threaded server, so the op log order is still the
+        exactly as in the threaded server, so the WAL order is still the
         write-lock acquisition order.
     """
 
@@ -80,7 +80,6 @@ class AsyncBeliefServer(BeliefServer):
         db: BeliefDBMS,
         host: str = "127.0.0.1",
         port: int = 0,
-        record_ops: bool = False,
         checkpoint_interval: float | None = None,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         worker_threads: int = DEFAULT_WORKER_THREADS,
@@ -92,7 +91,7 @@ class AsyncBeliefServer(BeliefServer):
         wire: str = "auto",
     ) -> None:
         super().__init__(
-            db, host=host, port=port, record_ops=record_ops,
+            db, host=host, port=port,
             checkpoint_interval=checkpoint_interval,
             max_sessions=max_sessions,
             max_inflight_requests=max_inflight_requests,

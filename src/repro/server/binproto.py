@@ -27,7 +27,7 @@ Header layout (big-endian)::
     |  2 B  | 1 B | 1 B  |  8 B (i64)   | 4 B (u32)| len bytes |
     +-------+-----+------+--------------+----------+-----------+
 
-``kind`` is an op-code (:data:`OP_TABLE` index) for requests, or one of
+``kind`` is an op-code (:data:`OP_CODES`) for requests, or one of
 the reserved frame kinds (response-ok, response-error, JSON-escape
 request/response). Every decode failure — bad magic, wrong version,
 unknown kind, announced length over the ceiling, truncated header or
@@ -66,11 +66,9 @@ CODEC_BINARY = "binary-v1"
 #: *requires* a successful binary negotiation client-side (debug mode).
 WIRE_MODES = ("json", "binary", "auto")
 
-#: The transport-level negotiation op. Deliberately NOT in
-#: :data:`~repro.server.protocol.OPS`: it is handled by the connection
-#: loop (switching codecs is a framing concern, not a database op), and a
-#: pre-hello server answers it with a normal "unknown operation" error —
-#: which is exactly the signal for the client to stay on JSON.
+#: The transport-level negotiation op (code 0x00 in the op table, but not
+#: one of :data:`~repro.server.protocol.OPS`: the connection loop answers
+#: it, dispatch never sees it).
 HELLO_OP = "hello"
 
 MAGIC = b"\xb1\xdb"
@@ -86,62 +84,15 @@ KIND_RESPONSE_ERR = 0xE1
 KIND_JSON_REQUEST = 0xF0
 KIND_JSON_RESPONSE = 0xF1
 
-#: The binary-v1 op-code table: ``kind`` byte -> op name, by index.
-#: Part of the wire format — appending is compatible, reordering is not.
-#: An op missing here (anything added to OPS later) simply travels as a
-#: JSON-escape frame until the table catches up, so drift degrades to
-#: the floor instead of breaking. ``execute`` (0x0A) is retired — no server
-#: handles it, a frame carrying it gets the normal "unknown operation"
-#: error — and keeps its slot so no later op's code moves.
-OP_TABLE = (
-    HELLO_OP,
-    "ping", "login", "logout", "whoami", "set_path",
-    "add_user", "users",
-    "insert", "delete", "execute",
-    "prepare", "execute_prepared", "execute_batch", "close_statement",
-    "fetch", "close_cursor",
-    "begin", "commit", "rollback",
-    "query", "believes", "world", "worlds",
-    "stats", "metrics", "kripke", "describe",
-    "shard_status",
-)
-OP_CODES = {name: code for code, name in enumerate(OP_TABLE)}
-
-#: Positional parameter layouts, one per op (order is wire format; ≤ 8
-#: names so presence fits one bitmask byte). A request whose params carry
-#: any key outside its op's layout escapes to JSON — unshaped never means
-#: unsendable.
-PARAM_LAYOUTS: dict[str, tuple[str, ...]] = {
-    HELLO_OP: ("codecs", "version"),
-    "ping": (),
-    "login": ("user", "create"),
-    "logout": (),
-    "whoami": (),
-    "set_path": ("path",),
-    "add_user": ("name",),
-    "users": (),
-    "insert": ("relation", "values", "path", "sign"),
-    "delete": ("relation", "values", "path", "sign"),
-    "execute": ("sql",),
-    "prepare": ("sql",),
-    "execute_prepared": ("stmt", "sql", "params", "max_rows"),
-    "execute_batch": ("stmt", "sql", "param_rows"),
-    "close_statement": ("stmt",),
-    "fetch": ("cursor", "n"),
-    "close_cursor": ("cursor",),
-    "begin": (),
-    "commit": (),
-    "rollback": (),
-    "query": ("bcq",),
-    "believes": ("relation", "values", "path", "sign"),
-    "world": ("path",),
-    "worlds": (),
-    "stats": (),
-    "metrics": (),
-    "kripke": (),
-    "describe": (),
-    "shard_status": (),
+#: The binary-v1 op-code table, derived from the one op registry
+#: (:data:`repro.server.protocol.OP_TABLE`): ``kind`` byte -> row. Part of
+#: the wire format — appending is compatible, reordering is not. An op
+#: without a code simply travels as a JSON-escape frame, so the codec is
+#: never less expressive than the floor.
+_BY_CODE = {
+    spec.code: spec for spec in protocol.OP_TABLE if spec.code is not None
 }
+OP_CODES = {spec.name: code for code, spec in _BY_CODE.items()}
 
 #: Strings every session sends constantly — result-payload keys, status
 #: words — interned to a 2-byte tag. Part of the wire format: append
@@ -156,15 +107,13 @@ COMMON_STRINGS = (
 )
 _COMMON_CODES = {s: i for i, s in enumerate(COMMON_STRINGS)}
 
-# Hot-path lookup tables, precomputed once: one dict hit per frame
-# instead of shape-set construction + two lookups per encode.
-# ``execute_batch`` is deliberately absent: its payload is a parameter
-# matrix, which C json serializes faster than any per-cell Python loop,
-# so the whole frame always takes the JSON escape (measured, not taste).
+# Hot-path lookup table, precomputed once: one dict hit per frame instead
+# of shape-set construction + two lookups per encode. Rows marked
+# ``json_escape`` are absent, so their frames take the escape.
 _OP_ENC = {
-    op: (code, PARAM_LAYOUTS[op], frozenset(PARAM_LAYOUTS[op]))
-    for op, code in OP_CODES.items()
-    if op != "execute_batch"
+    spec.name: (spec.code, spec.layout, frozenset(spec.layout))
+    for spec in _BY_CODE.values()
+    if not spec.json_escape
 }
 _REQ_KEYS = frozenset(("id", "op", "params"))
 _RESP_KEYS = frozenset(("id", "ok", "result", "error"))
@@ -920,12 +869,13 @@ class BinaryCodec:
                 "id": request_id, "ok": False,
                 "error": {"type": err_type, "message": message},
             }
-        if kind < len(OP_TABLE):
-            op = OP_TABLE[kind]
+        spec = _BY_CODE.get(kind)
+        if spec is not None:
+            op = spec.name
             if not body:
                 raise ProtocolError("binary request frame has no bitmask")
             mask = body[0]
-            layout = PARAM_LAYOUTS[op]
+            layout = spec.layout
             if mask >> len(layout):
                 raise ProtocolError(
                     f"presence bitmask 0x{mask:02x} exceeds {op!r}'s layout"

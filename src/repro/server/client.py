@@ -158,17 +158,6 @@ class ConnectionLost(BeliefDBError):
     """The connection died mid-call or could not be established."""
 
 
-def _names_session_state(op: str, params: dict[str, Any]) -> bool:
-    """Does this request reference per-session server state (a prepared-
-    statement handle, a cursor id, or an open transaction) that cannot
-    survive a reconnect? ``commit``/``rollback`` qualify: the transaction
-    they address died with the old session, and reconnecting just to be
-    told "no transaction is open" would hide the loss."""
-    return "stmt" in params or "cursor" in params or op in (
-        "commit", "rollback",
-    )
-
-
 #: In-flight marker: the request is on the wire, its response not yet read.
 _UNRESOLVED = object()
 
@@ -418,7 +407,7 @@ class BeliefClient:
                         "connection to server lost "
                         "(auto_reconnect disabled; create a new client)"
                     )
-                if _names_session_state(op, params):
+                if protocol.names_session_state(op, params):
                     # A fresh session cannot know the old connection's
                     # prepared-statement/cursor handles or its open
                     # transaction; reconnecting just to be told "unknown
@@ -483,7 +472,7 @@ class BeliefClient:
                     or self._reconnecting
                     or reconnected  # this call already used its one attempt
                     or had_inflight
-                    or _names_session_state(op, params)
+                    or protocol.names_session_state(op, params)
                 ):
                     raise ConnectionLost(
                         f"connection to server lost: {exc}"
@@ -867,7 +856,8 @@ class BeliefClient:
         return bool(self.call("close_cursor", cursor=cursor_id)["closed"])
 
     def query(self, bcq: str) -> list[list[Any]]:
-        return self.call("query", bcq=bcq)
+        """All answers of a raw BCQ (paged server-side like a select)."""
+        return self.drain(self.call("query", bcq=bcq))
 
     def believes(
         self,

@@ -54,7 +54,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import BeliefDBError, FrameTooLargeError
+from repro.errors import BeliefDBError, FrameTooLargeError, TransactionError
 
 #: Default ceiling on a frame's payload size. Large enough for any realistic
 #: result set here, small enough that a garbage length prefix cannot make the
@@ -73,30 +73,142 @@ MAX_FRAME_BYTES = 1 << 20
 #: length prefix enough to drain it would let one bad frame park the reader
 #: on bytes that may never arrive.
 
-#: Every operation the server understands. The protocol layer validates that
-#: ``op`` is *a* string; membership is enforced by the server so that protocol
-#: and dispatch table cannot drift apart silently.
-OPS = frozenset({
+@dataclass(frozen=True)
+class OpSpec:
+    """One wire operation: everything the codec, both server cores, the
+    shard router and the clients know about it. :data:`OP_TABLE` is the
+    only place these facts are written down — an op is one row here plus
+    its ``_op_<name>`` handler (and ``_route_<name>`` where the router
+    rule is ``custom``).
+
+    ``code`` / ``layout`` are binary-v1 wire format (append-only): the
+    kind byte and the positional parameter order behind the presence
+    bitmask (at most 8 names). ``code=None`` means the op was never given
+    a code; ``json_escape`` means its requests always travel as a JSON
+    frame inside the binary framing, code or not.
+
+    ``lock`` is how a server core guards the handler: ``none`` (touches no
+    database state), ``pinned`` (reads a pinned MVCC version, no lock),
+    ``read`` (shared side of the readers-writer lock), ``write``
+    (exclusive), or None — a plain server has no handler and answers
+    "unknown operation".
+
+    ``route`` is the router rule: ``local`` (the inherited ``_op_<name>``
+    runs on the router's own session, no shard involved), ``by_path``
+    (forward to the shard owning the belief path's head, path made
+    explicit), ``fanout`` (every shard, answers joined under shard
+    headings), ``custom`` (``_route_<name>``), or None — not served.
+
+    ``names_session_state``: True when the op always addresses state that
+    dies with the connection (an open transaction), or the parameter
+    names that do when present (a statement handle, a cursor id).
+    """
+
+    name: str
+    code: int | None
+    layout: tuple[str, ...] = ()
+    lock: str | None = "read"
+    route: str | None = "custom"
+    in_txn: bool = True
+    shed_exempt: bool = False
+    names_session_state: bool | tuple[str, ...] = False
+    json_escape: bool = False
+
+
+_TUPLE = ("relation", "values", "path", "sign")
+
+OP_TABLE: tuple[OpSpec, ...] = (
+    # Transport-level: answered by the connection loop (it switches the
+    # codec, a framing concern), so a pre-hello server's ordinary "unknown
+    # operation" reply is the client's stay-on-JSON signal.
+    OpSpec("hello", 0x00, ("codecs", "version"), lock=None, route=None),
     # session
-    "ping", "login", "logout", "whoami", "set_path",
+    OpSpec("ping", 0x01, lock="none", route="local", shed_exempt=True),
+    OpSpec("login", 0x02, ("user", "create"), lock="write"),
+    OpSpec("logout", 0x03),
+    OpSpec("whoami", 0x04),
+    OpSpec("set_path", 0x05, ("path",)),
     # user management
-    "add_user", "users",
-    # one tuple, by value (Alg. 4 on the session's default path)
-    "insert", "delete",
-    # BeliefSQL statements (by handle or inline text), batches, result paging
-    "prepare", "execute_prepared", "execute_batch", "close_statement",
-    "fetch", "close_cursor",
-    # transactions (per-session; DML between begin and commit is staged)
-    "begin", "commit", "rollback",
+    OpSpec("add_user", 0x06, ("name",), lock="write"),
+    OpSpec("users", 0x07),
+    # One tuple, by value (Alg. 4 on the session's default path). Not
+    # transactional: autocommitting mid-transaction would interleave with
+    # the staged group.
+    OpSpec("insert", 0x08, _TUPLE, lock="write", route="by_path", in_txn=False),
+    OpSpec("delete", 0x09, _TUPLE, lock="write", route="by_path", in_txn=False),
+    # Retired (PR 15): nothing serves it; the slot stays so no later code
+    # moved and an old frame still decodes to the typed error.
+    OpSpec("execute", 0x0A, ("sql",), lock=None, route=None),
+    # BeliefSQL statements (by handle or inline text), batches, paging.
+    OpSpec("prepare", 0x0B, ("sql",)),
+    # ``pinned`` is the select's class; dispatch promotes DML to ``write``
+    # (or stages it, in a transaction) once the statement is resolved.
+    OpSpec("execute_prepared", 0x0C, ("stmt", "sql", "params", "max_rows"),
+           lock="pinned", names_session_state=("stmt",)),
+    # The payload is a parameter matrix, which C json serializes faster
+    # than any per-cell tag walk (measured): the frame always escapes.
+    OpSpec("execute_batch", 0x0D, ("stmt", "sql", "param_rows"),
+           lock="write", names_session_state=("stmt",), json_escape=True),
+    OpSpec("close_statement", 0x0E, ("stmt",), route="local",
+           names_session_state=("stmt",)),
+    OpSpec("fetch", 0x0F, ("cursor", "n"), route="local",
+           names_session_state=("cursor",)),
+    OpSpec("close_cursor", 0x10, ("cursor",), route="local",
+           names_session_state=("cursor",)),
+    # Transactions: begin/rollback only touch the per-session buffer;
+    # commit applies the whole group under one exclusive acquisition.
+    OpSpec("begin", 0x11),
+    OpSpec("commit", 0x12, lock="write", names_session_state=True),
+    OpSpec("rollback", 0x13, names_session_state=True),
     # queries
-    "query", "believes", "world", "worlds",
-    # introspection
-    "stats", "metrics", "kripke", "describe",
-    # belief lifecycle (curation writes) and the append-only audit reads
-    "lifecycle", "audit",
-    # sharding (answered by the router; a plain worker reports unknown op)
-    "shard_status",
-})
+    OpSpec("query", 0x14, ("bcq",), lock="pinned"),
+    OpSpec("believes", 0x15, _TUPLE, lock="pinned", route="by_path"),
+    OpSpec("world", 0x16, ("path",), lock="pinned", route="by_path"),
+    OpSpec("worlds", 0x17, lock="pinned"),
+    # introspection (kripke/describe read the live store: shared lock)
+    OpSpec("stats", 0x18, lock="pinned"),
+    OpSpec("metrics", 0x19, lock="none", shed_exempt=True),
+    OpSpec("kripke", 0x1A, route="fanout"),
+    OpSpec("describe", 0x1B, route="fanout"),
+    # Sharding: answered by the router only; fleet health must stay
+    # visible under overload.
+    OpSpec("shard_status", 0x1C, lock=None, route="local", shed_exempt=True),
+    # Belief lifecycle (curation writes, compare-and-swap against the live
+    # registry — staging one would let a commit reorder around the
+    # compare) and the audit reads. Their parameter sets outgrow one
+    # bitmask byte, so they were given no code: JSON escape by decision.
+    OpSpec("lifecycle", None, lock="write", in_txn=False, json_escape=True),
+    OpSpec("audit", None, lock="pinned", json_escape=True),
+)
+
+#: The ops a server or router answers, by name (``hello`` and the retired
+#: ``execute`` hold codes but are not database ops).
+OPS: dict[str, OpSpec] = {
+    spec.name: spec for spec in OP_TABLE
+    if spec.lock is not None or spec.route is not None
+}
+
+
+def names_session_state(op: str, params: dict[str, Any]) -> bool:
+    """Does this request address per-session server state (a prepared-
+    statement handle, a cursor id, the open transaction) that cannot
+    survive a reconnect?"""
+    spec = OPS.get(op)
+    if spec is None:
+        return False
+    named = spec.names_session_state
+    if isinstance(named, bool):
+        return named
+    return any(key in params for key in named)
+
+
+def not_transactional(op: str) -> TransactionError:
+    """The refusal for an op whose row says ``in_txn=False``."""
+    return TransactionError(
+        f"the {op} op is not transactional; commit or rollback first "
+        "(inside a transaction, DML goes through execute_prepared)"
+    )
+
 
 _LENGTH = struct.Struct(">I")
 

@@ -10,8 +10,9 @@ server guards it with a writer-preference :class:`ReadWriteLock`:
   remaining session/catalog reads share the lock;
 * *writes* (``insert``, ``delete``, ``update``, ``add_user``) are exclusive,
   which makes every update atomic and the whole history linearizable: the
-  order in which writers acquire the lock *is* the serial order (the op log
-  records it, and tests replay it to check equivalence);
+  order in which writers acquire the lock *is* the serial order (on a
+  durable database the WAL records it, and tests recover from it to check
+  equivalence);
 * *transaction commits* are writes: the whole staged group of a session's
   transaction applies under ONE exclusive acquisition (and one WAL fsync),
   so readers never observe a partial transaction. ``begin``/``rollback``
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from contextlib import nullcontext
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-from repro.bdms.bdms import BeliefDBMS, PreparedStatement, execute_entry
+from repro.bdms.bdms import BeliefDBMS, PreparedStatement
 from repro.core.paths import format_path
 from repro.errors import (
     BeliefDBError,
@@ -190,10 +190,6 @@ class BeliefServer:
     host / port:
         Bind address. ``port=0`` picks an ephemeral port; the bound address
         is available as :attr:`address` after :meth:`start`.
-    record_ops:
-        Keep an in-memory log of every accepted write in serial (lock) order,
-        for linearizability checks — see :meth:`oplog` and
-        :func:`replay_oplog`.
     checkpoint_interval:
         When the shared ``db`` has a durability manager attached, run a
         background thread that checkpoints (snapshot + WAL prune, under the
@@ -209,26 +205,21 @@ class BeliefServer:
         Admission control on requests: when this many requests are already
         executing server-wide, further requests are shed immediately with
         ``SERVER_OVERLOADED`` instead of queueing on the database lock —
-        bounding latency under overload. ``ping`` and ``metrics`` are
-        exempt so health checks and scrapes survive. None means unlimited.
+        bounding latency under overload. Ops whose
+        :data:`~repro.server.protocol.OP_TABLE` row says ``shed_exempt``
+        (``ping``, ``metrics``) still answer, so health checks and scrapes
+        survive. None means unlimited.
     slow_op_ms / slow_op_capacity:
         Threshold and ring-buffer size of the slow-op trace log (see
         :class:`~repro.obs.trace.SlowOpLog`). ``slow_op_ms=None`` disables
         tracing; ``0`` traces every op.
     """
 
-    #: Ops admission control never sheds: health checks and scrapes must
-    #: keep answering under overload (they bypass the database lock, so
-    #: admitting them costs nothing). A class attribute so the shard router
-    #: can extend the set (it adds ``shard_status``).
-    shed_exempt_ops: frozenset = frozenset({"ping", "metrics"})
-
     def __init__(
         self,
         db: BeliefDBMS,
         host: str = "127.0.0.1",
         port: int = 0,
-        record_ops: bool = False,
         checkpoint_interval: float | None = None,
         max_sessions: int | None = None,
         max_inflight_requests: int | None = None,
@@ -250,13 +241,10 @@ class BeliefServer:
         #: :data:`repro.server.client.MAX_BATCH_CHUNK_BYTES`).
         self.page_bytes = self.max_frame_bytes // 3
         self.lock = ReadWriteLock()
-        self.record_ops = record_ops
         self.checkpoint_interval = checkpoint_interval
         self.max_sessions = max_sessions
         self.max_inflight_requests = max_inflight_requests
         self._checkpoint_thread: threading.Thread | None = None
-        self._oplog: list[dict[str, Any]] = []
-        self._oplog_seq = 0
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -630,10 +618,12 @@ class BeliefServer:
         outcome counters, and the slow-op trace log.
         """
         op = request.op
+        spec = protocol.OPS.get(op)
         shard: list[int] | None = None
-        if (
-            self.max_inflight_requests is not None
-            and op not in self.shed_exempt_ops
+        if self.max_inflight_requests is not None and not (
+            # Health checks and scrapes must keep answering under overload
+            # (they take no database lock, so admitting them costs nothing).
+            spec is not None and spec.shed_exempt
         ):
             with self._inflight_lock:
                 admitted = self._inflight < self.max_inflight_requests
@@ -653,7 +643,7 @@ class BeliefServer:
             shard[0] += 1
         start = monotonic_s()
         try:
-            response = self._dispatch_inner(session, request)
+            response = self._dispatch_inner(session, request, spec)
         finally:
             if shard is not None:
                 shard[0] -= 1
@@ -693,115 +683,88 @@ class BeliefServer:
         timer.observe(elapsed_s)
 
     def _dispatch_inner(
-        self, session: ClientSession, request: Request
+        self,
+        session: ClientSession,
+        request: Request,
+        spec: protocol.OpSpec | None,
     ) -> Response:
-        handler = _HANDLERS.get(request.op)
-        if handler is None or request.op not in protocol.OPS:
-            with self._state_lock:
-                self.stats["op_errors"] += 1
-            return Response.failure(
-                request.id,
-                BeliefDBError(f"unknown operation {request.op!r}"),
-            )
-        func, kind = handler
+        """Run one request against its op-table row; every op error —
+        an unknown op included — travels back as an error response."""
         try:
-            if request.op in _LOCKLESS_OPS:
-                # Served without the database lock: the metrics registry and
-                # slow-op log carry their own (leaf) locks, so scrapes stay
-                # responsive even when the writer lock is congested.
-                result = func(self, session, request.params)
-                with self._state_lock:
-                    self.stats["ops_served"] += 1
-                return Response.success(request.id, result)
-            if request.op == "execute_prepared":
-                # Resolve + session-rewrite the prepared statement outside the
-                # lock (the BDMS statement cache has its own internal lock),
-                # then classify read vs write by the statement kind.
-                prepared, bind = self._resolve_prepared(session, request.params)
-                if prepared.kind != "select" and session.in_transaction:
-                    # In-transaction DML stages into the session's write
-                    # buffer — no shared state is touched, so staging
-                    # runs on the read side and writers are undisturbed.
-                    func = BeliefServer._op_stage
-                    params: dict[str, Any] = {
-                        "prepared": prepared,
-                        "param_rows": [bind],
-                        "many": False,
-                    }
-                else:
-                    if prepared.kind != "select":
-                        kind = "write"
-                    params = {
-                        "prepared": prepared,
-                        "bind": bind,
-                        "max_rows": _page_size(request.params, "max_rows"),
-                    }
-            elif request.op == "execute_batch":
-                # DML-only: the whole batch runs under ONE write-lock
-                # acquisition and (on durable servers) one WAL batch append —
-                # or, inside a transaction, stages as one unit for commit.
-                prepared, param_rows = self._resolve_batch(
-                    session, request.params
-                )
-                if session.in_transaction:
-                    func = BeliefServer._op_stage
-                    params = {
-                        "prepared": prepared,
-                        "param_rows": param_rows,
-                        "many": True,
-                    }
-                else:
-                    kind = "write"
-                    params = {"prepared": prepared, "param_rows": param_rows}
-            elif (
-                request.op in ("insert", "delete")
-                and session.in_transaction
-            ):
-                # The programmatic tuple ops are not transactional; letting
-                # them autocommit mid-transaction would silently interleave
-                # with the staged group.
-                raise TransactionError(
-                    f"the {request.op} op is not transactional; use "
-                    "execute_prepared inside a transaction"
-                )
-            else:
-                params = request.params
-            if kind == "write":
-                guard: Any = self.lock.write()
-            elif request.op in _PINNED_READ_OPS:
-                # MVCC: these reads evaluate against a pinned copy-on-write
-                # version of the store (the BDMS pins one per call or the
-                # handler pins one explicitly), so they need no lock at all —
-                # a scan never blocks a writer and never observes one.
-                guard = nullcontext()
-            else:
-                guard = self.lock.read()
-            with guard:
-                result = func(self, session, params)
-            with self._state_lock:
-                self.stats["ops_served"] += 1
-            return Response.success(request.id, result)
+            if spec is None:
+                raise _unknown_operation(request.op)
+            result = self._run_op(session, spec, request.params)
         except Exception as exc:  # noqa: BLE001 — every op error travels back
             with self._state_lock:
                 self.stats["op_errors"] += 1
             return Response.failure(request.id, exc)
+        with self._state_lock:
+            self.stats["ops_served"] += 1
+        return Response.success(request.id, result)
 
-    # ---------------------------------------------------------------- op log
+    def _run_op(
+        self, session: ClientSession, spec: protocol.OpSpec,
+        params: dict[str, Any],
+    ) -> Any:
+        """Resolve ``_op_<name>`` and run it under the guard the row's
+        ``lock`` column names (the shard router overrides this with its
+        routing rules)."""
+        handler = getattr(self, f"_op_{spec.name}", None)
+        if handler is None:
+            raise _unknown_operation(spec.name)
+        if not spec.in_txn and session.in_transaction:
+            raise protocol.not_transactional(spec.name)
+        lock = spec.lock
+        if spec.name in ("execute_prepared", "execute_batch"):
+            handler, lock, params = self._plan_statement(session, spec, params)
+        if lock == "write":
+            guard: Any = self.lock.write()
+        elif lock == "read":
+            guard = self.lock.read()
+        else:
+            # ``none`` touches no database state (the metrics registry and
+            # slow-op log carry their own leaf locks, so scrapes stay
+            # responsive when the writer lock is congested); ``pinned``
+            # evaluates against a pinned copy-on-write MVCC version (the
+            # BDMS pins one per call or the handler pins one explicitly) —
+            # a scan never blocks a writer and never observes one.
+            guard = nullcontext()
+        with guard:
+            return handler(session, params)
 
-    def _record(self, entry: dict[str, Any]) -> None:
-        """Append one accepted write to the serial-order log.
-
-        Must be called while holding the write lock — the log order then
-        equals the serialization order of the writer lock.
-        """
-        if not self.record_ops:
-            return
-        self._oplog_seq += 1
-        self._oplog.append({"seq": self._oplog_seq, **entry})
-
-    def oplog(self) -> list[dict[str, Any]]:
-        with self.lock.read():
-            return [dict(entry) for entry in self._oplog]
+    def _plan_statement(
+        self, session: ClientSession, spec: protocol.OpSpec,
+        params: dict[str, Any],
+    ) -> tuple[Callable[..., Any], str, dict[str, Any]]:
+        """Resolve + session-rewrite an ``execute_prepared`` /
+        ``execute_batch`` statement outside the lock (the BDMS statement
+        cache has its own internal lock), then pick handler and lock class
+        by the statement kind: a select reads a pinned version; DML takes
+        ONE write-lock acquisition (a whole batch: one WAL append too) —
+        or, inside a transaction, stages into the session's write buffer,
+        which touches no shared state and so takes no lock."""
+        batch = spec.name == "execute_batch"
+        if batch:
+            prepared, param_rows = self._resolve_batch(session, params)
+        else:
+            prepared, bind = self._resolve_prepared(session, params)
+            param_rows = [bind]
+        if prepared.kind != "select" and session.in_transaction:
+            return self._stage, "pinned", {
+                "prepared": prepared, "param_rows": param_rows, "many": batch,
+            }
+        if batch:
+            return self._op_execute_batch, "write", {
+                "prepared": prepared, "param_rows": param_rows,
+            }
+        return (
+            self._op_execute_prepared,
+            spec.lock if prepared.kind == "select" else "write",
+            {
+                "prepared": prepared, "bind": param_rows[0],
+                "max_rows": _page_size(params, "max_rows"),
+            },
+        )
 
     # ------------------------------------------------------------- op bodies
 
@@ -818,7 +781,6 @@ class BeliefServer:
             if not create or not isinstance(user, str):
                 raise
             uid = self.db.add_user(user)
-            self._record({"op": "add_user", "name": user, "uid": uid})
         session.login(uid, store.user_name(uid))
         return session.describe()
 
@@ -838,12 +800,9 @@ class BeliefServer:
         return session.describe()
 
     def _op_add_user(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        name = params.get("name")
         # An explicit uid pins the assignment — the shard router uses this to
         # replicate one user identically across every worker's registry.
-        uid = self.db.add_user(name, uid=params.get("uid"))
-        self._record({"op": "add_user", "name": name, "uid": uid})
-        return uid
+        return self.db.add_user(params.get("name"), uid=params.get("uid"))
 
     def _op_users(self, session: ClientSession, params: dict[str, Any]) -> Any:
         return [[uid, name] for uid, name in sorted(self.db.users().items(),
@@ -851,17 +810,11 @@ class BeliefServer:
 
     def _op_insert(self, session: ClientSession, params: dict[str, Any]) -> Any:
         path, relation, values, sign = self._statement_params(session, params)
-        ok = self.db.insert(path, relation, values, sign)
-        self._record({"op": "insert", "path": list(path), "relation": relation,
-                      "values": list(values), "sign": sign, "ok": ok})
-        return ok
+        return self.db.insert(path, relation, values, sign)
 
     def _op_delete(self, session: ClientSession, params: dict[str, Any]) -> Any:
         path, relation, values, sign = self._statement_params(session, params)
-        ok = self.db.delete(path, relation, values, sign)
-        self._record({"op": "delete", "path": list(path), "relation": relation,
-                      "values": list(values), "sign": sign, "ok": ok})
-        return ok
+        return self.db.delete(path, relation, values, sign)
 
     def _statement_params(
         self, session: ClientSession, params: dict[str, Any]
@@ -928,13 +881,6 @@ class BeliefServer:
             # the session's private view (committed snapshot + staged DML).
             version = session.transaction().read_version()
         result = self.db.execute_prepared(prepared, bind, version=version)
-        if prepared.kind != "select" and self.record_ops:
-            self._record({
-                **execute_entry(prepared.sql, bind), "ok": result.rowcount,
-            })
-        first, cursor_id = session.open_cursor(
-            result.rows, params["max_rows"], self.page_bytes
-        )
         # Metadata assembled by hand (not result.to_wire()): serializing the
         # full row set just to overwrite it with the first page would be
         # O(total rows) of waste under the db lock.
@@ -944,6 +890,16 @@ class BeliefServer:
             "rowcount": result.rowcount,
             "status": result.status,
             "elapsed_ms": result.elapsed_ms,
+            **self._first_page(session, result.rows, params["max_rows"]),
+        }
+
+    def _first_page(
+        self, session: ClientSession, rows: list, max_rows: int
+    ) -> dict[str, Any]:
+        """The paging fields of a row result: the first page (cut by rows
+        and by bytes) and a cursor parking the tail for ``fetch``."""
+        first, cursor_id = session.open_cursor(rows, max_rows, self.page_bytes)
+        return {
             "rows": _jsonify(first),
             "cursor": cursor_id,
             "has_more": cursor_id is not None,
@@ -968,30 +924,9 @@ class BeliefServer:
     def _op_execute_batch(
         self, session: ClientSession, params: dict[str, Any]
     ) -> Any:
-        prepared: PreparedStatement = params["prepared"]
-        param_rows: list[tuple[Any, ...]] = params["param_rows"]
-        try:
-            result = self.db.execute_batch(prepared, param_rows)
-        except BeliefDBError as exc:
-            # Strict mode stops at the first rejected row, but the applied
-            # prefix stays applied (and WAL-logged) — record it so the op
-            # log still replays to the same state.
-            applied = getattr(exc, "partial_rowcounts", None)
-            if applied:
-                self._record({
-                    "op": "execute_batch",
-                    "sql": prepared.sql,
-                    "param_rows": _jsonify(param_rows[:len(applied)]),
-                    "ok": sum(applied),
-                })
-            raise
-        self._record({
-            "op": "execute_batch",
-            "sql": prepared.sql,
-            "param_rows": _jsonify(param_rows),
-            "ok": result.rowcount,
-        })
-        return self._result_payload(result)
+        return self._result_payload(
+            self.db.execute_batch(params["prepared"], params["param_rows"])
+        )
 
     # --------------------------------------------------------- transactions
 
@@ -1022,31 +957,21 @@ class BeliefServer:
         # observes a partial transaction. A mid-apply rejection rolls the
         # prefix back inside commit_transaction and raises — the session's
         # transaction is consumed either way.
-        txn = session.take_transaction()
-        result = self.db.commit_transaction(txn)
-        if txn.applied_entries:
-            self._record({
-                "op": "txn",
-                "statements": [
-                    {"sql": entry["sql"], "params": entry["params"]}
-                    for entry in txn.applied_entries
-                ],
-                "ok": result.rowcount,
-            })
-        return self._result_payload(result)
+        return self._result_payload(
+            self.db.commit_transaction(session.take_transaction())
+        )
 
     def _op_rollback(
         self, session: ClientSession, params: dict[str, Any]
     ) -> Any:
         return {"discarded": session.rollback_transaction()}
 
-    def _op_stage(self, session: ClientSession, params: dict[str, Any]) -> Any:
+    def _stage(self, session: ClientSession, params: dict[str, Any]) -> Any:
         """Stage in-transaction DML into the session's write buffer.
 
-        Routed here by ``_dispatch`` for ``execute_prepared`` and
-        ``execute_batch`` while the session has an open transaction; runs
-        under the shared read lock (the buffer is per-session, the store
-        untouched).
+        ``_plan_statement`` routes ``execute_prepared`` and
+        ``execute_batch`` here while the session has an open transaction;
+        takes no lock (the buffer is per-session, the store untouched).
         """
         prepared: PreparedStatement = params["prepared"]
         txn = session.transaction()
@@ -1069,7 +994,9 @@ class BeliefServer:
         return {"closed": session.close_cursor(_require(params, "cursor"))}
 
     def _op_query(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        return _jsonify(self.db.query(_require(params, "bcq")))
+        """A raw BCQ's answers, paged like a select's rows."""
+        rows = sorted(self.db.query(_require(params, "bcq")), key=repr)
+        return self._first_page(session, rows, DEFAULT_PAGE_ROWS)
 
     def _op_believes(self, session: ClientSession, params: dict[str, Any]) -> Any:
         relation = _require(params, "relation")
@@ -1108,8 +1035,9 @@ class BeliefServer:
                 })
         return out
 
-    def _op_stats(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        snapshot = self.db.snapshot_stats()
+    def _server_stats(self) -> dict[str, Any]:
+        """This endpoint's own counters (the ``server`` section of
+        ``stats``; the router reports its own under ``router``)."""
         with self._state_lock:
             server = dict(self.stats)
         server["inflight_requests"] = self._inflight_now()
@@ -1118,7 +1046,11 @@ class BeliefServer:
         server["max_sessions"] = self.max_sessions
         server["max_inflight_requests"] = self.max_inflight_requests
         server["slow_ops_recorded"] = self.slow_ops.recorded_total
-        snapshot["server"] = server
+        return server
+
+    def _op_stats(self, session: ClientSession, params: dict[str, Any]) -> Any:
+        snapshot = self.db.snapshot_stats()
+        snapshot["server"] = self._server_stats()
         return snapshot
 
     def _op_metrics(self, session: ClientSession, params: dict[str, Any]) -> Any:
@@ -1138,28 +1070,16 @@ class BeliefServer:
     def _op_lifecycle(
         self, session: ClientSession, params: dict[str, Any]
     ) -> Any:
-        """One curation write: propose / transition / decay_sweep.
-
-        Runs under the exclusive write lock; the op-log entry carries the
-        resolved arguments *and* the server-stamped timestamp, so replaying
-        the log rebuilds the exact audit history (ids and event order are
-        deterministic functions of the record contents).
-        """
-        if session.in_transaction:
-            # Lifecycle transitions are compare-and-swap ops against the
-            # live registry; staging them would let a later commit reorder
-            # around the compare and hand both racing curators a win.
-            raise TransactionError(
-                "lifecycle operations are not transactional; "
-                "commit or rollback first"
-            )
+        """One curation write: propose / transition / decay_sweep, under
+        the exclusive write lock. Not transactional (its op-table row says
+        so): transitions are compare-and-swap ops against the live
+        registry."""
         action = _require(params, "action")
         # Attribution: an explicit actor wins; otherwise the logged-in
         # curator (clients send actor=null, so a plain .get default won't do).
         actor = params.get("actor")
         if actor is None:
             actor = session.user
-        ts = time.time()
         if action == "propose":
             raw_path = params.get("path")
             if raw_path is not None and not isinstance(raw_path, (list, tuple)):
@@ -1173,42 +1093,15 @@ class BeliefServer:
                 confidence=params.get("confidence", 1.0),
                 decay=params.get("decay", "none"),
                 derived_from=params.get("derived_from", ()),
-                ts=ts,
             )
-            self._record({
-                "op": "lifecycle", "action": "propose",
-                "path": result["path"], "relation": result["relation"],
-                "values": result["values"], "sign": result["sign"],
-                "actor": result["actor"],
-                "confidence": result["confidence"],
-                "decay": result["decay"],
-                "derived_from": result["derived_from"],
-                "ts": ts, "ok": result["belief"],
-            })
         elif action == "transition":
-            belief = _require(params, "belief")
-            to = _require(params, "to")
-            expect = params.get("expect")
-            reason = params.get("reason")
             result = self.db.lifecycle_transition(
-                belief, to, actor=actor, expect=expect, reason=reason, ts=ts,
+                _require(params, "belief"), _require(params, "to"),
+                actor=actor, expect=params.get("expect"),
+                reason=params.get("reason"),
             )
-            self._record({
-                "op": "lifecycle", "action": "transition",
-                "belief": belief, "to": to, "expect": expect,
-                "reason": reason, "actor": result["actor"],
-                "ts": ts, "ok": result["status"],
-            })
         elif action == "decay_sweep":
-            result = self.db.lifecycle_decay_sweep(actor=actor, now=ts)
-            self._record({
-                "op": "lifecycle", "action": "decay_sweep",
-                "actor": (
-                    self.db.store.resolve_user(actor)
-                    if actor is not None else None
-                ),
-                "ts": ts, "ok": dict(result),
-            })
+            result = self.db.lifecycle_decay_sweep(actor=actor)
         else:
             raise BeliefDBError(f"unknown lifecycle action {action!r}")
         return _jsonify(result)
@@ -1246,6 +1139,10 @@ class BeliefServer:
         return self.db.describe()
 
 
+def _unknown_operation(op: str) -> BeliefDBError:
+    return BeliefDBError(f"unknown operation {op!r}")
+
+
 def _require(params: dict[str, Any], key: str) -> Any:
     if key not in params:
         raise BeliefDBError(f"missing required parameter {key!r}")
@@ -1257,144 +1154,3 @@ def _page_size(params: dict[str, Any], key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise BeliefDBError(f"{key} must be a positive int, got {value!r}")
     return value
-
-
-#: op name -> (bound-method extractor, "read" | "write").
-_HANDLERS: dict[str, tuple[Callable[..., Any], str]] = {
-    "ping": (BeliefServer._op_ping, "read"),
-    "login": (BeliefServer._op_login, "write"),
-    "logout": (BeliefServer._op_logout, "read"),
-    "whoami": (BeliefServer._op_whoami, "read"),
-    "set_path": (BeliefServer._op_set_path, "read"),
-    "add_user": (BeliefServer._op_add_user, "write"),
-    "users": (BeliefServer._op_users, "read"),
-    "insert": (BeliefServer._op_insert, "write"),
-    "delete": (BeliefServer._op_delete, "write"),
-    "prepare": (BeliefServer._op_prepare, "read"),
-    # DML is promoted to "write" (or staged, in a transaction) in _dispatch.
-    "execute_prepared": (BeliefServer._op_execute_prepared, "read"),
-    "execute_batch": (BeliefServer._op_execute_batch, "write"),
-    "close_statement": (BeliefServer._op_close_statement, "read"),
-    # begin/rollback only touch the per-session buffer (read side); commit
-    # applies the whole group under one exclusive write-lock acquisition.
-    "begin": (BeliefServer._op_begin, "read"),
-    "commit": (BeliefServer._op_commit, "write"),
-    "rollback": (BeliefServer._op_rollback, "read"),
-    "fetch": (BeliefServer._op_fetch, "read"),
-    "close_cursor": (BeliefServer._op_close_cursor, "read"),
-    "query": (BeliefServer._op_query, "read"),
-    "believes": (BeliefServer._op_believes, "read"),
-    "world": (BeliefServer._op_world, "read"),
-    "worlds": (BeliefServer._op_worlds, "read"),
-    "stats": (BeliefServer._op_stats, "read"),
-    "metrics": (BeliefServer._op_metrics, "read"),  # lockless; see _dispatch
-    "kripke": (BeliefServer._op_kripke, "read"),
-    "describe": (BeliefServer._op_describe, "read"),
-    "lifecycle": (BeliefServer._op_lifecycle, "write"),
-    "audit": (BeliefServer._op_audit, "read"),  # pinned MVCC read
-}
-
-#: Ops served without taking the database lock at all (``ping`` touches no
-#: shared state; ``metrics`` reads structures with their own leaf locks).
-_LOCKLESS_OPS = frozenset({"ping", "metrics"})
-
-#: Read ops that evaluate against a *pinned MVCC version* and therefore skip
-#: the readers-writer lock entirely (see ``_dispatch_inner``): the BDMS pins
-#: a copy-on-write snapshot per call (``query``/``believes``/select
-#: ``execute_prepared``/``stats``) or the handler pins one
-#: explicitly across its whole iteration (``world``/``worlds``). Staging
-#: in-transaction DML rides the same ops and only touches the per-session
-#: buffer. ``kripke``/``describe`` and the session/catalog ops stay on the
-#: shared read lock — they read the live store directly.
-_PINNED_READ_OPS = frozenset({
-    "execute_prepared", "query", "believes",
-    "world", "worlds", "stats", "audit",
-})
-
-#: Module-level alias of :attr:`BeliefServer.shed_exempt_ops` (the class
-#: attribute is authoritative; the router core overrides it).
-_SHED_EXEMPT_OPS = BeliefServer.shed_exempt_ops
-
-
-def replay_oplog(db: BeliefDBMS, entries: Sequence[dict[str, Any]]) -> None:
-    """Re-execute an op log serially against a fresh BDMS.
-
-    Used by the linearizability tests: a concurrent run recorded under the
-    writer lock, replayed here in log order, must produce the same database
-    *and* the same per-op outcomes.
-    """
-    for entry in entries:
-        op = entry["op"]
-        if op == "add_user":
-            uid = db.add_user(entry["name"], uid=entry.get("uid"))
-            if entry.get("uid") is not None and uid != entry["uid"]:
-                raise BeliefDBError(
-                    f"replay diverged: add_user gave {uid!r}, log has {entry['uid']!r}"
-                )
-        elif op in ("insert", "delete"):
-            func = db.insert if op == "insert" else db.delete
-            try:
-                ok = func(entry["path"], entry["relation"], entry["values"],
-                          entry["sign"])
-            except BeliefDBError:
-                ok = False
-            if ok != entry["ok"]:
-                raise BeliefDBError(
-                    f"replay diverged at seq {entry['seq']}: {op} gave {ok!r}, "
-                    f"log has {entry['ok']!r}"
-                )
-        elif op == "execute_batch":
-            try:
-                result = db.execute_batch(
-                    entry["sql"],
-                    [tuple(row) for row in entry["param_rows"]],
-                ).rowcount
-            except BeliefDBError:
-                result = False
-            if result != entry["ok"]:
-                raise BeliefDBError(
-                    f"replay diverged at seq {entry['seq']}: execute_batch "
-                    f"gave {result!r}, log has {entry['ok']!r}"
-                )
-        elif op == "lifecycle":
-            # The entry *is* the lifecycle WAL record (plus seq/ok); replay
-            # feeds it through the same deterministic apply path recovery
-            # uses, so ids, statuses, and audit events come out identical.
-            try:
-                applied = db.apply_lifecycle_record(
-                    {k: v for k, v in entry.items() if k not in ("seq", "ok")}
-                )
-                if entry["action"] == "propose":
-                    result = applied["belief"]
-                elif entry["action"] == "transition":
-                    result = applied["status"]
-                else:
-                    result = dict(applied)
-            except BeliefDBError:
-                result = False
-            if result != entry["ok"]:
-                raise BeliefDBError(
-                    f"replay diverged at seq {entry['seq']}: lifecycle "
-                    f"{entry['action']} gave {result!r}, log has "
-                    f"{entry['ok']!r}"
-                )
-        elif op in ("execute", "txn"):
-            # One statement, or a committed transaction's statements in
-            # commit order (serially equivalent: the original applied them
-            # under one uninterrupted write-lock hold) — each the
-            # template + params entry the WAL carries.
-            statements = entry["statements"] if op == "txn" else [entry]
-            try:
-                result = sum(
-                    db.execute_sql(stmt["sql"], tuple(stmt["params"])).rowcount
-                    for stmt in statements
-                )
-            except BeliefDBError:
-                result = False
-            if result != entry["ok"]:
-                raise BeliefDBError(
-                    f"replay diverged at seq {entry['seq']}: {op} gave "
-                    f"{result!r}, log has {entry['ok']!r}"
-                )
-        else:
-            raise BeliefDBError(f"unknown oplog entry {entry!r}")

@@ -64,8 +64,8 @@ from repro.server.client import (
     ConnectionLost,
     merge_batch_payload,
 )
-from repro.server.protocol import Request, Response
 from repro.server.server import (
+    DEFAULT_PAGE_ROWS,
     BeliefServer,
     ClientSession,
     _page_size,
@@ -174,11 +174,8 @@ class BeliefRouter(BeliefServer):
     Inherits all of :class:`BeliefServer`'s networking — accept loop,
     framing with the configurable ceiling, session lifecycle, admission
     control, metrics/slow-op instrumentation — and replaces the dispatch
-    layer with routing. Admission exempts ``shard_status`` alongside
-    ``ping``/``metrics``: fleet health must be visible under overload.
+    layer with the op table's ``route`` column.
     """
-
-    shed_exempt_ops = BeliefServer.shed_exempt_ops | {"shard_status"}
 
     def __init__(
         self,
@@ -244,27 +241,39 @@ class BeliefRouter(BeliefServer):
             session.abandon_transaction = rsession.teardown  # type: ignore[method-assign]
         return rsession
 
-    def _dispatch_inner(
-        self, session: ClientSession, request: Request
-    ) -> Response:
-        handler = _ROUTER_HANDLERS.get(request.op)
-        if handler is None or request.op not in protocol.OPS:
-            with self._state_lock:
-                self.stats["op_errors"] += 1
-            return Response.failure(
-                request.id,
-                BeliefDBError(f"unknown operation {request.op!r}"),
-            )
+    def _run_op(
+        self, session: ClientSession, spec: protocol.OpSpec,
+        params: dict[str, Any],
+    ) -> Any:
+        """Answer one op by the router rule in its op-table row."""
         rsession = self._router_session(session)
-        try:
-            result = handler(self, rsession, request.params)
-            with self._state_lock:
-                self.stats["ops_served"] += 1
-            return Response.success(request.id, result)
-        except Exception as exc:  # noqa: BLE001 — every op error travels back
-            with self._state_lock:
-                self.stats["op_errors"] += 1
-            return Response.failure(request.id, exc)
+        if not spec.in_txn and rsession.in_txn:
+            raise protocol.not_transactional(spec.name)
+        if spec.route == "local":
+            # Session-only ops (and ``shard_status``): the server core's
+            # handler runs on the router's own session, no shard involved.
+            return getattr(self, f"_op_{spec.name}")(session, params)
+        if spec.route == "by_path":
+            return self._forward_by_path(rsession, spec.name, params)
+        if spec.route == "fanout":
+            return "\n\n".join(
+                f"=== shard {shard} ===\n{text}"
+                for shard, text in self._fanout(rsession, spec.name)
+            )
+        return getattr(self, f"_route_{spec.name}")(rsession, params)
+
+    def _forward_by_path(
+        self, rsession: RouterSession, op: str, params: dict[str, Any]
+    ) -> Any:
+        """Forward to the shard that owns the belief path's head. The
+        path always travels explicit: workers hold no session for router
+        upstreams. Everything else is the worker's to validate."""
+        raw_path = params.get("path")
+        if raw_path is not None and not isinstance(raw_path, (list, tuple)):
+            raise BeliefDBError("path must be a list of users (or null)")
+        shard = self._shard_for_path(rsession, raw_path)
+        explicit = list(self._raw_effective(rsession, raw_path))
+        return self._forward(rsession, shard, op, **{**params, "path": explicit})
 
     # ------------------------------------------------------------ upstreams
 
@@ -383,7 +392,7 @@ class BeliefRouter(BeliefServer):
 
     # -------------------------------------------------------------- routing
 
-    def _route_key(self, head: Any) -> Any:
+    def _ring_key(self, head: Any) -> Any:
         """Normalize a path head for the ring: uids hash as their user's
         name (both spellings of one user must land on one shard)."""
         if not isinstance(head, str):
@@ -405,7 +414,7 @@ class BeliefRouter(BeliefServer):
         self, rsession: RouterSession, raw_path: Sequence[Any] | None
     ) -> int:
         head = path_head(raw_path, rsession.raw_path, rsession.user_raw)
-        return self.ring.shard_for(self._route_key(head))
+        return self.ring.shard_for(self._ring_key(head))
 
     def _select_shards(
         self,
@@ -426,7 +435,7 @@ class BeliefRouter(BeliefServer):
             # Prefix-less from items read the plain content world — the
             # session default path applies to DML only, never to reads.
             head = statement_head(item.belief.path, tuple(bind), (), None)
-            shards.add(self.ring.shard_for(self._route_key(head)))
+            shards.add(self.ring.shard_for(self._ring_key(head)))
         return sorted(shards) or [self.ring.shard_for(CONTENT_KEY)]
 
     def _shard_for_statement(
@@ -440,7 +449,7 @@ class BeliefRouter(BeliefServer):
         head = statement_head(
             path, tuple(bind), rsession.raw_path, rsession.user_raw
         )
-        return self.ring.shard_for(self._route_key(head))
+        return self.ring.shard_for(self._ring_key(head))
 
     def _rewrite(
         self, rsession: RouterSession, statement: Statement
@@ -541,11 +550,6 @@ class BeliefRouter(BeliefServer):
 
     # ------------------------------------------------------------ op bodies
 
-    def _route_ping(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        return "pong"
-
     def _describe(self, rsession: RouterSession) -> dict[str, Any]:
         desc = rsession.base.describe()
         if not rsession.in_txn:
@@ -617,63 +621,6 @@ class BeliefRouter(BeliefServer):
             )
         ]
 
-    # --------------------------------------------------------- routed writes
-
-    def _statement_route(
-        self, rsession: RouterSession, op: str, params: dict[str, Any]
-    ) -> tuple[int, dict[str, Any]]:
-        relation = _require(params, "relation")
-        values = _require(params, "values")
-        if not isinstance(values, (list, tuple)):
-            raise BeliefDBError("values must be a list")
-        raw_path = params.get("path")
-        if raw_path is not None and not isinstance(raw_path, (list, tuple)):
-            raise BeliefDBError("path must be a list of users (or null)")
-        shard = self._shard_for_path(rsession, raw_path)
-        explicit = list(self._raw_effective(rsession, raw_path))
-        return shard, {
-            "relation": relation,
-            "values": list(values),
-            "path": explicit,  # always explicit: workers hold no session
-            "sign": params.get("sign", "+"),
-        }
-
-    def _route_insert(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        if rsession.in_txn:
-            raise TransactionError(
-                "the insert op is not transactional; use "
-                "execute_prepared inside a transaction"
-            )
-        shard, forwarded = self._statement_route(rsession, "insert", params)
-        return self._forward(rsession, shard, "insert", **forwarded)
-
-    def _route_delete(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        if rsession.in_txn:
-            raise TransactionError(
-                "the delete op is not transactional; use "
-                "execute_prepared inside a transaction"
-            )
-        shard, forwarded = self._statement_route(rsession, "delete", params)
-        return self._forward(rsession, shard, "delete", **forwarded)
-
-    def _route_believes(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        shard, forwarded = self._statement_route(rsession, "believes", params)
-        return self._forward(rsession, shard, "believes", **forwarded)
-
-    def _route_world(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        raw_path = params.get("path")
-        shard = self._shard_for_path(rsession, raw_path)
-        explicit = list(self._raw_effective(rsession, raw_path))
-        return self._forward(rsession, shard, "world", path=explicit)
-
     # ------------------------------------------------- prepared statements
 
     def _route_prepare(
@@ -703,13 +650,6 @@ class BeliefRouter(BeliefServer):
             "kind": prepared.kind,
             "param_count": prepared.param_count,
             "columns": list(prepared.columns),
-        }
-
-    def _route_close_statement(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        return {
-            "closed": rsession.base.close_statement(_require(params, "stmt"))
         }
 
     def _resolve_router_statement(
@@ -794,18 +734,13 @@ class BeliefRouter(BeliefServer):
             elapsed_ms += payload["elapsed_ms"]
             rows.extend(shard_rows)
         self._fanout_hist.observe(float(len(shards)))
-        first, cursor_id = rsession.base.open_cursor(
-            rows, max_rows, self.page_bytes
-        )
         return {
             "kind": "select",
             "columns": columns or [],
             "rowcount": len(rows),
             "status": f"SELECT {len(rows)}",
             "elapsed_ms": round(elapsed_ms, 3),
-            "rows": first,
-            "cursor": cursor_id,
-            "has_more": cursor_id is not None,
+            **self._first_page(rsession.base, rows, max_rows),
         }
 
     def _route_execute_batch(
@@ -908,34 +843,21 @@ class BeliefRouter(BeliefServer):
             return {"discarded": 0}
         return self._forward(rsession, shard, "rollback")
 
-    # -------------------------------------------------------------- paging
-
-    def _route_fetch(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        count = _page_size(params, "n")
-        rows, has_more = rsession.base.fetch_rows(
-            _require(params, "cursor"), count, self.page_bytes
-        )
-        return {"rows": rows, "has_more": has_more}
-
-    def _route_close_cursor(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        return {
-            "closed": rsession.base.close_cursor(_require(params, "cursor"))
-        }
-
     # ------------------------------------------------------- fan-out reads
 
     def _route_query(
         self, rsession: RouterSession, params: dict[str, Any]
     ) -> Any:
+        """Every shard's answers (each drained from its worker's pages),
+        merged and re-paged through the session's cursor registry."""
         bcq = _require(params, "bcq")
         merged: list = []
-        for _, rows in self._fanout(rsession, "query", bcq=bcq):
-            merged.extend(rows)
-        return merged
+        for shard in range(self.ring.n_shards):
+            merged.extend(self._forward_fn(
+                rsession, shard, "query", lambda client: client.query(bcq)
+            ))
+        self._fanout_hist.observe(float(self.ring.n_shards))
+        return self._first_page(rsession.base, merged, DEFAULT_PAGE_ROWS)
 
     def _route_worlds(
         self, rsession: RouterSession, params: dict[str, Any]
@@ -958,36 +880,7 @@ class BeliefRouter(BeliefServer):
             for key in sorted(by_path, key=lambda p: (len(p), repr(p)))
         ]
 
-    def _route_kripke(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        parts = [
-            f"=== shard {shard} ===\n{text}"
-            for shard, text in self._fanout(rsession, "kripke")
-        ]
-        return "\n\n".join(parts)
-
-    def _route_describe(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        parts = [
-            f"=== shard {shard} ===\n{text}"
-            for shard, text in self._fanout(rsession, "describe")
-        ]
-        return "\n\n".join(parts)
-
     # --------------------------------------------------------- observability
-
-    def _router_server_stats(self) -> dict[str, Any]:
-        with self._state_lock:
-            server = dict(self.stats)
-        server["inflight_requests"] = self._inflight_now()
-        server["sessions_active"] = server["connections_active"]
-        server["uptime_seconds"] = round(self._uptime(), 3)
-        server["max_sessions"] = self.max_sessions
-        server["max_inflight_requests"] = self.max_inflight_requests
-        server["slow_ops_recorded"] = self.slow_ops.recorded_total
-        return server
 
     def _route_stats(
         self, rsession: RouterSession, params: dict[str, Any]
@@ -1023,7 +916,7 @@ class BeliefRouter(BeliefServer):
             )
         merged["shards"] = per_shard
         merged["shards_reached"] = reached
-        merged["router"] = self._router_server_stats()
+        merged["router"] = self._server_stats()
         return merged
 
     def _route_metrics(
@@ -1084,11 +977,6 @@ class BeliefRouter(BeliefServer):
         belief lives in). ``decay_sweep`` fans out: every shard sweeps its
         own records, each stamping its own WAL.
         """
-        if rsession.in_txn:
-            raise TransactionError(
-                "lifecycle operations are not transactional; "
-                "commit or rollback first"
-            )
         action = _require(params, "action")
         # Workers hold no session for router upstreams, so attribution is
         # forwarded explicitly: an explicit actor wins, else the curator
@@ -1168,8 +1056,8 @@ class BeliefRouter(BeliefServer):
             "queue, or provenance"
         )
 
-    def _route_shard_status(
-        self, rsession: RouterSession, params: dict[str, Any]
+    def _op_shard_status(
+        self, session: ClientSession, params: dict[str, Any]
     ) -> Any:
         status = self.coordinator.status()
         status["ring"] = {
@@ -1227,38 +1115,3 @@ def _merge_stats_tree(into: dict[str, Any], payload: dict[str, Any]) -> None:
             else:
                 into[key] = current + value
         # else: keep the first value (strings, bools, lists)
-
-
-#: op name -> router handler (unbound; called as handler(router, rsession,
-#: params)). Covers every wire op, including the router-only shard_status.
-_ROUTER_HANDLERS = {
-    "ping": BeliefRouter._route_ping,
-    "login": BeliefRouter._route_login,
-    "logout": BeliefRouter._route_logout,
-    "whoami": BeliefRouter._route_whoami,
-    "set_path": BeliefRouter._route_set_path,
-    "add_user": BeliefRouter._route_add_user,
-    "users": BeliefRouter._route_users,
-    "insert": BeliefRouter._route_insert,
-    "delete": BeliefRouter._route_delete,
-    "prepare": BeliefRouter._route_prepare,
-    "close_statement": BeliefRouter._route_close_statement,
-    "execute_prepared": BeliefRouter._route_execute_prepared,
-    "execute_batch": BeliefRouter._route_execute_batch,
-    "begin": BeliefRouter._route_begin,
-    "commit": BeliefRouter._route_commit,
-    "rollback": BeliefRouter._route_rollback,
-    "fetch": BeliefRouter._route_fetch,
-    "close_cursor": BeliefRouter._route_close_cursor,
-    "query": BeliefRouter._route_query,
-    "believes": BeliefRouter._route_believes,
-    "world": BeliefRouter._route_world,
-    "worlds": BeliefRouter._route_worlds,
-    "stats": BeliefRouter._route_stats,
-    "metrics": BeliefRouter._route_metrics,
-    "kripke": BeliefRouter._route_kripke,
-    "describe": BeliefRouter._route_describe,
-    "shard_status": BeliefRouter._route_shard_status,
-    "lifecycle": BeliefRouter._route_lifecycle,
-    "audit": BeliefRouter._route_audit,
-}

@@ -23,6 +23,7 @@ from repro.api import connect
 from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.server import AsyncBeliefServer, BeliefClient, BeliefServer
+from repro.server.protocol import OPS
 
 ROW_TAIL = ["Carol", "bald eagle", "6-14-08", "Lake Forest"]
 INSERT = "insert into Sightings values (?,?,?,?,?)"
@@ -211,11 +212,36 @@ def test_sharded_scans_never_tear_pairs():
 # -------------------------------------------- reads never touch the lock
 
 
+#: One wire request per op whose op-table row says it takes no lock
+#: (``none`` / ``pinned``), keyed by op: a new lock-free row needs a case.
+LOCK_FREE_CALLS = {
+    "ping": {},
+    "metrics": {},
+    "execute_prepared": {"sql": SELECT, "params": []},
+    "query": {"bcq": BCQ},
+    "believes": {"relation": "Sightings", "values": ["s1", *ROW_TAIL],
+                 "path": ["Carol"], "sign": "+"},
+    "world": {"path": ["Carol"]},
+    "worlds": {},
+    "stats": {},
+    "audit": {"kind": "log"},
+}
+LOCK_FREE_OPS = sorted(
+    name for name, spec in OPS.items() if spec.lock in ("none", "pinned")
+)
+
+
+def test_every_lock_free_row_has_a_case():
+    assert sorted(LOCK_FREE_CALLS) == LOCK_FREE_OPS
+
+
+@pytest.mark.parametrize("op", LOCK_FREE_OPS)
 @pytest.mark.parametrize("backend", ("engine", "sqlite"))
-def test_pinned_read_ops_never_acquire_the_server_lock(backend):
-    """Every op in ``_PINNED_READ_OPS`` dispatches without touching the
-    readers-writer lock — on the pure-python and sqlite backends alike
-    (per-version mirrors removed the old sqlite write-lock promotion)."""
+def test_pinned_read_ops_never_acquire_the_server_lock(backend, op):
+    """Every op whose op-table row is ``none`` or ``pinned`` dispatches
+    without touching the readers-writer lock — on the pure-python and
+    sqlite backends alike (per-version mirrors removed the old sqlite
+    write-lock promotion)."""
     db = _fresh_db(backend=backend)
     db.insert(["Carol"], "Sightings", ("s1", *ROW_TAIL))
     with BeliefServer(db) as server:
@@ -233,23 +259,10 @@ def test_pinned_read_ops_never_acquire_the_server_lock(backend):
         server.lock.read = counting_read  # type: ignore[method-assign]
         server.lock.write = counting_write  # type: ignore[method-assign]
         with BeliefClient(*server.address) as client:
-            client.login("Carol")
-            baseline = dict(counts)  # login itself may lock (session op)
-            assert _select(client) == [["s1"]]
-            stmt = client.prepare(SELECT)
-            counts_after_prepare = dict(counts)
-            client.execute_prepared(stmt)
-            assert client.query(BCQ) == [["s1"]]
-            assert client.believes("Sightings", ["s1", *ROW_TAIL],
-                                   path=["Carol"])
-            client.world(["Carol"])
-            client.worlds()
-            client.stats()
-            # No scan took the write lock (login may have).
-            assert counts["write"] == baseline["write"]
-            # prepare is a session op (read lock); the scans themselves
-            # added nothing.
-            assert counts["read"] == counts_after_prepare["read"]
+            result = client.call(op, **LOCK_FREE_CALLS[op])
+        assert counts == {"read": 0, "write": 0}
+        if op in ("execute_prepared", "query"):
+            assert result["rows"] == [["s1"]]  # and it did read the store
 
 
 def test_reads_complete_while_a_writer_holds_the_lock():

@@ -109,3 +109,57 @@ def test_plain_python_fences_are_balanced(path):
     of the page in most renderers)."""
     text = path.read_text()
     assert text.count("```") % 2 == 0, f"{path.name}: unbalanced code fence"
+
+
+# ------------------------------------------- wire-protocol.md vs the op table
+
+
+def _table_after(text: str, header: str) -> list[list[str]]:
+    """Cells of every body row of the markdown table whose header row
+    starts with ``header``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2:]:  # skip the |---| separator
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _ticked(cell: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", cell)
+
+
+def test_wire_protocol_operations_table_matches_the_op_table():
+    from repro.server.protocol import OPS
+
+    text = (REPO / "docs" / "wire-protocol.md").read_text()
+    documented = {}
+    for op, lock, in_txn, route, _ in _table_after(text, "| op | lock |"):
+        documented[_ticked(op)[0]] = (lock, in_txn, route)
+    expected = {
+        name: (spec.lock or "—", "yes" if spec.in_txn else "no", spec.route)
+        for name, spec in OPS.items()
+    }
+    assert documented == expected
+
+
+def test_wire_protocol_op_code_table_matches_the_op_table():
+    from repro.server.protocol import OP_TABLE
+
+    text = (REPO / "docs" / "wire-protocol.md").read_text()
+    documented = []
+    for code, op, layout in _table_after(text, "| code | op |"):
+        documented.append((
+            int(_ticked(code)[0], 16) if _ticked(code) else None,
+            _ticked(op)[0],
+            tuple(_ticked(layout)),
+            "JSON escape" in op,
+        ))
+    expected = [
+        (spec.code, spec.name, spec.layout if spec.code is not None else (),
+         spec.json_escape)
+        for spec in OP_TABLE
+    ]
+    assert sorted(documented, key=str) == sorted(expected, key=str)

@@ -1,9 +1,10 @@
 """End-to-end concurrency: many users curate one database at once.
 
 The linearizability argument: every write runs under the server's exclusive
-writer lock and is appended to the op log *while holding that lock*, so the
-log order is the serialization order. Replaying the log serially into a
-fresh BDMS must reproduce both the per-op outcomes and the final database.
+writer lock and is appended to the WAL *while holding that lock*, so the
+log order is the serialization order. Recovering a fresh BDMS from that WAL
+— strict replay: a record that fails to re-apply raises — must reproduce
+the final database (``tests/wal_oracle.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.server import BeliefClient, BeliefServer
-from repro.server.server import replay_oplog
+from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
 
 N_CLIENTS = 10
 OPS_PER_CLIENT = 15
@@ -23,12 +24,10 @@ OPS_PER_CLIENT = 15
 SPECIES = ["bald eagle", "fish eagle", "crow", "raven", "osprey"]
 
 
-def _explicit_state(db: BeliefDBMS) -> list[str]:
-    return sorted(str(s) for s in db.store.explicit_statements())
-
-
 def _worker(address, name: str, index: int, barrier: threading.Barrier,
-            errors: list) -> None:
+            errors: list, accepted: list) -> None:
+    """Drive one client; count its accepted tuple writes into ``accepted``
+    (a rejected op must leave no WAL record)."""
     try:
         with BeliefClient(*address) as client:
             client.login(name, create=True)
@@ -40,31 +39,34 @@ def _worker(address, name: str, index: int, barrier: threading.Barrier,
                 if k % 3 == 2:
                     # Dispute a tuple someone (maybe) believes.
                     other = SPECIES[(index + k + 1) % len(SPECIES)]
-                    client.dispute(
+                    ok = client.dispute(
                         "Sightings",
                         [sid, name, other, "6-14-08", "Lake Forest"],
                     )
-                elif k % 7 == 5:
-                    client.drain(client.execute_prepared(
-                        f"select S.sid from BELIEF '{name}' Sightings as S"
-                    ))
-                    client.insert("Sightings", values)
                 else:
-                    client.insert("Sightings", values)
+                    if k % 7 == 5:
+                        client.drain(client.execute_prepared(
+                            f"select S.sid from BELIEF '{name}' "
+                            "Sightings as S"
+                        ))
+                    ok = client.insert("Sightings", values)
+                accepted.append(bool(ok))
     except Exception as exc:  # noqa: BLE001 — surface to the main thread
         errors.append((name, exc))
 
 
 @pytest.fixture
-def concurrent_run():
-    db = BeliefDBMS(sightings_schema(), strict=False)
-    with BeliefServer(db, record_ops=True) as server:
+def concurrent_run(tmp_path):
+    db = durable_db(sightings_schema(), tmp_path / "data")
+    accepted: list = []
+    with BeliefServer(db) as server:
         barrier = threading.Barrier(N_CLIENTS, timeout=10)
         errors: list = []
         threads = [
             threading.Thread(
                 target=_worker,
-                args=(server.address, f"user{i}", i, barrier, errors),
+                args=(server.address, f"user{i}", i, barrier, errors,
+                      accepted),
             )
             for i in range(N_CLIENTS)
         ]
@@ -74,36 +76,38 @@ def concurrent_run():
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads), "workers deadlocked"
         assert not errors, errors
-        yield db, server
+        yield db, server, accepted
+    db.close()
 
 
 def test_concurrent_clients_all_complete(concurrent_run):
-    db, server = concurrent_run
+    db, server, _ = concurrent_run
     assert len(db.users()) == N_CLIENTS
     stats = server.stats
     assert stats["connections_total"] == N_CLIENTS
     assert stats["protocol_errors"] == 0
 
 
-def test_concurrent_writes_recorded_in_serial_order(concurrent_run):
-    _, server = concurrent_run
-    log = server.oplog()
-    assert [e["seq"] for e in log] == list(range(1, len(log) + 1))
-    writes = [e for e in log if e["op"] in ("insert", "delete")]
-    assert len(writes) == N_CLIENTS * OPS_PER_CLIENT
+def test_concurrent_writes_logged_in_serial_order(concurrent_run):
+    db, _, accepted = concurrent_run
+    log = wal_records(db)
+    assert [r["seq"] for r in log] == list(range(1, len(log) + 1))
+    assert sum(r["op"] == "add_user" for r in log) == N_CLIENTS
+    # Every accepted write is one record; a rejected one (Alg. 4 said no)
+    # leaves no WAL record and no state.
+    assert len(accepted) == N_CLIENTS * OPS_PER_CLIENT
+    assert sum(r["op"] == "insert" for r in log) == sum(accepted)
+    assert db.annotation_count() == sum(accepted)
 
 
-def test_linearizable_final_state_equals_serial_replay(concurrent_run):
-    db, server = concurrent_run
-    replay = BeliefDBMS(sightings_schema(), strict=False)
-    replay_oplog(replay, server.oplog())  # raises if any outcome diverges
-    assert _explicit_state(replay) == _explicit_state(db)
-    assert replay.users() == db.users()
-    assert replay.annotation_count() == db.annotation_count()
-    assert replay.size() == db.size()
-    # Entailed worlds agree too (defaults are deterministic given statements).
-    for path in sorted(db.store.states(), key=lambda p: (len(p), repr(p))):
-        assert replay.store.entailed_world(path) == db.store.entailed_world(path)
+def test_linearizable_final_state_equals_wal_recovery(concurrent_run):
+    db, _, _ = concurrent_run
+    # Raises if any logged op fails to re-apply; asserts explicit
+    # statements, users and entailed worlds all match the live database.
+    with recovered_from_wal(db) as recovered:
+        report = recovered.durability.last_recovery
+        assert report.wal_records == len(wal_records(recovered))
+        assert report.torn_tail_bytes == 0
 
 
 def test_concurrent_readers_see_consistent_snapshots():

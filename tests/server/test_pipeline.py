@@ -29,6 +29,7 @@ from repro.server import (
     BeliefServer,
 )
 from repro.server.client import ConnectionLost
+from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
 
 S = ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"]
 
@@ -422,10 +423,11 @@ def test_execute_batch_via_prepared_handle(client):
     assert payload["rowcount"] == 4
 
 
-def test_execute_batch_strict_stops_but_keeps_prefix(core):
+def test_execute_batch_strict_stops_but_keeps_prefix(core, tmp_path):
     """Strict mode: the failing row raises; rows before it stay applied —
-    the same outcome as issuing the statements one by one."""
-    db = BeliefDBMS(sightings_schema(), strict=True)
+    the same outcome as issuing the statements one by one — and logged:
+    memory and WAL agree on the prefix."""
+    db = durable_db(sightings_schema(), tmp_path / "data", strict=True)
     db.add_user("Carol")
     server = _make_server(core, db)
     with server:
@@ -444,26 +446,22 @@ def test_execute_batch_strict_stops_but_keeps_prefix(core):
     assert db.believes(["Carol"], "Sightings", ["a2", "Carol", "crow", "d", "l"])
     assert not db.believes(["Carol"], "Sightings",
                            ["a3", "Carol", "crow", "d", "l"])
+    assert [r["op"] for r in wal_records(db)] == ["add_user"] + ["execute"] * 2
+    with recovered_from_wal(db, strict=True) as recovered:
+        assert recovered.annotation_count() == 2
 
 
-def test_batch_oplog_replays(core):
-    """execute_batch op-log entries replay to the same state."""
-    from repro.server.server import replay_oplog
-
-    db = BeliefDBMS(sightings_schema(), strict=False)
-    server = _make_server(core, db)
-    server.record_ops = True
-    with server:
+def test_batch_wal_recovers(core, tmp_path):
+    """One execute_batch is one WAL append whose records recover to the
+    same state."""
+    db = durable_db(sightings_schema(), tmp_path / "data")
+    with _make_server(core, db) as server:
         with BeliefClient(*server.address) as client:
             client.login("Carol", create=True)
             client.execute_batch(
                 "insert into Sightings values (?,?,?,?,?)",
                 [[f"r{i}", "Carol", "crow", "d", "l"] for i in range(5)],
             )
-            log = server.oplog()
-    replayed = BeliefDBMS(sightings_schema(), strict=False)
-    replay_oplog(replayed, log)
-    assert replayed.annotation_count() == db.annotation_count()
-    assert replayed.store.entailed_world(
-        (replayed.uid("Carol"),)
-    ).positives == db.store.entailed_world((db.uid("Carol"),)).positives
+    assert [r["op"] for r in wal_records(db)] == ["add_user"] + ["execute"] * 5
+    with recovered_from_wal(db) as recovered:
+        assert recovered.annotation_count() == 5

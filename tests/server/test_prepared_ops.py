@@ -4,21 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.errors import BeliefDBError, ParameterBindingError
 from repro.server import BeliefClient, BeliefServer
 from repro.server.client import RemoteStatement
-from repro.server.server import replay_oplog
+from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
 
 S1 = ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"]
 
 
 @pytest.fixture
-def server():
-    db = BeliefDBMS(sightings_schema(), strict=False)
-    with BeliefServer(db, record_ops=True) as srv:
+def server(tmp_path):
+    db = durable_db(sightings_schema(), tmp_path / "data")
+    with BeliefServer(db) as srv:
         yield srv
+    db.close()
 
 
 @pytest.fixture
@@ -95,8 +95,9 @@ def test_wrong_param_count_travels_back(client):
     assert client.ping()
 
 
-def test_null_param_rejected_keeps_oplog_replayable(client, server):
-    """JSON null binds are refused so every logged write stays parseable."""
+def test_null_param_rejected_keeps_wal_replayable(client, server):
+    """JSON null binds are refused so every logged write stays parseable:
+    the rejected op leaves no WAL record and no state."""
     client.add_user("Carol")
     with pytest.raises(ParameterBindingError):
         client.execute_prepared(
@@ -104,8 +105,9 @@ def test_null_param_rejected_keeps_oplog_replayable(client, server):
             ["s1", None, "crow", "d", "l"],
         )
     assert client.ping()
-    fresh = BeliefDBMS(sightings_schema(), strict=False)
-    replay_oplog(fresh, server.oplog())  # nothing unparseable was recorded
+    assert [r["op"] for r in wal_records(server.db)] == ["add_user"]
+    with recovered_from_wal(server.db) as recovered:
+        assert recovered.annotation_count() == 0
 
 
 def test_session_rewrite_applies_at_execute_time(client, server):
@@ -181,7 +183,7 @@ def test_fetch_unknown_cursor_is_semantic_error(client):
     assert client.ping()
 
 
-# -------------------------------------------------------------------- oplog
+# ---------------------------------------------------------------------- WAL
 
 
 def test_prepared_writes_logged_as_replayable_sql(client, server):
@@ -193,21 +195,16 @@ def test_prepared_writes_logged_as_replayable_sql(client, server):
         "update BELIEF ? Sightings set species = ? where sid = ?",
         ["Carol", "raven", "s1"],
     )
-    log = server.oplog()
-    # A statement is logged as the WAL's template + params entry: the
-    # apostrophes travel as data, the SQL keeps its placeholders.
-    executes = [entry for entry in log if entry["op"] == "execute"]
-    assert [entry["ok"] for entry in executes] == [1, 1]
+    # A statement is logged as template + params: the apostrophes travel
+    # as data, the SQL keeps its placeholders.
+    executes = [r for r in wal_records(server.db) if r["op"] == "execute"]
+    assert len(executes) == 2
     assert "?" in executes[0]["sql"]
     assert "O'Brien's crow" in executes[0]["params"]
-    fresh = BeliefDBMS(sightings_schema(), strict=False)
-    replay_oplog(fresh, log)  # raises on divergence
-    assert set(fresh.store.explicit_statements()) == set(
-        server.db.store.explicit_statements()
-    )
-    assert fresh.believes(
-        ["Carol"], "Sightings", ("s1", "Carol", "raven", "d", "l")
-    )
+    with recovered_from_wal(server.db) as recovered:  # raises on divergence
+        assert recovered.believes(
+            ["Carol"], "Sightings", ("s1", "Carol", "raven", "d", "l")
+        )
 
 
 def test_whoami_reports_handles(client):

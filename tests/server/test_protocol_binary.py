@@ -34,7 +34,7 @@ from hypothesis import given, strategies as st
 from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.server import BeliefClient, BeliefServer
-from repro.server import binproto
+from repro.server import binproto, protocol
 from repro.server.binproto import (
     COMMON_STRINGS,
     HEADER_SIZE,
@@ -42,8 +42,6 @@ from repro.server.binproto import (
     KIND_RESPONSE_ERR,
     KIND_RESPONSE_OK,
     MAGIC,
-    OP_TABLE,
-    PARAM_LAYOUTS,
     VERSION,
     BinaryCodec,
     JSON_CODEC,
@@ -140,7 +138,7 @@ def test_arbitrary_results_round_trip(result):
 def test_any_op_with_one_odd_param_round_trips(op, value):
     """Params outside the layout (or odd values inside it) still travel."""
     codec = BinaryCodec()
-    layout = PARAM_LAYOUTS.get(op, ())
+    layout = OPS[op].layout
     name = layout[0] if layout else "surprise"
     payload = {"id": 3, "op": op, "params": {name: value}}
     assert codec.decode_payload(codec.encode(payload, None)) == (
@@ -303,24 +301,19 @@ def test_binary_garbage_before_hello_gets_clean_close(server):
 # --------------------------------------------------- wire-format contracts
 
 
-def test_op_table_is_append_only_compatible():
-    # Codes 0..N must be unique, dense, and include the negotiation op.
-    assert len(set(OP_TABLE)) == len(OP_TABLE)
-    assert OP_TABLE[0] == "hello"
-    assert len(OP_TABLE) < KIND_RESPONSE_OK
-    # Every database op is either coded or rides the JSON escape; the
-    # layouts cover exactly the coded ops.
-    assert set(PARAM_LAYOUTS) == set(OP_TABLE)
-    for op, layout in PARAM_LAYOUTS.items():
-        assert len(layout) <= 8, f"{op} layout exceeds one bitmask byte"
-        assert len(set(layout)) == len(layout)
-
-
-def test_retired_execute_keeps_its_code_and_has_no_server():
-    # 0x0A stays reserved, so every later op keeps its code ...
+def test_op_codes_come_from_the_one_op_table():
+    # The golden codes/layouts and the table's well-formedness live in
+    # tests/server/test_op_table.py; here: the codec derives its tables
+    # from the registry and adds nothing of its own.
+    assert binproto.OP_CODES == {
+        spec.name: spec.code
+        for spec in protocol.OP_TABLE if spec.code is not None
+    }
+    assert binproto.OP_CODES[binproto.HELLO_OP] == 0x00
+    # The retired execute keeps 0x0A, so every later op keeps its code ...
     assert binproto.OP_CODES["execute"] == 0x0A
     assert binproto.OP_CODES["prepare"] == 0x0B
-    assert binproto.OP_CODES["shard_status"] == len(OP_TABLE) - 1 == 0x1C
+    assert binproto.OP_CODES["shard_status"] == 0x1C
     # ... but nothing serves it: dispatch answers "unknown operation".
     assert "execute" not in OPS
 

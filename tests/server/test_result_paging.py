@@ -29,6 +29,9 @@ from repro.shard import ShardCluster
 N_ROWS = 600
 COMMENT = "c" * 3000
 SELECT = "select C.cid, C.comment from BELIEF 'Wide' Comments as C"
+#: The same rows as a raw BCQ: the ``query`` op used to answer in one frame
+#: (FRAME_TOO_LARGE here) where the select paged.
+BCQ = "q(c, t) :- ['Wide'] Comments+(c, t, s)"
 
 
 @contextlib.contextmanager
@@ -43,7 +46,7 @@ def _endpoint(kind: str):
 
 
 @pytest.mark.parametrize("kind", ["threaded", "async", "router"])
-def test_wide_select_pages_under_the_frame_ceiling(kind):
+def test_wide_results_page_under_the_frame_ceiling(kind):
     with _endpoint(kind) as address, BeliefClient(*address) as client:
         client.login("Wide", create=True)
         client.execute_batch(
@@ -62,6 +65,13 @@ def test_wide_select_pages_under_the_frame_ceiling(kind):
         ]
         assert all(row[1] == COMMENT for row in rows)
         assert client.whoami()["cursors"] == 0  # drained cursors close
+
+        first = client.call("query", bcq=BCQ)
+        assert 0 < len(first["rows"]) < 512
+        assert first["has_more"] is True and first["cursor"] is not None
+        assert client.close_cursor(first["cursor"]) is True
+        assert sorted(client.query(BCQ)) == rows  # drains every page
+        assert client.whoami()["cursors"] == 0
 
 
 def test_pages_respect_row_count_and_byte_budget():

@@ -1,5 +1,5 @@
 """The transaction wire ops: per-session state, pipelining-adjacent rules,
-oplog equivalence, and reconnect-abort semantics.
+WAL equivalence, and reconnect-abort semantics.
 
 ``begin``/``commit``/``rollback`` ride the same frames as every other op;
 the transaction itself is **per-session** server state (like prepared
@@ -8,8 +8,8 @@ test:
 
 * in-transaction DML stages; other sessions and the programmatic
   write ops are unaffected or rejected loudly;
-* ``commit`` applies under one write-lock acquisition and lands in the op
-  log as one ``txn`` entry that replays to the identical state;
+* ``commit`` applies under one write-lock acquisition and lands in the
+  WAL as one framed group that recovers to the identical state;
 * a lost connection aborts — never silently retries — an open
   transaction, both for raw auto-reconnect clients and for the
   :class:`~repro.api.connection.RemoteConnection` reconnect hook.
@@ -24,8 +24,8 @@ from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.server import AsyncBeliefServer, BeliefClient, BeliefServer
 from repro.server.client import ConnectionLost
-from repro.server.server import replay_oplog
 from repro.errors import TransactionAbortedError, TransactionError
+from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
 
 CORES = pytest.mark.parametrize(
     "core", [BeliefServer, AsyncBeliefServer], ids=["threaded", "async"]
@@ -129,29 +129,28 @@ def test_commit_without_begin_is_a_loud_error(core):
 
 
 @CORES
-def test_oplog_records_committed_transaction_and_replays(core):
-    db, server = _server(core, record_ops=True)
-    with server:
+def test_wal_frames_committed_transaction_and_recovers(core, tmp_path):
+    db = durable_db(sightings_schema(), tmp_path / "data")
+    with core(db) as server:
         with BeliefClient(*server.address) as client:
             client.login("Carol", create=True)
             client.execute_prepared(INSERT, ROW)
             client.begin()
             client.execute_prepared(INSERT, ["s2"] + ROW[1:])
             client.execute_batch(INSERT, [["s3"] + ROW[1:], ["s4"] + ROW[1:]])
-            client.commit()
+            assert client.commit()["rowcount"] == 3
             client.begin()
             client.execute_prepared(INSERT, ["never"] + ROW[1:])
             client.rollback()  # rolled back: must NOT appear in the log
-        log = server.oplog()
-    txn_entries = [e for e in log if e["op"] == "txn"]
-    assert len(txn_entries) == 1
-    assert txn_entries[0]["ok"] == 3
-    assert len(txn_entries[0]["statements"]) == 3
-    assert all("never" not in str(e) for e in log)
-    replayed = BeliefDBMS(sightings_schema(), strict=False)
-    replay_oplog(replayed, log)
-    assert sorted(map(str, replayed.store.explicit_statements())) == \
-        sorted(map(str, db.store.explicit_statements()))
+    log = wal_records(db)
+    ops = [r["op"] for r in log]
+    # One framed group holding the transaction's three statements, after
+    # the autocommit insert; nothing of the rolled-back one.
+    assert ops == ["add_user", "execute", "txn_begin", "execute", "execute",
+                   "execute", "txn_commit"]
+    assert all("never" not in str(r) for r in log)
+    with recovered_from_wal(db) as recovered:
+        assert recovered.annotation_count() == 4
 
 
 @CORES
