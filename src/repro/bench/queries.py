@@ -12,6 +12,15 @@ running-example schema without Comments):
 * ``q3`` — a *query for users*: "who disagrees with any of user 1's beliefs
   of sightings at <location>?"
   (``q3(x) :- x S−(y,z,u,v,'a'), 1 S+(y,z,u,v,'a')``).
+
+On the engine each of the seven runs as one compiled join (Algorithm 1's
+``T_i`` unfolded, :func:`repro.relational.datalog.unfold`) over keys and
+indexes that are there: a round materializes no temporary and builds no
+index (``tests/storage/test_index_builds.py``). ``q3`` — the paper's
+slowest Table 2 query too — starts from user 1's world and probes every
+user's world per key found there (``E(wid1)``, the one index the schema
+does not declare and the store adopts the first time ``q3`` is asked, then
+``V(wid, key)``), instead of listing every belief of every user first.
 """
 
 from __future__ import annotations

@@ -29,12 +29,12 @@ kept around as a benchmark ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Collection
 
 from repro.core.statements import POSITIVE
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownUserError
 from repro.query.bcq import BCQuery, ModalSubgoal, Term, is_var
-from repro.relational.datalog import Atom, Program, Rule, Var
+from repro.relational.datalog import Atom, Program, Rule, Var, run_program, unfold
 from repro.relational.expressions import (
     Cmp,
     Const,
@@ -101,7 +101,7 @@ def _resolve_path_constants(
         else:
             try:
                 resolved.append(store.resolve_user(term))
-            except Exception:
+            except UnknownUserError:
                 resolved.append(term)
     return tuple(resolved)
 
@@ -293,6 +293,22 @@ def _final_atom(index: int, temp: str, head_terms: tuple[Any, ...]) -> Atom:
     )
 
 
+def evaluated_program(
+    program: Program, tables: Collection[str], push_selections: bool = True
+) -> Program:
+    """What the engine runs for Algorithm 1's listing ``program``.
+
+    The listing names one temporary per subgoal, and the paper hands that
+    nest to an RDBMS whose optimizer flattens it. So does this:
+    :func:`repro.relational.datalog.unfold` folds every ``T_i`` into the
+    final rule — one join in which a subgoal's probes see the bindings of
+    the others, nothing materialized. The unpushed listing is the ablation
+    of exactly that (every ``T_i`` whole, selections last) and runs as
+    listed.
+    """
+    return unfold(program, tables) if push_selections else program
+
+
 def evaluate_translated(
     store: BeliefStore,
     query: BCQuery,
@@ -313,4 +329,6 @@ def evaluate_translated(
     if translation.is_empty:
         return set()
     assert translation.program is not None
-    return store.engine.run(translation.program)
+    tables = store.engine.tables()
+    program = evaluated_program(translation.program, tables, push_selections)
+    return run_program(tables, program)[0]

@@ -14,6 +14,7 @@ from repro.relational.datalog import (
     Var,
     evaluate_rule,
     run_program,
+    unfold,
 )
 from repro.relational.expressions import (
     And,
@@ -59,4 +60,5 @@ __all__ = [
     "neq",
     "quote_identifier",
     "run_program",
+    "unfold",
 ]

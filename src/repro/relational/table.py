@@ -37,6 +37,14 @@ delta sync rests on that invariant, and so do the indexes:
   tracks its forks by weak reference, and the owner's next delete or fork
   purges the prefix of the queue that no live fork reaches back to. An
   index the owner builds later covers the queued rows too.
+* **Adoption.** A fork that probes a pattern nothing covers builds that
+  index for itself and it dies with the fork — so a read shape no declared
+  index serves would cost every version a pass over the table. The fork
+  therefore also leaves the pattern in :attr:`Lineage.wanted`, and the
+  owner's next fork (taken, like every fork, where no write can land)
+  builds it once into the shared set and maintains it from then on: an
+  index is paid for by the stores whose queries use it, not declared for
+  all of them.
 * **Detach.** Writing to a fork (a transaction's read view replays staged
   rows onto one) would issue rowids the owner will issue again for other
   rows. The fork's first mutation therefore moves it onto a fresh lineage
@@ -48,7 +56,12 @@ delta sync rests on that invariant, and so do the indexes:
   built (on ``auto_index`` tables of at least ``_AUTO_INDEX_MIN_ROWS``
   rows): the largest declared index that fits, else the exact pattern —
   by the owner into the shared set, by a fork into a private set that
-  dies with it.
+  dies with it. :meth:`Table.access` is that policy and the only copy of
+  it: :meth:`Table.prober` probes by it, and the Datalog compiler both
+  orders a join by it and writes the probe of a ``key`` or ``index``
+  access into its generated loops (:meth:`Table.path` hands out what such
+  a loop reads), under the same two rules as ``prober`` — "Visibility"
+  above, and the bucket snapshot below.
 
 A bucket is the bare rowid while one row carries the value and a ``set``
 from the second row on; the unique-key dict is the same shape.
@@ -65,7 +78,16 @@ import sys
 import threading
 import weakref
 from collections import deque
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from repro.errors import DuplicateKeyError
 from repro.relational.schema import TableSchema
@@ -73,11 +95,26 @@ from repro.relational.schema import TableSchema
 Row = tuple[Any, ...]
 #: value tuple -> the one rowid carrying it, or the set of them.
 Index = dict[tuple, "int | set[int]"]
-#: A resolved access path for probes binding a tuple of columns: (the index,
-#: or None for the unique-key dict; where the index's columns sit among the
-#: probe's values, or None when they are the values as given; ``(column,
-#: place among the values)`` of the bound columns the index leaves to filter)
-Plan = tuple["Index | None", "list[int] | None", list[tuple[int, int]]]
+
+
+class Access(NamedTuple):
+    """How probes binding a tuple of columns are served (:meth:`Table.access`).
+
+    ``kind`` is ``key`` (the unique-key dict), ``index`` (a hash index),
+    ``build`` (no index covers the columns: the first probe builds this
+    one) or ``scan``; ``positions`` are the columns the dict is keyed on;
+    ``pick`` is where those sit among the probe's values (None when they
+    are the values as given) and ``checks`` the ``(column, place among the
+    values)`` of the bound columns the dict leaves to filter.
+    """
+
+    kind: str
+    positions: tuple[int, ...]
+    pick: "tuple[int, ...] | None"
+    checks: tuple[tuple[int, int], ...]
+
+
+_SCAN = Access("scan", (), None, ())
 
 #: Tables smaller than this are scanned rather than auto-indexed.
 _AUTO_INDEX_MIN_ROWS = 32
@@ -125,13 +162,19 @@ class Lineage:
     weak reference whose callback drops the entry when the fork dies.
     """
 
-    __slots__ = ("indexes", "forks", "pending", "purged", "counters", "scope")
+    __slots__ = (
+        "indexes", "forks", "pending", "purged", "wanted", "counters", "scope"
+    )
 
     def __init__(self, counters: IndexCounters, scope: str = "shared") -> None:
         self.indexes: dict[tuple[int, ...], Index] = {}
         self.forks: dict[int, tuple[int, weakref.ref]] = {}
         self.pending: deque[tuple[int, Row]] = deque()
         self.purged = 0
+        #: Positions a fork had to index for itself; the owner's next fork
+        #: builds them into ``indexes``. (Added to from reader threads,
+        #: popped on the writer's side: one atomic set operation each.)
+        self.wanted: set[tuple[int, ...]] = set()
         self.counters = counters
         self.scope = scope
 
@@ -187,8 +230,9 @@ class Table:
         self._indexes = self.lineage.indexes
         #: None for the owner; for a fork, the deletes that preceded it.
         self._frozen_at: int | None = None
-        #: bound positions (in the caller's order) -> access path
-        self._plans: dict[tuple[int, ...], Plan] = {}
+        #: bound positions (in the caller's order) -> access path and the
+        #: index it reads (built if it had to be; None for the key dict)
+        self._plans: dict[tuple[int, ...], tuple[Access, Index | None]] = {}
         for columns in schema.indexes:
             self.create_index(columns)
 
@@ -236,7 +280,8 @@ class Table:
     # -- copy-on-write forks ----------------------------------------------------
 
     def snapshot_fork(self) -> "Table":
-        """A frozen copy-on-write fork: nothing is copied, nothing built.
+        """A frozen copy-on-write fork: nothing is copied, and nothing built
+        but what an earlier fork had to build for itself ("Adoption").
 
         It shares this table's rows until this side mutates (which copies
         ``_rows``/``_key_values``, two C-speed dict copies, if the fork is
@@ -249,6 +294,10 @@ class Table:
         if frozen_at is None:
             self._purge()
             frozen_at = lineage.purged + len(lineage.pending)
+            while lineage.wanted:  # what earlier forks built for themselves
+                positions = lineage.wanted.pop()
+                if positions not in lineage.indexes:
+                    self._build_index(positions)
         fork = Table.__new__(Table)
         fork.schema = self.schema
         fork.auto_index = self.auto_index
@@ -407,6 +456,8 @@ class Table:
             # Rows deleted here that live forks still hold.
             for rowid, row in lineage.pending:
                 _bucket_add(index, tuple(row[i] for i in positions), rowid)
+        else:
+            lineage.wanted.add(positions)
         self._indexes[positions] = index
         self._plans.clear()
         lineage.counters.note_build(
@@ -435,16 +486,18 @@ class Table:
         """``probe(values)``: this table's rows (or their rowids) whose
         ``columns`` equal ``values``, given in the same order.
 
-        The one probe loop of the table. The access path is chosen here,
-        once: a caller that probes one pattern many times over (a compiled
-        rule, once per outer row) keeps the probe, good until this table's
-        next mutation; ``match_*`` make one per call.
+        The table's probe loop for callers that hold values, not code. The
+        access path is chosen here, once: a caller that probes one pattern
+        many times over keeps the probe, good until this table's next
+        mutation; ``match_*`` make one per call. (A compiled rule reads
+        the same path through :meth:`access` and :meth:`path` and runs
+        this loop inline.)
         """
         rows = self._rows
         if not columns:
             return lambda values: list(rows if rowids else rows.values())
-        plan = self._plans.get(columns) or self._resolve(columns)
-        if plan is None:
+        access, index = self._plans.get(columns) or self._resolve(columns)
+        if access is _SCAN:
 
             def scan(values: tuple) -> list:
                 wanted = tuple(zip(columns, values))
@@ -458,7 +511,7 @@ class Table:
                 return matches
 
             return scan
-        index, pick, checks = plan
+        _, _, pick, checks = access
         lookup = (self._key_values if index is None else index).get
         held = rows.get
         lineage = self.lineage
@@ -489,71 +542,95 @@ class Table:
 
         return probe
 
-    def access_path(self, columns: tuple[int, ...]) -> str:
-        """How a probe binding ``columns`` would be served, for EXPLAIN:
-        ``key``, ``index(cols)`` or ``build(cols)`` (no index covers the
-        pattern: the first probe builds this one), each with
-        ``+residual(cols)`` where bound columns are left to filter, or
-        ``scan``. Builds nothing."""
-        choice = self._choose(columns)
-        if choice is None:
-            return "scan"
-        kind, positions = choice
-        names = self.schema.columns
-        path = kind
-        if kind != "key":
-            path += "(" + ", ".join(names[i] for i in positions) + ")"
-        residual = [names[i] for i in columns if i not in positions]
-        if residual:
-            path += "+residual(" + ", ".join(residual) + ")"
-        return path
-
-    def _choose(self, columns: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
-        """The probe policy for ``columns``, nothing built: ``key``, or
-        ``index`` / ``build`` and the indexed positions; None is a scan."""
+    def access(self, columns: tuple[int, ...]) -> Access:
+        """The probe policy for ``columns``, nothing built: the unique key
+        when they include it, else the longest index they cover, else (on
+        an ``auto_index`` table of ``_AUTO_INDEX_MIN_ROWS`` rows or more) an
+        index to build — the largest declared one that fits, else the
+        exact pattern — else a scan. But for build-or-scan, which looks at
+        the size, the answer depends on :meth:`signature` alone."""
         bound = set(columns)
         if not bound:
-            return None
+            return _SCAN
         if self._key_positions and bound.issuperset(self._key_positions):
-            return "key", self._key_positions
-        # list(): forks of one version resolve (and build) concurrently.
-        available = list(self.lineage.indexes)
-        if self._frozen_at is not None:
-            available += list(self._indexes)
-        covered = [positions for positions in available if bound.issuperset(positions)]
-        if covered:
-            return "index", max(covered, key=len)
-        if not self.auto_index or len(self._rows) < _AUTO_INDEX_MIN_ROWS:
-            return None
-        declared = [
-            positions
-            for positions in map(self.schema.column_indexes, self.schema.indexes)
-            if bound.issuperset(positions)
-        ]
-        return "build", tuple(sorted(max(declared, key=len, default=columns)))
-
-    def _resolve(self, columns: tuple[int, ...]) -> Plan | None:
-        """Choose (and remember) the access path for probes binding
-        ``columns``; None means scan, which is decided afresh each time
-        because the table may outgrow it."""
-        choice = self._choose(columns)
-        if choice is None:
-            return None
-        kind, positions = choice
-        if kind == "key":
-            index = None
-        elif kind == "build":
-            index = self._build_index(positions)
+            kind, positions = "key", self._key_positions
         else:
-            index = self.lineage.indexes.get(positions)
-            if index is None:
-                index = self._indexes[positions]
-        plan = (
-            index,
-            None if positions == columns else [columns.index(i) for i in positions],
-            [(i, j) for j, i in enumerate(columns) if i not in positions],
+            _, available = self.signature()
+            covered = [p for p in available if bound.issuperset(p)]
+            if covered:
+                kind, positions = "index", max(covered, key=len)
+            elif not self.auto_index or len(self._rows) < _AUTO_INDEX_MIN_ROWS:
+                return _SCAN
+            else:
+                declared = [
+                    p
+                    for p in map(self.schema.column_indexes, self.schema.indexes)
+                    if bound.issuperset(p)
+                ]
+                kind = "build"
+                positions = tuple(sorted(max(declared, key=len, default=columns)))
+        return Access(
+            kind,
+            positions,
+            None if positions == columns else tuple(map(columns.index, positions)),
+            tuple((i, j) for j, i in enumerate(columns) if i not in positions),
         )
-        self._plans[columns] = plan
+
+    def signature(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The key's positions and those of every index a probe may use:
+        what a compiled rule's access paths were chosen from."""
+        # tuple(): forks of one version resolve (and build) concurrently.
+        indexes = tuple(self.lineage.indexes)
+        if self._frozen_at is not None:
+            indexes += tuple(self._indexes)
+        return self._key_positions, indexes
+
+    def path(self, access: Access) -> tuple[Callable, Callable, Callable]:
+        """What a ``key`` or ``index`` access reads, for one execution:
+        ``(value tuple -> bucket or None, rowid -> row or None, count
+        candidates dropped)``. A bucket is a rowid or a set of them that
+        the lineage's owner may be adding to: snapshot it with ``tuple()``,
+        and look every candidate up — it may name a row this table does
+        not hold (see "Visibility" above)."""
+        index = self._index_of(access)
+        return (
+            (self._key_values if index is None else index).get,
+            self._rows.get,
+            self.lineage.counters.note_stale,
+        )
+
+    def _index_of(self, access: Access) -> Index | None:
+        """The index an ``index`` access reads; None for the unique-key
+        dict, which the owner replaces when it unshares its rows."""
+        if access.kind == "key":
+            return None
+        index = self.lineage.indexes.get(access.positions)
+        return self._indexes[access.positions] if index is None else index
+
+    def access_path(self, columns: tuple[int, ...]) -> str:
+        """:meth:`access` in words, for EXPLAIN: ``key``, ``index(cols)``
+        or ``build(cols)``, each with ``+residual(cols)`` where bound
+        columns are left to filter, or ``scan``."""
+        kind, positions, _, checks = self.access(columns)
+        names = self.schema.columns
+        path = kind
+        if positions and kind != "key":
+            path += "(" + ", ".join(names[i] for i in positions) + ")"
+        if checks:
+            path += "+residual(" + ", ".join(names[i] for i, _ in checks) + ")"
+        return path
+
+    def _resolve(self, columns: tuple[int, ...]) -> tuple[Access, Index | None]:
+        """:meth:`access` with its index, built if need be; remembered
+        unless it is a scan, which is decided afresh each time because the
+        table may outgrow it."""
+        access = self.access(columns)
+        if access is _SCAN:
+            return access, None
+        if access.kind == "build":
+            self._build_index(access.positions)
+            access = access._replace(kind="index")
+        plan = self._plans[columns] = (access, self._index_of(access))
         return plan
 
     def __repr__(self) -> str:

@@ -1,8 +1,9 @@
 """Property test: all evaluation paths agree on random databases and queries.
 
 This is the query-layer analogue of incremental-vs-batch: the naive Def. 14
-evaluator is the specification; translated Datalog (pushed and unpushed),
-generated SQL, and the lazy evaluator must return exactly the same sets.
+evaluator is the specification; translated Datalog (pushed and unpushed, as
+Algorithm 1 lists it and as the engine unfolds it), generated SQL, and the
+lazy evaluator must return exactly the same sets.
 """
 
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from repro.query.bcq import Arith, BCQuery, ModalSubgoal, UserAtom, Variable
 from repro.query.lazy import evaluate_lazy
 from repro.query.naive import evaluate_naive
 from repro.query.sql_gen import evaluate_sql
-from repro.query.translate import evaluate_translated
+from repro.query.translate import evaluate_translated, translate_bcq
+from repro.relational.datalog import run_program, unfold
 from repro.relational.sqlite_backend import SqliteMirror
 from repro.storage.store import BeliefStore
 from repro.storage.updates import insert_statement
@@ -27,10 +29,13 @@ from tests.strategies import (
 
 _PATH_VARS = tuple(Variable(n) for n in ("px", "py"))
 _ARG_VARS = tuple(Variable(n) for n in ("k", "v"))
+#: Of subgoals that share no variable with the ones over the names above.
+_APART_PATH_VARS = (Variable("pz"),)
+_APART_ARG_VARS = tuple(Variable(n) for n in ("j", "w"))
 
 
 @st.composite
-def path_terms(draw, max_depth: int = 2):
+def path_terms(draw, max_depth: int = 2, variables=_PATH_VARS):
     depth = draw(st.integers(0, max_depth))
     terms = []
     for i in range(depth):
@@ -38,7 +43,7 @@ def path_terms(draw, max_depth: int = 2):
         if kind == "const":
             terms.append(draw(st.sampled_from(USERS)))
         else:
-            terms.append(draw(st.sampled_from(_PATH_VARS)))
+            terms.append(draw(st.sampled_from(variables)))
     return tuple(terms)
 
 
@@ -67,8 +72,18 @@ def queries(draw):
         subgoals.append(
             ModalSubgoal(draw(path_terms()), "R", sign, draw(arg_terms()))
         )
+    # A second connected component (sometimes): subgoals over names of
+    # their own — grounded by a positive one, then perhaps a negative one
+    # whose non-key attribute is a constant.
+    if draw(st.booleans()):
+        j, w = _APART_ARG_VARS
+        apart = path_terms(variables=_APART_PATH_VARS)
+        subgoals.append(ModalSubgoal(draw(apart), "R", POSITIVE, (j, w)))
+        if draw(st.booleans()):
+            val = draw(st.sampled_from((w,) + VALUES))
+            subgoals.append(ModalSubgoal(draw(apart), "R", NEGATIVE, (j, val)))
     head_pool = [_ARG_VARS[0], _ARG_VARS[1]] + [
-        t for sg in subgoals for t in sg.path if isinstance(t, Variable)
+        t for sg in subgoals for t in (*sg.path, *sg.args) if isinstance(t, Variable)
     ]
     head = tuple(
         draw(st.sampled_from(head_pool))
@@ -121,6 +136,44 @@ def test_all_backends_agree(statements, query):
     with SqliteMirror() as mirror:
         mirror.sync(store.engine)
         assert evaluate_sql(store, query, mirror) == reference
+
+
+@given(
+    st.lists(belief_statements(max_depth=2), max_size=10),
+    queries(),
+    st.lists(belief_statements(max_depth=2), min_size=1, max_size=4),
+)
+@settings(max_examples=150)
+def test_unfolded_program_agrees_with_algorithm_1_as_listed(statements, query, later):
+    """Def. 14 = Algorithm 1's listing = the listing unfolded, through the one
+    evaluator; and a pinned fork keeps answering for its own epoch."""
+    try:
+        query.check_safe(TINY_SCHEMA)
+    except Exception:
+        return
+    store = build_store(statements)
+    reference = evaluate_naive(store.explicit_db, query, users=store.users())
+    tables = store.engine.tables()
+    for push_selections in (True, False):
+        translation = translate_bcq(store, query, push_selections)
+        if translation.is_empty:
+            assert reference == set()
+            continue
+        listed = translation.program
+        unfolded = unfold(listed, tables)
+        assert run_program(tables, listed)[0] == reference
+        assert run_program(tables, unfolded)[0] == reference
+        # Every T_i is read once: none is left, whatever was pushed.
+        assert not {rule.head.table for rule in unfolded} & {
+            rule.head.table for rule in listed.rules[:-1]
+        }
+    pinned = store.fork_snapshot()
+    for stmt in later:
+        insert_statement(store, stmt)
+    assert evaluate_translated(pinned, query) == reference
+    assert evaluate_translated(store, query) == evaluate_naive(
+        store.explicit_db, query, users=store.users()
+    )
 
 
 @given(st.lists(belief_statements(max_depth=2), max_size=10))

@@ -159,6 +159,21 @@ class TestPathSemantics:
         )
         assert got == set()
 
+    def test_a_defect_in_user_resolution_is_not_an_unknown_user(
+        self, store, mirror, monkeypatch
+    ):
+        """Only "no such user" joins to nothing; anything else surfaces."""
+
+        def broken(ref):
+            raise KeyError(ref)
+
+        monkeypatch.setattr(store, "resolve_user", broken)
+        query = parse_bcq("q(k) :- ['Bob'] Sightings+(k, z, sp, u, v)", store.schema)
+        with pytest.raises(KeyError):
+            evaluate_translated(store, query)
+        with pytest.raises(KeyError):
+            evaluate_sql(store, query, mirror)
+
     def test_user_names_resolve_in_paths(self, store, mirror):
         got = answers(
             store, mirror,

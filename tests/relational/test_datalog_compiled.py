@@ -1,12 +1,15 @@
 """The compiled Datalog evaluator against a cartesian-product reference.
 
 ``relational/datalog.py`` compiles each rule *shape* (the rule minus its
-constants) once into a function of nested index-probe loops and keeps the
-plans in one bounded cache. This suite checks the compiled answers against
-the obviously-correct evaluator below on generated tables and rules, and
-pins what the plan cache promises: constants do not recompile, the cache is
-bounded, a plan is right on any fork of the tables, threads may share it,
-and a malformed rule is rejected before any row is read.
+constants) once per catalog (the keys and indexes of the tables it reads)
+into a function of nested loops that read those keys and indexes inline,
+and keeps the plans in one bounded cache. This suite checks the compiled
+answers against the obviously-correct evaluator below on generated tables
+and rules — and ``unfold``'s rewritten programs against the programs as
+listed — and pins what the plan cache promises: constants do not recompile,
+another catalog does, the cache is bounded, a plan is right on any fork of
+the tables, threads may share it, and a malformed rule is rejected before
+any row is read.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.relational.datalog import (
     evaluate_rule,
     plan_cache_stats,
     run_program,
+    unfold,
 )
 from repro.relational.expressions import And, Cmp, Const, Not, Or, Ref
 from repro.relational.schema import TableSchema
@@ -177,6 +181,8 @@ def test_program_reading_an_earlier_temp_matches_reference(data, rows):
     assert result == reference({**rows, "t0": list(t0)}, second)
     assert set(temps["t0"]) == t0 and len(temps["t0"]) == len(t0)
     assert sorted(tables) == sorted(ARITIES)  # the caller's mapping is untouched
+    # ... and unfolded, whether or not t0 is read once: the same answers.
+    assert run_program(tables, unfold(Program([first, second]), tables))[0] == result
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,7 +221,8 @@ def _two_hop(start, label, head="hop"):
 
 def test_rules_differing_only_in_constants_share_one_plan():
     tables = build({"r": [(1, 2), (2, 3), (2, 1), (5, 2)], "s": [], "u": []})
-    evaluate_rule(tables, _two_hop(1, "from 1"))
+    for _ in range(2):  # the first run builds r's index: one more catalog
+        evaluate_rule(tables, _two_hop(1, "from 1"))
     before = plan_cache_stats()
     assert evaluate_rule(tables, _two_hop(5, "to")) == {("to", 3), ("to", 1)}
     assert evaluate_rule(tables, _two_hop(1, "from 1")) == {("from 1", 3)}
@@ -280,8 +287,8 @@ def test_threads_compiling_distinct_new_shapes_agree_with_serial_answers():
 def test_a_plan_names_no_table():
     """One plan object serves the live tables and every fork of them."""
     rule = _two_hop(1, "x")
-    plan, params = compile_rule(rule)
     live = build({"r": [(1, 2), (2, 3)], "s": [], "u": []})
+    plan, params = compile_rule(rule, live)
     fork = {name: table.snapshot_fork() for name, table in live.items()}
     live["r"].insert((2, 4))
     assert plan.run(params, plan.bind(fork, rule)) == {("x", 3)}
@@ -301,6 +308,244 @@ def test_stale_bucket_candidates_are_counted_and_dropped():
     assert evaluate_rule(pinned, rule) == {("old",), ("gone",), ("new",)}
     assert evaluate_rule(live, rule) == {("old",), ("new",)}  # skips "gone"
     assert counters.stale_skipped == before + 2
+
+
+def test_the_same_shape_on_another_catalog_is_another_plan():
+    """Access paths are compiled in: tables of the same names with other
+    keys or indexes must not run each other's plans."""
+    rule = Rule(Atom("q", (X, Z)), [Atom("r", (1, X)), Atom("w", (X, Y, Z))])
+    rows = [(i, i % 3, f"z{i}") for i in range(9)]
+    catalogs = {
+        "keyed": TableSchema("w", ("c0", "c1", "c2"), key=("c0",)),
+        "indexed": TableSchema("w", ("c0", "c1", "c2"), indexes=(("c0",),)),
+        "bare": TableSchema("w", ("c0", "c1", "c2")),
+    }
+    plans, paths = {}, {}
+    for name, schema in catalogs.items():
+        tables = build({"r": [(1, 2), (1, 5), (0, 7)], "s": [], "u": []})
+        tables["w"] = Table(schema)
+        tables["w"].insert_many(rows)
+        for _ in range(2):  # the first run builds r's index, and bare w's
+            assert evaluate_rule(tables, rule) == {(2, "z2"), (5, "z5")}
+        compiles = plan_cache_stats()["compiles"]
+        assert evaluate_rule(tables, rule) == {(2, "z2"), (5, "z5")}
+        plans[name], _ = compile_rule(rule, tables)
+        assert plan_cache_stats()["compiles"] == compiles
+        paths[name] = plans[name].describe(tables, rule)
+    assert paths["keyed"] == "q: r[c0] index(c0) -> w[c0] key"
+    assert paths["indexed"] == paths["bare"] == "q: r[c0] index(c0) -> w[c0] index(c0)"
+    assert plans["keyed"] is not plans["indexed"]
+    # The index bare w built made it the catalog of the declared one.
+    assert plans["bare"] is plans["indexed"]
+    assert plan_cache_stats()["size"] <= plan_cache_stats()["capacity"]
+
+
+def test_the_join_order_prefers_an_index_to_building_one():
+    """``big`` is first in source order and shares the constant, but only a
+    built index would serve it; ``s`` has a declared one."""
+    tables = build({"r": [], "s": [(1, 2, i) for i in range(5)], "u": []})
+    tables["big"] = Table(TableSchema("big", ("c0", "c1")))
+    tables["big"].insert_many([(i % 5, 1) for i in range(40)])
+    rule = Rule(Atom("q", (X,)), [Atom("big", (X, 1)), Atom("s", (1, 2, X))])
+    plan, _ = compile_rule(rule, tables)
+    assert plan.describe(tables, rule) == (
+        "q: s[c0, c1] index(c0, c1) -> big[c0, c1] build(c0, c1)"
+    )
+    assert evaluate_rule(tables, rule) == {(i,) for i in range(5)}
+
+
+# -- unfold: temporaries read once become part of their reader ----------------------
+
+
+def _tables():
+    return build(
+        {
+            "r": [(1, 2), (2, 3), (3, 3), (4, 1)],
+            "s": [(1, 2, 3), (2, 3, 4), (3, 3, 3)],
+            "u": [(1, "a"), (3, "c")],
+        }
+    )
+
+
+def _same(program: Program, tables=None) -> Program:
+    """``unfold(program)``, having checked it answers as ``program`` does."""
+    tables = tables or _tables()
+    rewritten = unfold(program, tables)
+    assert run_program(tables, rewritten)[0] == run_program(tables, program)[0]
+    return rewritten
+
+
+class TestUnfold:
+    def test_a_temporary_read_once_is_folded_into_its_reader(self):
+        program = Program(
+            [
+                Rule(
+                    Atom("t", (X, Y)),
+                    [Atom("r", (X, Y))],
+                    (Cmp("<", Ref("x"), Ref("y")),),
+                ),
+                Rule(Atom("q", (X, Z)), [Atom("t", (X, Y)), Atom("s", (Y, Z, Z))]),
+            ]
+        )
+        (rule,) = _same(program).rules
+        assert str(rule) == "q(x, z) :- r(x, y), s(y, z, z), (x < y)"
+
+    def test_variables_of_the_definition_are_renamed_apart(self):
+        # t's y is not the reader's y; t's x is the reader's z.
+        program = Program(
+            [
+                Rule(
+                    Atom("t", (X,)),
+                    [Atom("r", (X, Y))],
+                    (Cmp("!=", Ref("y"), Const(3)),),
+                ),
+                Rule(Atom("q", (Y, Z)), [Atom("r", (Y, Z)), Atom("t", (Z,))]),
+            ]
+        )
+        (rule,) = _same(program).rules
+        assert str(rule) == "q(y, z) :- r(y, z), r(z, y'), (y' != 3)"
+
+    def test_a_constant_in_the_head_binds_the_readers_variable(self):
+        program = Program(
+            [
+                Rule(Atom("t", (X, 3)), [Atom("r", (X, 3))]),
+                Rule(
+                    Atom("q", (X, Y)), [Atom("t", (X, Y))], (Cmp(">", Ref("y"), Ref("x")),)
+                ),
+            ]
+        )
+        (rule,) = _same(program).rules
+        assert str(rule) == "q(x, 3) :- r(x, 3), (3 > x)"
+
+    def test_a_constant_in_the_atom_selects_in_the_definition(self):
+        program = Program(
+            [
+                Rule(Atom("t", (X, Y, X)), [Atom("r", (X, Y))]),
+                Rule(Atom("q", (Z,)), [Atom("t", (Z, 3, Y))]),  # so y = z too
+            ]
+        )
+        (rule,) = _same(program).rules
+        assert str(rule) == "q(z) :- r(z, 3)"
+
+    def test_constants_that_differ_derive_nothing(self):
+        program = Program(
+            [
+                Rule(Atom("t", (X, 3)), [Atom("r", (X, Y))]),
+                Rule(Atom("q", (X,)), [Atom("t", (X, 4))]),
+            ]
+        )
+        rewritten = _same(program)
+        assert len(rewritten.rules) == 1
+        assert run_program(_tables(), rewritten) == (set(), {})
+        agree = Program([program.rules[0], Rule(Atom("q", (X,)), [Atom("t", (X, 3))])])
+        assert run_program(_tables(), _same(agree))[0] == {(1,), (2,), (3,), (4,)}
+
+    def test_a_temporary_read_twice_is_not_unfolded(self):
+        program = Program(
+            [
+                Rule(Atom("t", (X, Y)), [Atom("r", (X, Y))]),
+                Rule(Atom("q", (X, Z)), [Atom("t", (X, Y)), Atom("t", (Y, Z))]),
+            ]
+        )
+        assert [str(r) for r in _same(program)] == [str(r) for r in program]
+
+    def test_what_is_not_a_single_use_temporary_stays_as_listed(self):
+        t = Rule(Atom("t", (X,)), [Atom("r", (X, Y))])
+        listed = {
+            "read under negation": [
+                t,
+                Rule(
+                    Atom("q", (X,)),
+                    [Atom("u", (X, Y))],
+                    negated=[NegatedAtom(Atom("t", (X,)))],
+                ),
+            ],
+            "derived twice": [
+                t,
+                Rule(Atom("t", (X,)), [Atom("u", (X, Y))]),
+                Rule(Atom("q", (X,)), [Atom("t", (X,))]),
+            ],
+            "appended to": [
+                Rule(Atom("u", (X, "new")), [Atom("r", (X, 1))]),
+                Rule(Atom("q", (X,)), [Atom("u", (X, Y))]),
+            ],
+            "what it reads changes before it is read": [
+                t,
+                Rule(Atom("r", (9, X)), [Atom("u", (X, Y))]),
+                Rule(Atom("q", (X,)), [Atom("t", (X,))]),
+            ],
+        }
+        for why, rules_ in listed.items():
+            program = Program(list(rules_))
+            assert [str(r) for r in unfold(program, _tables())] == [
+                str(r) for r in program
+            ], why
+            assert run_program(_tables(), unfold(program, _tables())) == run_program(
+                _tables(), program
+            ), why
+
+    def test_a_chain_of_temporaries_unfolds_all_the_way(self):
+        program = Program(
+            [
+                Rule(Atom("a", (X, Y)), [Atom("r", (X, Y))]),
+                Rule(Atom("b", (X, Z)), [Atom("a", (X, Y)), Atom("r", (Y, Z))]),
+                Rule(
+                    Atom("q", (X,)),
+                    [Atom("b", (X, 3))],
+                    negated=[NegatedAtom(Atom("u", (X, "a")))],
+                ),
+            ]
+        )
+        (rule,) = _same(program).rules
+        assert str(rule) == "q(x) :- r(x, y), r(y, 3), not u(x, 'a')"
+
+    def test_components_that_share_no_variable_are_rules_of_their_own(self):
+        """Each is computed once and the last rule multiplies them; a single
+        atom needs no rule, a group nothing is read from derives ``True``."""
+        program = Program(
+            [
+                Rule(Atom("a", (X, Y)), [Atom("r", (X, Y)), Atom("u", (X, Z))]),
+                Rule(Atom("b", (X,)), [Atom("s", (X, Y, Z)), Atom("r", (Y, Z))]),
+                Rule(
+                    Atom("q", (X, Z)),
+                    [Atom("a", (X, Y)), Atom("b", (Var("w"),)), Atom("u", (Z, "c"))],
+                    (Cmp("<", Ref("x"), Const(3)), Cmp("!=", Ref("z"), Ref("x"))),
+                ),
+            ]
+        )
+        tables = _tables()
+        rewritten = _same(program, tables)
+        assert [str(r) for r in rewritten] == [
+            "q.0(x) :- r(x, y), u(x, z'), (x < 3)",
+            "q.1(True) :- s(w, y', z''), r(y', z'')",
+            "q(x, z) :- q.0(x), q.1(True), u(z, 'c'), (z != x)",
+        ]
+        assert run_program(tables, rewritten)[0] == {(1, 3)}
+        # A name that is taken is not taken again.
+        tables["q.0"] = Table(TableSchema("q.0", ("c0",)))
+        assert unfold(program, tables).rules[0].head.table == "q.0'"
+
+    @pytest.mark.parametrize("hops", [16, 24, 40])
+    def test_unfolded_joins_longer_than_the_nesting_limit(self, hops):
+        """One temporary per hop, each read once: unfolded, one rule of
+        ``hops`` atoms, which goes on in a second function past 15 loops."""
+        rows = {"r": [(i, i + 1) for i in range(60)], "s": [], "u": []}
+        h = [Var(f"h{i}") for i in range(hops + 1)]
+        program = Program(
+            [Rule(Atom("t1", (h[0], h[1])), [Atom("r", (h[0], h[1]))])]
+            + [
+                Rule(
+                    Atom(f"t{i + 1}", (h[0], h[i + 1])),
+                    [Atom(f"t{i}", (h[0], h[i])), Atom("r", (h[i], h[i + 1]))],
+                )
+                for i in range(1, hops)
+            ]
+            + [Rule(Atom("q", (h[0], h[hops])), [Atom(f"t{hops}", (h[0], h[hops]))])]
+        )
+        tables = build(rows)
+        (rule,) = unfold(program, tables).rules
+        assert len(rule.body) == hops > datalog._MAX_NEST
+        assert evaluate_rule(tables, rule) == {(i, i + hops) for i in range(61 - hops)}
 
 
 # -- joins longer than CPython's 20 nested blocks -----------------------------------

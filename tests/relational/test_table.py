@@ -196,6 +196,35 @@ class TestIndexes:
         assert not t.has_index(("a", "b")) and not t.has_index(("k", "b"))
         assert t.lineage.counters.builds == {"shared": 1, "private": 0}
 
+    def test_the_owner_adopts_an_index_a_fork_had_to_build_for_itself(self):
+        """One private build by the first fork that meets the pattern, one
+        shared build at the owner's next fork, and none after that — not a
+        pass over the table per version."""
+        t = make_table()
+        t.insert_many([(i % 5, i, "x") for i in range(200)])
+        builds = t.lineage.counters.builds
+        first = t.snapshot_fork()
+        assert len(list(first.match_named(a=2))) == 40
+        assert builds == {"shared": 0, "private": 1} and not t.has_index(("a",))
+        gone = t.insert((2, 999, "later"))
+        second = t.snapshot_fork()  # where no write can land: adopts (a)
+        assert builds == {"shared": 1, "private": 1} and t.has_index(("a",))
+        t.delete_rowid(gone)
+        t.insert((2, 1000, "latest"))
+        third = t.snapshot_fork()
+        for fork, seen in ((first, 40), (second, 41), (third, 41), (t, 41)):
+            assert len(list(fork.match_named(a=2))) == seen
+        assert (2, 999, "later") in list(second.match_named(a=2))
+        assert (2, 1000, "latest") in list(third.match_named(a=2))
+        assert builds == {"shared": 1, "private": 1}
+        # Forking a fork adopts nothing: only the owner's next fork does.
+        nested = third.snapshot_fork()
+        assert len(list(nested.match_named(c="x"))) == 200
+        third.snapshot_fork()
+        assert builds == {"shared": 1, "private": 2} and not t.has_index(("c",))
+        t.snapshot_fork()
+        assert builds == {"shared": 2, "private": 2} and t.has_index(("c",))
+
     def test_a_bucket_is_a_bare_rowid_until_a_second_row_shares_the_value(self):
         t = make_table(auto_index=False)
         t.create_index(("a",))
