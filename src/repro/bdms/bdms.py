@@ -61,10 +61,11 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Literal, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Literal, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover — type-only import (avoids a cycle)
     from repro.durability.manager import DurabilityManager
@@ -105,25 +106,18 @@ from repro.errors import (
     RejectedUpdateError,
     TransactionAbortedError,
     TransactionError,
-    UnknownUserError,
 )
-from repro.lifecycle.model import (
-    ACTIVE as LIFECYCLE_ACTIVE,
-)
-from repro.lifecycle.model import (
-    belief_key,
-    check_status,
-)
+from repro.lifecycle.model import STATUSES as LIFECYCLE_STATUSES
+from repro.lifecycle.model import check_status
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import MetricsRegistry
-from repro.query.bcq import BCQuery
+from repro.query.bcq import BCQuery, LifecycleSelect
 from repro.query.lazy import evaluate_lazy
-from repro.query.naive import evaluate_naive
+from repro.query.naive import evaluate_naive, evaluate_naive_with
 from repro.query.parser import parse_bcq
 from repro.query.sql_gen import evaluate_sql
 from repro.query.translate import evaluate_translated
 from repro.relational.datalog import plan_cache_stats
-from repro.relational.expressions import compare
 from repro.storage.mvcc import Version, VersionManager
 from repro.storage.store import BeliefStore
 from repro.storage.updates import delete_tuple, insert_statement, insert_tuple
@@ -262,29 +256,49 @@ class BeliefDBMS:
             event: cache_events.labels(event=event)
             for event in ("hit", "miss", "eviction", "invalidation")
         }
-        self._lifecycle_ops = self.metrics.counter(
+        lifecycle_ops = self.metrics.counter(
             "beliefdb_lifecycle_ops_total",
             "Applied lifecycle operations by action.",
             labels=("action",),
         )
-        self._lifecycle_transitions = self.metrics.counter(
+        self._lifecycle_ops = {
+            action: lifecycle_ops.labels(action=action)
+            for action in ("propose", "transition", "decay_sweep")
+        }
+        lifecycle_transitions = self.metrics.counter(
             "beliefdb_lifecycle_transitions_total",
             "Applied lifecycle status transitions by target status.",
             labels=("to",),
         )
+        self._lifecycle_transitions = {
+            status: lifecycle_transitions.labels(to=status)
+            for status in LIFECYCLE_STATUSES
+        }
         self._lifecycle_conflicts = self.metrics.counter(
             "beliefdb_lifecycle_conflicts_total",
             "Lifecycle transitions rejected as conflicts (CAS mismatch or "
             "a move the transition table forbids).",
         )
+        # The gauges reach the store through a weak reference: a callback
+        # holding the database would keep a dropped one — its whole store —
+        # alive until the next full cyclic collection.
+        this = weakref.ref(self)
+
+        def of_store(read: Callable[[BeliefStore], float]) -> Callable[[], float]:
+            def value() -> float:
+                db = this()
+                return float(read(db.store)) if db is not None else 0.0
+
+            return value
+
         self.metrics.gauge(
             "beliefdb_lifecycle_tracked_beliefs",
             "Belief statements with a lifecycle record.",
-        ).set_function(lambda: float(self.store.lifecycle.record_count()))
+        ).set_function(of_store(lambda store: store.lifecycle.record_count()))
         self.metrics.gauge(
             "beliefdb_lifecycle_audit_events",
             "Events in the append-only lifecycle audit log.",
-        ).set_function(lambda: float(self.store.lifecycle.audit_count()))
+        ).set_function(of_store(lambda store: store.lifecycle.audit_count()))
         self._lifecycle_sweep_hist = self.metrics.histogram(
             "beliefdb_lifecycle_sweep_seconds",
             "Wall time of confidence decay sweeps.",
@@ -297,20 +311,22 @@ class BeliefDBMS:
             labels=("scope",),
         )
         for scope in ("shared", "private"):
-            index_builds.labels(scope=scope).set_function(
-                lambda scope=scope: self.store.engine.index_counters.builds[scope]
-            )
+            index_builds.labels(scope=scope).set_function(of_store(
+                lambda store, scope=scope: store.engine.index_counters.builds[scope]
+            ))
         self.metrics.counter(
             "beliefdb_engine_index_stale_skipped_total",
             "Index bucket candidates a probe skipped because the probing "
             "table version does not hold that rowid.",
-        ).set_function(lambda: self.store.engine.index_counters.stale_skipped)
+        ).set_function(
+            of_store(lambda store: store.engine.index_counters.stale_skipped)
+        )
         self.metrics.gauge(
             "beliefdb_engine_index_pending_removals",
             "Deleted rowids still in index buckets because a live fork "
             "taken before the delete may probe for them.",
         ).set_function(
-            lambda: self.store.engine.index_stats()["pending_removals"]
+            of_store(lambda store: store.engine.index_stats()["pending_removals"])
         )
         self.metrics.counter(
             "beliefdb_engine_rule_compiles_total",
@@ -381,7 +397,11 @@ class BeliefDBMS:
         return store
 
     def close(self) -> None:
-        """Flush and release durable resources (no-op when ephemeral)."""
+        """Flush and release durable resources, and let go of the cached
+        version no reader has pinned (a closed database that is then
+        dropped frees its store at once: the cached version and its
+        manager point at each other)."""
+        self.versions.retire_idle()
         if self._durability is not None:
             self._durability.close()
 
@@ -582,9 +602,12 @@ class BeliefDBMS:
     # ------------------------------------------------------------------ queries
 
     def query(
-        self, query: BCQuery | str, version: Version | None = None
+        self,
+        query: BCQuery | LifecycleSelect | str,
+        version: Version | None = None,
     ) -> set[tuple]:
-        """Answer a belief conjunctive query (object or textual form).
+        """Answer a belief conjunctive query (object or textual form), or a
+        bound ``WITH`` select (:meth:`CompiledLifecycleSelect.bind`).
 
         Evaluates against a pinned immutable snapshot: with ``version``
         omitted, a version is pinned for the duration of this one query;
@@ -593,15 +616,27 @@ class BeliefDBMS:
         """
         if isinstance(query, str):
             query = parse_bcq(query, self.schema)
-        query.check_safe(self.schema)
+        if isinstance(query, BCQuery):
+            query.check_safe(self.schema)
         if version is not None:
             return self._query_version(query, version)
         with self.read_view() as pinned:
             return self._query_version(query, pinned)
 
-    def _query_version(self, query: BCQuery, version: Version) -> set[tuple]:
-        """Evaluate one checked query against a pinned snapshot."""
+    def _query_version(
+        self, query: BCQuery | LifecycleSelect, version: Version
+    ) -> set[tuple]:
+        """Evaluate one checked query against a pinned snapshot.
+
+        A ``WITH`` select runs as one translated program on every backend
+        but ``naive``, whose reference scan it is checked against; sqlite
+        runs that program on the same version, it has no SQL for it.
+        """
         store = version.store
+        if isinstance(query, LifecycleSelect):
+            if self.backend == "naive":
+                return evaluate_naive_with(store, query)
+            return evaluate_translated(store, query)
         if self.backend == "engine":
             return evaluate_translated(store, query)
         if self.backend == "sqlite":
@@ -744,13 +779,10 @@ class BeliefDBMS:
         watch = Stopwatch()
         compiled = prepared.compiled
         rows: list[tuple] = []
-        if isinstance(compiled, CompiledSelect):
+        if prepared.kind == "select":
             query = compiled.bind(params)
             if query is not None:
                 rows = sorted(self.query(query, version=version), key=repr)
-            rowcount = len(rows)
-        elif isinstance(compiled, CompiledLifecycleSelect):
-            rows = self._lifecycle_select(compiled.bind(params), version)
             rowcount = len(rows)
         else:
             # DML: WAL-logged as one replayable template + parameter record.
@@ -1015,10 +1047,11 @@ class BeliefDBMS:
 
         # Transactions stage only DML, so the lifecycle registry (records +
         # audit log) is untouched by the failed commit: carry the object
-        # over to the rebuilt store instead of losing it.
+        # over to the rebuilt store instead of losing it — after the
+        # statements, so its relations are rebuilt with the new world and
+        # tuple ids.
         lifecycle = self.store.lifecycle
         self.store = self._replacement_store()
-        self.store.lifecycle = lifecycle
         self.invalidate_statements()
         for uid, name in users:
             self.store.add_user(name=name, uid=uid)
@@ -1028,6 +1061,7 @@ class BeliefDBMS:
                     "transaction rollback failed to rebuild the pre-commit "
                     f"state: {statement} re-rejected"
                 )
+        self.store.lifecycle = lifecycle
         # Same wholesale-replacement rule as restore(): cached versions of
         # the discarded store must not serve new pins.
         self.versions.invalidate()
@@ -1118,7 +1152,7 @@ class BeliefDBMS:
         conflict leaves no state change and nothing in the log.
         """
         self._check_durable_writable()
-        with self._write_mutex:
+        with self._writing():
             try:
                 result = self.store.lifecycle.apply(record)
             except LifecycleConflictError:
@@ -1126,9 +1160,9 @@ class BeliefDBMS:
                 raise
             self.versions.bump()
             self._log_durable(record)
-        self._lifecycle_ops.labels(action=record["action"]).inc()
+        self._lifecycle_ops[record["action"]].inc()
         if record["action"] == "transition":
-            self._lifecycle_transitions.labels(to=record["to"]).inc()
+            self._lifecycle_transitions[record["to"]].inc()
         return result
 
     def apply_lifecycle_record(self, record: dict[str, Any]) -> dict[str, Any]:
@@ -1160,9 +1194,7 @@ class BeliefDBMS:
             resolved = tuple(self.store.resolve_user(u) for u in path)
             t = self.schema.tuple(relation, *values)
             coerced = Sign.coerce(sign)
-            if (t, coerced) not in self.store.explicit_db.explicit_signs(
-                resolved
-            ):
+            if BeliefStatement(resolved, t, coerced) not in self.store.explicit_db:
                 raise LifecycleError(
                     f"no explicit statement {t} with sign {coerced} at path "
                     f"{resolved!r} — insert it before proposing lifecycle "
@@ -1298,82 +1330,6 @@ class BeliefDBMS:
         """The derivation chain of one belief (``derived_from`` closure)."""
         with self._pinned_store(version) as store:
             return store.lifecycle.provenance(belief)
-
-    def _lifecycle_select(
-        self, op: CompiledLifecycleSelect, version: Version | None
-    ) -> list[tuple]:
-        """Evaluate a bound lifecycle-filtered select against one snapshot.
-
-        Lifecycle records attach to *explicit* statements, so the scan is
-        over the explicit annotations in the named belief world (exact
-        path); statements with no record count as ACTIVE with confidence
-        1.0 and an empty provenance closure.
-        """
-        with self._pinned_store(version) as store:
-            return self._lifecycle_select_store(op, store)
-
-    def _lifecycle_select_store(
-        self, op: CompiledLifecycleSelect, store: BeliefStore
-    ) -> list[tuple]:
-        resolved = tuple(store.resolve_user(u) for u in op.path)
-        registry = store.lifecycle
-        # Validate filter values bound from ? parameters up front.
-        filters: list[tuple[str, str, Any]] = []
-        for field, fop, value in op.filters:
-            if field == "status":
-                if not isinstance(value, str):
-                    raise LifecycleError(
-                        f"STATUS compares against a status name, got {value!r}"
-                    )
-                check_status(value)
-            elif field == "confidence":
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    raise LifecycleError(
-                        f"CONFIDENCE compares against a number, got {value!r}"
-                    )
-                value = float(value)
-            filters.append((field, fop, value))
-        sign_str = str(op.sign)
-        rows: list[tuple] = []
-        for t, sign in store.explicit_db.explicit_signs(resolved):
-            if t.relation != op.relation or sign is not op.sign:
-                continue
-            if not op.predicate(t):
-                continue
-            record = registry.get(
-                belief_key(resolved, op.relation, t.values, sign_str)
-            )
-            matched = True
-            for field, fop, value in filters:
-                if field == "status":
-                    status = (
-                        record.status if record is not None
-                        else LIFECYCLE_ACTIVE
-                    )
-                    ok = compare(fop, status, value)
-                elif field == "confidence":
-                    conf = record.confidence if record is not None else 1.0
-                    ok = compare(fop, conf, value)
-                else:  # derived_from: match the transitive provenance closure
-                    if record is None:
-                        ok = False
-                    else:
-                        tokens = registry.derivation_tokens(record)
-                        candidates = {value}
-                        try:
-                            candidates.add(store.resolve_user(value))
-                        except UnknownUserError:
-                            pass
-                        ok = bool(candidates & tokens)
-                if not ok:
-                    matched = False
-                    break
-            if matched:
-                rows.append(tuple(t.values[i] for i in op.column_indices))
-        rows.sort(key=repr)
-        return rows
 
     # ------------------------------------------------------------------ stats
 

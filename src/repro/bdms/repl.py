@@ -19,7 +19,7 @@ to stdin.
 from __future__ import annotations
 
 from repro.bdms.result import Result
-from repro.beliefsql.compiler import compile_select
+from repro.beliefsql.compiler import compile_select_prepared
 from repro.beliefsql.parser import parse_beliefsql
 from repro.bdms.bdms import BeliefDBMS
 from repro.core.paths import format_path
@@ -113,7 +113,9 @@ class BeliefShell:
             from repro.query.explain import explain
 
             statement = parse_beliefsql(argument)
-            query = compile_select(statement, self.db.schema)  # type: ignore[arg-type]
+            query = compile_select_prepared(
+                statement, self.db.schema  # type: ignore[arg-type]
+            ).bind(())
             if query is None:
                 return "provably empty (contradictory constants)"
             return explain(self.db.store, query, analyze=True).render()

@@ -38,7 +38,16 @@ from repro.beliefsql.ast import (
 from repro.core.schema import ExternalSchema, GroundTuple
 from repro.core.statements import NEGATIVE, POSITIVE, Sign
 from repro.errors import BeliefSQLCompileError, ParameterBindingError
-from repro.query.bcq import Arith, BCQuery, ModalSubgoal, Term, UserAtom, Variable
+from repro.query.bcq import (
+    Arith,
+    BCQuery,
+    Comparison,
+    LifecycleSelect,
+    ModalSubgoal,
+    Term,
+    UserAtom,
+    Variable,
+)
 from repro.relational.expressions import compare
 
 
@@ -192,36 +201,40 @@ class CompiledLifecycleSelect:
 
     Lifecycle filters apply to *explicit* statements — the curated
     annotations lifecycle records attach to — so the compiled form is not a
-    BCQ over entailed worlds but a direct scan spec: the belief world
-    (exact path), relation, sign, a WHERE predicate over the tuple, the
-    lifecycle filter terms, and a column projection. The BDMS evaluates it
-    against the lifecycle registry of a pinned store version
-    (:meth:`repro.bdms.bdms.BeliefDBMS.execute_prepared`); statements with
-    no lifecycle record count as ACTIVE with confidence 1.0.
+    BCQ over entailed worlds but a :class:`LifecycleSelect`: the belief
+    world (exact path), relation, sign, the WHERE comparisons, the
+    lifecycle filters and a column projection, placeholders still in it.
+    :meth:`bind` substitutes the parameters and checks the filter values
+    (a bad STATUS or CONFIDENCE raises :class:`LifecycleError`). The BDMS
+    answers the bound select like any other: the engine, lazy and sqlite
+    backends run it as one Datalog program over the internal schema and
+    the lifecycle relations (:func:`repro.query.translate.translate_with`),
+    the naive backend by the reference scan
+    (:func:`repro.query.naive.evaluate_naive_with`).
     """
 
-    path: tuple[Any, ...]  # raw user references; may hold Placeholders
-    sign: Sign
-    relation: str
+    select: LifecycleSelect
     columns: tuple[str, ...]
-    column_indices: tuple[int, ...]
-    predicate: DmlPredicate
-    filters: tuple[tuple[str, str, Any], ...]  # (field, op, value|Placeholder)
     param_count: int = 0
 
-    def bind(self, params: Sequence[Any] = ()) -> "CompiledLifecycleSelect":
+    def bind(self, params: Sequence[Any] = ()) -> LifecycleSelect:
         bound = check_parameters(self.param_count, params)
-        if not self.param_count:
-            return self
-        return CompiledLifecycleSelect(
-            tuple(_bind_term(u, bound) for u in self.path),
-            self.sign,
-            self.relation,
-            self.columns,
-            self.column_indices,
-            self.predicate.bind(bound),
-            tuple((f, op, _bind_term(v, bound)) for f, op, v in self.filters),
-        )
+        select = self.select
+        if self.param_count:
+            select = LifecycleSelect(
+                tuple(_bind_term(u, bound) for u in select.path),
+                select.relation,
+                select.sign,
+                select.head,
+                tuple(
+                    (op, li, _bind_term(lv, bound), ri, _bind_term(rv, bound))
+                    for op, li, lv, ri, rv in select.where
+                ),
+                tuple(
+                    (f, op, _bind_term(v, bound)) for f, op, v in select.filters
+                ),
+            )
+        return select.checked()
 
 
 def compile_lifecycle_select(
@@ -262,8 +275,11 @@ def compile_lifecycle_select(
                 f"literals, not column references ({operand})"
             )
         path.append(operand if isinstance(operand, Placeholder) else operand.value)
-    predicate = _dml_predicate(
-        item.relation, stmt.conditions, schema, alias=item.alias
+    where = tuple(
+        ("!=" if op == "<>" else op, li, lv, ri, rv)
+        for op, li, lv, ri, rv in _comparisons(
+            item.relation, stmt.conditions, schema, alias=item.alias
+        )
     )
     filters: list[tuple[str, str, Any]] = []
     for lf in stmt.lifecycle:
@@ -281,16 +297,15 @@ def compile_lifecycle_select(
                     f"CONFIDENCE compares against a number, got {value!r}"
                 )
         filters.append((lf.field, lf.op, value))
-    return CompiledLifecycleSelect(
+    select = LifecycleSelect(
         tuple(path),
-        _dml_sign(item.belief),
         item.relation,
-        columns,
+        _dml_sign(item.belief),
         tuple(indices),
-        predicate,
+        where,
         tuple(filters),
-        param_count,
     )
+    return CompiledLifecycleSelect(select, columns, param_count)
 
 
 def compile_select(
@@ -573,9 +588,19 @@ def _dml_predicate(
     relation_name: str,
     conditions: Iterable[Condition],
     schema: ExternalSchema,
-    alias: str | None = None,
 ) -> DmlPredicate:
-    """Compile DML WHERE conditions into a tuple predicate.
+    """Compile DML WHERE conditions into a tuple predicate."""
+    return DmlPredicate(_comparisons(relation_name, conditions, schema))
+
+
+def _comparisons(
+    relation_name: str,
+    conditions: Iterable[Condition],
+    schema: ExternalSchema,
+    alias: str | None = None,
+) -> list[Comparison]:
+    """WHERE conditions over one relation as ``(op, left position, left
+    value, right position, right value)``.
 
     Operands may be bare column names (or ``relation.column``, or
     ``alias.column`` when an alias is given), literals, and ``?``
@@ -602,14 +627,14 @@ def _dml_predicate(
             return operand
         return operand.value if isinstance(operand, Literal) else None
 
-    compiled: list[tuple[str, int | None, Any, int | None, Any]] = []
-    for cond in conditions:
-        compiled.append((
+    return [
+        (
             cond.op,
             index_of(cond.left), value_of(cond.left),
             index_of(cond.right), value_of(cond.right),
-        ))
-    return DmlPredicate(compiled)
+        )
+        for cond in conditions
+    ]
 
 
 def compile_insert(stmt: InsertStatement, schema: ExternalSchema) -> CompiledInsert:

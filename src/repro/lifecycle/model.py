@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import LifecycleError
@@ -155,9 +156,17 @@ def belief_id(key: BeliefKey) -> str:
     return "b" + hashlib.sha1(blob.encode("utf-8")).hexdigest()[:12]
 
 
+_BELIEF_ID = re.compile(r"b[0-9a-f]{12}\Z")
+
+
+def is_belief_id(token: Any) -> bool:
+    """Could ``token`` name a belief (is it shaped like :func:`belief_id`)?"""
+    return isinstance(token, str) and _BELIEF_ID.match(token) is not None
+
+
 # ------------------------------------------------------------------- records
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LifecycleRecord:
     """The lifecycle state of one tracked belief statement."""
 
@@ -172,10 +181,16 @@ class LifecycleRecord:
     updated_ts: float
 
     def with_status(self, status: str, ts: float) -> "LifecycleRecord":
-        return replace(self, status=status, updated_ts=ts)
+        return LifecycleRecord(
+            self.belief_id, self.key, status, self.confidence, self.actor,
+            self.decay, self.derived_from, self.created_ts, ts,
+        )
 
     def with_confidence(self, confidence: float, ts: float) -> "LifecycleRecord":
-        return replace(self, confidence=confidence, updated_ts=ts)
+        return LifecycleRecord(
+            self.belief_id, self.key, self.status, confidence, self.actor,
+            self.decay, self.derived_from, self.created_ts, ts,
+        )
 
     def view(self) -> dict[str, Any]:
         """JSON-friendly view for wire responses, snapshots, and the CLI."""

@@ -8,17 +8,39 @@ record, so the audit history after a restart is bit-identical to the history
 before the crash. Timestamps travel inside the record (stamped once by the
 writer), never read from the clock during apply.
 
-MVCC forks (:meth:`fork`) copy the record dict eagerly — O(tracked beliefs),
-same cost class as the store's other registries — but share the audit list
-itself: it is append-only and only the live head appends (under the BDMS
-write mutex), so a fork just remembers the length watermark at fork time and
-reads ``audit[:watermark]``. Forking stays O(1) in audit history size no
-matter how long the database has been running.
+**Relations.** The records are canonical, keyed by belief key; a registry
+bound to its store (:meth:`bind`) also keeps the store's two lifecycle
+relations (:mod:`repro.storage.internal_schema`) equal to what they say, and
+:meth:`apply` is their only writer: a propose inserts the record's
+``lifecycle`` row and its ``derives`` rows, a transition replaces one row, a
+sweep the rows whose confidence changed. A row is keyed by the world and
+tuple ids of its statement, which only its store knows — so :meth:`bind`
+rebuilds the relations for a store whose ids may differ from the last one's
+(a new, restored or rolled-back store). A record whose world or tuple the
+store lacks (its statement was deleted before a rebuild that therefore did
+not recreate them) has no row until the statement is inserted again
+(:meth:`statement_inserted`); without its statement no ``WITH`` plan reads
+it anyway.
+
+``derives`` holds :meth:`derivation_tokens` of each record, minus its own
+id. A token may name a belief id that is proposed *later* (a late parent):
+``_waiting`` maps each such unresolved id to the beliefs whose closure holds
+it, and proposing it adds its closure to theirs.
+
+**Forks** (:meth:`fork`) copy nothing. The dicts are shared copy-on-write —
+the owner copies one before mutating it only while a fork still holds it
+(the table layer's rule, :meth:`repro.relational.table.Table._materialize`)
+— and the audit list is shared outright: it is append-only and only the
+live head appends (under the BDMS write mutex), so a fork just remembers the
+length watermark at fork time and reads ``audit[:watermark]``. The
+relations fork with the store's other tables.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+import sys
+import weakref
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import LifecycleConflictError, LifecycleError
 from repro.lifecycle.model import (
@@ -31,8 +53,47 @@ from repro.lifecycle.model import (
     belief_key,
     check_confidence,
     check_status,
+    is_belief_id,
     parse_decay,
 )
+
+if TYPE_CHECKING:  # pragma: no cover — type-only import (avoids a cycle)
+    from repro.storage.store import BeliefStore
+
+#: The dicts a fork shares copy-on-write.
+_SHARED = ("_records", "_by_id", "_waiting", "_unplaced")
+
+#: An audit event's fields, by action, in the order the event keeps their
+#: values: a tuple, half a dict's memory, whose ``path`` / ``values`` /
+#: ``derived_from`` are the record's own tuples (lists once read).
+_EVENT_FIELDS = {
+    "propose": (
+        "ts", "action", "belief", "actor", "to", "confidence", "path",
+        "relation", "values", "sign", "derived_from", "seq",
+    ),
+    "transition": (
+        "ts", "action", "belief", "actor", "from", "to", "reason", "path",
+        "relation", "seq",
+    ),
+    "decay_sweep": ("ts", "action", "belief", "actor", "swept", "changed", "seq"),
+}
+_LISTED = frozenset(("path", "values", "derived_from"))
+
+
+def _event_view(event: tuple) -> dict[str, Any]:
+    """An audit event as readers (and snapshots) see it."""
+    return {
+        name: list(value) if name in _LISTED else value
+        for name, value in zip(_EVENT_FIELDS[event[1]], event)
+    }
+
+
+def _event_kept(view: dict[str, Any]) -> tuple:
+    """An event of a snapshot, as the registry keeps it."""
+    return tuple(
+        tuple(view[name]) if name in _LISTED else view[name]
+        for name in _EVENT_FIELDS[view["action"]]
+    )
 
 
 class LifecycleRegistry:
@@ -41,21 +102,131 @@ class LifecycleRegistry:
     def __init__(self) -> None:
         self._records: dict[BeliefKey, LifecycleRecord] = {}
         self._by_id: dict[str, BeliefKey] = {}
+        #: Unresolved belief-id token -> the beliefs whose closure holds it.
+        self._waiting: dict[str, frozenset[str]] = {}
+        #: Records without rows: their statement's world or tuple is missing.
+        self._unplaced: dict[BeliefKey, None] = {}
+        self._shared = False
+        self._store: "weakref.ref[BeliefStore] | None" = None
         # Shared append-only audit history; _audit_len is this view's bound.
-        self._audit: list[dict[str, Any]] = []
+        self._audit: list[tuple] = []
         self._audit_len = 0
         self._next_audit_seq = 1
 
     # ------------------------------------------------------------------ forks
 
-    def fork(self) -> "LifecycleRegistry":
+    def fork(self, store: "BeliefStore | None" = None) -> "LifecycleRegistry":
+        """A copy-on-write view of this registry, bound to ``store`` — a
+        fork of this registry's store, whose relations are forks of ours."""
         fork = LifecycleRegistry.__new__(LifecycleRegistry)
-        fork._records = dict(self._records)
-        fork._by_id = dict(self._by_id)
+        for name in _SHARED:
+            setattr(fork, name, getattr(self, name))
+        fork._shared = self._shared = True
+        fork._store = weakref.ref(store) if store is not None else None
         fork._audit = self._audit  # shared; bounded by the watermark below
         fork._audit_len = self._audit_len
         fork._next_audit_seq = self._next_audit_seq
         return fork
+
+    def _own(self) -> None:
+        """Before a mutation: copy each shared dict a fork still holds."""
+        if not self._shared:
+            return
+        self._shared = False
+        for name in _SHARED:
+            held = getattr(self, name)
+            # Ours are three: the attribute, ``held`` and the call's argument.
+            if sys.getrefcount(held) > 3:
+                setattr(self, name, dict(held))
+
+    # -------------------------------------------------------------- relations
+
+    def bind(self, store: "BeliefStore") -> None:
+        """Rebuild ``store``'s lifecycle relations from the records and keep
+        them from now on; for a store whose world and tuple ids may not be
+        the ones rows were last written with."""
+        self._store = weakref.ref(store)
+        records, derives = store.lifecycle_relations()
+        records.clear()
+        derives.clear()
+        # Fresh dicts: a fork keeps the ones it shares with us.
+        self._waiting = {}
+        self._unplaced = {}
+        for record in self._records.values():
+            closure = self.derivation_tokens(record)
+            self._wait_on(record.belief_id, closure)
+            self._place(store, record, closure)
+
+    def statement_inserted(self, path: tuple, t: Any, sign: str) -> None:
+        """Explicit statement ``path t^sign`` entered the store: its record,
+        if it was waiting for a world and a tuple id, gets its rows."""
+        if not self._unplaced:
+            return
+        key = (tuple(path), t.relation, t.values, sign)
+        if key in self._unplaced:
+            store = self._bound()
+            record = self._records[key]
+            self._own()
+            del self._unplaced[key]
+            self._place(store, record, self.derivation_tokens(record))
+
+    def _bound(self) -> "BeliefStore | None":
+        return self._store() if self._store is not None else None
+
+    def _place(
+        self, store: "BeliefStore", record: LifecycleRecord, closure: frozenset
+    ) -> None:
+        """Insert ``record``'s rows, or remember it as unplaced."""
+        slot = store.statement_slot(record.key)
+        if slot is None:
+            self._unplaced[record.key] = None
+            return
+        wid, tid = slot
+        sign = record.key[3]
+        records, derives = store.lifecycle_relations()
+        records.insert(
+            (wid, tid, sign, record.belief_id, record.status, record.confidence)
+        )
+        for token in closure:
+            if token != record.belief_id:
+                derives.insert((wid, token, tid, sign))
+
+    def _replace_row(self, record: LifecycleRecord) -> None:
+        """``record``'s status or confidence changed: so does its row."""
+        store = self._bound()
+        if store is None or record.key in self._unplaced:
+            return
+        wid, tid = store.statement_slot(record.key)
+        sign = record.key[3]
+        records, _ = store.lifecycle_relations()
+        records.delete_key((wid, tid, sign))
+        records.insert(
+            (wid, tid, sign, record.belief_id, record.status, record.confidence)
+        )
+
+    def _wait_on(self, belief: str, closure: Iterable[Any]) -> None:
+        """``belief``'s closure holds ``closure``: note its unresolved ids."""
+        for token in closure:
+            if is_belief_id(token) and token not in self._by_id:
+                waiting = self._waiting.get(token, frozenset())
+                self._waiting[token] = waiting | {belief}
+
+    def _extend(
+        self, store: "BeliefStore", belief: str, closure: frozenset
+    ) -> None:
+        """A late parent of ``belief`` was proposed: its closure joins
+        ``belief``'s (it already held the parent's id)."""
+        self._wait_on(belief, closure)
+        record = self.get(belief)
+        if record is None or record.key in self._unplaced:
+            return
+        wid, tid = store.statement_slot(record.key)
+        sign = record.key[3]
+        _, derives = store.lifecycle_relations()
+        for token in closure:
+            row = (wid, token, tid, sign)
+            if token != belief and not derives.contains_row(row):
+                derives.insert(row)
 
     # ------------------------------------------------------------------ reads
 
@@ -96,14 +267,12 @@ class LifecycleRegistry:
         self, belief: str | None = None, limit: int | None = None
     ) -> list[dict[str, Any]]:
         """Audit history (oldest first), optionally for one belief id."""
-        events: Iterable[dict[str, Any]] = self._audit[: self._audit_len]
+        events = self._audit[: self._audit_len]
         if belief is not None:
-            events = [e for e in events if e.get("belief") == belief]
-        else:
-            events = list(events)
+            events = [e for e in events if e[2] == belief]
         if limit is not None and limit >= 0:
             events = events[-limit:]
-        return [dict(e) for e in events]
+        return [_event_view(e) for e in events]
 
     # -------------------------------------------------------------- provenance
 
@@ -185,10 +354,10 @@ class LifecycleRegistry:
             return self._apply_decay_sweep(record)
         raise LifecycleError(f"unknown lifecycle action {action!r}")
 
-    def _audit_append(self, event: dict[str, Any]) -> None:
-        event["seq"] = self._next_audit_seq
+    def _audit_append(self, *values: Any) -> None:
+        """Append one event: its ``_EVENT_FIELDS`` values but the ``seq``."""
+        self._audit.append((*values, self._next_audit_seq))
         self._next_audit_seq += 1
-        self._audit.append(event)
         self._audit_len += 1
 
     def _apply_propose(self, record: dict[str, Any]) -> dict[str, Any]:
@@ -214,22 +383,19 @@ class LifecycleRegistry:
             created_ts=ts,
             updated_ts=ts,
         )
+        self._own()
         self._records[key] = entry
         self._by_id[entry.belief_id] = key
+        store = self._bound()
+        if store is not None:
+            closure = self.derivation_tokens(entry)
+            self._wait_on(entry.belief_id, closure)
+            self._place(store, entry, closure)
+            for child in self._waiting.pop(entry.belief_id, ()):
+                self._extend(store, child, closure)
         self._audit_append(
-            {
-                "ts": ts,
-                "action": "propose",
-                "belief": entry.belief_id,
-                "actor": entry.actor,
-                "to": PROPOSED,
-                "confidence": confidence,
-                "path": list(key[0]),
-                "relation": key[1],
-                "values": list(key[2]),
-                "sign": key[3],
-                "derived_from": list(entry.derived_from),
-            }
+            ts, "propose", entry.belief_id, entry.actor, PROPOSED, confidence,
+            *key, entry.derived_from,
         )
         return entry.view()
 
@@ -252,19 +418,12 @@ class LifecycleRegistry:
             )
         ts = float(record["ts"])
         updated = entry.with_status(to, ts)
+        self._own()
         self._records[entry.key] = updated
+        self._replace_row(updated)
         self._audit_append(
-            {
-                "ts": ts,
-                "action": "transition",
-                "belief": entry.belief_id,
-                "actor": record.get("actor"),
-                "from": entry.status,
-                "to": to,
-                "reason": record.get("reason"),
-                "path": list(entry.key[0]),
-                "relation": entry.key[1],
-            }
+            ts, "transition", entry.belief_id, record.get("actor"), entry.status,
+            to, record.get("reason"), entry.key[0], entry.key[1],
         )
         return updated.view()
 
@@ -283,16 +442,12 @@ class LifecycleRegistry:
             decayed = fn(entry.confidence, now - entry.updated_ts)
             if abs(decayed - entry.confidence) > 1e-12:
                 changed += 1
-                self._records[key] = entry.with_confidence(decayed, now)
+                updated = entry.with_confidence(decayed, now)
+                self._own()
+                self._records[key] = updated
+                self._replace_row(updated)
         self._audit_append(
-            {
-                "ts": now,
-                "action": "decay_sweep",
-                "belief": None,
-                "actor": record.get("actor"),
-                "swept": swept,
-                "changed": changed,
-            }
+            now, "decay_sweep", None, record.get("actor"), swept, changed
         )
         return {"swept": swept, "changed": changed}
 
@@ -302,7 +457,7 @@ class LifecycleRegistry:
         """Snapshot payload: records + the audit history visible here."""
         return {
             "records": [r.view() for r in self.records()],
-            "audit": [dict(e) for e in self._audit[: self._audit_len]],
+            "audit": [_event_view(e) for e in self._audit[: self._audit_len]],
             "next_audit_seq": self._next_audit_seq,
         }
 
@@ -313,7 +468,7 @@ class LifecycleRegistry:
             record = LifecycleRecord.from_view(view)
             registry._records[record.key] = record
             registry._by_id[record.belief_id] = record.key
-        registry._audit = [dict(e) for e in payload.get("audit", ())]
+        registry._audit = [_event_kept(e) for e in payload.get("audit", ())]
         registry._audit_len = len(registry._audit)
         registry._next_audit_seq = int(
             payload.get("next_audit_seq", registry._audit_len + 1)

@@ -14,12 +14,13 @@ extension) in a user atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator
 
 from repro.core.schema import ExternalSchema
 from repro.core.statements import NEGATIVE, POSITIVE, Sign
-from repro.errors import UnsafeQueryError, QueryError
+from repro.errors import LifecycleError, QueryError, UnsafeQueryError
+from repro.lifecycle.model import check_status
 
 _ARITH_OPS = ("=", "!=", "<>", "<=", ">=", "<", ">")
 
@@ -199,6 +200,80 @@ class BCQuery:
         body += [str(ua) for ua in self.user_atoms]
         body += [str(p) for p in self.predicates]
         return f"{self.name}({head}) :- " + ", ".join(body)
+
+
+#: A comparison over one relation's attributes: ``(op, left position, left
+#: value, right position, right value)``, a position None where the operand
+#: is the value.
+Comparison = tuple[str, "int | None", Any, "int | None", Any]
+
+
+@dataclass(frozen=True)
+class LifecycleSelect:
+    """A select with a ``WITH`` lifecycle clause (``docs/lifecycle.md``).
+
+    It asks for the explicit statements of sign ``sign`` in ``relation`` in
+    the world at exactly ``path`` (user ids or names) whose tuple passes
+    every ``where`` comparison and whose lifecycle state passes every
+    ``(field, op, value)`` of ``filters`` — ``status``, ``confidence`` or
+    ``derived_from`` —, projected on the attribute positions ``head``, as
+    a set. A statement with no lifecycle record counts as ACTIVE with
+    confidence 1.0 and an empty derivation closure. Terms may be
+    placeholders until :meth:`repro.beliefsql.compiler.
+    CompiledLifecycleSelect.bind` substitutes and :meth:`checked` checks
+    them.
+    """
+
+    path: tuple[Term, ...]
+    relation: str
+    sign: Sign
+    head: tuple[int, ...]
+    where: tuple[Comparison, ...] = ()
+    filters: tuple[tuple[str, str, Any], ...] = ()
+
+    def checked(self) -> "LifecycleSelect":
+        """This select with its filter values checked (a STATUS must name
+        a status, a CONFIDENCE be a number); raises :class:`LifecycleError`."""
+        filters = []
+        for name, op, value in self.filters:
+            if name == "status":
+                if not isinstance(value, str):
+                    raise LifecycleError(
+                        f"STATUS compares against a status name, got {value!r}"
+                    )
+                check_status(value)
+            elif name == "confidence":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise LifecycleError(
+                        f"CONFIDENCE compares against a number, got {value!r}"
+                    )
+                value = float(value)
+            filters.append((name, op, value))
+        return replace(self, filters=tuple(filters))
+
+    def __str__(self) -> str:
+        """Attributes print as ``$position``."""
+
+        def operand(position: int | None, value: Any) -> str:
+            return f"${position}" if position is not None else repr(value)
+
+        where = [
+            f"{operand(li, lv)} {op} {operand(ri, rv)}"
+            for op, li, lv, ri, rv in self.where
+        ]
+        filters = [
+            f"derived from {value!r}" if name == "derived_from"
+            else f"{name} {op} {value!r}"
+            for name, op, value in self.filters
+        ]
+        return (
+            f"select {', '.join(f'${i}' for i in self.head)} from "
+            + "".join(f"BELIEF {user!r} " for user in self.path)
+            + ("not " if self.sign is NEGATIVE else "")
+            + self.relation
+            + (f" where {' and '.join(where)}" if where else "")
+            + f" with {' and '.join(filters)}"
+        )
 
 
 def var(name: str) -> Variable:

@@ -11,6 +11,10 @@ understanding why a query is slow (a step whose bound columns no index
 covers shows ``build(..)`` or ``scan``; a step that lets through far more
 rows than the result has is where a q3-style negative subgoal ranges over
 every user's world) and for teaching the translation.
+
+A bound ``WITH`` select explains the same way: its rules
+(:func:`repro.query.translate.translate_with`, the untracked-statement rule
+among them) are what the engine evaluates, and no SQL is generated for it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.query.bcq import BCQuery
 from repro.query.sql_gen import generate_sql
-from repro.query.translate import evaluated_program, translate_bcq
+from repro.query.translate import Query, translate
 from repro.relational.datalog import explain_program, run_program
 from repro.storage.store import BeliefStore
 
@@ -29,7 +33,9 @@ class ExplainReport:
     """A structured explanation of one query's translation."""
 
     query: str
-    #: Algorithm 1's listing, as the paper prints it.
+    #: Algorithm 1's listing, as the paper prints it (for a ``WITH``
+    #: select: its rules over the explicit rows and the lifecycle
+    #: relations).
     datalog_rules: list[str]
     sql: str | None
     sql_params: dict
@@ -72,38 +78,40 @@ class ExplainReport:
 
 def explain(
     store: BeliefStore,
-    query: BCQuery,
+    query: Query,
     analyze: bool = False,
     push_selections: bool = True,
 ) -> ExplainReport:
-    """Explain ``query`` against ``store``.
+    """Explain ``query`` (a BCQ or a bound ``WITH`` select) against ``store``.
 
     With ``analyze`` the program is actually executed and the plan carries
     the rows out of each join step, the report the result size (like
     ``EXPLAIN ANALYZE``); without it, translation and planning only.
     """
-    query.check_safe(store.schema)
-    translation = translate_bcq(store, query, push_selections=push_selections)
-    generated = generate_sql(store, query)
-    if translation.is_empty:
+    sql, sql_params = None, {}
+    if isinstance(query, BCQuery):
+        query.check_safe(store.schema)
+        generated = generate_sql(store, query)
+        sql, sql_params = generated.sql, generated.params
+    translation, program = translate(store, query, push_selections)
+    if program is None:
         return ExplainReport(
             query=str(query),
             datalog_rules=[],
-            sql=generated.sql,
-            sql_params=generated.params,
+            sql=sql,
+            sql_params=sql_params,
             empty_reason=translation.empty_reason,
         )
     assert translation.program is not None
     tables = store.engine.tables()
-    program = evaluated_program(translation.program, tables, push_selections)
     report = ExplainReport(
         query=str(query),
         datalog_rules=[str(rule) for rule in translation.program],
-        sql=generated.sql,
-        sql_params=generated.params,
+        sql=sql,
+        sql_params=sql_params,
         rewritten_rules=[str(rule) for rule in program],
     )
-    if analyze and store.eager:
+    if analyze and (store.eager or not isinstance(query, BCQuery)):
         result, _ = run_program(tables, program, trace=report.plan)
         report.result_size = len(result)
     else:

@@ -18,12 +18,18 @@ It also doubles as the *lazy-mode* query processor (Sect. 6.3's future-work
 alternative): when only explicit annotations are materialized, entailed worlds
 are reconstructed on the fly by the closure's suffix-chain walk, which is
 precisely what this evaluator does (see :mod:`repro.query.lazy`).
+
+:func:`evaluate_naive_with` is the same yardstick for a select with a
+``WITH`` lifecycle clause: a scan of the explicit statements at the path
+against the lifecycle registry, walking each record's provenance — the
+reference the translated plan (:func:`repro.query.translate.translate_with`)
+is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.core.closure import entailed_world
 from repro.core.database import BeliefDatabase
@@ -31,10 +37,12 @@ from repro.core.paths import User, is_valid_path
 from repro.core.schema import GroundTuple
 from repro.core.statements import POSITIVE
 from repro.core.worlds import BeliefWorld
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownUserError
+from repro.lifecycle.model import ACTIVE, belief_key
 from repro.query.bcq import (
     Arith,
     BCQuery,
+    LifecycleSelect,
     ModalSubgoal,
     Term,
     UserAtom,
@@ -42,6 +50,9 @@ from repro.query.bcq import (
     is_var,
 )
 from repro.relational.expressions import compare
+
+if TYPE_CHECKING:  # pragma: no cover — type-only import (avoids a cycle)
+    from repro.storage.store import BeliefStore
 
 Bindings = dict[str, Any]
 
@@ -62,6 +73,62 @@ def evaluate_naive(
         users = {uid: str(uid) for uid in db.all_users()}
     evaluator = _Evaluator(db, query, dict(users))
     return set(evaluator.run())
+
+
+def evaluate_naive_with(
+    store: "BeliefStore", select: LifecycleSelect
+) -> set[tuple]:
+    """Answer a bound ``WITH`` select by scanning the explicit statements.
+
+    Every explicit statement of the select's relation and sign at exactly
+    its path that passes the WHERE comparisons is looked up in the
+    lifecycle registry — no record counts as ACTIVE, 1.0 and an empty
+    closure — and kept if every filter holds; ``DERIVED FROM x`` holds
+    when ``x``, or the user id it names, is among the record's
+    :meth:`~repro.lifecycle.registry.LifecycleRegistry.derivation_tokens`.
+    An unknown user in the path has no world, hence no answer.
+    """
+    try:
+        path = tuple(store.resolve_user(user) for user in select.path)
+    except UnknownUserError:
+        return set()
+    registry = store.lifecycle
+    rows = set()
+    for t, sign in store.explicit_db.explicit_signs(path):
+        if t.relation != select.relation or sign is not select.sign:
+            continue
+        if not all(
+            compare(
+                op,
+                t.values[li] if li is not None else lv,
+                t.values[ri] if ri is not None else rv,
+            )
+            for op, li, lv, ri, rv in select.where
+        ):
+            continue
+        record = registry.get(belief_key(path, t.relation, t.values, str(sign)))
+        status, confidence = (
+            (ACTIVE, 1.0) if record is None else (record.status, record.confidence)
+        )
+        for name, op, value in select.filters:
+            if name == "status":
+                ok = compare(op, status, value)
+            elif name == "confidence":
+                ok = compare(op, confidence, value)
+            elif record is None:
+                ok = False
+            else:
+                candidates = {value}
+                try:
+                    candidates.add(store.resolve_user(value))
+                except UnknownUserError:
+                    pass
+                ok = not candidates.isdisjoint(registry.derivation_tokens(record))
+            if not ok:
+                break
+        else:
+            rows.add(tuple(t.values[i] for i in select.head))
+    return rows
 
 
 class _Evaluator:

@@ -24,17 +24,33 @@ Two supported refinements over the paper's listing (see DESIGN.md §2):
 
 Setting ``push_selections=False`` yields the paper's literal, unpushed form —
 kept around as a benchmark ablation.
+
+A select with a ``WITH`` lifecycle clause (:class:`~repro.query.bcq.
+LifecycleSelect`) translates through the same pieces plus the lifecycle
+relations, into rules that are already one join each
+(:func:`translate_with`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Collection
+from typing import Any, Collection, Union
 
 from repro.core.statements import POSITIVE
 from repro.errors import QueryError, UnknownUserError
-from repro.query.bcq import BCQuery, ModalSubgoal, Term, is_var
-from repro.relational.datalog import Atom, Program, Rule, Var, run_program, unfold
+from repro.lifecycle.model import ACTIVE, is_belief_id
+from repro.query.bcq import BCQuery, LifecycleSelect, ModalSubgoal, Term, is_var
+from repro.relational.datalog import (
+    ANY,
+    Atom,
+    NegatedAtom,
+    Program,
+    Rule,
+    Var,
+    run_program,
+    unfold,
+)
 from repro.relational.expressions import (
     Cmp,
     Const,
@@ -45,7 +61,11 @@ from repro.relational.expressions import (
     disjunction,
 )
 from repro.storage.internal_schema import (
+    D_TABLE,
+    DERIVES_TABLE,
     E_TABLE,
+    EXPLICIT_YES,
+    LIFECYCLE_TABLE,
     ROOT_WID,
     SIGN_NEG,
     SIGN_POS,
@@ -54,6 +74,9 @@ from repro.storage.internal_schema import (
     v_table_name,
 )
 from repro.storage.store import BeliefStore
+
+#: What :func:`evaluate_translated` answers.
+Query = Union[BCQuery, LifecycleSelect]
 
 #: Name of the final head table produced by translated programs.
 RESULT_TABLE = "Q_result"
@@ -293,6 +316,136 @@ def _final_atom(index: int, temp: str, head_terms: tuple[Any, ...]) -> Atom:
     )
 
 
+def translate_with(store: BeliefStore, select: LifecycleSelect) -> Translation:
+    """A bound ``WITH`` select as Datalog over the internal schema and the
+    lifecycle relations (:mod:`repro.storage.internal_schema`).
+
+    Lifecycle records annotate explicit statements, so the body is
+    Algorithm 1's for one subgoal read exactly: the E-chain for the path,
+    closed by ``D(w, |path|)`` (the chain lands on the path's deepest
+    suffix state, which is the path's own world only when it is that
+    deep), ``v_R(w, tid, key, s, 'y')`` — the explicit rows of the
+    select's sign and no others —, ``star_R`` and the WHERE comparisons
+    (an attribute's first ``=`` a constant in the atoms). Then one rule
+    per way a statement passes the filters, all deriving the result — the
+    program's answer is their union:
+
+    * tracked: its ``lifecycle`` row, status and confidence compared in
+      conditions (a status ``=`` as a constant, which the ``(wid,
+      status)`` index serves); per DERIVED FROM filter, the value or the
+      user id it resolves to is in its ``derives`` closure or, for a
+      belief id, is the record's own id — a rule per choice;
+    * untracked: ``not lifecycle(w, tid, s, _, _, _)``, ACTIVE and 1.0
+      compared as constants (a filter they fail ends the rule before it
+      reads a row); no such rule under DERIVED FROM — an untracked
+      statement's closure is empty.
+
+    An unknown user in the path joins to nothing in ``E``, as in
+    :func:`translate_bcq` (Def. 14: no such world, no answer).
+    """
+    path = _resolve_path_constants(store, select.path)
+    if _adjacency_conditions(path) is None:
+        return Translation(None, "the path repeats a user in adjacent positions")
+    relation = store.schema.relation(select.relation)
+    terms: list[Any] = [Var(f"a{j}") for j in range(relation.arity)]
+    rest = []
+    for comparison in select.where:
+        op, li, lv, ri, rv = comparison
+        if op == "=" and (li is None) != (ri is None):
+            position, value = (li, rv) if ri is None else (ri, lv)
+            if type(terms[position]) is Var:
+                terms[position] = value
+                continue
+        rest.append(comparison)
+
+    def operand(position: int | None, value: Any) -> Expr:
+        return Const(value) if position is None else _datalog_expr(terms[position])
+
+    conditions = [
+        Cmp(op, operand(li, lv), operand(ri, rv)) for op, li, lv, ri, rv in rest
+    ]
+
+    body: list[Atom] = []
+    world: Any = ROOT_WID
+    for k, uid in enumerate(path):
+        body.append(Atom(E_TABLE, (world, uid, Var(f"w{k}"))))
+        world = Var(f"w{k}")
+    if path:
+        body.append(Atom(D_TABLE, (world, len(path))))
+    tid = Var("tid")
+    sign = SIGN_POS if select.sign is POSITIVE else SIGN_NEG
+    body.append(
+        Atom(v_table_name(relation.name), (world, tid, terms[0], sign, EXPLICIT_YES))
+    )
+    body.append(Atom(star_table_name(relation.name), (tid, *terms)))
+    head = Atom(RESULT_TABLE, tuple(terms[i] for i in select.head))
+
+    pushed = next(
+        (i for i, (name, op, _) in enumerate(select.filters)
+         if name == "status" and op == "="),
+        None,
+    )
+    status = Var("status") if pushed is None else select.filters[pushed][2]
+    tracked = list(conditions)
+    untracked = list(conditions)
+    derivations = []  # per DERIVED FROM filter: its ways to match
+    for i, (name, op, value) in enumerate(select.filters):
+        if name == "derived_from":
+            derivations.append(_derivation_matches(store, value))
+            continue
+        column, default = (status, ACTIVE) if name == "status" else (
+            Var("confidence"), 1.0
+        )
+        untracked.append(Cmp(op, Const(default), Const(value)))
+        if i != pushed:
+            tracked.append(Cmp(op, _datalog_expr(column), Const(value)))
+
+    program = Program()
+    for choice in itertools.product(*derivations):
+        own = {value for kind, value in choice if kind == "own"}
+        if len(own) > 1:
+            continue  # the record's id cannot be two values
+        belief = own.pop() if own else Var("belief")
+        record = Atom(
+            LIFECYCLE_TABLE, (world, tid, sign, belief, status, Var("confidence"))
+        )
+        closure = [
+            Atom(DERIVES_TABLE, (world, value, tid, sign))
+            for kind, value in choice if kind == "derives"
+        ]
+        program.add(Rule(head, (*body, record, *closure), tuple(tracked)))
+    if not derivations:
+        untouched = NegatedAtom(
+            Atom(LIFECYCLE_TABLE, (world, tid, sign, ANY, ANY, ANY))
+        )
+        program.add(Rule(head, tuple(body), tuple(untracked), (untouched,)))
+    return Translation(program)
+
+
+def _datalog_expr(term: Any) -> Expr:
+    """A Datalog term as a condition operand."""
+    return Ref(term.name) if type(term) is Var else Const(term)
+
+
+def _derivation_matches(
+    store: BeliefStore, value: Any
+) -> list[tuple[str, Any]]:
+    """How a statement can be DERIVED FROM ``value``: ``("derives", token)``
+    for the value and the user id it names, if any, and ``("own", id)``
+    where one of them could be the statement's own belief id."""
+    tokens = [value]
+    try:
+        uid = store.resolve_user(value)
+    except UnknownUserError:
+        pass
+    else:
+        if uid != value:
+            tokens.append(uid)
+    matches = [("derives", token) for token in tokens]
+    matches += [("own", token) for token in tokens if is_belief_id(token)]
+    return matches
+
+
 def evaluated_program(
     program: Program, tables: Collection[str], push_selections: bool = True
 ) -> Program:
@@ -309,26 +462,40 @@ def evaluated_program(
     return unfold(program, tables) if push_selections else program
 
 
+def translate(
+    store: BeliefStore, query: Query, push_selections: bool = True
+) -> tuple[Translation, Program | None]:
+    """``query``'s translation and the program the engine runs for it."""
+    if isinstance(query, LifecycleSelect):
+        translation = translate_with(store, query)
+        return translation, translation.program
+    translation = translate_bcq(store, query, push_selections)
+    if translation.program is None:
+        return translation, None
+    program = evaluated_program(
+        translation.program, store.engine.tables(), push_selections
+    )
+    return translation, program
+
+
 def evaluate_translated(
     store: BeliefStore,
-    query: BCQuery,
+    query: Query,
     push_selections: bool = True,
 ) -> set[tuple]:
-    """Translate and run a BCQ on the store's engine; returns the answer set.
+    """Translate and run a query on the store's engine; returns the answer set.
 
-    Requires an *eager* store (the valuation tables must materialize the
-    entailed worlds); lazy stores evaluate through
-    :class:`repro.query.lazy.LazyEvaluator` instead.
+    A BCQ requires an *eager* store (the valuation tables must materialize
+    the entailed worlds; lazy stores evaluate through
+    :class:`repro.query.lazy.LazyEvaluator`); a ``WITH`` select reads
+    explicit rows only, which every store holds.
     """
-    if not store.eager:
+    if not store.eager and not isinstance(query, LifecycleSelect):
         raise QueryError(
             "translated evaluation needs an eager store; "
             "use LazyEvaluator for lazy stores"
         )
-    translation = translate_bcq(store, query, push_selections)
-    if translation.is_empty:
+    _, program = translate(store, query, push_selections)
+    if program is None:
         return set()
-    assert translation.program is not None
-    tables = store.engine.tables()
-    program = evaluated_program(translation.program, tables, push_selections)
-    return run_program(tables, program)[0]
+    return run_program(store.engine.tables(), program)[0]

@@ -81,6 +81,20 @@ class Var:
 Term = Any  # Var or a constant value
 
 
+class _Any:
+    """The anonymous term ``_`` (:data:`ANY`)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "_"
+
+
+#: The anonymous term, for negated atoms only: ``not T(x, ANY)`` holds when
+#: no row of ``T`` has ``x`` in its first column, whatever the second holds.
+ANY = _Any()
+
+
 @dataclass(frozen=True)
 class Atom:
     """``table(t1, ..., tk)`` with terms bound positionally to columns."""
@@ -104,10 +118,12 @@ class Atom:
 
 @dataclass(frozen=True)
 class NegatedAtom:
-    """``not table(t1, ..., tk)`` — safe only when all variables are bound.
+    """``not table(t1, ..., tk)`` — safe only when all variables are bound;
+    a column it does not care about holds :data:`ANY`.
 
-    Not required by Algorithm 1 (negation there is encoded through signs), but
-    part of a complete non-recursive Datalog substrate.
+    Not required by Algorithm 1 (negation there is encoded through signs);
+    a ``WITH`` select's rule for statements with no lifecycle record reads
+    one (:func:`repro.query.translate.translate_with`).
     """
 
     atom: Atom
@@ -174,10 +190,11 @@ class Program:
 #
 # A rule's *shape* is the rule with its constants taken out. In a shape a
 # variable is its name (a ``str``), a constant is its index (an ``int``) in
-# the parameter vector, an atom is ``(table, terms)`` and an operator node of
-# a condition is ``(operator, operand, ...)``. The shape is the key of the
-# plan cache and all that a plan is generated from, so rules that differ only
-# in constants (one prepared select, a new key every call) share one plan.
+# the parameter vector, :data:`ANY` is None, an atom is ``(table, terms)``
+# and an operator node of a condition is ``(operator, operand, ...)``. The
+# shape is the key of the plan cache and all that a plan is generated from,
+# so rules that differ only in constants (one prepared select, a new key
+# every call) share one plan.
 
 _CONNECTIVES = {And: "and", Or: "or"}
 
@@ -191,6 +208,8 @@ def _shape(rule: Rule) -> tuple[tuple, list[Any]]:
         for term in atom.terms:
             if isinstance(term, Var):
                 terms.append(term.name)
+            elif term is ANY:
+                terms.append(None)
             else:
                 terms.append(len(params))
                 params.append(term)
@@ -220,7 +239,7 @@ def _shape(rule: Rule) -> tuple[tuple, list[Any]]:
     return shape, params
 
 
-def _atom_variables(terms: Iterable[int | str]) -> list[str]:
+def _atom_variables(terms: Iterable[int | str | None]) -> list[str]:
     return [term for term in terms if isinstance(term, str)]
 
 
@@ -361,19 +380,21 @@ def compile_rule(
     parameter vector.
 
     The plan comes from the process-wide cache, keyed on the shape and each
-    body table's :meth:`Table.signature` (what the access paths are chosen
+    table's :meth:`Table.signature` (what the access paths are chosen
     from), so it serves any tables with the same keys and indexes: another
     MVCC fork, another database. On a miss everything is decided here: the
     join order, each atom's bound and free positions (and the variables
-    repeated inside it), which steps read a key or an index inline, a local
-    per variable, the outermost loop at which each condition and negated
-    atom is fully bound, and the head projection are emitted as the source
-    of one function. An unknown table, an arity mismatch, and a condition
-    or a negated atom naming a variable no body atom binds are errors here.
+    repeated inside it), which steps read a key or an index inline (and
+    which negated atoms are a key lookup), a local per variable, the
+    outermost loop at which each condition and negated atom is fully bound,
+    and the head projection are emitted as the source of one function. An
+    unknown table, an arity mismatch, and a condition or a negated atom
+    naming a variable no body atom binds are errors here.
     """
     shape, params = _shape(rule)
-    body_tables = [_table_of(tables, atom) for atom in rule.body]
-    key = (shape, tuple([table.signature() for table in body_tables]), counted)
+    read = [_table_of(tables, atom) for atom in rule.body]
+    read += [_table_of(tables, negated.atom) for negated in rule.negated]
+    key = (shape, tuple([table.signature() for table in read]), counted)
     plan = _PLANS.get(key)
     if plan is None:
         bound = frozenset().union(*(atom.variables() for atom in rule.body))
@@ -384,7 +405,7 @@ def compile_rule(
                     f"negated atom {negated.atom} has unbound variable "
                     f"{unbound[0]!r}"
                 )
-        plan = _compile(shape, len(params), body_tables, counted)
+        plan = _compile(shape, len(params), read, counted)
         _PLANS.put(key, plan)
     return plan, params
 
@@ -392,7 +413,10 @@ def compile_rule(
 def _compile(
     shape: tuple, nparams: int, tables: Sequence[Table], counted: bool
 ) -> RulePlan:
+    """``tables``: those of the body atoms, then those of the negated ones."""
     head, body, conditions, negated = shape
+    if any(None in terms for _, terms in (head, *body)):
+        raise EngineError("the anonymous term _ may only stand in a negated atom")
     order = _plan_order(body, tables)
     local: dict[str, str] = {}
     for _, terms in body:
@@ -408,18 +432,29 @@ def _compile(
     def value(term: int | str) -> str:
         return f"p{term}" if isinstance(term, int) else local[term]
 
-    def row_of(terms: Iterable[int | str]) -> str:
-        return "(" + "".join(f"{value(term)}, " for term in terms) + ")"
+    def row_of(terms: Iterable[int | str | None]) -> str:
+        return "(" + "".join(f"{value(t)}, " for t in terms if t is not None) + ")"
 
     #: (variables it reads, the test that rejects a binding), not yet placed
     guards = [
         (set(_condition_variables(cond)), f"not {_expr_source(cond, local, True)}")
         for cond in conditions
     ]
-    guards += [
-        (set(_atom_variables(terms)), f"probe{len(body) + k}({row_of(terms)})")
-        for k, (_, terms) in enumerate(negated)
-    ]
+    # A negated atom is a test: one key lookup where its bound columns are
+    # exactly the key, else a call of the table's prober.
+    negated_reads = []
+    for k, (_, terms) in enumerate(negated):
+        n = len(body) + k
+        columns = tuple(i for i, term in enumerate(terms) if term is not None)
+        access = tables[n].access(columns)
+        if access.kind == "key" and not access.checks:
+            key = row_of(terms[i] for i in access.positions)
+            test = f"held{n}(get{n}({key})) is not None"
+            negated_reads.append((f"(get{n}, held{n}, stale{n})", columns, access))
+        else:
+            test = f"probe{n}({row_of(terms)})"
+            negated_reads.append((f"probe{n}", columns, None))
+        guards.append((set(_atom_variables(terms)), test))
 
     hoisted: list[str] = []  # probes no loop variable feeds, run once
     functions: list[list[str]] = []  # where a join longer than _MAX_NEST goes on
@@ -463,8 +498,8 @@ def _compile(
                 lines.append(f"{pad}if {rowid} is None: {reject}")
             else:
                 bucket = f"b{depth}"
-                # tuple(): the owner may add to the set while a fork reads it.
-                snapshot = f"({bucket},) if type({bucket}) is int else tuple({bucket})"
+                # list(): the owner may add to the set while a fork reads it.
+                snapshot = f"({bucket},) if type({bucket}) is int else list({bucket})"
                 if invariant:
                     hoisted.append(f"    {bucket} = {lookup}")
                     hoisted.append(f"    if {bucket} is None: return out")
@@ -511,9 +546,9 @@ def _compile(
         place_guards()
         if counted:
             lines.append(f"{pad}counts[{depth}] += 1")
-    for k, (_, terms) in enumerate(negated):
-        reads.append(f"probe{len(body) + k}")
-        accesses.append((True, k, tuple(range(len(terms))), None))
+    for k, (read, columns, access) in enumerate(negated_reads):
+        reads.append(read)
+        accesses.append((True, k, columns, access))
     lines.append(f"{pad}add({row_of(head[1])})")
 
     source = "\n".join(
@@ -704,14 +739,13 @@ def _inline(rule: Rule, definitions: dict[str, Rule]) -> Rule:
     for at, definition, theirs in inlined:
 
         def term_of(name: str) -> Term:
-            term = theirs.get(name)
-            if term is None:  # not in the head: keep the name if it is free
+            if name not in theirs:  # not in the head: keep the name if free
                 fresh = name
                 while fresh in taken:
                     fresh += "'"
                 taken.add(fresh)
-                term = theirs[name] = Var(fresh)
-            return walk(term)
+                theirs[name] = Var(fresh)
+            return walk(theirs[name])  # (the head may bind it to None)
 
         body[at] = [_rename_atom(atom, term_of) for atom in definition.body]
         conditions += [_rename_expr(c, term_of) for c in definition.conditions]
@@ -876,33 +910,42 @@ def run_program(
     keep_temps: bool = False,
     trace: list[str] | None = None,
 ) -> tuple[set[Row], dict[str, Table]]:
-    """Run rules in order; the last rule's derivations are the result.
+    """Run rules in order; the result is what the rules deriving the last
+    rule's head derived — a union, when several do.
 
-    Intermediate heads materialize as temporary tables visible to later rules.
-    Returns ``(result set, temporary tables)``; the caller owns cleanup when
-    ``keep_temps`` is set (temporaries live only in the returned dict, the
-    input ``tables`` mapping is never mutated). ``trace`` collects one line
-    per rule: its plan, with the rows that came out of each join step.
+    Intermediate heads materialize as temporary tables visible to later rules
+    (the result's own head only if some rule reads it). Returns ``(result
+    set, temporary tables)``; the caller owns cleanup when ``keep_temps`` is
+    set (temporaries live only in the returned dict, the input ``tables``
+    mapping is never mutated). ``trace`` collects one line per rule: its
+    plan, with the rows that came out of each join step.
     """
     if not program.rules:
         return set(), {}
     scope = dict(tables)
     temps: dict[str, Table] = {}
     result: set[Row] = set()
-    last = program.rules[-1]
+    final = program.rules[-1].head.table
+    read = {
+        atom.table
+        for rule in program
+        for atom in (*rule.body, *(negated.atom for negated in rule.negated))
+    }
     for rule in program.rules:
-        result = evaluate_rule(scope, rule, trace)
+        derived = evaluate_rule(scope, rule, trace)
         head = rule.head
+        if head.table == final:
+            result |= derived
         if not head.terms:
             # Boolean rule (0-ary head): nothing to materialize; the result
             # set is ∅ or {()}. Such heads cannot feed later rules.
             continue
         target = scope.get(head.table)
         if target is None:
-            if rule is last and not keep_temps:
-                break  # a temporary nobody will read
+            if head.table == final and final not in read and not keep_temps:
+                continue  # a temporary nobody will read
             target = temps[head.table] = scope[head.table] = _temporary(head)
-            target.extend(result)
+            target.extend(derived)
         else:
-            target.extend(result.difference(target))
+            target.extend(derived.difference(target))
     return result, (temps if keep_temps else {})

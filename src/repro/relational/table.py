@@ -68,12 +68,19 @@ from the second row on; the unique-key dict is the same shape.
 
 Thread safety: one thread writes (the BDMS write mutex); any number read
 forks. Readers only ``get`` from dicts and snapshot a bucket with
-``tuple()``, both atomic under the interpreter lock; everything that
-restructures a bucket runs on the writer's side.
+``list(bucket)``, both atomic under the interpreter lock; everything that
+restructures a bucket runs on the writer's side. (``tuple(bucket)`` is not
+atomic: it takes the set's iterator *before* it allocates the result, that
+allocation may run the cyclic GC, the GC a finalizer or weakref callback —
+Python code, at which the interpreter may switch to the writer — and the
+iterator then fails with "Set changed size during iteration". ``list()``
+allocates its object first and its item array with the plain allocator,
+which runs no GC.)
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
 import weakref
@@ -189,6 +196,24 @@ class Lineage:
         """The fewest preceding deletes among live forks; None without one."""
         live = [frozen_at for frozen_at, _ in list(self.forks.values())]
         return min(live) if live else None
+
+
+#: positions -> ``row -> tuple(row[i] for i in positions)``, built once.
+_PICKERS: dict[tuple[int, ...], Callable[[Row], tuple]] = {}
+
+
+def _picker(positions: tuple[int, ...]) -> Callable[[Row], tuple]:
+    """The function taking a row to its values at ``positions``, as a tuple
+    (a C-level ``itemgetter`` where it can be: this runs per row written)."""
+    pick = _PICKERS.get(positions)
+    if pick is None:
+        if len(positions) > 1:
+            pick = operator.itemgetter(*positions)
+        else:
+            (position,) = positions
+            pick = lambda row: (row[position],)  # noqa: E731
+        _PICKERS[positions] = pick
+    return pick
 
 
 def _bucket_add(index: Index, values: tuple, rowid: int) -> None:
@@ -353,7 +378,7 @@ class Table:
         for _ in range(reach):
             rowid, row = pending.popleft()
             for positions, index in self._indexes.items():
-                _bucket_discard(index, tuple(row[i] for i in positions), rowid)
+                _bucket_discard(index, _picker(positions)(row), rowid)
         lineage.purged += reach
 
     # -- mutation ---------------------------------------------------------------
@@ -368,7 +393,7 @@ class Table:
                 f"got {len(row)}"
             )
         if self._key_positions:
-            key = tuple(row[i] for i in self._key_positions)
+            key = _picker(self._key_positions)(row)
             if key in self._key_values:
                 raise DuplicateKeyError(
                     f"{self.schema.name}: duplicate key {key!r}"
@@ -378,7 +403,7 @@ class Table:
         self._next_rowid += 1
         self._rows[rowid] = row
         for positions, index in self._indexes.items():
-            _bucket_add(index, tuple(row[i] for i in positions), rowid)
+            _bucket_add(index, _picker(positions)(row), rowid)
         return rowid
 
     def insert_many(self, rows: Iterable[Iterable[Any]]) -> None:
@@ -408,7 +433,7 @@ class Table:
         self._materialize()
         row = self._rows.pop(rowid)
         if self._key_positions:
-            self._key_values.pop(tuple(row[i] for i in self._key_positions), None)
+            self._key_values.pop(_picker(self._key_positions)(row), None)
         # Queue, then purge: with no fork alive that empties the queue.
         self.lineage.pending.append((rowid, row))
         self._purge()
@@ -420,6 +445,10 @@ class Table:
         for rid in doomed:
             self.delete_rowid(rid)
         return len(doomed)
+
+    def delete_key(self, key: tuple) -> Row:
+        """Delete the row whose unique key is ``key``; returns it."""
+        return self.delete_rowid(self._key_values[key])
 
     def delete_matching(self, bound: Mapping[int, Any]) -> int:
         """Delete rows whose columns (by position) equal the bound values."""
@@ -449,13 +478,14 @@ class Table:
     def _build_index(self, positions: tuple[int, ...]) -> Index:
         """One pass over the rows; then install (a reader sees it whole)."""
         index: Index = {}
+        pick = _picker(positions)
         for rowid, row in self._rows.items():
-            _bucket_add(index, tuple(row[i] for i in positions), rowid)
+            _bucket_add(index, pick(row), rowid)
         lineage = self.lineage
         if self._frozen_at is None:
             # Rows deleted here that live forks still hold.
             for rowid, row in lineage.pending:
-                _bucket_add(index, tuple(row[i] for i in positions), rowid)
+                _bucket_add(index, pick(row), rowid)
         else:
             lineage.wanted.add(positions)
         self._indexes[positions] = index
@@ -525,8 +555,8 @@ class Table:
                 return ()
             matches = []
             stale = 0
-            # tuple(): the owner may add to the set while a fork reads it.
-            for rowid in (bucket,) if type(bucket) is int else tuple(bucket):
+            # list(): the owner may add to the set while a fork reads it.
+            for rowid in (bucket,) if type(bucket) is int else list(bucket):
                 row = held(rowid)
                 if row is None:
                     stale += 1
@@ -579,17 +609,17 @@ class Table:
     def signature(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The key's positions and those of every index a probe may use:
         what a compiled rule's access paths were chosen from."""
-        # tuple(): forks of one version resolve (and build) concurrently.
-        indexes = tuple(self.lineage.indexes)
+        # copy(): forks of one version resolve (and build) concurrently.
+        indexes = tuple(self.lineage.indexes.copy())
         if self._frozen_at is not None:
-            indexes += tuple(self._indexes)
+            indexes += tuple(self._indexes.copy())
         return self._key_positions, indexes
 
     def path(self, access: Access) -> tuple[Callable, Callable, Callable]:
         """What a ``key`` or ``index`` access reads, for one execution:
         ``(value tuple -> bucket or None, rowid -> row or None, count
         candidates dropped)``. A bucket is a rowid or a set of them that
-        the lineage's owner may be adding to: snapshot it with ``tuple()``,
+        the lineage's owner may be adding to: snapshot it with ``list()``,
         and look every candidate up — it may name a row this table does
         not hold (see "Visibility" above)."""
         index = self._index_of(access)

@@ -289,19 +289,23 @@ class AsyncBeliefServer(BeliefServer):
         except asyncio.CancelledError:
             pass  # server shutdown; fall through to cleanup
         finally:
-            # Let already-accepted requests finish (their responses may
-            # still be writable on a half-closed socket); a request racing
-            # a dead socket just fails its write silently below.
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            session.abandon_transaction()  # an open txn dies with the session
-            writer.close()
             try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-            with self._state_lock:
-                self.stats["connections_active"] -= 1
+                # Let already-accepted requests finish (their responses may
+                # still be writable on a half-closed socket); a request
+                # racing a dead socket just fails its write silently below.
+                if tasks:
+                    await asyncio.gather(*tasks, return_exceptions=True)
+            finally:
+                # Also when shutdown cancels that wait: a connection left
+                # open keeps its client waiting until its read timeout.
+                session.abandon_transaction()  # an open txn dies with it
+                writer.close()
+                with self._state_lock:
+                    self.stats["connections_active"] -= 1
+                try:
+                    await writer.wait_closed()  # lets the loop close it
+                except (OSError, asyncio.CancelledError):
+                    pass
 
     async def _refuse_connection_async(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -72,6 +72,9 @@ def vacuum_star(store: BeliefStore) -> VacuumStats:
             if t is not None:
                 store._tid_by_tuple.pop(t, None)
             removed += 1
+    if removed:
+        # A lifecycle row may name a dropped tid; a re-insert gets a new one.
+        store.lifecycle.bind(store)
     return VacuumStats(removed_tuples=removed, remaining_tuples=len(keep))
 
 

@@ -22,6 +22,23 @@ Plus the world-management relations shared by all content relations:
 
 Signs and flags use the paper's literal values ``'+'/'-'`` and ``'y'/'n'`` so
 that dumps line up with Fig. 5.
+
+Beside ``R*`` live two **lifecycle relations** — annotations about
+annotations, stored as relations the way Sect. 5 stores beliefs — so that a
+select's ``WITH`` filter translates into the same kind of rule as its
+``BELIEF`` path (:func:`repro.query.translate.translate_with`):
+
+* ``lifecycle(wid, tid, s, belief, status, confidence)`` — one row per
+  tracked explicit statement, keyed like the ``V`` row it annotates
+  (``tid`` is global across relations, so one table serves them all);
+* ``derives(wid, token, tid, s)`` — the materialized transitive derivation
+  closure: every token ``DERIVED FROM`` can match for that statement except
+  its own belief id (matched through ``lifecycle.belief`` instead), indexed
+  by ``(wid, token)`` so a plan reaches it straight from the E-chain.
+
+They are not part of ``R*``: Sect. 5.4's ``|R*|`` (:meth:`BeliefStore.
+total_rows`) does not count them. :class:`~repro.lifecycle.registry.
+LifecycleRegistry` is their only writer.
 """
 
 from __future__ import annotations
@@ -44,6 +61,11 @@ U_TABLE = "U"
 E_TABLE = "E"
 D_TABLE = "D"
 S_TABLE = "S"
+
+LIFECYCLE_TABLE = "lifecycle"
+DERIVES_TABLE = "derives"
+#: The lifecycle relations: in the engine, outside ``R*``.
+LIFECYCLE_TABLES = (LIFECYCLE_TABLE, DERIVES_TABLE)
 
 
 def star_table_name(relation: str) -> str:
@@ -100,3 +122,26 @@ def create_internal_tables(
     for relation in schema.content_relations:
         engine.create_table(star_schema(relation))
         engine.create_table(v_schema(relation))
+
+
+def create_lifecycle_tables(engine: RelationalDatabase) -> None:
+    """Create the two lifecycle relations on ``engine``.
+
+    ``lifecycle`` is indexed for the two probes a ``WITH`` plan makes from
+    a world: by status (``status = ...``) and by belief id (``DERIVED FROM``
+    naming the statement itself); ``derives`` by ``(wid, token)``.
+    """
+    engine.create_table(
+        TableSchema(
+            LIFECYCLE_TABLE,
+            ("wid", "tid", "s", "belief", "status", "confidence"),
+            key=("wid", "tid", "s"),
+            indexes=(("wid", "status"), ("wid", "belief")),
+        )
+    )
+    engine.create_table(
+        TableSchema(
+            DERIVES_TABLE, ("wid", "token", "tid", "s"),
+            indexes=(("wid", "token"),),
+        )
+    )

@@ -48,15 +48,19 @@ from repro.relational.database import RelationalDatabase
 from repro.relational.table import Row, Table
 from repro.storage.internal_schema import (
     D_TABLE,
+    DERIVES_TABLE,
     E_TABLE,
     EXPLICIT_NO,
     EXPLICIT_YES,
+    LIFECYCLE_TABLE,
+    LIFECYCLE_TABLES,
     ROOT_WID,
     S_TABLE,
     SIGN_NEG,
     SIGN_POS,
     U_TABLE,
     create_internal_tables,
+    create_lifecycle_tables,
     star_table_name,
     v_table_name,
 )
@@ -83,6 +87,7 @@ class BeliefStore:
         self.eager = eager
         self.engine = RelationalDatabase(auto_index=auto_index)
         create_internal_tables(self.engine, schema)
+        create_lifecycle_tables(self.engine)
 
         #: Mirror of the explicit annotations as a core belief database.
         self.explicit_db = BeliefDatabase(schema=schema)
@@ -110,17 +115,40 @@ class BeliefStore:
         self._tuple_by_tid: dict[int, GroundTuple] = {}
         self._next_tid = 1
 
-        #: Lifecycle records + audit log for the explicit statements
-        #: (:mod:`repro.lifecycle`); mutated only via the BDMS write path.
         self.lifecycle = LifecycleRegistry()
+
+    @property
+    def lifecycle(self) -> LifecycleRegistry:
+        """Lifecycle records + audit log for the explicit statements
+        (:mod:`repro.lifecycle`); mutated only via the BDMS write path."""
+        return self._lifecycle
+
+    @lifecycle.setter
+    def lifecycle(self, registry: LifecycleRegistry) -> None:
+        """Adopt ``registry``: the lifecycle relations are rebuilt from it,
+        with this store's world and tuple ids."""
+        registry.bind(self)
+        self._lifecycle = registry
+
+    def lifecycle_relations(self) -> tuple[Table, Table]:
+        """The ``lifecycle`` and ``derives`` tables (written by the registry)."""
+        return self.engine.table(LIFECYCLE_TABLE), self.engine.table(DERIVES_TABLE)
+
+    def statement_slot(self, key: tuple) -> tuple[int, int] | None:
+        """``(wid, tid)`` of the statement a lifecycle key names — its
+        ``(path, relation, values, sign)`` — if both ids exist here."""
+        wid = self._wid_by_path.get(key[0])
+        tid = self._tid_by_tuple.get(GroundTuple(key[1], key[2]))
+        return None if wid is None or tid is None else (wid, tid)
 
     # ------------------------------------------------------------- snapshots
 
     def fork_snapshot(self) -> "BeliefStore":
         """An immutable-by-convention copy-on-write fork of the whole store.
 
-        The engine tables and the explicit mirror fork copy-on-write (rows
-        stay shared until one side mutates); the small registries are copied
+        The engine tables (the lifecycle relations among them), the explicit
+        mirror and the lifecycle registry fork copy-on-write (rows stay
+        shared until one side mutates); the small registries are copied
         eagerly — O(worlds + users + tuples) dict copies, paid once per
         pinned version, never per write. The result is a fully functional
         :class:`BeliefStore`, so every query backend evaluates against it
@@ -147,7 +175,7 @@ class BeliefStore:
         fork._tid_by_tuple = dict(self._tid_by_tuple)
         fork._tuple_by_tid = dict(self._tuple_by_tid)
         fork._next_tid = self._next_tid
-        fork.lifecycle = self.lifecycle.fork()
+        fork._lifecycle = self._lifecycle.fork(fork)
         return fork
 
     # ------------------------------------------------------------------ users
@@ -368,6 +396,11 @@ class BeliefStore:
     ) -> None:
         self.v_table(relation).insert((wid, tid, key, s, e))
 
+    def add_explicit(self, path: BeliefPath, t: GroundTuple, sign: Sign) -> None:
+        """Record explicit statement ``path t^sign`` (its V row is in)."""
+        self.explicit_db.add(BeliefStatement(path, t, sign), check=False)
+        self._lifecycle.statement_inserted(path, t, str(sign))
+
     def delete_v(self, relation: str, **bound: Value) -> int:
         table = self.v_table(relation)
         positions = {
@@ -407,11 +440,17 @@ class BeliefStore:
     # ------------------------------------------------------------------ stats
 
     def total_rows(self) -> int:
-        """``|R*|``: total tuples across all internal tables (Sect. 5.4)."""
-        return self.engine.total_rows()
+        """``|R*|``: total tuples across the internal tables (Sect. 5.4) —
+        the lifecycle relations are not among them."""
+        return sum(self.row_counts().values())
 
     def row_counts(self) -> dict[str, int]:
-        return self.engine.row_counts()
+        """Rows per table of ``R*``."""
+        return {
+            name: count
+            for name, count in self.engine.row_counts().items()
+            if name not in LIFECYCLE_TABLES
+        }
 
     def relative_overhead(self, annotation_count: int) -> float:
         """The paper's ``|R*|/n`` measure (Sect. 5.4, Table 1, Fig. 6)."""

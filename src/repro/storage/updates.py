@@ -174,7 +174,7 @@ def insert_tuple(
         ):
             store.delete_v(relation, wid=wid, tid=tid, s=sign_str, e=EXPLICIT_NO)
             store.insert_v(relation, wid, tid, key, sign_str, EXPLICIT_YES)
-            store.explicit_db.add(BeliefStatement(path, t, sign), check=False)
+            store.add_explicit(path, t, sign)
             return True
     # (5) explicit conflicts block the insert.
     if _conflicts(rows, tid, sign_str, explicit_only=True):
@@ -185,7 +185,7 @@ def insert_tuple(
     # (6-7) the explicit tuple lands; overridden implicit beliefs disappear
     # as part of re-deriving the key cell from the suffix parent.
     store.insert_v(relation, wid, tid, key, sign_str, EXPLICIT_YES)
-    store.explicit_db.add(BeliefStatement(path, t, sign), check=False)
+    store.add_explicit(path, t, sign)
 
     # (8-14) propagate the default to dependent worlds, shallowest first.
     # Each world's (relation, key) cell is re-derived from its suffix parent

@@ -1,5 +1,8 @@
 """The BDMS facade: users, DML, queries, backends, stats."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bdms.bdms import BeliefDBMS
@@ -213,3 +216,29 @@ class TestViewsAndStats:
         snapshot = db.belief_database()
         assert len(snapshot) == 8
         assert snapshot.is_consistent()
+
+
+def test_a_closed_database_is_freed_without_the_cyclic_gc():
+    """Once closed, nothing a database owns points back at it strongly —
+    its gauges read it through a weak reference, and closing lets go of
+    the cached version (which its version manager and it point at each
+    other through) — so dropping the last reference frees the whole store
+    at once, not at the next full cyclic collection (until then a process
+    replacing its database holds two)."""
+    db = BeliefDBMS(sightings_schema())
+    for name in ("Alice", "Bob", "Carol"):
+        db.add_user(name)
+    seed_running_example(db)
+    db.lifecycle_propose(
+        ["Alice"], "Sightings", ("s2", "Alice", "crow", "6-14-08", "Lake Placid")
+    )
+    db.execute_sql("select S.sid from BELIEF 'Alice' Sightings as S with "
+                   "status = 'PROPOSED'")  # leaves a cached version behind
+    gc.disable()
+    try:
+        db.close()
+        dropped, store = weakref.ref(db), weakref.ref(db.store)
+        del db
+        assert dropped() is None and store() is None
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ while it inserts into and deletes from the very buckets they read
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 
@@ -13,6 +14,9 @@ import pytest
 from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.query.parser import parse_bcq
+from repro.relational.datalog import Atom, Rule, Var, evaluate_rule
+from repro.relational.schema import TableSchema
+from repro.relational.table import Table
 
 TAIL = ("Carol", "6-14-08", "Lake Forest")
 SCAN = "select S.sid, S.species from BELIEF 'Carol' Sightings as S"
@@ -152,3 +156,60 @@ def test_staged_rows_are_probed_by_their_transaction_only():
     txn.discard()
     stats = db.snapshot_stats()["engine_indexes"]
     assert stats["builds_shared"] == 0 and stats["builds_private"] > 0
+
+
+@pytest.mark.parametrize("loop", ["Table.prober", "compiled rule"])
+def test_a_bucket_written_mid_probe_is_read_whole(loop):
+    """A probe copies a bucket before it walks it, and nothing can run in
+    the middle of the copy. The writer it races in the test above gets in
+    wherever Python code runs on the reader's thread — for instance a
+    finalizer the cyclic GC calls during an allocation. Here that finalizer
+    *is* the writer, and the GC runs at every other allocation: with the
+    bucket snapshotted by ``tuple(bucket)`` (which allocates its result
+    after taking the set's iterator) nearly every probe below failed with
+    "Set changed size during iteration"."""
+    table = Table(TableSchema("t", ("k", "v"), indexes=(("k",),)))
+    for v in range(50):
+        table.insert((1, v))
+    if loop == "compiled rule":
+        rule = Rule(Atom("q", (Var("v"),)), [Atom("t", (1, Var("v")))])
+
+        def probe() -> set:
+            return {v for (v,) in evaluate_rule({"t": table}, rule)}
+    else:
+        prober = table.prober((0,))
+
+        def probe() -> set:
+            return {row[1] for row in prober((1,))}
+
+    written = [50]
+
+    class Writer:
+        """Cyclic garbage whose finalizer adds a row to the probed bucket
+        and leaves the next piece of such garbage behind."""
+
+        def __init__(self) -> None:
+            self.me = self
+
+        def __del__(self) -> None:
+            if written:
+                table.insert((1, written[0]))
+                written[0] += 1
+                Writer()
+
+    threshold = gc.get_threshold()
+    Writer()
+    gc.set_threshold(1, 10**9, 10**9)  # young collections only, all the time
+    try:
+        answers = []
+        for i in range(30):
+            [object() for _ in range(i % 3)]  # vary where the GC lands
+            answers.append(probe())
+    finally:
+        written.clear()
+        gc.set_threshold(*threshold)
+        gc.collect()
+    assert written == [] and len(table) > 80  # the writer did run throughout
+    for answer in answers:  # each a whole bucket of some moment
+        assert set(range(50)) <= answer <= {v for _, v in table}
+        assert answer == set(range(max(answer) + 1))

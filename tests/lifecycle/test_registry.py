@@ -8,6 +8,8 @@ operations raise and leave no trace; what remains is always a legal path.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,9 +160,8 @@ class TestProvenance:
         b = _propose(registry, values=("b",), derived_from=[a])
         # Forge a cycle directly (the public API can't create one because
         # ids are content-derived): a also claims descent from b.
-        forged = registry.require(key_a)
-        registry._records[key_a] = type(forged)(
-            **{**vars(forged), "derived_from": (b,)}
+        registry._records[key_a] = dataclasses.replace(
+            registry.require(key_a), derived_from=(b,)
         )
         tokens = registry.derivation_tokens(registry.require(b))
         assert {a, b} <= tokens

@@ -88,6 +88,37 @@ def _exercise(client: BeliefClient, sweep_events: int = 1) -> None:
         client.provenance("bdoesnotexist")
 
 
+#: A path through a user nobody registered names no world (Def. 14): the
+#: select is empty, with or without a WITH clause — never UnknownUserError.
+UNKNOWN_USER_SELECTS = (
+    ("select s.sid from BELIEF 'Nobody' Sightings s", []),
+    ("select s.sid from BELIEF 'Nobody' Sightings s with status = 'ACTIVE'", []),
+    (
+        "select s.sid from BELIEF ? Sightings s "
+        "with confidence >= ? and derived from ?",
+        ["Nobody", 0.5, "Bob"],
+    ),
+)
+
+
+def _unknown_user_rows(client: BeliefClient) -> list:
+    _seed(client)
+    return [
+        client.drain(client.execute_prepared(sql, params))
+        for sql, params in UNKNOWN_USER_SELECTS
+    ]
+
+
+def test_unknown_user_in_a_with_select_is_empty_embedded():
+    db = BeliefDBMS(sightings_schema(), strict=False)
+    for name in ("Carol", "Bob"):
+        db.add_user(name)
+    db.insert(["Carol"], "Sightings", S1)
+    db.lifecycle_propose(["Carol"], "Sightings", S1, derived_from=["Bob"])
+    for sql, params in UNKNOWN_USER_SELECTS:
+        assert db.execute_sql(sql, params).rows == []
+
+
 class TestThreadedServer:
     def test_full_surface(self):
         db = BeliefDBMS(sightings_schema(), strict=False)
@@ -127,12 +158,25 @@ class TestThreadedServer:
             assert replica.lifecycle_get(ids["s1"])["status"] == "ACTIVE"
 
 
+    def test_unknown_user_in_a_with_select_is_empty(self):
+        db = BeliefDBMS(sightings_schema(), strict=False)
+        with BeliefServer(db, port=0) as server:
+            with BeliefClient(*server.address) as client:
+                assert _unknown_user_rows(client) == [[], [], []]
+
+
 class TestAsyncServer:
     def test_full_surface(self):
         db = BeliefDBMS(sightings_schema(), strict=False)
         with AsyncBeliefServer(db) as server:
             with BeliefClient(*server.address) as client:
                 _exercise(client)
+
+    def test_unknown_user_in_a_with_select_is_empty(self):
+        db = BeliefDBMS(sightings_schema(), strict=False)
+        with AsyncBeliefServer(db) as server:
+            with BeliefClient(*server.address) as client:
+                assert _unknown_user_rows(client) == [[], [], []]
 
 
 class TestShardRouter:
@@ -144,6 +188,14 @@ class TestShardRouter:
     def test_full_surface_routed(self, cluster):
         with BeliefClient(*cluster.address) as client:
             _exercise(client, sweep_events=cluster.n_shards)
+
+    def test_unknown_user_in_a_with_select_is_empty(self, cluster):
+        with BeliefClient(*cluster.address) as client:
+            client.login("Carol", create=True)
+            assert [
+                client.drain(client.execute_prepared(sql, params))
+                for sql, params in UNKNOWN_USER_SELECTS
+            ] == [[], [], []]
 
     def test_decay_sweep_fans_out_and_sums(self, cluster):
         with BeliefClient(*cluster.address) as client:

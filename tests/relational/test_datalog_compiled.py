@@ -405,6 +405,20 @@ class TestUnfold:
         (rule,) = _same(program).rules
         assert str(rule) == "q(y, z) :- r(y, z), r(z, y'), (y' != 3)"
 
+    def test_a_none_constant_read_into_a_head_variable_stays_a_constant(self):
+        # The reader's None binds t's x like any other constant; left free,
+        # x would let r(x, x) match (0, 0).
+        program = Program(
+            [
+                Rule(Atom("t", (X,)), [Atom("r", (X, X))]),
+                Rule(Atom("q", ()), [Atom("t", (None,))]),
+            ]
+        )
+        tables = build({"r": [(0, 0)], "s": [], "u": []})
+        (rule,) = _same(program, tables).rules
+        assert str(rule) == "q() :- r(None, None)"
+        assert run_program(tables, Program([rule]))[0] == set()
+
     def test_a_constant_in_the_head_binds_the_readers_variable(self):
         program = Program(
             [

@@ -9,6 +9,7 @@ per connection, bounded by ``max_inflight``.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -68,6 +69,54 @@ def test_stop_with_live_connections():
     server.stop()  # must not hang on the open connection
     assert not server.running
     client.close()
+
+
+def test_stop_closes_connections_with_requests_in_flight():
+    """Stopping cancels each connection's wait for its in-flight requests —
+    here, inserts held in the worker pool until the loop has cancelled
+    every task — and the connection is closed all the same: a client
+    reading a pending reply sees the server go away, not a socket left
+    open until its own read timeout or until the cyclic GC happens to
+    collect the transport (hence the GC is off here)."""
+    server = AsyncBeliefServer(BeliefDBMS(sightings_schema(), strict=False))
+    server.start()
+    tasks_cancelled = threading.Event()
+    dispatch = server._dispatch
+
+    def held_dispatch(session, request):
+        if request.op == "insert":
+            tasks_cancelled.wait(5)
+        return dispatch(session, request)
+
+    server._dispatch = held_dispatch
+    shutdown = server._executor.shutdown
+
+    def shutdown_after_the_tasks(*args, **kwargs):
+        tasks_cancelled.set()  # the loop drains the pool after the tasks
+        return shutdown(*args, **kwargs)
+
+    server._executor.shutdown = shutdown_after_the_tasks
+    client = BeliefClient(*server.address, timeout=20.0)
+    try:
+        client.login("Carol", create=True)
+        pending = [
+            client.submit(
+                "insert", relation="Sightings", path=["Carol"], sign="+",
+                values=[f"p{i}", "Carol", "crow", "d", "l"],
+            )
+            for i in range(6)
+        ]
+        gc.disable()
+        server.stop()
+        for reply in pending:
+            with pytest.raises(ConnectionLost) as lost:
+                reply.result()
+            assert "timed out" not in str(lost.value)
+    finally:
+        gc.enable()
+        tasks_cancelled.set()
+        client.close()
+        server.stop()
 
 
 def test_rejects_bad_max_inflight():

@@ -15,6 +15,7 @@ request order, the asyncio server completes in-flight requests concurrently
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -266,12 +267,17 @@ def test_lost_pipeline_then_reconnect_never_replays(core):
     """Regression for responses lost mid-pipeline: after the server dies
     under a window of writes, the pendings fail, and the post-reconnect
     session sees only what the server acknowledged — the client never
-    resends the lost window."""
+    resends the lost window.
+
+    The replacement server listens on a port of its own, and the client is
+    pointed at it: rebinding the dead server's port assumed that nothing
+    else on the machine took that just-released ephemeral port in between
+    (``EADDRINUSE`` if something did), which the reconnect under test does
+    not need."""
     db = BeliefDBMS(sightings_schema(), strict=False)
     server = _make_server(core, db)
     server.start()
-    host, port = server.address
-    client = BeliefClient(host, port, auto_reconnect=True)
+    client = BeliefClient(*server.address, auto_reconnect=True)
     try:
         client.login("Carol", create=True)
         pending = [
@@ -291,8 +297,8 @@ def test_lost_pipeline_then_reconnect_never_replays(core):
                 outcomes.append("lost")
         applied_before = db.annotation_count()
         server = _make_server(core, db)
-        server.port = port
         server.start()
+        client.port = server.address[1]
         # The next call reconnects; no lost insert is silently retried.
         assert client.ping()
         assert db.annotation_count() == applied_before
@@ -306,32 +312,58 @@ def test_lost_pipeline_then_reconnect_never_replays(core):
 def test_send_failure_with_inflight_never_resends(monkeypatch):
     """A send that dies while other requests are in flight must fail the
     whole pipeline — not quietly reconnect and resend its own frame while
-    sibling responses evaporate."""
+    sibling responses evaporate.
+
+    The server runs in this process and writes its frames through the same
+    seams, so the cut applies to the client's thread only; and the server
+    holds its answer to the first ping until the cut is in place, so that
+    answer always crosses the patched seam. (Before both, the server's
+    answer was counted as a second client send whenever it was late —
+    ``2 == 1`` in about half of the full-suite runs.)"""
     from repro.server import binproto as binproto_module
     from repro.server import protocol as protocol_module
 
     with BeliefServer(BeliefDBMS(sightings_schema(), strict=False)) as server:
+        answer_first = threading.Event()
+        dispatch = server._dispatch
+
+        def held_dispatch(session, request):
+            if request.op == "ping":
+                answer_first.wait(5)
+            return dispatch(session, request)
+
+        monkeypatch.setattr(server, "_dispatch", held_dispatch)
         client = BeliefClient(*server.address, auto_reconnect=True)
         try:
             first = client.submit("ping")
             real_write = protocol_module.write_frame
             real_bin_write = binproto_module.BinaryCodec.write
+            client_thread = threading.current_thread()
             calls = {"n": 0}
+            server_wrote = threading.Event()
 
-            def failing_write(sock, payload, max_frame_bytes=None):
-                calls["n"] += 1
-                raise OSError("wire cut")
+            def cut(real):
+                def write(*args):
+                    if threading.current_thread() is not client_thread:
+                        try:
+                            return real(*args)
+                        finally:
+                            server_wrote.set()
+                    calls["n"] += 1
+                    raise OSError("wire cut")
+
+                return write
 
             # Cut both write seams: JSON frames go through the protocol
             # module, a negotiated binary connection through its codec.
-            monkeypatch.setattr(protocol_module, "write_frame", failing_write)
+            monkeypatch.setattr(protocol_module, "write_frame", cut(real_write))
             monkeypatch.setattr(
-                binproto_module.BinaryCodec, "write",
-                lambda self, sock, payload, max_frame_bytes=None:
-                    failing_write(sock, payload, max_frame_bytes),
+                binproto_module.BinaryCodec, "write", cut(real_bin_write)
             )
             with pytest.raises(ConnectionLost):
                 client.submit("ping")
+            answer_first.set()
+            assert server_wrote.wait(5)
             assert calls["n"] == 1  # no reconnect+resend with a live pipeline
             monkeypatch.setattr(protocol_module, "write_frame", real_write)
             monkeypatch.setattr(
@@ -340,6 +372,7 @@ def test_send_failure_with_inflight_never_resends(monkeypatch):
             with pytest.raises(ConnectionLost):
                 first.result()
         finally:
+            answer_first.set()
             client.close()
 
 
