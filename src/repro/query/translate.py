@@ -12,7 +12,8 @@ negative subgoals unify the *key* and accept either a stated negative
 (``s='-'`` with all attributes equal) or an unstated negative (``s='+'`` with
 some attribute differing) — Prop. 7 in relational clothing.
 
-Two supported refinements over the paper's listing (see DESIGN.md §2):
+Two supported refinements over the paper's listing (``docs/architecture.md``,
+"Deviations from the paper"):
 
 * adjacency disequalities between neighbouring path positions keep valuations
   inside ``Û*`` (back edges would otherwise let ``Carol·Carol`` slip through);

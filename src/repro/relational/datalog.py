@@ -43,7 +43,7 @@ asks each for what its step reads (:meth:`Table.path`, or a
 :meth:`Table.prober`). Errors that belong to the rule — an unknown table,
 an arity mismatch, a negated atom or a condition naming a variable the body
 does not bind — are raised when it is compiled or bound, before any row is
-read. Temporaries are filled by one :meth:`Table.extend`.
+read. Temporaries are filled by one :meth:`Table.insert_many`.
 """
 
 from __future__ import annotations
@@ -945,7 +945,7 @@ def run_program(
             if head.table == final and final not in read and not keep_temps:
                 continue  # a temporary nobody will read
             target = temps[head.table] = scope[head.table] = _temporary(head)
-            target.extend(derived)
+            target.insert_many(derived)
         else:
-            target.extend(derived.difference(target))
+            target.insert_many(derived.difference(target))
     return result, (temps if keep_temps else {})

@@ -39,6 +39,7 @@ Example::
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
@@ -205,9 +206,10 @@ class BeliefClient:
         Socket timeout in seconds for connect and each response.
     auto_reconnect:
         Recovery path for server restarts. When True, a call that finds the
-        connection gone makes **one bounded reconnect attempt** (a single
-        fresh TCP connect, after which :attr:`on_reconnect` — if set — may
-        re-establish session state) before the request is sent; a send
+        connection gone — dropped earlier, or closed by the server while no
+        request was in flight — makes **one bounded reconnect attempt** (a
+        single fresh TCP connect, after which :attr:`on_reconnect` — if set —
+        may re-establish session state) before the request is sent; a send
         failure likewise retries once on a fresh connection. A call whose
         request was already on the wire when the connection died is *never*
         retried — the server may have applied it — so that call still
@@ -399,6 +401,11 @@ class BeliefClient:
         """
         with self._lock:
             reconnected = False
+            if self._sock is not None and self._closed_while_idle():
+                # The server closed the connection between calls (a
+                # restart): this request has not been sent, so the branch
+                # below may reconnect without replaying anything.
+                self._drop()
             if self._sock is None:
                 if self._user_closed:
                     raise ConnectionLost("client is closed")
@@ -492,6 +499,25 @@ class BeliefClient:
                     ) from retry_exc
             self._inflight[request.id] = _UNRESOLVED
             return PendingReply(self, request.id)
+
+    def _closed_while_idle(self) -> bool:
+        """Whether the server closed the connection with no response owed.
+
+        Must hold the lock. Without this check a request would go into the
+        dead socket — the local write succeeds — and its call would raise
+        :class:`ConnectionLost` for a request the server never saw. With a
+        response outstanding the check is skipped: there, EOF is the loss
+        of that response, which the read path reports.
+        """
+        if any(state is _UNRESOLVED for state in self._inflight.values()):
+            return False
+        sock = self._sock
+        try:
+            poller = select.poll()  # select() would refuse fds >= 1024
+            poller.register(sock, select.POLLIN)
+            return bool(poller.poll(0)) and not sock.recv(1, socket.MSG_PEEK)
+        except (OSError, ValueError):  # reset, or closed by close()
+            return True
 
     @property
     def inflight(self) -> int:

@@ -406,6 +406,11 @@ class Coordinator:
         self._stopping = threading.Event()
         self._health_thread: threading.Thread | None = None
         self._lock = threading.Lock()
+        #: Held while a worker is killed or restarted. The health thread's
+        #: restart and a deliberate :meth:`kill_worker` must not interleave:
+        #: a kill that lands inside a restart can orphan the new incarnation,
+        #: which keeps the data directory locked against every later restart.
+        self._lifecycle = threading.Lock()
         self.metrics = registry if registry is not None else MetricsRegistry()
         up = self.metrics.gauge(
             "beliefdb_shard_up",
@@ -539,20 +544,21 @@ class Coordinator:
     def _restart(self, worker: "ThreadWorker | ProcessWorker") -> None:
         """Bring a dead/unresponsive worker back on its own data dir."""
         shard = worker.shard_id
-        self.directory.mark_unhealthy(shard)
-        self._drop_client(shard)
-        try:
-            worker.kill()  # ensure the old incarnation is fully gone
-        except Exception:  # noqa: BLE001
-            pass
-        try:
-            address = worker.start()
-        except Exception:  # noqa: BLE001 — stays unhealthy; retried next tick
-            return
-        self._ping_misses[shard] = 0
-        self._restarts[shard] += 1
-        self._restart_counter.labels(shard=str(shard)).inc()
-        self.directory.register(shard, address)
+        with self._lifecycle:
+            self.directory.mark_unhealthy(shard)
+            self._drop_client(shard)
+            try:
+                worker.kill()  # ensure the old incarnation is fully gone
+            except Exception:  # noqa: BLE001
+                pass
+            try:
+                address = worker.start()
+            except Exception:  # noqa: BLE001 — stays unhealthy; retried next tick
+                return
+            self._ping_misses[shard] = 0
+            self._restarts[shard] += 1
+            self._restart_counter.labels(shard=str(shard)).inc()
+            self.directory.register(shard, address)
 
     # ----------------------------------------------------------------- status
 
@@ -562,9 +568,10 @@ class Coordinator:
     def kill_worker(self, shard: int) -> None:
         """Crash one worker on purpose (failover tests; SIGKILL for
         process workers). The health loop notices and restarts it."""
-        self.directory.mark_unhealthy(shard)
-        self._drop_client(shard)
-        self.workers[shard].kill()
+        with self._lifecycle:
+            self.directory.mark_unhealthy(shard)
+            self._drop_client(shard)
+            self.workers[shard].kill()
 
     def wait_healthy(self, timeout: float = 30.0) -> bool:
         """Block until every shard is registered healthy (or timeout)."""

@@ -30,7 +30,6 @@ from repro.storage.updates import (
     id_world,
     insert_statement,
     insert_tuple,
-    recompute_key,
 )
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "insert_tuple",
     "materialize",
     "rebuild",
-    "recompute_key",
     "sign_to_str",
     "star_table_name",
     "str_to_sign",

@@ -337,6 +337,18 @@ class BeliefStore:
                 f"(path {self._path_by_wid.get(wid)!r})"
             ) from None
 
+    def add_out_edges(self, wid: int, path: BeliefPath) -> None:
+        """Give the new world ``wid`` at ``path`` its outgoing edges
+        ``(wid, u, dss(path·u))``, one for every user that can extend
+        ``path``: the registry in one pass, ``E`` in one batch."""
+        targets = self._edges[wid]
+        for uid in self._users:
+            if can_extend(path, uid):
+                targets[uid] = self.wid_of_dss(path + (uid,))
+        self.engine.table(E_TABLE).insert_many(
+            [(wid, uid, target) for uid, target in targets.items()]
+        )
+
     def set_edge(self, wid: int, uid: User, target: int) -> None:
         """Insert or redirect the unique (wid, uid) edge, in E and registry."""
         edge_table = self.engine.table(E_TABLE)

@@ -9,13 +9,26 @@ Implements the paper's Algorithms 2-4 plus deletes:
   Datalog over ``E``/``D`` with a max aggregation (the registry fast path is
   :meth:`BeliefStore.wid_of_dss`; tests assert they agree);
 * :func:`insert_tuple` — Alg. 4 ``insertTuple``: consistent insert of a signed
-  tuple into a world, with default propagation to all dependent worlds in
-  ascending depth order;
+  tuple into a world, with default propagation to all dependent worlds;
 * :func:`delete_tuple` — removal of an explicit annotation with key-scoped
-  re-derivation of defaults (the paper only sketches deletes; see DESIGN.md).
+  re-derivation of defaults (the paper only sketches deletes).
 
-Deviations from the paper's text (documented in DESIGN.md §2, all covered by
-the incremental-vs-batch property tests):
+**Propagation is set-at-a-time.** An insert or delete changes one
+``(relation, key)`` cell of one world ``w``; the defaults that follow from
+it live in the same cell of ``w`` and of every world below ``w`` in the
+inverted suffix tree (``S``). :func:`propagate_key` re-derives that cell
+for all of them as one revision, in the sense of Marek et al.'s revision
+programs: it reads every world's cell once (one ``(wid, key)`` index probe
+each, before anything is written), derives each world's new cell in memory
+from its ``S``-parent's *new* cell in ascending depth order, and applies
+only the difference — one :meth:`~repro.relational.table.Table.
+delete_rowids` and one :meth:`~repro.relational.table.Table.insert_many`
+on ``V``. Implicit rows already right stay where they are. World creation
+writes the same way: the implicit content copied from the suffix parent
+and the new world's outgoing ``E`` edges go in as one batch each.
+
+Deviations from the paper's text (``docs/architecture.md``, "Deviations
+from the paper"; all covered by the incremental-vs-batch property tests):
 
 * when a new state ``w`` is created, existing deeper states whose deepest
   proper suffix is now ``w`` get their ``S`` backlink repointed (Alg. 2 only
@@ -32,6 +45,7 @@ from repro.core.paths import BeliefPath, can_extend, is_suffix, validate_path
 from repro.core.schema import GroundTuple, Value
 from repro.core.statements import POSITIVE, BeliefStatement, Sign
 from repro.relational.datalog import Atom, Program, Rule, Var
+from repro.relational.table import Table
 from repro.storage.internal_schema import (
     D_TABLE,
     E_TABLE,
@@ -112,14 +126,13 @@ def id_world(store: BeliefStore, path: BeliefPath) -> int:
 
     if store.eager:
         for relation in store.schema.content_relations:
-            for _, tid, key, s, _ in store.v_table(relation.name).match_named(
-                wid=suffix_parent
-            ):
-                store.insert_v(relation.name, wid, tid, key, s, EXPLICIT_NO)
+            v = store.v_table(relation.name)
+            v.insert_many([
+                (wid, tid, key, s, EXPLICIT_NO)
+                for _, tid, key, s, _ in v.match_named(wid=suffix_parent)
+            ])
 
-    for uid in store.users():
-        if can_extend(path, uid):
-            store.set_edge(wid, uid, store.wid_of_dss(path + (uid,)))
+    store.add_out_edges(wid, path)
 
     candidates = [prefix_wid] + store.dependents_by_depth(prefix_wid)
     for y in candidates:
@@ -187,17 +200,15 @@ def insert_tuple(
     store.insert_v(relation, wid, tid, key, sign_str, EXPLICIT_YES)
     store.add_explicit(path, t, sign)
 
-    # (8-14) propagate the default to dependent worlds, shallowest first.
-    # Each world's (relation, key) cell is re-derived from its suffix parent
-    # — the overriding union of Fig. 9 restricted to one key. This subsumes
-    # the paper's per-case checks (lines 11-14) and also clears implicit rows
+    # (8-14) propagate the default to dependent worlds. Each world's
+    # (relation, key) cell is re-derived from its suffix parent — the
+    # overriding union of Fig. 9 restricted to one key. This subsumes the
+    # paper's per-case checks (lines 11-14) and also clears implicit rows
     # that mirrored parent rows overridden by this insert, a case the paper's
     # surgical formulation misses when the dependent itself has an explicit
-    # conflict (see DESIGN.md §2 and the incremental-vs-batch tests).
+    # conflict (docs/architecture.md, "Deviations from the paper").
     if store.eager:
-        recompute_key(store, wid, relation, key)
-        for z in store.dependents_by_depth(wid):
-            recompute_key(store, z, relation, key)
+        propagate_key(store, wid, relation, key)
     return True
 
 
@@ -248,43 +259,88 @@ def delete_tuple(
     store.delete_v(relation, wid=wid, tid=tid, s=sign_str, e=EXPLICIT_YES)
     store.explicit_db.discard(BeliefStatement(path, t, sign))
     if store.eager:
-        recompute_key(store, wid, relation, key)
-        for z in store.dependents_by_depth(wid):
-            recompute_key(store, z, relation, key)
+        propagate_key(store, wid, relation, key)
     return True
 
 
-def recompute_key(
+#: V's declared ``(wid, key)`` index, the one probe propagation makes.
+_WID_KEY = (0, 2)
+
+
+def propagate_key(
     store: BeliefStore, wid: int, relation: str, key: Value
 ) -> None:
-    """Re-derive the implicit rows for one (world, relation, key) cell.
+    """Re-derive the ``(relation, key)`` cell of ``wid`` and of every world
+    that depends on it, as one revision.
 
-    Explicit rows stay; implicit rows are rebuilt as: every parent row that
-    does not conflict with this world's explicit rows (the overriding union
-    of Fig. 9, restricted to one key). The root has no parent and therefore
-    carries no implicit rows.
+    A world's cell keeps its explicit rows; its implicit rows are every row
+    of its ``S``-parent's cell that no explicit row here overrides (the
+    overriding union of Fig. 9, restricted to one key); the root has no
+    parent and so no implicit rows. Every cell is read once, before
+    anything is written; the worlds are walked in ascending depth, so a
+    world's parent cell is the one just derived — or, for ``wid`` itself,
+    the one in the table. Then only the difference is written: the implicit
+    rows that are no longer derived go in one delete, the newly derived
+    ones in one insert.
     """
-    rows = store.v_rows_for_key(wid, relation, key)
-    explicit_pairs = {
-        (tid, s) for _, tid, _, s, e in rows if e == EXPLICIT_YES
-    }
-    store.delete_v(relation, wid=wid, key=key, e=EXPLICIT_NO)
-    parent = store.s_parent(wid)
-    if parent is None:
-        return
-    has_explicit_positive = any(s == SIGN_POS for _, s in explicit_pairs)
-    explicit_neg_tids = {tid for tid, s in explicit_pairs if s == SIGN_NEG}
-    explicit_pos_tids = {tid for tid, s in explicit_pairs if s == SIGN_POS}
-    for _, tidp, _, sp, _ in store.v_rows_for_key(parent, relation, key):
-        if (tidp, sp) in explicit_pairs:
-            continue
-        if sp == SIGN_POS:
-            if has_explicit_positive or tidp in explicit_neg_tids:
-                continue
-        else:
-            if tidp in explicit_pos_tids:
-                continue
-        store.insert_v(relation, wid, tidp, key, sp, EXPLICIT_NO)
+    table = store.v_table(relation)
+    doomed, fresh = _revision(store, table, wid, key)
+    table.delete_rowids(doomed)
+    table.insert_many(fresh)
+
+
+def _revision(
+    store: BeliefStore, table: Table, wid: int, key: Value
+) -> tuple[list[int], list[tuple]]:
+    """:func:`propagate_key`'s read: the rowids of the implicit rows to
+    delete and the implicit rows to insert. (A function of its own so its
+    probe is gone before the table is written: a live probe holds the row
+    dict, and the write would copy the dict for it.)"""
+    probe, row_at = table.prober(_WID_KEY, rowids=True), table.row
+    parent_of = store.s_parent
+    #: world -> its new cell, as (tid, s) pairs
+    cells: dict[int, list[tuple[int, str]]] = {}
+    parent = parent_of(wid)
+    if parent is not None:
+        cells[parent] = [
+            (row[1], row[3]) for row in map(row_at, probe((parent, key)))
+        ]
+    doomed: list[int] = []
+    fresh: list[tuple] = []
+    for z in [wid, *store.dependents_by_depth(wid)]:
+        explicit: set[tuple[int, str]] = set()
+        implicit: dict[tuple[int, str], int] = {}
+        for rowid in probe((z, key)):
+            _, tid, _, s, e = row_at(rowid)
+            if e == EXPLICIT_YES:
+                explicit.add((tid, s))
+            else:
+                implicit[tid, s] = rowid
+        derived = cells.get(parent_of(z), ())
+        if explicit:
+            derived = [
+                pair for pair in derived if not _overridden(pair, explicit)
+            ]
+        for pair in derived:
+            if implicit.pop(pair, None) is None:
+                fresh.append((z, pair[0], key, pair[1], EXPLICIT_NO))
+        doomed.extend(implicit.values())
+        cells[z] = [*explicit, *derived]
+    return doomed, fresh
+
+
+def _overridden(pair: tuple[int, str], explicit: set[tuple[int, str]]) -> bool:
+    """Does a world's explicit ``(tid, s)`` set block inheriting ``pair``?
+
+    A positive is blocked by any explicit positive of the key (Γ2: one
+    value per key) and by the explicit negative of the same tuple; a
+    negative by the explicit positive of the same tuple. A pair the world
+    states explicitly is not inherited either: it is there already.
+    """
+    tid, s = pair
+    if s == SIGN_POS:
+        return any(s2 == SIGN_POS or tid2 == tid for tid2, s2 in explicit)
+    return pair in explicit or (tid, SIGN_POS) in explicit
 
 
 # --------------------------------------------------------------------- wrappers

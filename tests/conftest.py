@@ -22,6 +22,9 @@ settings.register_profile("default", deadline=None, max_examples=60)
 #: CI's protocol-fuzz step raises the example budget on the wire-codec
 #: property suite (select with HYPOTHESIS_PROFILE=protocol-fuzz).
 settings.register_profile("protocol-fuzz", deadline=None, max_examples=500)
+#: CI's storage step raises it on the incremental-vs-batch and batched-write
+#: properties, whose tier-1 budgets are floors (``tests.strategies.budget``).
+settings.register_profile("storage-props", deadline=None, max_examples=500)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ALICE, BOB, CAROL = 1, 2, 3

@@ -111,6 +111,27 @@ def test_plain_python_fences_are_balanced(path):
     assert text.count("```") % 2 == 0, f"{path.name}: unbalanced code fence"
 
 
+#: A markdown file's name as code and tests cite it: a path or a bare name.
+_MD_NAME_RE = re.compile(r"[\w./-]+\.md\b")
+
+
+def test_every_page_named_in_the_code_and_tests_exists():
+    """A docstring or comment that sends the reader to a page must name one
+    that exists: a path from the repository root, or a bare name of a page
+    there or under ``docs/``."""
+    named = {
+        name
+        for root in ("src", "tests")
+        for path in (REPO / root).rglob("*.py")
+        for name in _MD_NAME_RE.findall(path.read_text())
+    }
+    missing = sorted(
+        name for name in named
+        if not any((base / name).is_file() for base in (REPO, REPO / "docs"))
+    )
+    assert named and not missing, f"pages named but missing: {missing}"
+
+
 # ------------------------------------------- wire-protocol.md vs the op table
 
 

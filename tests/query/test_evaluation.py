@@ -48,7 +48,7 @@ class TestPaperQueries:
     def test_q1_bobs_sightings(self, store, mirror):
         # Sect. 2's q1 with the location fixed to Lake Placid (the paper's
         # text says 'Lake Forest' but its own expected answer is the Placid
-        # raven — see DESIGN.md).
+        # raven — see docs/architecture.md, "Deviations from the paper").
         got = answers(
             store, mirror,
             "q1(k, u, sp) :- Users(x, n), [x] Sightings+(k, u, sp, d, l), "
@@ -137,7 +137,7 @@ class TestNegationSemantics:
 class TestPathSemantics:
     def test_adjacent_valuations_excluded(self, store, mirror):
         # Back edges would let Carol·Carol slip through without the
-        # disequality fix (DESIGN.md §2).
+        # disequality fix (docs/architecture.md, "Deviations from the paper").
         got = answers(
             store, mirror,
             "q(x, y) :- [x] Sightings+(k, z, sp, u, v), "

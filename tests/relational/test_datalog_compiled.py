@@ -693,14 +693,14 @@ class TestProgramTables:
 
     def test_bulk_extend_checks_what_insert_checks(self):
         plain = Table(SCHEMAS["r"])
-        plain.extend([(1, 2), (3, 4)])
+        plain.insert_many([(1, 2), (3, 4)])
         assert plain.rows() == [(1, 2), (3, 4)] and plain.next_rowid == 2
         with pytest.raises(ValueError):
-            plain.extend([(5, 6), (7,)])
+            plain.insert_many([(5, 6), (7,)])
         assert len(plain) == 2
         keyed = Table(SCHEMAS["u"])
         with pytest.raises(DuplicateKeyError):
-            keyed.extend([(1, "a"), (1, "b")])
+            keyed.insert_many([(1, "a"), (1, "b")])
         indexed = Table(SCHEMAS["s"])
-        indexed.extend([(1, 2, 3), (1, 2, 4)])
+        indexed.insert_many([(1, 2, 3), (1, 2, 4)])
         assert len(list(indexed.match_columns({0: 1, 1: 2}))) == 2

@@ -128,6 +128,28 @@ class TestInsertDelete:
         t.delete_where(lambda row: row[0] == 1)
         t.insert((1, "y"))
 
+    def test_a_batch_with_a_duplicate_key_inside_it_lands_nothing(self):
+        t = Table(TableSchema("T", ("a", "b"), key=("a",)))
+        with pytest.raises(DuplicateKeyError, match=r"\(1,\)"):
+            t.insert_many([(1, "a"), (2, "b"), (1, "c")])
+        assert t.rows() == [] and t.next_rowid == 0
+        t.insert((1, "a"))  # the key was never taken
+
+    def test_a_batch_repeating_a_stored_key_lands_nothing(self):
+        t = Table(TableSchema("T", ("a", "b"), key=("a",)))
+        t.insert((1, "a"))
+        with pytest.raises(DuplicateKeyError):
+            t.insert_many([(2, "b"), (1, "c")])
+        assert t.rows() == [(1, "a")] and t.next_rowid == 1
+        assert list(t.match_named(a=2)) == []
+
+    def test_a_batch_with_a_row_of_the_wrong_arity_lands_nothing(self):
+        t = Table(TableSchema("T", ("a", "b"), indexes=(("a",),)))
+        with pytest.raises(ValueError):
+            t.insert_many([(1, 2), (3,)])
+        assert t.rows() == [] and t.next_rowid == 0
+        assert all(not index for index in t.lineage.indexes.values())
+
     def test_delete_matching(self):
         t = make_table()
         t.insert_many([(1, 2, 3), (1, 5, 6), (2, 2, 3)])

@@ -309,6 +309,34 @@ def test_lost_pipeline_then_reconnect_never_replays(core):
         server.stop()
 
 
+@pytest.mark.parametrize("auto_reconnect", [True, False])
+def test_idle_client_learns_of_restart_before_sending(core, auto_reconnect):
+    """A client that sat idle while the server closed its connection finds
+    that out before its next request goes on the wire: with
+    ``auto_reconnect`` the call reconnects and succeeds; without it the call
+    fails saying the connection is gone, not that the request's outcome is
+    unknown. Before, the request was written into the closed connection and
+    the call failed either way."""
+    db = BeliefDBMS(sightings_schema(), strict=False)
+    server = _make_server(core, db)
+    server.start()
+    client = BeliefClient(*server.address, auto_reconnect=auto_reconnect)
+    try:
+        assert client.ping()
+        server.stop()
+        server = _make_server(core, db)
+        server.start()
+        client.port = server.address[1]
+        if auto_reconnect:
+            assert client.ping()
+        else:
+            with pytest.raises(ConnectionLost, match="auto_reconnect disabled"):
+                client.ping()
+    finally:
+        client.close()
+        server.stop()
+
+
 def test_send_failure_with_inflight_never_resends(monkeypatch):
     """A send that dies while other requests are in flight must fail the
     whole pipeline — not quietly reconnect and resend its own frame while

@@ -3,12 +3,16 @@
 Contract under test (see :class:`BeliefClient`): a lost *response* is never
 retried (the op may have been applied server-side) and surfaces as a clear
 :class:`ConnectionLost`; with ``auto_reconnect`` the *next* call makes one
-bounded reconnect attempt; an explicitly closed client stays closed; and a
+bounded reconnect attempt, as does a call that finds the connection closed
+while nothing was in flight; an explicitly closed client stays closed; and a
 :class:`~repro.api.connection.RemoteConnection` replays its login/default
 path onto the fresh session so a restart is transparent at the API layer.
 """
 
 from __future__ import annotations
+
+import socket
+import threading
 
 import pytest
 
@@ -36,12 +40,9 @@ def test_auto_reconnect_survives_server_restart(db):
     try:
         client.login("Carol", create=True)
         server.stop()
-        # The in-flight call fails — its outcome is genuinely unknown — with
-        # a message saying so; no silent retry of a possibly-applied op.
-        with pytest.raises(ConnectionLost, match="may or may not"):
-            client.ping()
-            client.ping()  # first call can also see the close as clean EOF
-        # Nothing is listening yet: the single bounded attempt fails clearly.
+        # Nothing was in flight, so the client sees the close before it
+        # sends; nothing is listening yet, so the call's single bounded
+        # reconnect attempt fails clearly.
         with pytest.raises(ConnectionLost, match="one reconnect attempt"):
             client.ping()
         server = _restart(db, port)
@@ -50,6 +51,34 @@ def test_auto_reconnect_survives_server_restart(db):
     finally:
         client.close()
         server.stop()
+
+
+def test_request_lost_in_flight_is_never_retried():
+    """A call whose request reached the server but whose response never
+    came fails with a message that its outcome is unknown, and is not
+    resent on a fresh connection, even with ``auto_reconnect``. The server
+    here reads one request and hangs up without answering."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    received: list[bytes] = []
+
+    def read_one_then_hang_up() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            received.append(conn.recv(65536))
+
+    thread = threading.Thread(target=read_one_then_hang_up)
+    thread.start()
+    client = BeliefClient(
+        *listener.getsockname(), auto_reconnect=True, wire="json"
+    )
+    try:
+        with pytest.raises(ConnectionLost, match="may or may not"):
+            client.ping()
+        thread.join(timeout=5)
+        assert len(received) == 1 and received[0]  # sent once, not resent
+    finally:
+        client.close()
+        listener.close()
 
 
 def test_without_auto_reconnect_connection_stays_dead(db):
@@ -259,9 +288,6 @@ def test_reconnect_against_durable_server_keeps_history(tmp_path):
             durability=DurabilityManager(data_dir),
         )
         server = BeliefServer(db2, port=port).start()
-        with pytest.raises(ConnectionLost):
-            conn.execute("select S.sid from Sightings as S")
-            conn.client.ping()
         result = conn.execute(
             "select S.sid, S.species from BELIEF ? Sightings as S",
             ("Carol",),

@@ -9,6 +9,7 @@ router transparently reconnects once the epoch bumps.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -69,6 +70,61 @@ def test_killed_worker_is_restarted_with_an_epoch_bump():
         address, _ = coordinator.directory.lookup(1)
         with BeliefClient(*address) as direct:
             assert direct.call("ping") == "pong"
+
+
+class _Incarnations:
+    """A stand-in worker recording whether two of its kills / starts ever
+    ran at once."""
+
+    kind = "fake"
+    pid = None
+    shard_id = 0
+
+    def __init__(self) -> None:
+        self._guard = threading.Lock()
+        self.busy = 0
+        self.overlapped = False
+
+    def _work(self) -> None:
+        with self._guard:
+            self.busy += 1
+            self.overlapped |= self.busy > 1
+        time.sleep(0.02)
+        with self._guard:
+            self.busy -= 1
+
+    def start(self) -> tuple[str, int]:
+        self._work()
+        return ("127.0.0.1", 1)
+
+    def kill(self) -> None:
+        self._work()
+
+    def alive(self) -> bool:
+        return True
+
+
+def test_a_deliberate_kill_never_lands_inside_a_restart():
+    """``kill_worker`` and the health thread's restart both kill and start
+    the one worker. Interleaved, a kill could orphan the incarnation the
+    restart had just started — a real process that then held the data
+    directory's lock against every later restart, so the shard never came
+    back."""
+    coordinator = Coordinator(1)  # never started: no health thread
+    worker = coordinator.workers[0] = _Incarnations()
+    restarts = [
+        threading.Thread(target=coordinator._restart, args=(worker,))
+        for _ in range(3)
+    ]
+    for thread in restarts:
+        thread.start()
+    for _ in range(3):
+        coordinator.kill_worker(0)
+    for thread in restarts:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in restarts)
+    assert not worker.overlapped
+    assert coordinator.restarts(0) == 3
 
 
 def test_restart_recovers_the_wal_on_the_same_data_dir(tmp_path):

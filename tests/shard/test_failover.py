@@ -33,6 +33,9 @@ from repro.workload.generator import concurrent_trace
 N_SHARDS = 2
 OPS_PER_USER = 250
 KILL_AFTER_VICTIM_ACKS = 40
+#: The survivor's last writes wait until the victim is killed, so that its
+#: progress after the kill holds however fast its stream runs.
+HELD_BACK = 5
 
 
 def _pick_per_shard_names(n_shards: int) -> list[str]:
@@ -55,19 +58,23 @@ def _writer(
     lock: threading.Lock,
     failures: list,
     retry_unavailable: bool,
+    gate: threading.Event | None = None,
 ) -> None:
     """Apply one user's write stream through the router.
 
     Selects are skipped: fan-out reads touch every shard and are
     down-shard sensitive by design (``test_coordinator`` pins that typed
-    refusal); this test is about single-shard write availability.
+    refusal); this test is about single-shard write availability. With a
+    ``gate``, the last ``HELD_BACK`` writes wait for it to be set.
     """
+    writes = [op for op in ops if op.kind != "select"]
     try:
         with BeliefClient(*address) as client:
             client.login(name, create=True)
-            for op in ops:
-                if op.kind == "select":
-                    continue
+            for i, op in enumerate(writes):
+                if gate is not None and i == len(writes) - HELD_BACK:
+                    if not gate.wait(timeout=60):
+                        raise TimeoutError("the gate was never opened")
                 sign = "+" if op.kind == "insert" else "-"
                 deadline = time.time() + 60
                 while True:
@@ -115,6 +122,7 @@ def test_sigkill_one_worker_loses_no_acked_write_and_spares_the_rest(
         ack_lock = threading.Lock()
         survivor_failures: list = []
         victim_failures: list = []
+        killed = threading.Event()
         threads = [
             threading.Thread(
                 target=_writer,
@@ -125,7 +133,7 @@ def test_sigkill_one_worker_loses_no_acked_write_and_spares_the_rest(
                 target=_writer,
                 args=(cluster.address, survivor_name,
                       ops_by_name[survivor_name],
-                      acked, ack_lock, survivor_failures, False),
+                      acked, ack_lock, survivor_failures, False, killed),
             ),
         ]
         for t in threads:
@@ -137,18 +145,21 @@ def test_sigkill_one_worker_loses_no_acked_write_and_spares_the_rest(
                 s = sum(1 for e in acked if e[0] == survivor_name)
             return v, s
 
-        deadline = time.time() + 60
-        while time.time() < deadline:
-            victim_acks, survivor_acks_at_kill = _counts()
-            if victim_acks >= KILL_AFTER_VICTIM_ACKS:
-                break
-            time.sleep(0.005)
-        assert victim_acks >= KILL_AFTER_VICTIM_ACKS, (
-            f"workload too slow: only {victim_acks} victim-shard acks"
-        )
+        try:
+            deadline = time.time() + 60
+            while time.time() < deadline:
+                victim_acks, survivor_acks_at_kill = _counts()
+                if victim_acks >= KILL_AFTER_VICTIM_ACKS:
+                    break
+                time.sleep(0.005)
+            assert victim_acks >= KILL_AFTER_VICTIM_ACKS, (
+                f"workload too slow: only {victim_acks} victim-shard acks"
+            )
 
-        # Real SIGKILL of the worker process: no flush, no goodbye.
-        cluster.coordinator.kill_worker(victim)
+            # Real SIGKILL of the worker process: no flush, no goodbye.
+            cluster.coordinator.kill_worker(victim)
+        finally:
+            killed.set()
 
         for t in threads:
             t.join(timeout=90)

@@ -6,7 +6,7 @@ re-materialization of the surviving explicit statements (and, for insert-only
 sequences, structurally identical world contents with explicitness flags).
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 
 from repro.core.statements import BeliefStatement
 from repro.storage.representation import materialize
@@ -16,6 +16,7 @@ from tests.strategies import (
     TINY_SCHEMA,
     USERS,
     belief_statements,
+    budget,
     update_sequences,
 )
 
@@ -35,7 +36,7 @@ def world_signature(store: BeliefStore, path):
 
 
 @given(st.lists(belief_statements(max_depth=3), max_size=15))
-@settings(max_examples=80)
+@budget(80)
 def test_insert_only_matches_batch(statements):
     store = fresh_store()
     for stmt in statements:
@@ -62,7 +63,7 @@ def test_insert_only_matches_batch(statements):
 
 
 @given(update_sequences(max_operations=25))
-@settings(max_examples=80)
+@budget(80)
 def test_mixed_updates_match_batch_semantics(operations):
     store = fresh_store()
     for op, stmt in operations:
@@ -80,10 +81,46 @@ def test_mixed_updates_match_batch_semantics(operations):
                if not path or path[-1] != u}
     for path in probes:
         assert world_signature(store, path) == world_signature(batch, path), path
+    # Explicitness flags steer later updates: they must agree on every
+    # state both stores hold.
+    for path in store.states() & batch.states():
+        assert flagged_rows(store, path) == flagged_rows(batch, path), path
+
+
+def flagged_rows(store: BeliefStore, path) -> set:
+    """The world's V rows as (tuple, sign, explicitness flag)."""
+    return {
+        (store.tuple_for_tid(tid), s, e)
+        for (_, tid, _, s, e) in store.v_rows_for_world(store.wid_for_path(path))
+    }
+
+
+@given(update_sequences(max_operations=25), st.integers(0, 25))
+@budget(40)
+def test_a_fork_pinned_mid_sequence_keeps_its_state(operations, pin_at):
+    """A fork taken between two updates is a reader pinned across the rest:
+    the batched writes after it must leave it equal to a batch
+    materialization of the statements of that moment."""
+    store = fresh_store()
+    pin_at = min(pin_at, len(operations))
+    for op, stmt in operations[:pin_at]:
+        (insert_statement if op == "insert" else delete_statement)(store, stmt)
+    fork, pinned = store.fork_snapshot(), store.to_belief_database()
+    for op, stmt in operations[pin_at:]:
+        (insert_statement if op == "insert" else delete_statement)(store, stmt)
+    fork.check_invariants()
+    batch = materialize(pinned, user_names=store.users())
+    probes = set(fork.states()) | set(batch.states())
+    probes |= {path + (u,) for path in list(probes) for u in USERS
+               if not path or path[-1] != u}
+    for path in probes:
+        assert world_signature(fork, path) == world_signature(batch, path), path
+    for path in fork.states() & batch.states():
+        assert flagged_rows(fork, path) == flagged_rows(batch, path), path
 
 
 @given(update_sequences(max_operations=20))
-@settings(max_examples=40)
+@budget(40)
 def test_lazy_and_eager_stores_agree(operations):
     eager = fresh_store(eager=True)
     lazy = fresh_store(eager=False)
@@ -102,7 +139,7 @@ def test_lazy_and_eager_stores_agree(operations):
 
 
 @given(st.lists(belief_statements(max_depth=2), max_size=12))
-@settings(max_examples=50)
+@budget(50)
 def test_acceptance_agrees_with_core_consistency(statements):
     """Alg. 4 accepts exactly the statements the core model accepts."""
     from repro.core.database import BeliefDatabase

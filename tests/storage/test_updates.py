@@ -193,6 +193,42 @@ class TestDeleteTuple:
         store.check_invariants()
 
 
+class TestPropagationWritesOnlyTheDifference:
+    """Alg. 4 re-derives a key's cell in every dependent world, and writes
+    only the rows that change: counted on V, never timed."""
+
+    def v_writes(self, store, since=(0, 0)) -> tuple[int, int]:
+        """(V rows issued, V rows deleted) since the ``since`` reading."""
+        table = store.v_table("Sightings")
+        lineage = table.lineage
+        deleted = lineage.purged + len(lineage.pending)
+        return table.next_rowid - since[0], deleted - since[1]
+
+    def test_counts(self, store, schema):
+        for path in [(CAROL, BOB, ALICE), (CAROL, ALICE), (ALICE, BOB), (BOB,)]:
+            id_world(store, path)
+        before = self.v_writes(store)
+        # Every world inherits a root insert: one row each, none deleted.
+        assert insert_tuple(store, (), t(schema), POSITIVE)
+        assert self.v_writes(store, before) == (store.world_count(), 0)
+
+        # The same tuple, negated in Alice's world: her world and every one
+        # below it lose the inherited positive and gain the negative.
+        below_alice = len(store.dependents_by_depth(store.wid_for_path((ALICE,))))
+        before = self.v_writes(store)
+        assert insert_tuple(store, (ALICE,), t(schema), NEGATIVE)
+        overridden = 1 + below_alice
+        assert self.v_writes(store, before) == (overridden, overridden)
+
+        # A negative of another value overrides nothing: the inherited
+        # positive stays where it is in Bob's world and below.
+        below_bob = len(store.dependents_by_depth(store.wid_for_path((BOB,))))
+        before = self.v_writes(store)
+        assert insert_tuple(store, (BOB,), t(schema, species="raven"), NEGATIVE)
+        assert self.v_writes(store, before) == (1 + below_bob, 0)
+        store.check_invariants()
+
+
 class TestStatementWrappers:
     def test_insert_and_delete_statement(self, store, schema):
         stmt = positive([ALICE], t(schema))

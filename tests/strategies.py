@@ -7,6 +7,7 @@ edges), which is where all the interesting semantics lives.
 
 from __future__ import annotations
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core.database import BeliefDatabase
@@ -17,6 +18,14 @@ from repro.errors import InconsistencyError
 USERS = (1, 2, 3)
 KEYS = ("k0", "k1", "k2")
 VALUES = ("a", "b", "c")
+
+
+def budget(examples: int) -> settings:
+    """``@settings`` for a property that runs ``examples`` examples in
+    tier-1: the loaded hypothesis profile may raise that budget (CI's
+    ``storage-props``), never lower it. (A plain ``max_examples=`` would
+    override every profile.)"""
+    return settings(max_examples=max(examples, settings().max_examples))
 
 
 def tiny_schema() -> ExternalSchema:
