@@ -88,6 +88,7 @@ from repro.beliefsql.compiler import (
     CompiledUpdate,
     compile_delete,
     compile_insert,
+    compile_query,
     compile_select_prepared,
     compile_update,
 )
@@ -116,7 +117,6 @@ from repro.query.lazy import evaluate_lazy
 from repro.query.naive import evaluate_naive, evaluate_naive_with
 from repro.query.parser import parse_bcq
 from repro.query.sql_gen import evaluate_sql
-from repro.query.translate import evaluate_translated
 from repro.relational.datalog import plan_cache_stats
 from repro.storage.mvcc import Version, VersionManager
 from repro.storage.store import BeliefStore
@@ -221,7 +221,9 @@ class BeliefDBMS:
         # RLock nests — the auto-checkpoint and the lifecycle writes take
         # it again inside an already-held write section.
         self._write_mutex = threading.RLock()
-        self._stmt_cache: OrderedDict[Any, PreparedStatement] = OrderedDict()
+        #: SQL text / AST -> PreparedStatement; query object -> its
+        #: compiled select (:meth:`query`).
+        self._stmt_cache: OrderedDict[Any, Any] = OrderedDict()
         self._stmt_cache_size = max(0, stmt_cache_size)
         self._stmt_lock = threading.Lock()
         self._stmt_stats = {
@@ -609,36 +611,54 @@ class BeliefDBMS:
         """Answer a belief conjunctive query (object or textual form), or a
         bound ``WITH`` select (:meth:`CompiledLifecycleSelect.bind`).
 
-        Evaluates against a pinned immutable snapshot: with ``version``
-        omitted, a version is pinned for the duration of this one query;
-        callers composing several reads into one consistent view pin once
-        via :meth:`read_view` and pass the version through.
+        The query object is compiled once (:func:`compile_query`) and kept
+        in the statement cache under itself, as :meth:`prepare_parsed`
+        keeps an AST: asking the same query again runs its held
+        translation. Evaluates against a pinned immutable snapshot: with
+        ``version`` omitted, a version is pinned for the duration of this
+        one query; callers composing several reads into one consistent view
+        pin once via :meth:`read_view` and pass the version through.
         """
         if isinstance(query, str):
             query = parse_bcq(query, self.schema)
-        if isinstance(query, BCQuery):
-            query.check_safe(self.schema)
-        if version is not None:
-            return self._query_version(query, version)
-        with self.read_view() as pinned:
-            return self._query_version(query, pinned)
+        compiled = self._cached(query, lambda: compile_query(query, self.schema))
+        return self._select(compiled, (), version)
 
-    def _query_version(
-        self, query: BCQuery | LifecycleSelect, version: Version
+    def _select(
+        self,
+        compiled: CompiledSelect | CompiledLifecycleSelect,
+        params: Sequence[Value],
+        version: Version | None,
     ) -> set[tuple]:
-        """Evaluate one checked query against a pinned snapshot.
+        """A compiled select's answer for ``params`` on ``version``, or on
+        a version pinned for this one read."""
+        if version is not None:
+            return self._answer(compiled, params, version)
+        with self.read_view() as pinned:
+            return self._answer(compiled, params, pinned)
 
-        A ``WITH`` select runs as one translated program on every backend
-        but ``naive``, whose reference scan it is checked against; sqlite
-        runs that program on the same version, it has no SQL for it.
+    def _answer(
+        self,
+        compiled: CompiledSelect | CompiledLifecycleSelect,
+        params: Sequence[Value],
+        version: Version,
+    ) -> set[tuple]:
+        """Evaluate one select against a pinned snapshot.
+
+        The engine runs the statement's held translation; so does every
+        backend but ``naive`` for a ``WITH`` select, which the naive
+        reference scan is checked against (sqlite has no SQL for it). The
+        other backends evaluate the bound BCQ.
         """
         store = version.store
-        if isinstance(query, LifecycleSelect):
-            if self.backend == "naive":
-                return evaluate_naive_with(store, query)
-            return evaluate_translated(store, query)
-        if self.backend == "engine":
-            return evaluate_translated(store, query)
+        lifecycle = isinstance(compiled, CompiledLifecycleSelect)
+        if self.backend == "engine" or (lifecycle and self.backend != "naive"):
+            return compiled.run(store, params)
+        query = compiled.bind(params)
+        if query is None:
+            return set()
+        if lifecycle:
+            return evaluate_naive_with(store, query)
         if self.backend == "sqlite":
             # The per-version mirror is shared by every reader of this
             # version; first use pays one sync, the lock serializes the
@@ -660,7 +680,7 @@ class BeliefDBMS:
         compile; ``?`` placeholders are bound per execution by
         :meth:`execute_prepared`.
         """
-        return self._cached_prepare(sql, lambda: parse_beliefsql(sql), sql)
+        return self._cached(sql, lambda: self._compile(parse_beliefsql(sql), sql))
 
     def prepare_parsed(self, statement: Statement) -> PreparedStatement:
         """Compile an already-parsed statement, through the same cache.
@@ -668,11 +688,12 @@ class BeliefDBMS:
         Keyed on the (hashable, frozen) AST itself — the server uses this for
         session-rewritten statements so the rewrite costs no re-parse.
         """
-        return self._cached_prepare(statement, lambda: statement, None)
+        return self._cached(statement, lambda: self._compile(statement, None))
 
-    def _cached_prepare(
-        self, key: Any, load: Any, sql_text: str | None
-    ) -> PreparedStatement:
+    def _cached(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, kept in the LRU statement cache under ``key``: a
+        :class:`PreparedStatement` under SQL text or an AST, a compiled
+        select under a query object."""
         with self._stmt_lock:
             cached = self._stmt_cache.get(key)
             if cached is not None:
@@ -685,7 +706,7 @@ class BeliefDBMS:
         self._cache_events["hit" if hit else "miss"].inc()
         if hit:
             return cached
-        prepared = self._compile(load(), sql_text)
+        prepared = build()
         if self._stmt_cache_size:
             evicted = 0
             with self._stmt_lock:
@@ -768,9 +789,11 @@ class BeliefDBMS:
     ) -> Result:
         """Bind ``params`` into a prepared statement and execute it.
 
-        This is the primitive everything else reduces to: binding is a cheap
-        structural substitution into the compiled artifact, so one
-        ``prepare`` serves many parameter vectors.
+        This is the primitive everything else reduces to: a select's
+        translation and plans belong to the compiled statement, so on the
+        engine an execution checks the binding, resolves the path users on
+        the pinned version and runs the held plans; one ``prepare`` serves
+        many parameter vectors.
 
         ``version`` (selects only) evaluates against that pinned snapshot
         instead of pinning a fresh one — how transactional sessions read
@@ -780,9 +803,7 @@ class BeliefDBMS:
         compiled = prepared.compiled
         rows: list[tuple] = []
         if prepared.kind == "select":
-            query = compiled.bind(params)
-            if query is not None:
-                rows = sorted(self.query(query, version=version), key=repr)
+            rows = sorted(self._select(compiled, params, version), key=repr)
             rowcount = len(rows)
         else:
             # DML: WAL-logged as one replayable template + parameter record.

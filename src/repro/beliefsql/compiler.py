@@ -13,11 +13,15 @@ vectors: :func:`compile_select_prepared` returns a :class:`CompiledSelect`
 whose :meth:`~CompiledSelect.bind` substitutes parameters into the compiled
 query (plus deferred equality constraints the union-find could not decide
 without values); the DML descriptors each carry a ``bind`` of their own.
+A compiled select also owns its physical plan: its query is translated
+once, placeholders kept as :class:`~repro.relational.datalog.Param` s
+(:class:`~repro.query.translate.TranslatedQuery`), so executing it on the
+engine (``run``) is bind + run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.beliefsql.ast import (
@@ -48,7 +52,10 @@ from repro.query.bcq import (
     UserAtom,
     Variable,
 )
+from repro.query.translate import TranslatedQuery, evaluate_translated
+from repro.relational.datalog import Param
 from repro.relational.expressions import compare
+from repro.storage.store import BeliefStore
 
 
 def _bind_term(term: Any, params: tuple[Any, ...]) -> Any:
@@ -141,6 +148,11 @@ def select_columns(stmt: SelectStatement) -> tuple[str, ...]:
     )
 
 
+def _params(count: int) -> tuple[Param, ...]:
+    """What a template's placeholders become: the translation's Params."""
+    return tuple(map(Param, range(count)))
+
+
 def _substitute_query(query: BCQuery, params: tuple[Any, ...]) -> BCQuery:
     """Replace placeholder terms with parameter values, rebuilding the BCQ."""
     return BCQuery(
@@ -174,15 +186,26 @@ class CompiledSelect:
     binding (two distinct concrete constants equated). ``constraints`` are
     equality classes the union-find could not decide at compile time because
     a placeholder was involved; :meth:`bind` checks them and returns ``None``
-    (empty result) when a binding violates one.
+    (empty result) when a binding violates one. ``translated`` is the query
+    translated once, its placeholders Params: :meth:`run` is the engine's
+    execution, :meth:`bind` the bound BCQ the other backends evaluate.
     """
 
     query: BCQuery | None
     columns: tuple[str, ...]
     param_count: int = 0
     constraints: tuple[tuple[Any, ...], ...] = ()
+    translated: TranslatedQuery | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
-    def bind(self, params: Sequence[Any] = ()) -> BCQuery | None:
+    def __post_init__(self) -> None:
+        if self.query is not None:
+            template = _substitute_query(self.query, _params(self.param_count))
+            object.__setattr__(self, "translated", TranslatedQuery(template))
+
+    def _checked(self, params: Sequence[Any]) -> tuple[Any, ...] | None:
+        """The parameters, checked; None when the answer is empty for them."""
         bound = check_parameters(self.param_count, params)
         if self.query is None:
             return None
@@ -190,9 +213,23 @@ class CompiledSelect:
             values = [_bind_term(term, bound) for term in group]
             if any(v != values[0] for v in values[1:]):
                 return None
+        return bound
+
+    def bind(self, params: Sequence[Any] = ()) -> BCQuery | None:
+        bound = self._checked(params)
+        if bound is None:
+            return None
         if not self.param_count:
             return self.query
         return _substitute_query(self.query, bound)
+
+    def run(self, store: BeliefStore, params: Sequence[Any] = ()) -> set[tuple]:
+        """The answer on ``store``'s engine: the binding checked, then the
+        held translation run with ``params``."""
+        bound = self._checked(params)
+        if bound is None:
+            return set()
+        return evaluate_translated(store, self.translated, params=bound)
 
 
 @dataclass(frozen=True)
@@ -210,31 +247,48 @@ class CompiledLifecycleSelect:
     backends run it as one Datalog program over the internal schema and
     the lifecycle relations (:func:`repro.query.translate.translate_with`),
     the naive backend by the reference scan
-    (:func:`repro.query.naive.evaluate_naive_with`).
+    (:func:`repro.query.naive.evaluate_naive_with`). The program is
+    translated once (``translated``, placeholders as Params): :meth:`run`
+    checks a binding as :meth:`bind` does and runs it.
     """
 
     select: LifecycleSelect
     columns: tuple[str, ...]
     param_count: int = 0
+    translated: TranslatedQuery = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        template = _substitute_select(self.select, _params(self.param_count))
+        object.__setattr__(self, "translated", TranslatedQuery(template))
 
     def bind(self, params: Sequence[Any] = ()) -> LifecycleSelect:
         bound = check_parameters(self.param_count, params)
-        select = self.select
-        if self.param_count:
-            select = LifecycleSelect(
-                tuple(_bind_term(u, bound) for u in select.path),
-                select.relation,
-                select.sign,
-                select.head,
-                tuple(
-                    (op, li, _bind_term(lv, bound), ri, _bind_term(rv, bound))
-                    for op, li, lv, ri, rv in select.where
-                ),
-                tuple(
-                    (f, op, _bind_term(v, bound)) for f, op, v in select.filters
-                ),
-            )
-        return select.checked()
+        return _substitute_select(self.select, bound).checked()
+
+    def run(self, store: BeliefStore, params: Sequence[Any] = ()) -> set[tuple]:
+        """The answer on ``store``'s engine: the binding checked (a bad
+        STATUS or CONFIDENCE raises), then the held translation run."""
+        self.bind(params)
+        return evaluate_translated(store, self.translated, params=tuple(params))
+
+
+def _substitute_select(
+    select: LifecycleSelect, params: tuple[Any, ...]
+) -> LifecycleSelect:
+    """Replace placeholder terms with parameter values."""
+    if not params:
+        return select
+    return LifecycleSelect(
+        tuple(_bind_term(u, params) for u in select.path),
+        select.relation,
+        select.sign,
+        select.head,
+        tuple(
+            (op, li, _bind_term(lv, params), ri, _bind_term(rv, params))
+            for op, li, lv, ri, rv in select.where
+        ),
+        tuple((f, op, _bind_term(v, params)) for f, op, v in select.filters),
+    )
 
 
 def compile_lifecycle_select(
@@ -306,6 +360,16 @@ def compile_lifecycle_select(
         tuple(filters),
     )
     return CompiledLifecycleSelect(select, columns, param_count)
+
+
+def compile_query(
+    query: BCQuery | LifecycleSelect, schema: ExternalSchema
+) -> "CompiledSelect | CompiledLifecycleSelect":
+    """A query object as a select without parameters, compiled — what
+    :meth:`repro.bdms.bdms.BeliefDBMS.query` caches and runs."""
+    if isinstance(query, LifecycleSelect):
+        return CompiledLifecycleSelect(query, ())
+    return CompiledSelect(query.check_safe(schema), ())
 
 
 def compile_select(

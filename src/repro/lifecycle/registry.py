@@ -13,10 +13,11 @@ bound to its store (:meth:`bind`) also keeps the store's two lifecycle
 relations (:mod:`repro.storage.internal_schema`) equal to what they say, and
 :meth:`apply` is their only writer: a propose inserts the record's
 ``lifecycle`` row and its ``derives`` rows, a transition replaces one row, a
-sweep the rows whose confidence changed. A row is keyed by the world and
-tuple ids of its statement, which only its store knows — so :meth:`bind`
-rebuilds the relations for a store whose ids may differ from the last one's
-(a new, restored or rolled-back store). A record whose world or tuple the
+sweep the rows whose confidence changed (one batch delete, one batch
+insert). A row is keyed by the world and tuple ids of its statement, which
+only its store knows — so :meth:`bind` rebuilds the relations for a store
+whose ids may differ from the last one's (a new, restored or rolled-back
+store). A record whose world or tuple the
 store lacks (its statement was deleted before a rebuild that therefore did
 not recreate them) has no row until the statement is inserted again
 (:meth:`statement_inserted`); without its statement no ``WITH`` plan reads
@@ -94,6 +95,13 @@ def _event_kept(view: dict[str, Any]) -> tuple:
         tuple(view[name]) if name in _LISTED else view[name]
         for name in _EVENT_FIELDS[view["action"]]
     )
+
+
+def _row(slot: tuple[int, int], record: LifecycleRecord) -> tuple:
+    """``record``'s ``lifecycle`` row, its statement at ``(wid, tid)``."""
+    wid, tid = slot
+    sign = record.key[3]
+    return (wid, tid, sign, record.belief_id, record.status, record.confidence)
 
 
 class LifecycleRegistry:
@@ -184,9 +192,7 @@ class LifecycleRegistry:
         wid, tid = slot
         sign = record.key[3]
         records, derives = store.lifecycle_relations()
-        records.insert(
-            (wid, tid, sign, record.belief_id, record.status, record.confidence)
-        )
+        records.insert(_row(slot, record))
         for token in closure:
             if token != record.belief_id:
                 derives.insert((wid, token, tid, sign))
@@ -196,13 +202,10 @@ class LifecycleRegistry:
         store = self._bound()
         if store is None or record.key in self._unplaced:
             return
-        wid, tid = store.statement_slot(record.key)
-        sign = record.key[3]
+        row = _row(store.statement_slot(record.key), record)
         records, _ = store.lifecycle_relations()
-        records.delete_key((wid, tid, sign))
-        records.insert(
-            (wid, tid, sign, record.belief_id, record.status, record.confidence)
-        )
+        records.delete_key(row[:3])
+        records.insert(row)
 
     def _wait_on(self, belief: str, closure: Iterable[Any]) -> None:
         """``belief``'s closure holds ``closure``: note its unresolved ids."""
@@ -431,6 +434,8 @@ class LifecycleRegistry:
         now = float(record["ts"])
         swept = 0
         changed = 0
+        store = self._bound()
+        rows = []  # the new rows of the changed records that have one
         # Deterministic iteration order: sorted by belief id.
         for bid in sorted(self._by_id):
             key = self._by_id[bid]
@@ -445,7 +450,12 @@ class LifecycleRegistry:
                 updated = entry.with_confidence(decayed, now)
                 self._own()
                 self._records[key] = updated
-                self._replace_row(updated)
+                if store is not None and key not in self._unplaced:
+                    rows.append(_row(store.statement_slot(key), updated))
+        if store is not None:
+            records, _ = store.lifecycle_relations()
+            records.delete_keys([row[:3] for row in rows])
+            records.insert_many(rows)
         self._audit_append(
             now, "decay_sweep", None, record.get("actor"), swept, changed
         )

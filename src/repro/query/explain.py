@@ -13,8 +13,12 @@ rows than the result has is where a q3-style negative subgoal ranges over
 every user's world) and for teaching the translation.
 
 A bound ``WITH`` select explains the same way: its rules
-(:func:`repro.query.translate.translate_with`, the untracked-statement rule
+(:func:`repro.query.translate.translate_with`, the guarded one-scan rule
 among them) are what the engine evaluates, and no SQL is generated for it.
+
+The rules are printed as translated — once, as a template: a parameter or
+a user a path names is a ``?i``, and the values they stood for in this run
+(the users resolved on ``store``) are listed under them.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from dataclasses import dataclass, field
 
 from repro.query.bcq import BCQuery
 from repro.query.sql_gen import generate_sql
-from repro.query.translate import Query, translate
-from repro.relational.datalog import explain_program, run_program
+from repro.query.translate import Query, TranslatedQuery
+from repro.relational.datalog import explain_program
 from repro.storage.store import BeliefStore
 
 
@@ -43,6 +47,8 @@ class ExplainReport:
     #: The rules the engine evaluates: the listing with its temporaries
     #: unfolded (the listing itself under ``push_selections=False``).
     rewritten_rules: list[str] = field(default_factory=list)
+    #: What each ``?i`` of the rules stood for.
+    values: list = field(default_factory=list)
     #: Per evaluated rule: the join order and each atom's access path; with
     #: ``analyze``, the rows that came out of each join step.
     plan: list[str] = field(default_factory=list)
@@ -60,6 +66,9 @@ class ExplainReport:
             lines.append("Unfolded (what the engine evaluates):")
             for rule in self.rewritten_rules:
                 lines.append(f"  {rule}")
+        if self.values:
+            values = (f"?{i} = {v!r}" for i, v in enumerate(self.values))
+            lines.append("Values: " + ", ".join(values))
         if self.plan:
             lines.append("Plan (join order, bound columns, access path):")
             for step in self.plan:
@@ -93,14 +102,16 @@ def explain(
         query.check_safe(store.schema)
         generated = generate_sql(store, query)
         sql, sql_params = generated.sql, generated.params
-    translation, program = translate(store, query, push_selections)
-    if program is None:
+    translation, prepared, values = TranslatedQuery(query, push_selections).prepare(
+        store
+    )
+    if prepared is None:
         return ExplainReport(
             query=str(query),
             datalog_rules=[],
             sql=sql,
             sql_params=sql_params,
-            empty_reason=translation.empty_reason,
+            empty_reason=translation.empty_reason or translation.binding.clash(values),
         )
     assert translation.program is not None
     tables = store.engine.tables()
@@ -109,11 +120,12 @@ def explain(
         datalog_rules=[str(rule) for rule in translation.program],
         sql=sql,
         sql_params=sql_params,
-        rewritten_rules=[str(rule) for rule in program],
+        rewritten_rules=[str(rule) for rule in prepared.program],
+        values=values,
     )
     if analyze and (store.eager or not isinstance(query, BCQuery)):
-        result, _ = run_program(tables, program, trace=report.plan)
+        result, _ = prepared.run(tables, values, trace=report.plan)
         report.result_size = len(result)
     else:
-        report.plan = explain_program(tables, program)
+        report.plan = explain_program(tables, prepared.program)
     return report

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.statements import POSITIVE
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownUserError
 from repro.query.bcq import BCQuery, ModalSubgoal, Term, is_var
-from repro.query.translate import _resolve_path_constants
 from repro.relational.sqlite_backend import quote_identifier as q
 from repro.storage.internal_schema import (
     ROOT_WID,
@@ -37,6 +36,26 @@ from repro.storage.internal_schema import (
     v_table_name,
 )
 from repro.storage.store import BeliefStore
+
+
+def _resolve_path_constants(
+    store: BeliefStore, path: tuple[Term, ...]
+) -> tuple[Term, ...]:
+    """Resolve user-name constants in a path to uids; unknowns pass through.
+
+    An unknown constant simply joins to nothing in ``E`` (no such user, hence
+    no world), which matches Def. 14: no valuation exists for it.
+    """
+    resolved: list[Term] = []
+    for term in path:
+        if is_var(term):
+            resolved.append(term)
+        else:
+            try:
+                resolved.append(store.resolve_user(term))
+            except UnknownUserError:
+                resolved.append(term)
+    return tuple(resolved)
 
 
 @dataclass

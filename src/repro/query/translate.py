@@ -30,14 +30,28 @@ A select with a ``WITH`` lifecycle clause (:class:`~repro.query.bcq.
 LifecycleSelect`) translates through the same pieces plus the lifecycle
 relations, into rules that are already one join each
 (:func:`translate_with`).
+
+**Translate once.** A query is translated as a *template*: what the
+translation cannot see through stays an opaque constant, a
+:class:`~repro.relational.datalog.Param` — a ``?`` parameter, and every
+user a BELIEF path names, because which uid a name denotes is the store's
+business (and a user may be registered after the statement is prepared).
+So a translation is keyed on the query and the schema alone, never on the
+user registry or a parameter value — but for ``DERIVED FROM``, whose rules
+depend on whether its value is a belief id and whether it names a user
+(:func:`translate_with`). :class:`TranslatedQuery` translates (and
+unfolds) once and keeps the prepared program, one per such variant; a run
+makes the value vector on the store it reads (:class:`Binding`) and runs
+the held plans.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Collection, Union
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence, Union
 
+from repro.core.schema import ExternalSchema
 from repro.core.statements import POSITIVE
 from repro.errors import QueryError, UnknownUserError
 from repro.lifecycle.model import ACTIVE, is_belief_id
@@ -46,17 +60,18 @@ from repro.relational.datalog import (
     ANY,
     Atom,
     NegatedAtom,
+    Param,
+    PreparedProgram,
     Program,
     Rule,
     Var,
-    run_program,
     unfold,
 )
 from repro.relational.expressions import (
     Cmp,
     Const,
     Expr,
-    Or,
+    Not,
     Ref,
     conjunction,
     disjunction,
@@ -84,11 +99,74 @@ RESULT_TABLE = "Q_result"
 
 
 @dataclass(frozen=True)
+class Binding:
+    """How a translated program's values are made for one run.
+
+    ``Param(i)`` stands, for ``i < base``, for the query's ``i``-th
+    parameter, and for ``i = base + j`` for the user ``users[j]`` (a
+    parameter or a literal) names on the store the run reads: its uid, or —
+    for a reference nobody registered — the reference itself, which joins
+    to nothing in ``E`` (Def. 14: no such world, no answer). ``distinct``
+    pairs the slots of adjacent path users, with why the answer is empty
+    when they coincide (the path would leave ``Û*``).
+    """
+
+    base: int = 0
+    users: tuple[Any, ...] = ()
+    distinct: tuple[tuple[int, int, str], ...] = ()
+
+    def values(self, store: BeliefStore, params: Sequence[Any] = ()) -> list[Any]:
+        values = list(params[: self.base])
+        for user in self.users:
+            ref = values[user.index] if type(user) is Param else user
+            try:
+                values.append(store.resolve_user(ref))
+            except UnknownUserError:
+                values.append(ref)
+        return values
+
+    def clash(self, values: Sequence[Any]) -> str | None:
+        """Why ``values`` make the answer empty, if they do."""
+        for left, right, reason in self.distinct:
+            if values[left] == values[right]:
+                return reason
+        return None
+
+
+class _Slots:
+    """Lays a :class:`Binding` out: a slot per path user, after the slots of
+    the query's own parameters."""
+
+    def __init__(self, terms: Iterable[Any]) -> None:
+        self.base = 1 + max((t.index for t in terms if type(t) is Param), default=-1)
+        self.users: list[Any] = []
+        self.distinct: list[tuple[int, int, str]] = []
+
+    def user(self, term: Any) -> Param:
+        self.users.append(term)
+        return Param(self.base + len(self.users) - 1)
+
+    def path(self, path: Iterable[Term], reason: str) -> tuple[Term, ...]:
+        """``path`` with a slot for each user it names; adjacent slots must
+        hold different users."""
+        slotted = tuple(term if is_var(term) else self.user(term) for term in path)
+        for left, right in zip(slotted, slotted[1:]):
+            if type(left) is Param and type(right) is Param:
+                self.distinct.append((left.index, right.index, reason))
+        return slotted
+
+    def binding(self) -> Binding:
+        return Binding(self.base, tuple(self.users), tuple(self.distinct))
+
+
+@dataclass(frozen=True)
 class Translation:
-    """A translated query: a Datalog program, or a provably empty result."""
+    """A translated query: a Datalog program whose :class:`Param` s its
+    ``binding`` fills, or a provably empty result."""
 
     program: Program | None
     empty_reason: str | None = None
+    binding: Binding = field(default_factory=Binding)
 
     @property
     def is_empty(self) -> bool:
@@ -110,71 +188,61 @@ def _term_expr(term: Term) -> Expr:
     return Ref(f"q_{term.name}") if is_var(term) else Const(term)
 
 
-def _resolve_path_constants(
-    store: BeliefStore, path: tuple[Term, ...]
-) -> tuple[Term, ...]:
-    """Resolve user-name constants in a path to uids; unknowns pass through.
-
-    An unknown constant simply joins to nothing in ``E`` (no such user, hence
-    no world), which matches Def. 14: no valuation exists for it.
-    """
-    resolved: list[Term] = []
-    for term in path:
-        if is_var(term):
-            resolved.append(term)
-        else:
-            try:
-                resolved.append(store.resolve_user(term))
-            except UnknownUserError:
-                resolved.append(term)
-    return tuple(resolved)
-
-
 def _adjacency_conditions(path: tuple[Term, ...]) -> list[Expr] | None:
     """Disequalities keeping adjacent path positions distinct (Û*).
 
-    Returns None when two adjacent constants coincide — the whole query is
-    then provably empty.
+    Returns None when one variable stands in two adjacent positions — the
+    whole query is then provably empty. Two adjacent users are the
+    binding's to compare (:attr:`Binding.distinct`).
     """
     conditions: list[Expr] = []
     for left, right in zip(path, path[1:]):
-        if not is_var(left) and not is_var(right):
-            if left == right:
-                return None
-            continue
         if is_var(left) and is_var(right) and left.name == right.name:
             return None
-        conditions.append(Cmp("!=", _term_expr(left), _term_expr(right)))
+        if is_var(left) or is_var(right):
+            conditions.append(Cmp("!=", _term_expr(left), _term_expr(right)))
     return conditions
 
 
+def _bcq_terms(query: BCQuery) -> Iterable[Term]:
+    yield from query.head
+    for subgoal in query.subgoals:
+        yield from subgoal.path
+        yield from subgoal.args
+    for atom in query.user_atoms:
+        yield from (atom.uid, atom.name)
+    for predicate in query.predicates:
+        yield from (predicate.left, predicate.right)
+
+
 def translate_bcq(
-    store: BeliefStore,
+    schema: ExternalSchema,
     query: BCQuery,
     push_selections: bool = True,
 ) -> Translation:
-    """Algorithm 1 over the store's internal schema, as a Datalog program."""
-    query.check_safe(store.schema)
+    """Algorithm 1 over ``schema``'s internal schema, as a Datalog program
+    whose path users are slots of its binding."""
+    query.check_safe(schema)
+    slots = _Slots(_bcq_terms(query))
     program = Program()
     final_body: list[Atom] = []
     final_conditions: list[Expr] = []
 
     for i, subgoal in enumerate(query.subgoals):
-        path = _resolve_path_constants(store, subgoal.path)
+        reason = f"subgoal {i} repeats a user in adjacent path positions"
+        path = slots.path(subgoal.path, reason)
         adjacency = _adjacency_conditions(path)
         if adjacency is None:
-            return Translation(
-                None, f"subgoal {i} repeats a user in adjacent path positions"
-            )
+            return Translation(None, reason)
         temp = f"T{i}"
         rule, final_atom, conditions = _translate_subgoal(
-            store, i, temp, subgoal, path, adjacency, push_selections
+            schema, i, temp, subgoal, path, adjacency, push_selections
         )
         program.add(rule)
         final_body.append(final_atom)
         final_conditions.extend(conditions)
 
-    for j, atom in enumerate(query.user_atoms):
+    for atom in query.user_atoms:
         final_body.append(
             Atom(U_TABLE, (_term(atom.uid), _term(atom.name)))
         )
@@ -185,11 +253,11 @@ def translate_bcq(
 
     head = Atom(RESULT_TABLE, tuple(_term(t) for t in query.head))
     program.add(Rule(head, tuple(final_body), tuple(final_conditions)))
-    return Translation(program)
+    return Translation(program, binding=slots.binding())
 
 
 def _translate_subgoal(
-    store: BeliefStore,
+    schema: ExternalSchema,
     index: int,
     temp: str,
     subgoal: ModalSubgoal,
@@ -198,7 +266,7 @@ def _translate_subgoal(
     push_selections: bool,
 ) -> tuple[Rule, Atom, list[Expr]]:
     """Build the ``T_i`` rule, its final-query atom, and final conditions."""
-    relation = store.schema.relation(subgoal.relation)
+    relation = schema.relation(subgoal.relation)
     depth = len(path)
     arity = relation.arity
     if len(subgoal.args) != arity:
@@ -317,8 +385,33 @@ def _final_atom(index: int, temp: str, head_terms: tuple[Any, ...]) -> Atom:
     )
 
 
-def translate_with(store: BeliefStore, select: LifecycleSelect) -> Translation:
-    """A bound ``WITH`` select as Datalog over the internal schema and the
+def _with_slots(
+    select: LifecycleSelect,
+) -> tuple[_Slots, tuple, list[tuple[Any, Param]]]:
+    """A ``WITH`` select's slots: its path's users, then for each ``DERIVED
+    FROM`` filter the user its value may name. Returns the slots, the
+    path, and each ``DERIVED FROM`` value with its user's slot."""
+    slots = _Slots(
+        [
+            *select.path,
+            *(value for _, _, lv, _, rv in select.where for value in (lv, rv)),
+            *(value for _, _, value in select.filters),
+        ]
+    )
+    path = slots.path(select.path, "the path repeats a user in adjacent positions")
+    asked = [
+        (value, slots.user(value))
+        for name, _, value in select.filters if name == "derived_from"
+    ]
+    return slots, path, asked
+
+
+def translate_with(
+    schema: ExternalSchema,
+    select: LifecycleSelect,
+    derived: Sequence[tuple[bool, bool, bool]] = (),
+) -> Translation:
+    """A ``WITH`` select as Datalog over the internal schema and the
     lifecycle relations (:mod:`repro.storage.internal_schema`).
 
     Lifecycle records annotate explicit statements, so the body is
@@ -327,27 +420,32 @@ def translate_with(store: BeliefStore, select: LifecycleSelect) -> Translation:
     suffix state, which is the path's own world only when it is that
     deep), ``v_R(w, tid, key, s, 'y')`` — the explicit rows of the
     select's sign and no others —, ``star_R`` and the WHERE comparisons
-    (an attribute's first ``=`` a constant in the atoms). Then one rule
-    per way a statement passes the filters, all deriving the result — the
-    program's answer is their union:
+    (an attribute's first ``=`` a constant in the atoms). A statement
+    passes the filters F when its record does, or when it has no record
+    and F holds of ``ACTIVE`` and confidence 1.0; the rules all derive the
+    result and the program answers their union:
 
-    * tracked: its ``lifecycle`` row, status and confidence compared in
-      conditions (a status ``=`` as a constant, which the ``(wid,
-      status)`` index serves); per DERIVED FROM filter, the value or the
-      user id it resolves to is in its ``derives`` closure or, for a
-      belief id, is the record's own id — a rule per choice;
-    * untracked: ``not lifecycle(w, tid, s, _, _, _)``, ACTIVE and 1.0
-      compared as constants (a filter they fail ends the rule before it
-      reads a row); no such rule under DERIVED FROM — an untracked
-      statement's closure is empty.
-
-    An unknown user in the path joins to nothing in ``E``, as in
-    :func:`translate_bcq` (Def. 14: no such world, no answer).
+    * with ``DERIVED FROM``: a tracked rule per way to match — its
+      ``lifecycle`` row, status and confidence compared in conditions,
+      and per filter the value or the user id it names in the record's
+      ``derives`` closure or, for a belief id, the record's own id. No
+      rule for untracked statements: their closure is empty. ``derived``
+      says, per such filter, whether its value is a belief id, whether it
+      names a user (other than itself) and whether that user's id is a
+      belief id — the one part of a translation that depends on a value;
+    * otherwise two rules, of which a guard that reads parameters only
+      lets exactly one read rows. Where F(ACTIVE, 1.0) fails, the tracked
+      rule: the record joined, F compared (a status ``=`` as a constant,
+      which the ``(wid, status)`` index serves). Where it holds, every
+      untracked statement passes, so the answer is every explicit
+      statement of the world but the tracked ones that fail — one scan
+      of the world with a key probe per row: ``not (lifecycle(w, tid, s,
+      _, status, confidence), not F(status, confidence))``. A statement with no
+      record stays *not believed* under a negative sign: the rows are
+      ``v_R``'s explicit ones of that sign, never its absence.
     """
-    path = _resolve_path_constants(store, select.path)
-    if _adjacency_conditions(path) is None:
-        return Translation(None, "the path repeats a user in adjacent positions")
-    relation = store.schema.relation(select.relation)
+    slots, path, asked = _with_slots(select)
+    relation = schema.relation(select.relation)
     terms: list[Any] = [Var(f"a{j}") for j in range(relation.arity)]
     rest = []
     for comparison in select.where:
@@ -387,40 +485,61 @@ def translate_with(store: BeliefStore, select: LifecycleSelect) -> Translation:
         None,
     )
     status = Var("status") if pushed is None else select.filters[pushed][2]
-    tracked = list(conditions)
-    untracked = list(conditions)
-    derivations = []  # per DERIVED FROM filter: its ways to match
-    for i, (name, op, value) in enumerate(select.filters):
-        if name == "derived_from":
-            derivations.append(_derivation_matches(store, value))
-            continue
-        column, default = (status, ACTIVE) if name == "status" else (
-            Var("confidence"), 1.0
-        )
-        untracked.append(Cmp(op, Const(default), Const(value)))
-        if i != pushed:
-            tracked.append(Cmp(op, _datalog_expr(column), Const(value)))
 
-    program = Program()
-    for choice in itertools.product(*derivations):
-        own = {value for kind, value in choice if kind == "own"}
-        if len(own) > 1:
-            continue  # the record's id cannot be two values
-        belief = own.pop() if own else Var("belief")
-        record = Atom(
+    def record(belief: Any) -> Atom:
+        return Atom(
             LIFECYCLE_TABLE, (world, tid, sign, belief, status, Var("confidence"))
         )
-        closure = [
-            Atom(DERIVES_TABLE, (world, value, tid, sign))
-            for kind, value in choice if kind == "derives"
-        ]
-        program.add(Rule(head, (*body, record, *closure), tuple(tracked)))
-    if not derivations:
-        untouched = NegatedAtom(
-            Atom(LIFECYCLE_TABLE, (world, tid, sign, ANY, ANY, ANY))
+
+    tracked = list(conditions)
+    passes = []  # F on a record's status and confidence
+    untracked = []  # F(ACTIVE, 1.0)
+    for i, (name, op, value) in enumerate(select.filters):
+        if name == "derived_from":
+            continue
+        column, default = (
+            ("status", ACTIVE) if name == "status" else ("confidence", 1.0)
         )
-        program.add(Rule(head, tuple(body), tuple(untracked), (untouched,)))
-    return Translation(program)
+        passes.append(Cmp(op, Ref(column), Const(value)))
+        untracked.append(Cmp(op, Const(default), Const(value)))
+        if i != pushed:
+            term = status if name == "status" else Var("confidence")
+            tracked.append(Cmp(op, _datalog_expr(term), Const(value)))
+
+    program = Program()
+    if asked:
+        ways = [
+            _derivation_matches(value, uid, bits)
+            for (value, uid), bits in zip(asked, derived, strict=True)
+        ]
+        for choice in itertools.product(*ways):
+            # The record's id is every "own" token: one rule, compared.
+            own = list(dict.fromkeys(token for kind, token in choice if kind == "own"))
+            closure = [
+                Atom(DERIVES_TABLE, (world, token, tid, sign))
+                for kind, token in choice if kind == "derives"
+            ]
+            same = [Cmp("=", Const(own[0]), Const(token)) for token in own[1:]]
+            program.add(
+                Rule(
+                    head,
+                    (*body, record(own[0] if own else Var("belief")), *closure),
+                    (*tracked, *same),
+                )
+            )
+        return Translation(program, binding=slots.binding())
+    default = conjunction(untracked)
+    program.add(Rule(head, (*body, record(Var("belief"))), (*tracked, Not(default))))
+    fail = Not(conjunction(passes))
+    columns = [
+        Var(name) if name in fail.variables() else ANY
+        for name in ("status", "confidence")
+    ]
+    fails = NegatedAtom(
+        Atom(LIFECYCLE_TABLE, (world, tid, sign, ANY, *columns)), (fail,)
+    )
+    program.add(Rule(head, tuple(body), (*conditions, default), (fails,)))
+    return Translation(program, binding=slots.binding())
 
 
 def _datalog_expr(term: Any) -> Expr:
@@ -429,74 +548,121 @@ def _datalog_expr(term: Any) -> Expr:
 
 
 def _derivation_matches(
-    store: BeliefStore, value: Any
+    value: Any, uid: Param, bits: tuple[bool, bool, bool]
 ) -> list[tuple[str, Any]]:
-    """How a statement can be DERIVED FROM ``value``: ``("derives", token)``
-    for the value and the user id it names, if any, and ``("own", id)``
-    where one of them could be the statement's own belief id."""
-    tokens = [value]
-    try:
-        uid = store.resolve_user(value)
-    except UnknownUserError:
-        pass
-    else:
-        if uid != value:
-            tokens.append(uid)
-    matches = [("derives", token) for token in tokens]
-    matches += [("own", token) for token in tokens if is_belief_id(token)]
-    return matches
+    """How a statement can be DERIVED FROM ``value``, whose user id (if it
+    names a user) fills the slot ``uid``: ``("derives", token)`` for the
+    value and that user id, and ``("own", token)`` where one of them is a
+    belief id and could be the statement's own. ``bits``: is the value a
+    belief id, does it name a user, is that user's id a belief id."""
+    is_id, names_user, uid_is_id = bits
+    tokens = [(value, is_id)] + ([(uid, uid_is_id)] if names_user else [])
+    return [("derives", token) for token, _ in tokens] + [
+        ("own", token) for token, own in tokens if own
+    ]
 
 
-def evaluated_program(
-    program: Program, tables: Collection[str], push_selections: bool = True
-) -> Program:
-    """What the engine runs for Algorithm 1's listing ``program``.
+class TranslatedQuery:
+    """A query translated once and run many times: bind + run.
 
-    The listing names one temporary per subgoal, and the paper hands that
-    nest to an RDBMS whose optimizer flattens it. So does this:
-    :func:`repro.relational.datalog.unfold` folds every ``T_i`` into the
-    final rule — one join in which a subgoal's probes see the bindings of
-    the others, nothing materialized. The unpushed listing is the ablation
-    of exactly that (every ``T_i`` whole, selections last) and runs as
-    listed.
+    The first run translates ``query`` into its template (:func:`translate_bcq`,
+    unfolded — the unpushed listing, ``push_selections=False``, is the
+    ablation of exactly that and runs as listed —, or :func:`translate_with`)
+    and prepares the program (:class:`~repro.relational.datalog.
+    PreparedProgram`: every rule's shape taken once, its plan held with the
+    catalog it was compiled for); a ``WITH`` select keeps one per ``DERIVED
+    FROM`` variant it meets. Every run makes the value vector on the store
+    it reads (:class:`Binding`), answers ∅ when adjacent path users
+    coincide, and runs the prepared rules on that store's tables. What it
+    keeps depends on the query and the schema alone, so one object serves
+    every store of the schema: each MVCC version, a restored store.
     """
-    return unfold(program, tables) if push_selections else program
 
+    def __init__(self, query: Query, push_selections: bool = True) -> None:
+        self.query = query
+        self.push_selections = push_selections
+        self._asked: list[tuple[Any, Param]] = []
+        self._binding: Binding | None = None
+        if isinstance(query, LifecycleSelect):
+            slots, _, self._asked = _with_slots(query)
+            self._binding = slots.binding()
+        #: variant -> (its translation, its prepared program or None)
+        self._programs: dict[Any, tuple[Translation, PreparedProgram | None]] = {}
 
-def translate(
-    store: BeliefStore, query: Query, push_selections: bool = True
-) -> tuple[Translation, Program | None]:
-    """``query``'s translation and the program the engine runs for it."""
-    if isinstance(query, LifecycleSelect):
-        translation = translate_with(store, query)
-        return translation, translation.program
-    translation = translate_bcq(store, query, push_selections)
-    if translation.program is None:
-        return translation, None
-    program = evaluated_program(
-        translation.program, store.engine.tables(), push_selections
-    )
-    return translation, program
+    def prepare(
+        self, store: BeliefStore, params: Sequence[Any] = ()
+    ) -> tuple[Translation, PreparedProgram | None, list[Any]]:
+        """``(translation, prepared program, value vector)`` for a run on
+        ``store`` with ``params``; the program is None when the answer is
+        provably empty."""
+        if self._binding is None:  # a BCQ's first run
+            self._binding = self._translate(store, None)[0].binding
+        values = self._binding.values(store, params)
+        key = self._variant(values) if self._asked else None
+        translation, program = self._programs.get(key) or self._translate(store, key)
+        if self._binding.clash(values) is not None:
+            program = None
+        return translation, program, values
+
+    def run(self, store: BeliefStore, params: Sequence[Any] = ()) -> set[tuple]:
+        _, program, values = self.prepare(store, params)
+        if program is None:
+            return set()
+        return program.run(store.engine.tables(), values)[0]
+
+    def _variant(self, values: Sequence[Any]) -> tuple:
+        """Per ``DERIVED FROM`` filter: is its value a belief id, does it
+        name a user, is that user's id a belief id."""
+        bits = []
+        for value, uid in self._asked:
+            if type(value) is Param:
+                value = values[value.index]
+            named = values[uid.index]
+            user = named != value
+            bits.append((is_belief_id(value), user, user and is_belief_id(named)))
+        return tuple(bits)
+
+    def _translate(
+        self, store: BeliefStore, key: Any
+    ) -> tuple[Translation, PreparedProgram | None]:
+        query = self.query
+        if isinstance(query, LifecycleSelect):
+            translation = translate_with(store.schema, query, key)
+            program = translation.program
+        else:
+            translation = translate_bcq(store.schema, query, self.push_selections)
+            program = translation.program
+            if program is not None and self.push_selections:
+                # The listing names one temporary per subgoal, and the paper
+                # hands that nest to an RDBMS whose optimizer flattens it:
+                # so does this, into one join per connected component.
+                program = unfold(program, store.engine.tables())
+        entry = (translation, None if program is None else PreparedProgram(program))
+        self._programs[key] = entry
+        return entry
 
 
 def evaluate_translated(
     store: BeliefStore,
-    query: Query,
+    query: Query | TranslatedQuery,
     push_selections: bool = True,
+    params: Sequence[Any] = (),
 ) -> set[tuple]:
-    """Translate and run a query on the store's engine; returns the answer set.
+    """Answer a query on the store's engine through its translation; returns
+    the answer set.
 
-    A BCQ requires an *eager* store (the valuation tables must materialize
-    the entailed worlds; lazy stores evaluate through
-    :class:`repro.query.lazy.LazyEvaluator`); a ``WITH`` select reads
-    explicit rows only, which every store holds.
+    ``query`` is a BCQ or a bound ``WITH`` select, translated for this one
+    call, or a :class:`TranslatedQuery` — a prepared select's, translated
+    once — run with ``params``. A BCQ requires an *eager* store (the
+    valuation tables must materialize the entailed worlds; lazy stores
+    evaluate through :class:`repro.query.lazy.LazyEvaluator`); a ``WITH``
+    select reads explicit rows only, which every store holds.
     """
-    if not store.eager and not isinstance(query, LifecycleSelect):
+    if not isinstance(query, TranslatedQuery):
+        query = TranslatedQuery(query, push_selections)
+    if not store.eager and isinstance(query.query, BCQuery):
         raise QueryError(
             "translated evaluation needs an eager store; "
             "use LazyEvaluator for lazy stores"
         )
-    _, program = translate(store, query, push_selections)
-    if program is None:
-        return set()
-    return run_program(store.engine.tables(), program)[0]
+    return query.run(store, params)

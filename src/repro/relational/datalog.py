@@ -7,15 +7,23 @@ over the internal schema; this module evaluates such programs:
 * a :class:`Rule` derives head tuples from a conjunction of body atoms,
   residual boolean conditions (arbitrary :mod:`expressions` trees, including
   the nested disjunctions Algorithm 1 emits for negative subgoals), and
-  optional guarded negated atoms;
+  optional guarded negated atoms (each with residual tests of its own on
+  the row it finds);
 * a :class:`Program` is an ordered list of rules; each rule may materialize a
-  temporary table that later rules read (the ``T_i`` of Sect. 5.2).
+  temporary table that later rules read (the ``T_i`` of Sect. 5.2);
+* a :class:`Param` is a constant known only when the program runs.
 
 Evaluation is translate-once, set-at-a-time, like the paper's, and like the
 paper's RDBMS it plans the whole query: :func:`unfold` first folds every
 temporary that is read once into the rule that reads it (one join, in which
 each subgoal's probes see the bindings of the others and no ``T_i`` is
 materialized), one rule per connected component of the variable graph.
+Translate-once holds per statement: a query is translated and unfolded as
+a *template* whose parameters (and the users its paths name, which the
+store resolves) are :class:`Param` s, so its translation is keyed on the
+statement alone (:class:`repro.query.translate.TranslatedQuery`); a
+:class:`PreparedProgram` takes each rule's shape once and holds its plan,
+and a run is: fill the parameter vector, check the catalog, run the plan.
 
 A rule is compiled (:func:`compile_rule`) into one generated function: a
 nest of loops, one step per body atom in a greedy join order chosen from
@@ -37,7 +45,10 @@ into a parameter vector — and the catalog of the tables it reads, so one
 prepared select run with a new key every call compiles once, and two
 databases whose same-named tables are indexed differently never run each
 other's plan. They live in one bounded, process-wide LRU
-(:func:`plan_cache_stats`). A plan holds no table: :meth:`RulePlan.bind`
+(:func:`plan_cache_stats`); a :class:`PreparedRule` keeps the plan it last
+ran beside that plan's catalog and goes back to the cache only when the
+catalog of the tables it runs on differs (an index adopted or built, a
+replaced store). A plan holds no table: :meth:`RulePlan.bind`
 resolves the tables of one execution (the live ones, or any MVCC fork) and
 asks each for what its step reads (:meth:`Table.path`, or a
 :meth:`Table.prober`). Errors that belong to the rule — an unknown table,
@@ -95,6 +106,19 @@ class _Any:
 ANY = _Any()
 
 
+@dataclass(frozen=True, slots=True)
+class Param:
+    """A constant known only when the program runs: the ``index``-th value
+    it is run with (:meth:`PreparedProgram.run`). A rule's shape lifts it
+    out like any other constant. To :func:`unfold` it is an unknown
+    constant: equal to itself, and to any other constant only maybe."""
+
+    index: int
+
+    def __repr__(self) -> str:
+        return f"?{self.index}"
+
+
 @dataclass(frozen=True)
 class Atom:
     """``table(t1, ..., tk)`` with terms bound positionally to columns."""
@@ -118,18 +142,36 @@ class Atom:
 
 @dataclass(frozen=True)
 class NegatedAtom:
-    """``not table(t1, ..., tk)`` — safe only when all variables are bound;
-    a column it does not care about holds :data:`ANY`.
+    """``not table(t1, ..., tk)``, or with ``conditions`` ``not (table(t1,
+    ..., tk), c1, ...)``: no row of ``table`` matches the terms and passes
+    the conditions. A column it does not care about holds :data:`ANY`.
+
+    Its variables must be bound by the rule's body, except *local* ones:
+    a variable the body does not bind names the column it stands in of
+    the row found, and only the conditions may read it.
 
     Not required by Algorithm 1 (negation there is encoded through signs);
-    a ``WITH`` select's rule for statements with no lifecycle record reads
-    one (:func:`repro.query.translate.translate_with`).
+    a ``WITH`` select's one-scan rule reads one: no lifecycle record that
+    fails the filter (:func:`repro.query.translate.translate_with`).
     """
 
     atom: Atom
+    conditions: tuple[Expr, ...] = ()
+
+    def __post_init__(self) -> None:
+        if isinstance(self.conditions, list):
+            object.__setattr__(self, "conditions", tuple(self.conditions))
+
+    def variables(self) -> frozenset[str]:
+        """The atom's variables and those its conditions read."""
+        return self.atom.variables().union(
+            *(condition.variables() for condition in self.conditions)
+        )
 
     def __str__(self) -> str:
-        return f"not {self.atom}"
+        if not self.conditions:
+            return f"not {self.atom}"
+        return f"not ({', '.join(map(str, (self.atom, *self.conditions)))})"
 
 
 @dataclass(frozen=True)
@@ -191,10 +233,12 @@ class Program:
 # A rule's *shape* is the rule with its constants taken out. In a shape a
 # variable is its name (a ``str``), a constant is its index (an ``int``) in
 # the parameter vector, :data:`ANY` is None, an atom is ``(table, terms)``
-# and an operator node of a condition is ``(operator, operand, ...)``. The
-# shape is the key of the plan cache and all that a plan is generated from,
-# so rules that differ only in constants (one prepared select, a new key
-# every call) share one plan.
+# (a negated one ``(table, terms, conditions)``) and an operator node of a
+# condition is ``(operator, operand, ...)``. The shape is the key of the
+# plan cache and all that a plan is generated from, so rules that differ
+# only in constants (one prepared select, a new key every call) share one
+# plan. A :class:`Param` is a constant like any other: its entry in the
+# parameter vector is filled per run.
 
 _CONNECTIVES = {And: "and", Or: "or"}
 
@@ -234,9 +278,35 @@ def _shape(rule: Rule) -> tuple[tuple, list[Any]]:
         atom_shape(rule.head),
         tuple([atom_shape(atom) for atom in rule.body]),
         tuple([expr_shape(expr) for expr in rule.conditions]),
-        tuple([atom_shape(negated.atom) for negated in rule.negated]),
+        tuple(
+            [
+                (*atom_shape(negated.atom), tuple(map(expr_shape, negated.conditions)))
+                for negated in rule.negated
+            ]
+        ),
     )
     return shape, params
+
+
+class _Shape:
+    """A shape with its hash taken once: a plan-cache key hashes it, and a
+    prepared rule looks its shape up only when its catalog changes."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: tuple) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is _Shape
+            and self._hash == other._hash
+            and self.value == other.value
+        )
 
 
 def _atom_variables(terms: Iterable[int | str | None]) -> list[str]:
@@ -339,9 +409,14 @@ class RulePlan:
     def bind(self, tables: Mapping[str, Table], rule: Rule) -> list:
         """Resolve ``rule``'s tables and what each step reads; raises for
         an unknown table or an arity mismatch before any row is read."""
+        return self.probes(_tables_read(tables, rule), len(rule.body))
+
+    def probes(self, read: Sequence[Table], body: int) -> list:
+        """What each step reads from ``read``: the tables of the rule's
+        ``body`` atoms, then those of its negated atoms."""
         probes: list = []
-        for _, atom, columns, access in self._atoms(rule):
-            table = _table_of(tables, atom)
+        for negated, position, columns, access in self.accesses:
+            table = read[body + position if negated else position]
             probes.append(
                 table.prober(columns) if access is None else table.path(access)
             )
@@ -355,17 +430,50 @@ class RulePlan:
     ) -> str:
         """The join order and each atom's access path on ``tables``, for
         EXPLAIN; with ``counts`` (a counted run's), the rows out of each
-        join step."""
+        join step. A negated atom's residual tests on the row it finds
+        show as ``+test(columns)``, the columns its local variables name."""
+        bound_names = _body_variables(rule)
         steps = []
         for n, (negated, atom, columns, _) in enumerate(self._atoms(rule)):
             table = tables[atom.table]
-            bound = ", ".join(table.schema.columns[i] for i in columns)
-            step = f"{'not ' if negated else ''}{atom.table}[{bound}] "
+            names = table.schema.columns
+            step = f"{'not ' if negated else ''}{atom.table}["
+            step += ", ".join(names[i] for i in columns) + "] "
             step += table.access_path(columns)
+            locals_ = [
+                names[i] for i, term in enumerate(atom.terms)
+                if type(term) is Var and term.name not in bound_names
+            ]
+            if negated and locals_:
+                step += f"+test({', '.join(locals_)})"
             if counts is not None and not negated:
                 step += f" ({counts[n]:,} rows)"
             steps.append(step)
         return f"{rule.head.table}: " + " -> ".join(steps)
+
+
+def _body_variables(rule: Rule) -> frozenset[str]:
+    return frozenset().union(*(atom.variables() for atom in rule.body))
+
+
+def _tables_read(tables: Mapping[str, Table], rule: Rule) -> list[Table]:
+    """The tables of ``rule``'s body atoms, then of its negated atoms."""
+    read = [_table_of(tables, atom) for atom in rule.body]
+    read += [_table_of(tables, negated.atom) for negated in rule.negated]
+    return read
+
+
+def _check_negated(rule: Rule) -> None:
+    """A negated atom's variable the body does not bind is local to it, and
+    must be read by its conditions (else it is :data:`ANY` misspelled)."""
+    bound = _body_variables(rule)
+    for negated in rule.negated:
+        read = frozenset().union(*(c.variables() for c in negated.conditions))
+        unbound = sorted(negated.atom.variables() - bound - read)
+        if unbound:
+            raise EngineError(
+                f"negated atom {negated.atom} has unbound variable {unbound[0]!r}"
+            )
 
 
 #: Loops emitted into one function: CPython compiles at most 20 statically
@@ -373,41 +481,91 @@ class RulePlan:
 _MAX_NEST = 15
 
 
+class PreparedRule:
+    """A rule taken apart once to be run many times.
+
+    Its shape is taken (and hashed) once; its parameter vector keeps a
+    slot per :class:`Param`, filled from the values of each run. The plan
+    is the plan cache's entry for the shape and the catalog — each table's
+    :meth:`Table.signature`, what the access paths are chosen from — of the
+    tables it runs on; the rule holds the last one it ran beside that
+    catalog, and the catalog is compared on every run, so an index built
+    or adopted since, a fork's private index or another store's tables
+    replan through the cache and a stale plan never runs.
+    """
+
+    __slots__ = ("rule", "params", "_shape", "_slots", "_held")
+
+    def __init__(self, rule: Rule) -> None:
+        shape, params = _shape(rule)
+        self.rule = rule
+        #: The parameter vector: the rule's constants, Params unfilled.
+        self.params = params
+        self._shape = _Shape(shape)
+        self._slots = [(i, p.index) for i, p in enumerate(params) if type(p) is Param]
+        self._held: tuple[tuple, RulePlan] | None = None
+
+    def plan(
+        self, tables: Mapping[str, Table], counted: bool = False
+    ) -> tuple[RulePlan, list[Table]]:
+        """The plan for ``tables``' catalog, and the tables the rule reads.
+
+        On a cache miss everything is decided (:func:`_compile`): the join
+        order, each atom's bound and free positions (and the variables
+        repeated inside it), which steps read a key or an index inline (and
+        which negated atoms are a key lookup), a local per variable, the
+        outermost loop at which each condition and negated atom is fully
+        bound, and the head projection are emitted as the source of one
+        function. An unknown table, an arity mismatch, and a condition or a
+        negated atom naming a variable nothing binds are errors here.
+        """
+        read = _tables_read(tables, self.rule)
+        catalog = tuple([table.signature() for table in read])
+        held = self._held
+        if held is not None and held[0] == catalog and not counted:
+            return held[1], read
+        key = (self._shape, catalog, counted)
+        plan = _PLANS.get(key)
+        if plan is None:
+            _check_negated(self.rule)
+            plan = _compile(self._shape.value, len(self.params), read, counted)
+            _PLANS.put(key, plan)
+        if not counted:
+            self._held = (catalog, plan)
+        return plan, read
+
+    def run(
+        self,
+        tables: Mapping[str, Table],
+        values: Sequence[Any] = (),
+        trace: list[str] | None = None,
+    ) -> set[Row]:
+        """All head tuples the rule derives against ``tables``, each
+        ``Param(i)`` standing for ``values[i]``; with ``trace``, also
+        appends the plan with the rows out of each join step."""
+        plan, read = self.plan(tables, counted=trace is not None)
+        probes = plan.probes(read, len(self.rule.body))
+        params = self.params
+        if self._slots:
+            params = list(params)
+            for i, k in self._slots:
+                params[i] = values[k]
+        if trace is None:
+            return plan.run(params, probes)
+        counts = [0] * len(self.rule.body)
+        result = plan.run(params, probes, counts)
+        trace.append(plan.describe(tables, self.rule, counts))
+        return result
+
+
 def compile_rule(
     rule: Rule, tables: Mapping[str, Table], counted: bool = False
 ) -> tuple[RulePlan, list[Any]]:
-    """The plan of ``rule``'s shape on ``tables``' catalog, and ``rule``'s
-    parameter vector.
-
-    The plan comes from the process-wide cache, keyed on the shape and each
-    table's :meth:`Table.signature` (what the access paths are chosen
-    from), so it serves any tables with the same keys and indexes: another
-    MVCC fork, another database. On a miss everything is decided here: the
-    join order, each atom's bound and free positions (and the variables
-    repeated inside it), which steps read a key or an index inline (and
-    which negated atoms are a key lookup), a local per variable, the
-    outermost loop at which each condition and negated atom is fully bound,
-    and the head projection are emitted as the source of one function. An
-    unknown table, an arity mismatch, and a condition or a negated atom
-    naming a variable no body atom binds are errors here.
-    """
-    shape, params = _shape(rule)
-    read = [_table_of(tables, atom) for atom in rule.body]
-    read += [_table_of(tables, negated.atom) for negated in rule.negated]
-    key = (shape, tuple([table.signature() for table in read]), counted)
-    plan = _PLANS.get(key)
-    if plan is None:
-        bound = frozenset().union(*(atom.variables() for atom in rule.body))
-        for negated in rule.negated:
-            unbound = sorted(negated.atom.variables() - bound)
-            if unbound:
-                raise EngineError(
-                    f"negated atom {negated.atom} has unbound variable "
-                    f"{unbound[0]!r}"
-                )
-        plan = _compile(shape, len(params), read, counted)
-        _PLANS.put(key, plan)
-    return plan, params
+    """The plan of ``rule``'s shape on ``tables``' catalog, from the
+    process-wide cache (:meth:`PreparedRule.plan`), and ``rule``'s
+    parameter vector."""
+    prepared = PreparedRule(rule)
+    return prepared.plan(tables, counted)[0], prepared.params
 
 
 def _compile(
@@ -424,10 +582,14 @@ def _compile(
             local.setdefault(name, f"v{len(local)}")
     #: A variable occurring once is bound and never read: it gets no local.
     uses: Counter[str] = Counter()
-    for _, terms in (head, *body, *negated):
+    for _, terms in (head, *body):
         uses.update(_atom_variables(terms))
     for cond in conditions:
         uses.update(_condition_variables(cond))
+    for _, terms, tests in negated:
+        uses.update(name for name in _atom_variables(terms) if name in local)
+        for cond in tests:
+            uses.update(_condition_variables(cond))
 
     def value(term: int | str) -> str:
         return f"p{term}" if isinstance(term, int) else local[term]
@@ -441,22 +603,46 @@ def _compile(
         for cond in conditions
     ]
     # A negated atom is a test: one key lookup where its bound columns are
-    # exactly the key, else a call of the table's prober.
+    # exactly the key, else a call of the table's prober; its own
+    # conditions are tested on the row found, its local variables read
+    # from that row's columns.
     negated_reads = []
-    for k, (_, terms) in enumerate(negated):
+    for k, (_, terms, tests) in enumerate(negated):
         n = len(body) + k
-        columns = tuple(i for i, term in enumerate(terms) if term is not None)
+        columns = tuple(
+            i for i, term in enumerate(terms)
+            if isinstance(term, int) or term in local
+        )
+        found = f"m{n}"
+        scope = dict(local)
+        residual = []
+        for i, term in enumerate(terms):
+            if isinstance(term, str) and term not in local:
+                if term in scope:  # repeated inside the atom
+                    residual.append(f"{found}[{i}] == {scope[term]}")
+                else:
+                    scope[term] = f"{found}[{i}]"
+        residual += [_expr_source(cond, scope, True) for cond in tests]
+        passes = " and ".join(residual)
         access = tables[n].access(columns)
         if access.kind == "key" and not access.checks:
-            key = row_of(terms[i] for i in access.positions)
-            test = f"held{n}(get{n}({key})) is not None"
+            row = f"held{n}(get{n}({row_of(terms[i] for i in access.positions)}))"
+            if residual:
+                test = f"({found} := {row}) is not None and {passes}"
+            else:
+                test = f"{row} is not None"
             negated_reads.append((f"(get{n}, held{n}, stale{n})", columns, access))
         else:
-            test = f"probe{n}({row_of(terms)})"
+            test = f"probe{n}({row_of(terms[i] for i in columns)})"
+            if residual:
+                test = f"any({passes} for {found} in {test})"
             negated_reads.append((f"probe{n}", columns, None))
-        guards.append((set(_atom_variables(terms)), test))
+        outer = {t for t in _atom_variables(terms) if t in local}
+        for cond in tests:
+            outer.update(name for name in _condition_variables(cond) if name in local)
+        guards.append((outer, test))
 
-    hoisted: list[str] = []  # probes no loop variable feeds, run once
+    hoisted: list[str] = []  # tests and probes no loop variable feeds, run once
     functions: list[list[str]] = []  # where a join longer than _MAX_NEST goes on
     loops = lines = []  # ``run``'s own loops; the function being emitted
     pad = "    "
@@ -472,7 +658,11 @@ def _compile(
             lines.append(f"{pad}if {guard[1]}: {reject}")
 
     reject = "return out"  # leaves the step in hand: ``continue`` inside a loop
+    # Tests that read parameters only come first, before any probe: a rule
+    # they reject reads no row.
+    lines = hoisted
     place_guards()
+    lines = loops
     for depth, (position, columns, access) in enumerate(order):
         if nest == _MAX_NEST:
             function = f"join{depth}({', '.join(assigned)})"
@@ -665,6 +855,15 @@ def _rename_atom(atom: Atom, term_of: Callable[[str], Term]) -> Atom:
     )
 
 
+def _rename_negated(
+    negated: NegatedAtom, term_of: Callable[[str], Term]
+) -> NegatedAtom:
+    return NegatedAtom(
+        _rename_atom(negated.atom, term_of),
+        tuple([_rename_expr(c, term_of) for c in negated.conditions]),
+    )
+
+
 def _rename_expr(expr: Expr, term_of: Callable[[str], Term]) -> Expr:
     kind = type(expr)
     if kind is Ref:
@@ -683,8 +882,10 @@ def _rename_expr(expr: Expr, term_of: Callable[[str], Term]) -> Expr:
 
 def _variables(rule: Rule) -> set[str]:
     names = set(rule.head.variables())
-    for atom in (*rule.body, *(n.atom for n in rule.negated)):
+    for atom in rule.body:
         names |= atom.variables()
+    for negated in rule.negated:
+        names |= negated.variables()
     for condition in rule.conditions:
         names |= condition.variables()
     return names
@@ -694,7 +895,10 @@ def _inline(rule: Rule, definitions: dict[str, Rule]) -> Rule:
     """``rule`` with each body atom over a table in ``definitions`` replaced
     by the body of the rule that derives it (taken out of ``definitions``):
     the atom's terms unified with that rule's head, its other variables
-    renamed apart, its conditions and negated atoms carried along."""
+    renamed apart, its conditions and negated atoms carried along. Where
+    a head term and an atom term are two constants and either is a
+    :class:`Param`, whether they are equal is known only when the program
+    runs: the rule gets the condition that they are."""
     ours: dict[str, Term] = {}  # what unification binds this rule's variables to
 
     def walk(term: Term) -> Term:
@@ -705,6 +909,7 @@ def _inline(rule: Rule, definitions: dict[str, Rule]) -> Rule:
     #: (position, the deriving rule, its variables in this rule's terms)
     inlined: list[tuple[int, Rule, dict[str, Term]]] = []
     satisfiable = True
+    unknown: list[Expr] = []  # equalities of constants only a run can decide
     for at, atom in enumerate(rule.body):
         definition = definitions.pop(atom.table, None)
         if definition is None:
@@ -723,6 +928,8 @@ def _inline(rule: Rule, definitions: dict[str, Rule]) -> Rule:
                 ours[read.name] = derived
             elif type(derived) is Var:
                 ours[derived.name] = read
+            elif type(derived) is Param or type(read) is Param:
+                unknown.append(Cmp("=", Const(derived), Const(read)))
             else:  # two constants that differ: the atom matches nothing
                 satisfiable = False
         inlined.append((at, definition, theirs))
@@ -735,7 +942,8 @@ def _inline(rule: Rule, definitions: dict[str, Rule]) -> Rule:
     taken = _variables(rule)
     body = [[_rename_atom(atom, ours_term)] for atom in rule.body]
     conditions = [_rename_expr(c, ours_term) for c in rule.conditions]
-    negated = [_rename_atom(n.atom, ours_term) for n in rule.negated]
+    conditions += unknown
+    negated = [_rename_negated(n, ours_term) for n in rule.negated]
     for at, definition, theirs in inlined:
 
         def term_of(name: str) -> Term:
@@ -749,14 +957,14 @@ def _inline(rule: Rule, definitions: dict[str, Rule]) -> Rule:
 
         body[at] = [_rename_atom(atom, term_of) for atom in definition.body]
         conditions += [_rename_expr(c, term_of) for c in definition.conditions]
-        negated += [_rename_atom(n.atom, term_of) for n in definition.negated]
+        negated += [_rename_negated(n, term_of) for n in definition.negated]
     if not satisfiable:
         conditions.append(Const(False))
     return Rule(
         _rename_atom(rule.head, ours_term),
         tuple([atom for atoms in body for atom in atoms]),
         tuple(conditions),
-        tuple(map(NegatedAtom, negated)),
+        tuple(negated),
     )
 
 
@@ -798,11 +1006,14 @@ def _components(rule: Rule, taken: Collection[str]) -> list[Rule]:
             placed[homes[0] if homes else -1].append(item)
         return placed
 
+    # A negated atom reads the body's variables it names; the others are
+    # its own (bound by the row it finds).
+    outer = _body_variables(rule)
     conditions = place(rule.conditions, lambda c: c.variables())
-    negated = place(rule.negated, lambda n: n.atom.variables())
+    negated = place(rule.negated, lambda n: n.variables() & outer)
     read = set(rule.head.variables())
     read.update(*(c.variables() for c in conditions[-1]))
-    read.update(*(n.atom.variables() for n in negated[-1]))
+    read.update(*(n.variables() & outer for n in negated[-1]))
 
     rules = []
     body: list[Atom | None] = list(rule.body)
@@ -878,14 +1089,7 @@ def evaluate_rule(
 ) -> set[Row]:
     """All head tuples derivable by ``rule`` against ``tables``; with
     ``trace``, also appends the plan with the rows out of each join step."""
-    plan, params = compile_rule(rule, tables, counted=trace is not None)
-    probes = plan.bind(tables, rule)
-    if trace is None:
-        return plan.run(params, probes)
-    counts = [0] * len(rule.body)
-    result = plan.run(params, probes, counts)
-    trace.append(plan.describe(tables, rule, counts))
-    return result
+    return PreparedRule(rule).run(tables, (), trace)
 
 
 def _temporary(head: Atom) -> Table:
@@ -898,14 +1102,66 @@ def explain_program(tables: Mapping[str, Table], program: Program) -> list[str]:
     scope = dict(tables)
     plans = []
     for rule in program:
-        plans.append(compile_rule(rule, scope)[0].describe(scope, rule))
+        plans.append(PreparedRule(rule).plan(scope)[0].describe(scope, rule))
         if rule.head.terms and rule.head.table not in scope:
             scope[rule.head.table] = _temporary(rule.head)
     return plans
 
 
+class PreparedProgram:
+    """A program prepared once to run many times, each rule a
+    :class:`PreparedRule`: a run fills the parameter vectors from its
+    values, checks each rule's catalog and runs its plan."""
+
+    __slots__ = ("program", "rules", "_final", "_read")
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.rules = [PreparedRule(rule) for rule in program]
+        self._final = program.rules[-1].head.table if program.rules else None
+        self._read = {
+            atom.table
+            for rule in program
+            for atom in (*rule.body, *(negated.atom for negated in rule.negated))
+        }
+
+    def run(
+        self,
+        tables: Mapping[str, Table],
+        values: Sequence[Any] = (),
+        keep_temps: bool = False,
+        trace: list[str] | None = None,
+    ) -> tuple[set[Row], dict[str, Table]]:
+        """:func:`run_program` of this program, ``Param(i)`` standing for
+        ``values[i]``."""
+        scope = tables  # copied before the first temporary goes in
+        temps: dict[str, Table] = {}
+        result: set[Row] = set()
+        final = self._final
+        for prepared in self.rules:
+            derived = prepared.run(scope, values, trace)
+            head = prepared.rule.head
+            if head.table == final:
+                result = derived if not result else result | derived
+            if not head.terms:
+                # Boolean rule (0-ary head): nothing to materialize; the
+                # result set is ∅ or {()}. Such heads cannot feed later rules.
+                continue
+            target = scope.get(head.table)
+            if target is None:
+                if head.table == final and final not in self._read and not keep_temps:
+                    continue  # a temporary nobody will read
+                if scope is tables:
+                    scope = dict(tables)
+                target = temps[head.table] = scope[head.table] = _temporary(head)
+                target.insert_many(derived)
+            else:
+                target.insert_many(derived.difference(target))
+        return result, (temps if keep_temps else {})
+
+
 def run_program(
-    tables: dict[str, Table],
+    tables: Mapping[str, Table],
     program: Program,
     keep_temps: bool = False,
     trace: list[str] | None = None,
@@ -918,34 +1174,7 @@ def run_program(
     set, temporary tables)``; the caller owns cleanup when ``keep_temps`` is
     set (temporaries live only in the returned dict, the input ``tables``
     mapping is never mutated). ``trace`` collects one line per rule: its
-    plan, with the rows that came out of each join step.
+    plan, with the rows that came out of each join step. A program run
+    more than once, or with :class:`Param` s, is a :class:`PreparedProgram`.
     """
-    if not program.rules:
-        return set(), {}
-    scope = dict(tables)
-    temps: dict[str, Table] = {}
-    result: set[Row] = set()
-    final = program.rules[-1].head.table
-    read = {
-        atom.table
-        for rule in program
-        for atom in (*rule.body, *(negated.atom for negated in rule.negated))
-    }
-    for rule in program.rules:
-        derived = evaluate_rule(scope, rule, trace)
-        head = rule.head
-        if head.table == final:
-            result |= derived
-        if not head.terms:
-            # Boolean rule (0-ary head): nothing to materialize; the result
-            # set is ∅ or {()}. Such heads cannot feed later rules.
-            continue
-        target = scope.get(head.table)
-        if target is None:
-            if head.table == final and final not in read and not keep_temps:
-                continue  # a temporary nobody will read
-            target = temps[head.table] = scope[head.table] = _temporary(head)
-            target.insert_many(derived)
-        else:
-            target.insert_many(derived.difference(target))
-    return result, (temps if keep_temps else {})
+    return PreparedProgram(program).run(tables, (), keep_temps, trace)

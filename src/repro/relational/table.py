@@ -490,6 +490,12 @@ class Table:
         """Delete the row whose unique key is ``key``; returns it."""
         return self.delete_rowid(self._key_values[key])
 
+    def delete_keys(self, keys: Iterable[tuple]) -> int:
+        """Delete the rows whose unique keys are ``keys`` (distinct, all
+        held) as one batch (:meth:`delete_rowids`); return the count."""
+        held = self._key_values
+        return self.delete_rowids([held[key] for key in keys])
+
     def delete_matching(self, bound: Mapping[int, Any]) -> int:
         """Delete rows whose columns (by position) equal the bound values."""
         return self.delete_rowids(

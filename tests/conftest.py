@@ -25,6 +25,9 @@ settings.register_profile("protocol-fuzz", deadline=None, max_examples=500)
 #: CI's storage step raises it on the incremental-vs-batch and batched-write
 #: properties, whose tier-1 budgets are floors (``tests.strategies.budget``).
 settings.register_profile("storage-props", deadline=None, max_examples=500)
+#: CI's query step raises it on prepared-select re-execution against a
+#: fresh translation and the references, and on the WITH plans.
+settings.register_profile("query-props", deadline=None, max_examples=500)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ALICE, BOB, CAROL = 1, 2, 3

@@ -16,9 +16,10 @@ tuple ids: restore, WAL recovery, an aborted commit.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bdms.bdms import BeliefDBMS
@@ -30,6 +31,7 @@ from repro.errors import LifecycleError, TransactionAbortedError
 from repro.lifecycle.model import STATUSES, belief_id, belief_key
 from repro.query.explain import explain
 from repro.storage.compaction import vacuum_star
+from tests.strategies import budget
 from tests.wal_oracle import durable_db, recovered_from_wal
 
 USERS = ("Ann", "Ben", "Cy")  # uids 1, 2, 3
@@ -173,7 +175,7 @@ def _answers(db: BeliefDBMS, selects, version=None) -> list[list[tuple]]:
     ]
 
 
-@settings(max_examples=80, deadline=None)
+@budget(80)
 @given(
     st.lists(OPS, min_size=10, max_size=50),
     st.lists(OPS, max_size=10),
@@ -315,6 +317,53 @@ def test_vacuum_renumbering_keeps_records_attached():
     assert db.execute_sql(sql, [ids["child"]]).rows == [("s1",)]
 
 
+def _rebuilt(store) -> list[tuple]:
+    """The ``lifecycle`` relation as a rebuild from ``store``'s registry
+    would write it."""
+    rows = []
+    for record in store.lifecycle.records():
+        slot = store.statement_slot(record.key)
+        if slot is not None:
+            rows.append((*slot, record.key[3], record.belief_id, record.status,
+                         record.confidence))
+    return sorted(rows)
+
+
+def test_a_sweep_writes_its_changed_rows_as_one_batch(monkeypatch):
+    """Counted, not timed: k changed records are one delete batch and one
+    insert batch on ``lifecycle``, never a row at a time; the live relation
+    then equals a rebuild from the registry, and so does a fork pinned
+    before the sweep — from its own registry, as it was."""
+    db = _users(BeliefDBMS(sightings_schema(), strict=False))
+    for i in range(12):
+        values = _values(f"d{i}", SPECIES[i % 2])
+        db.insert(ANN, "Sightings", values)
+        db.lifecycle_propose(
+            ANN, "Sightings", values, ts=0.0,
+            decay="exponential:100" if i % 3 else "none",
+        )
+    table = db.store.engine.table("lifecycle")
+    calls: Counter = Counter()
+    for name in ("delete_rowids", "delete_rowid", "insert_many", "insert"):
+        def counted(*args, _name=name, _method=getattr(table, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(table, name, counted)
+    with db.read_view() as pinned:
+        before = _rebuilt(pinned.store)
+        assert db.lifecycle_decay_sweep(now=50.0) == {"swept": 8, "changed": 8}
+        assert calls == {"delete_rowids": 1, "insert_many": 1}
+        fork = pinned.store.engine.table("lifecycle")
+        assert sorted(fork) == _rebuilt(pinned.store) == before
+    assert sorted(table) == _rebuilt(db.store) != before
+    assert len(table) == 12
+    calls.clear()
+    assert db.lifecycle_decay_sweep(now=50.0) == {"swept": 8, "changed": 0}
+    assert calls["delete_rowid"] == calls["insert"] == 0
+    assert sorted(table) == _rebuilt(db.store)
+
+
 # --------------------------------------------------- rebuilt with new ids
 
 
@@ -438,18 +487,38 @@ def test_explain_pins_the_derived_from_plan():
 
 
 def test_explain_shows_the_untracked_rule():
+    """Without DERIVED FROM, a guard on F(ACTIVE, 1.0) — parameters only —
+    lets one rule read rows: the tracked one where an untracked statement
+    would fail F, else one scan of the world minus the records that fail."""
     db, _ = _curation_like_store()
-    select = _bound(
-        db, "select s.sid from BELIEF 'Ann' Sightings s with status = ?",
-        ("ACTIVE",),
+    sql = "select s.sid from BELIEF 'Ann' Sightings s with status = ?"
+    report = explain(db.store, _bound(db, sql, ("ACTIVE",)), analyze=True)
+    tracked, one_scan = report.datalog_rules
+    assert tracked.endswith(
+        "lifecycle(w0, tid, '+', belief, 'ACTIVE', confidence), "
+        "(not ('ACTIVE' = 'ACTIVE'))"
     )
-    report = explain(db.store, select, analyze=True)
-    assert len(report.datalog_rules) == 2
-    assert "not lifecycle(w0, tid, '+', _, _, _)" in report.datalog_rules[1]
-    assert "('ACTIVE' = 'ACTIVE')" in report.datalog_rules[1]
+    assert one_scan.endswith(
+        "('ACTIVE' = 'ACTIVE'), "
+        "not (lifecycle(w0, tid, '+', _, status, _), (not (status = 'ACTIVE')))"
+    )
+    assert tracked.startswith("Q_result(a0) :- E(0, ?0, w0), D(w0, 1), ")
+    assert report.values == [1]  # Ann, resolved when the select runs
+    # The tracked rule's guard failed before its first probe: no row read.
+    assert report.plan[0].startswith(
+        "Q_result: E[wid1, uid] index(wid1, uid) (0 rows) -> "
+    )
     assert "lifecycle[wid, s, status] index(wid, status)" in report.plan[0]
-    assert "not lifecycle[wid, tid, s] key" in report.plan[1]
+    assert report.plan[1].startswith(
+        "Q_result: E[wid1, uid] index(wid1, uid) (1 rows) -> "
+    )
+    assert report.plan[1].endswith(" -> not lifecycle[wid, tid, s] key+test(status)")
     assert report.result_size == 0  # nothing is ACTIVE yet
+    proposed = explain(db.store, _bound(db, sql, ("PROPOSED",)), analyze=True)
+    assert proposed.plan[1].startswith(
+        "Q_result: E[wid1, uid] index(wid1, uid) (0 rows)"
+    )
+    assert proposed.result_size == 40  # Ann's c0, c3, ...: all PROPOSED
 
 
 def test_repl_explains_a_with_select():

@@ -15,7 +15,7 @@ from repro.query.lazy import evaluate_lazy
 from repro.query.naive import evaluate_naive
 from repro.query.sql_gen import evaluate_sql
 from repro.query.translate import evaluate_translated, translate_bcq
-from repro.relational.datalog import run_program, unfold
+from repro.relational.datalog import PreparedProgram, unfold
 from repro.relational.sqlite_backend import SqliteMirror
 from repro.storage.store import BeliefStore
 from repro.storage.updates import insert_statement
@@ -155,14 +155,16 @@ def test_unfolded_program_agrees_with_algorithm_1_as_listed(statements, query, l
     reference = evaluate_naive(store.explicit_db, query, users=store.users())
     tables = store.engine.tables()
     for push_selections in (True, False):
-        translation = translate_bcq(store, query, push_selections)
-        if translation.is_empty:
+        translation = translate_bcq(store.schema, query, push_selections)
+        # The path users, resolved on the store, fill the listing's slots.
+        values = translation.binding.values(store)
+        if translation.is_empty or translation.binding.clash(values):
             assert reference == set()
             continue
         listed = translation.program
         unfolded = unfold(listed, tables)
-        assert run_program(tables, listed)[0] == reference
-        assert run_program(tables, unfolded)[0] == reference
+        assert PreparedProgram(listed).run(tables, values)[0] == reference
+        assert PreparedProgram(unfolded).run(tables, values)[0] == reference
         # Every T_i is read once: none is left, whatever was pushed.
         assert not {rule.head.table for rule in unfolded} & {
             rule.head.table for rule in listed.rules[:-1]

@@ -27,6 +27,8 @@ from repro.relational import datalog, table as table_module
 from repro.relational.datalog import (
     Atom,
     NegatedAtom,
+    Param,
+    PreparedProgram,
     Program,
     Rule,
     Var,
@@ -52,6 +54,8 @@ ARITIES = {name: schema.arity for name, schema in SCHEMAS.items()}
 #: Mixed types, so ``<`` and friends go through ``compare``'s fallback.
 VALUES = st.sampled_from([0, 1, 2, "a", "b", None, 1.5])
 VARIABLES = ("x", "y", "z")
+#: A variable no body atom names: local to the negated atom it stands in.
+LOCAL = Var("w")
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -70,6 +74,20 @@ def _project(atom: Atom, env: dict) -> tuple:
     return tuple(env[t.name] if isinstance(t, Var) else t for t in atom.terms)
 
 
+def _finds(negated: NegatedAtom, env: dict, rows: dict[str, list[tuple]]) -> bool:
+    """Some row of the negated atom's table matches its terms under ``env``
+    and — its local variables bound by that row — passes its conditions."""
+    for row in rows[negated.atom.table]:
+        scope = dict(env)
+        if all(
+            (scope.setdefault(term.name, value) if isinstance(term, Var) else term)
+            == value
+            for term, value in zip(negated.atom.terms, row)
+        ) and all(cond.eval(scope) for cond in negated.conditions):
+            return True
+    return False
+
+
 def reference(rows: dict[str, list[tuple]], rule: Rule) -> set[tuple]:
     """Every combination of body rows, checked the slow way."""
     out = set()
@@ -84,9 +102,7 @@ def reference(rows: dict[str, list[tuple]], rule: Rule) -> set[tuple]:
         if (
             consistent
             and all(cond.eval(env) for cond in rule.conditions)
-            and not any(
-                _project(n.atom, env) in rows[n.atom.table] for n in rule.negated
-            )
+            and not any(_finds(n, env, rows) for n in rule.negated)
         ):
             out.add(_project(rule.head, env))
     return out
@@ -160,12 +176,41 @@ def rules(draw, arities=ARITIES, head="q", min_head=0, first_table=None) -> Rule
     return Rule(Atom(head, tuple(head_terms)), body, conditions, negated)
 
 
+@st.composite
+def rules_with_a_tested_negation(draw) -> Rule:
+    """A rule whose negated atom has a local variable — bound by the row
+    the atom finds — and residual tests on that row, as a ``WITH``
+    select's one-scan rule has."""
+    rule = draw(rules())
+    names = sorted(set().union(*(atom.variables() for atom in rule.body)))
+    term, operand = VALUES, VALUES.map(Const)
+    if names:
+        term = st.one_of(st.sampled_from(names).map(Var), term)
+        operand = st.one_of(st.sampled_from(names).map(Ref), operand)
+    table = draw(st.sampled_from(sorted(ARITIES)))
+    terms = [draw(term) for _ in range(ARITIES[table])]
+    terms[draw(st.integers(0, len(terms) - 1))] = LOCAL
+    tests = (
+        draw(st.builds(Cmp, st.sampled_from(["=", "!=", "<", ">="]),
+                       st.just(Ref(LOCAL.name)), operand)),
+        *draw(st.lists(_conditions([*names, LOCAL.name]), max_size=1)),
+    )
+    negated = NegatedAtom(Atom(table, tuple(terms)), tests)
+    return Rule(rule.head, rule.body, rule.conditions, (*rule.negated, negated))
+
+
 # -- differential -----------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
 @given(databases(), rules())
 def test_compiled_rule_matches_reference(rows, rule):
+    assert evaluate_rule(build(rows), rule) == reference(rows, rule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(databases(), rules_with_a_tested_negation())
+def test_a_negated_atom_with_residual_tests_matches_reference(rows, rule):
     assert evaluate_rule(build(rows), rule) == reference(rows, rule)
 
 
@@ -453,6 +498,37 @@ class TestUnfold:
         assert run_program(_tables(), rewritten) == (set(), {})
         agree = Program([program.rules[0], Rule(Atom("q", (X,)), [Atom("t", (X, 3))])])
         assert run_program(_tables(), _same(agree))[0] == {(1,), (2,), (3,), (4,)}
+
+    def test_a_parameter_meeting_a_constant_becomes_a_condition(self):
+        """Whether a :class:`Param` equals a constant is known only when the
+        program runs: the unfolded rule keeps the equality as a condition
+        (two constants that differ would make it match nothing)."""
+        program = Program(
+            [
+                Rule(Atom("t", (X, 3)), [Atom("r", (X, Y))]),
+                Rule(Atom("q", (X,)), [Atom("t", (X, Param(0)))]),
+            ]
+        )
+        (rule,) = unfold(program, _tables()).rules
+        assert str(rule) == "q(x) :- r(x, y), (3 = ?0)"
+        for value, expected in ((3, {(1,), (2,), (3,), (4,)}), (4, set())):
+            for form in (program, Program([rule])):
+                assert PreparedProgram(form).run(_tables(), (value,))[0] == expected
+
+    def test_negated_conditions_come_along(self):
+        """A negated atom's own residual tests, and its local variables,
+        are renamed and carried like the rest of the definition."""
+        local = NegatedAtom(Atom("u", (X, LOCAL)), (Cmp("!=", Ref("w"), Const("a")),))
+        program = Program(
+            [
+                Rule(Atom("t", (X,)), [Atom("r", (X, Y))], negated=(local,)),
+                Rule(Atom("q", (Z,)), [Atom("t", (Z,)), Atom("s", (Z, Y, Y))]),
+            ]
+        )
+        (rule,) = _same(program).rules
+        assert str(rule) == (
+            "q(z) :- r(z, y'), s(z, y, y), not (u(z, w), (w != 'a'))"
+        )
 
     def test_a_temporary_read_twice_is_not_unfolded(self):
         program = Program(

@@ -133,8 +133,10 @@ def test_the_counters_survive_a_wholesale_store_replacement(tmp_path):
 
 
 def test_served_point_selects_hit_the_plan_cache_across_a_store_replacement(tmp_path):
-    """A new key every call is the same rule shape: nothing recompiles, and
-    the compile count (process-wide, like the cache) survives restore()."""
+    """A new key every call is the same rule shape: the statement runs the
+    plan it holds, so nothing recompiles — nor looks the plan up — and the
+    compile count (process-wide, like the cache) survives restore(), whose
+    store has the same catalog."""
     from repro.durability import DurabilityManager
 
     db = BeliefDBMS(
@@ -154,7 +156,7 @@ def test_served_point_selects_hit_the_plan_cache_across_a_store_replacement(tmp_
         assert len(db.execute_prepared(point, ["user1", "s8"]).rows) == 1
         after = db.snapshot_stats()["engine_plans"]
         assert after["compiles"] == before["compiles"]
-        assert after["hits"] >= before["hits"] + 40  # one rule per select: T0 is unfolded
+        assert after["hits"] == before["hits"]
         assert db.metrics.counter(
             "beliefdb_engine_rule_compiles_total", ""
         ).value == after["compiles"]
