@@ -10,8 +10,9 @@ Run:  python examples/beliefsql_tour.py
 """
 
 from repro import BeliefDBMS, sightings_schema
-from repro.query.sql_gen import generate_sql
 from repro.query.parser import parse_bcq
+from repro.query.sql_gen import evaluate_sql, generate_sql
+from repro.relational.sqlite_backend import SqliteMirror
 
 
 def run(db: BeliefDBMS, sql: str):
@@ -96,7 +97,9 @@ def main() -> None:
     )
     print(f"  quoted-value round-trip: {spiky.scalar()!r}")
 
-    print("\n== Peek under the hood: the generated SQL for a BCQ ==")
+    print("\n== Peek under the hood: the SQL the sqlite backend runs ==")
+    # The engine's program for the query, rendered once into one statement;
+    # every constant is a ?n parameter.
     query = parse_bcq(
         "q(x) :- [x] Sightings-(k, z, sp, u, v), "
         "['Alice'] Sightings+(k, z, sp, u, v)", db.schema
@@ -105,6 +108,9 @@ def main() -> None:
     print(f"  BCQ: {query}")
     print(f"  SQL: {generated.sql[:200]}...")
     print(f"  params: {generated.params}")
+    with SqliteMirror() as mirror:
+        mirror.sync(db.store.engine)
+        print(f"  on the mirror -> {sorted(evaluate_sql(db.store, query, mirror))}")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ backend:
 
 * ``"engine"`` (default) — Algorithm 1 translated to non-recursive Datalog on
   the built-in relational engine;
-* ``"sqlite"`` — Algorithm 1 translated to SQL, executed on a ``sqlite3``
-  mirror (resynced lazily after updates), the closest analogue of the paper's
-  deployment on a commercial RDBMS;
+* ``"sqlite"`` — the same translation rendered once into SQL, executed on
+  a ``sqlite3`` mirror of the pinned version (resynced lazily after
+  updates), the closest analogue of the paper's deployment on a commercial
+  RDBMS; it answers every select, ``WITH`` selects included;
 * ``"naive"`` — the Def. 14 reference evaluator (slow; for testing);
 * ``"lazy"`` — query-time default application on a lazy store (Sect. 6.3).
 
@@ -116,7 +117,6 @@ from repro.query.bcq import BCQuery, LifecycleSelect
 from repro.query.lazy import evaluate_lazy
 from repro.query.naive import evaluate_naive, evaluate_naive_with
 from repro.query.parser import parse_bcq
-from repro.query.sql_gen import evaluate_sql
 from repro.relational.datalog import plan_cache_stats
 from repro.storage.mvcc import Version, VersionManager
 from repro.storage.store import BeliefStore
@@ -645,26 +645,27 @@ class BeliefDBMS:
     ) -> set[tuple]:
         """Evaluate one select against a pinned snapshot.
 
-        The engine runs the statement's held translation; so does every
-        backend but ``naive`` for a ``WITH`` select, which the naive
-        reference scan is checked against (sqlite has no SQL for it). The
-        other backends evaluate the bound BCQ.
+        The engine runs the statement's held translation, and sqlite the
+        SQL rendered from it on the version's mirror; the lazy backend runs
+        the translation of a ``WITH`` select too (it reads explicit rows
+        only). The naive backend, and lazy for a BCQ, evaluate the bound
+        query.
         """
         store = version.store
         lifecycle = isinstance(compiled, CompiledLifecycleSelect)
-        if self.backend == "engine" or (lifecycle and self.backend != "naive"):
+        if self.backend == "sqlite":
+            # The per-version mirror is shared by every reader of this
+            # version; first use pays one sync, the lock serializes the
+            # sqlite connection (never the writer, never other versions).
+            with version.mirror_lock:
+                return compiled.run(store, params, version.synced_mirror())
+        if self.backend == "engine" or (lifecycle and self.backend == "lazy"):
             return compiled.run(store, params)
         query = compiled.bind(params)
         if query is None:
             return set()
         if lifecycle:
             return evaluate_naive_with(store, query)
-        if self.backend == "sqlite":
-            # The per-version mirror is shared by every reader of this
-            # version; first use pays one sync, the lock serializes the
-            # sqlite connection (never the writer, never other versions).
-            with version.mirror_lock:
-                return evaluate_sql(store, query, version.synced_mirror())
         if self.backend == "lazy":
             return evaluate_lazy(store, query)
         return evaluate_naive(

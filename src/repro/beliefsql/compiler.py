@@ -15,8 +15,9 @@ query (plus deferred equality constraints the union-find could not decide
 without values); the DML descriptors each carry a ``bind`` of their own.
 A compiled select also owns its physical plan: its query is translated
 once, placeholders kept as :class:`~repro.relational.datalog.Param` s
-(:class:`~repro.query.translate.TranslatedQuery`), so executing it on the
-engine (``run``) is bind + run.
+(:class:`~repro.query.translate.TranslatedQuery`), so executing it
+(``run``) is making the value vector plus running the held plans on the
+engine, or the SQL rendered from them on a sqlite mirror.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from repro.query.bcq import (
     UserAtom,
     Variable,
 )
+from repro.query.sql_gen import evaluate_sql
 from repro.query.translate import TranslatedQuery, evaluate_translated
 from repro.relational.datalog import Param
 from repro.relational.expressions import compare
@@ -188,7 +190,8 @@ class CompiledSelect:
     a placeholder was involved; :meth:`bind` checks them and returns ``None``
     (empty result) when a binding violates one. ``translated`` is the query
     translated once, its placeholders Params: :meth:`run` is the engine's
-    execution, :meth:`bind` the bound BCQ the other backends evaluate.
+    and the sqlite backend's execution, :meth:`bind` the bound BCQ the
+    naive and lazy backends evaluate.
     """
 
     query: BCQuery | None
@@ -223,13 +226,17 @@ class CompiledSelect:
             return self.query
         return _substitute_query(self.query, bound)
 
-    def run(self, store: BeliefStore, params: Sequence[Any] = ()) -> set[tuple]:
-        """The answer on ``store``'s engine: the binding checked, then the
-        held translation run with ``params``."""
+    def run(
+        self, store: BeliefStore, params: Sequence[Any] = (), mirror: Any = None
+    ) -> set[tuple]:
+        """The answer on ``store``: the binding checked, then the held
+        translation run with ``params`` on the engine, or its SQL on
+        ``mirror`` (a :class:`~repro.relational.sqlite_backend.SqliteMirror`
+        synced from ``store``)."""
         bound = self._checked(params)
         if bound is None:
             return set()
-        return evaluate_translated(store, self.translated, params=bound)
+        return _evaluate(store, self.translated, bound, mirror)
 
 
 @dataclass(frozen=True)
@@ -242,11 +249,11 @@ class CompiledLifecycleSelect:
     world (exact path), relation, sign, the WHERE comparisons, the
     lifecycle filters and a column projection, placeholders still in it.
     :meth:`bind` substitutes the parameters and checks the filter values
-    (a bad STATUS or CONFIDENCE raises :class:`LifecycleError`). The BDMS
-    answers the bound select like any other: the engine, lazy and sqlite
-    backends run it as one Datalog program over the internal schema and
-    the lifecycle relations (:func:`repro.query.translate.translate_with`),
-    the naive backend by the reference scan
+    (a bad STATUS or CONFIDENCE raises :class:`LifecycleError`). The
+    engine and lazy backends run it as one Datalog program over the
+    internal schema and the lifecycle relations
+    (:func:`repro.query.translate.translate_with`), sqlite as that program
+    rendered to SQL, the naive backend by the reference scan
     (:func:`repro.query.naive.evaluate_naive_with`). The program is
     translated once (``translated``, placeholders as Params): :meth:`run`
     checks a binding as :meth:`bind` does and runs it.
@@ -265,11 +272,21 @@ class CompiledLifecycleSelect:
         bound = check_parameters(self.param_count, params)
         return _substitute_select(self.select, bound).checked()
 
-    def run(self, store: BeliefStore, params: Sequence[Any] = ()) -> set[tuple]:
-        """The answer on ``store``'s engine: the binding checked (a bad
-        STATUS or CONFIDENCE raises), then the held translation run."""
+    def run(
+        self, store: BeliefStore, params: Sequence[Any] = (), mirror: Any = None
+    ) -> set[tuple]:
+        """As :meth:`CompiledSelect.run`; a bad STATUS or CONFIDENCE
+        raises."""
         self.bind(params)
-        return evaluate_translated(store, self.translated, params=tuple(params))
+        return _evaluate(store, self.translated, tuple(params), mirror)
+
+
+def _evaluate(
+    store: BeliefStore, translated: TranslatedQuery, params: tuple, mirror: Any
+) -> set[tuple]:
+    if mirror is None:
+        return evaluate_translated(store, translated, params=params)
+    return evaluate_sql(store, translated, mirror, params)
 
 
 def _substitute_select(

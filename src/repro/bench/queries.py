@@ -133,15 +133,16 @@ def run_query_suite(
 ) -> list[QueryMeasurement]:
     """Time each query on one backend; returns sizes for sanity checks.
 
-    ``backend``: "engine" (translated Datalog), "sqlite" (generated SQL on a
-    synced mirror), or "lazy" (query-time defaults).
+    ``backend``: "engine" (translated Datalog), "sqlite" (that program as
+    SQL on a synced mirror), or "lazy" (query-time defaults).
     """
     runner: Callable[[BCQuery], set]
+    owned = None  # a mirror made here, closed here
     if backend == "engine":
         runner = lambda q: evaluate_translated(store, q)  # noqa: E731
     elif backend == "sqlite":
         if mirror is None:
-            mirror = SqliteMirror()
+            mirror = owned = SqliteMirror()
             mirror.sync(store.engine)
         runner = lambda q: evaluate_sql(store, q, mirror)  # noqa: E731
     elif backend == "lazy":
@@ -150,8 +151,12 @@ def run_query_suite(
         raise ValueError(f"unknown backend {backend!r}")
 
     measurements: list[QueryMeasurement] = []
-    for name, query in queries.items():
-        timing = time_call(lambda q=query: runner(q), repeats=repeats)
-        size = len(timing.last_result) if timing.last_result is not None else 0
-        measurements.append(QueryMeasurement(name, backend, timing, size))
+    try:
+        for name, query in queries.items():
+            timing = time_call(lambda q=query: runner(q), repeats=repeats)
+            size = len(timing.last_result) if timing.last_result is not None else 0
+            measurements.append(QueryMeasurement(name, backend, timing, size))
+    finally:
+        if owned is not None:
+            owned.close()
     return measurements

@@ -3,8 +3,8 @@
 1. :func:`evaluate_naive` — reference semantics straight from Def. 14;
 2. :func:`evaluate_translated` — Algorithm 1 → non-recursive Datalog on the
    in-memory engine (the paper's main path);
-3. :func:`evaluate_sql` — Algorithm 1 → SQL on the SQLite mirror (the paper's
-   deployment on a commercial RDBMS);
+3. :func:`evaluate_sql` — the same translation rendered to SQL, on the
+   SQLite mirror (the paper's deployment on a commercial RDBMS);
 4. :func:`evaluate_lazy` — query-time default application on a lazy store
    (the Sect. 6.3 future-work alternative).
 

@@ -4,9 +4,10 @@ Renders what happens to a query on its way to an answer — Algorithm 1's
 listing (one temporary-table rule per subgoal and the final rule), the
 program the engine runs in its place (the listing unfolded into one join
 per connected component, :func:`repro.relational.datalog.unfold`), that
-program's plan (join order and access path per atom), the generated SQL
-with its parameters, and (optionally) the rows that actually came out of
-each join step against a store — in one printable report. Useful for
+program's plan (join order and access path per atom), the SQL the sqlite
+backend runs (that program, rendered) with its parameters, and
+(optionally) the rows that actually came out of each join step against a
+store — in one printable report. Useful for
 understanding why a query is slow (a step whose bound columns no index
 covers shows ``build(..)`` or ``scan``; a step that lets through far more
 rows than the result has is where a q3-style negative subgoal ranges over
@@ -14,7 +15,9 @@ every user's world) and for teaching the translation.
 
 A bound ``WITH`` select explains the same way: its rules
 (:func:`repro.query.translate.translate_with`, the guarded one-scan rule
-among them) are what the engine evaluates, and no SQL is generated for it.
+among them) are what the engine evaluates; the report leaves out the SQL
+the sqlite backend renders from them (:func:`repro.query.sql_gen.
+generate_sql` returns it).
 
 The rules are printed as translated — once, as a template: a parameter or
 a user a path names is a ``?i``, and the values they stood for in this run
@@ -24,6 +27,7 @@ a user a path names is a ``?i``, and the values they stood for in this run
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 from repro.query.bcq import BCQuery
 from repro.query.sql_gen import generate_sql
@@ -42,7 +46,7 @@ class ExplainReport:
     #: relations).
     datalog_rules: list[str]
     sql: str | None
-    sql_params: dict
+    sql_params: Sequence[Any]
     empty_reason: str | None = None
     #: The rules the engine evaluates: the listing with its temporaries
     #: unfolded (the listing itself under ``push_selections=False``).
@@ -97,14 +101,12 @@ def explain(
     the rows out of each join step, the report the result size (like
     ``EXPLAIN ANALYZE``); without it, translation and planning only.
     """
-    sql, sql_params = None, {}
+    translated = TranslatedQuery(query, push_selections)
+    translation, prepared, values = translated.prepare(store)
+    sql, sql_params = None, ()
     if isinstance(query, BCQuery):
-        query.check_safe(store.schema)
-        generated = generate_sql(store, query)
+        generated = generate_sql(store, translated)
         sql, sql_params = generated.sql, generated.params
-    translation, prepared, values = TranslatedQuery(query, push_selections).prepare(
-        store
-    )
     if prepared is None:
         return ExplainReport(
             query=str(query),

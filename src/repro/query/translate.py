@@ -76,6 +76,7 @@ from repro.relational.expressions import (
     conjunction,
     disjunction,
 )
+from repro.relational.sqlite_backend import ProgramSQL, program_sql
 from repro.storage.internal_schema import (
     D_TABLE,
     DERIVES_TABLE,
@@ -571,9 +572,11 @@ class TranslatedQuery:
     and prepares the program (:class:`~repro.relational.datalog.
     PreparedProgram`: every rule's shape taken once, its plan held with the
     catalog it was compiled for); a ``WITH`` select keeps one per ``DERIVED
-    FROM`` variant it meets. Every run makes the value vector on the store
-    it reads (:class:`Binding`), answers ∅ when adjacent path users
-    coincide, and runs the prepared rules on that store's tables. What it
+    FROM`` variant it meets, and the sqlite backend the program's SQL,
+    rendered on its first run there (:meth:`sql`). Every run makes the value
+    vector on the store it reads (:class:`Binding`), answers ∅ when adjacent
+    path users coincide, and runs the prepared rules on that store's tables
+    (or their SQL on a mirror synced from it). What it
     keeps depends on the query and the schema alone, so one object serves
     every store of the schema: each MVCC version, a restored store.
     """
@@ -588,6 +591,8 @@ class TranslatedQuery:
             self._binding = slots.binding()
         #: variant -> (its translation, its prepared program or None)
         self._programs: dict[Any, tuple[Translation, PreparedProgram | None]] = {}
+        #: prepared program -> its SQL, rendered on its first sqlite run
+        self._sql: dict[PreparedProgram, ProgramSQL] = {}
 
     def prepare(
         self, store: BeliefStore, params: Sequence[Any] = ()
@@ -609,6 +614,22 @@ class TranslatedQuery:
         if program is None:
             return set()
         return program.run(store.engine.tables(), values)[0]
+
+    def sql(
+        self, store: BeliefStore, params: Sequence[Any] = ()
+    ) -> tuple[ProgramSQL | None, list[Any]]:
+        """The SQL of the program a run on ``store`` with ``params`` runs
+        (:func:`~repro.relational.sqlite_backend.program_sql`, rendered once
+        per variant), and the run's value vector; None when the answer is
+        provably empty."""
+        _, program, values = self.prepare(store, params)
+        if program is None:
+            return None, values
+        rendered = self._sql.get(program)
+        if rendered is None:
+            rendered = program_sql(program.program, store.engine.tables())
+            self._sql[program] = rendered
+        return rendered, values
 
     def _variant(self, values: Sequence[Any]) -> tuple:
         """Per ``DERIVED FROM`` filter: is its value a belief id, does it

@@ -2,8 +2,10 @@
 
 The paper runs its translated queries on a commercial RDBMS (SQL Server 2005
 via JDBC). The stdlib ``sqlite3`` plays that role here: the internal tables of
-a belief store are mirrored into a SQLite database and the SQL produced by
-:mod:`repro.query.sql_gen` executes there.
+a belief store are mirrored into a SQLite database, and the Datalog program
+the engine runs for a query is rendered into one SQL statement
+(:func:`program_sql`) that executes there — one translation of Algorithm 1,
+two executors.
 
 A mirror is **advanced**, not rebuilt: :meth:`SqliteMirror.sync` remembers,
 per table, what it reflects — the table's lineage, its ``next_rowid`` and its
@@ -27,10 +29,14 @@ starts with none.
 
 from __future__ import annotations
 
+import itertools
 import sqlite3
 from typing import Any, Mapping, NamedTuple, Sequence
 
+from repro.errors import EngineError
 from repro.relational.database import RelationalDatabase
+from repro.relational.datalog import ANY, Atom, Param, Program, Rule, Var
+from repro.relational.expressions import And, Cmp, Const, Expr, Not, Or, Ref
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 
@@ -38,6 +44,149 @@ from repro.relational.table import Table
 def quote_identifier(name: str) -> str:
     """Double-quote an identifier, escaping embedded quotes."""
     return '"' + name.replace('"', '""') + '"'
+
+
+class ProgramSQL(NamedTuple):
+    """A Datalog program as one SQL statement (:func:`program_sql`)."""
+
+    sql: str
+    #: What ``?n`` stands for, at ``n - 1``: a constant, or a :class:`Param`
+    #: filled from the values of a run.
+    slots: tuple[Any, ...]
+    #: The answer's arity. A 0-ary head selects the constant 1.
+    width: int
+
+    def parameters(self, values: Sequence[Any]) -> list[Any]:
+        """The statement's parameters for a run with ``values``."""
+        return [
+            _adapt(values[slot.index]) if type(slot) is Param else slot
+            for slot in self.slots
+        ]
+
+
+_SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
+def program_sql(program: Program, tables: Mapping[str, Table]) -> ProgramSQL:
+    """``program`` over ``tables`` as one SQL statement with the answer of
+    :meth:`~repro.relational.datalog.PreparedProgram.run`: the union of
+    what the rules deriving the last rule's head derive.
+
+    Every other head is a temporary: a common table expression, columns
+    ``c0, c1, ...``, the union of the rules deriving it, which must all
+    come before any rule that reads it. A rule is a ``SELECT DISTINCT`` (an
+    arm of a ``UNION`` where rules share a head) over its body atoms, one
+    alias each named after its table, with its conditions, and a negated
+    atom as ``NOT EXISTS``, whose local variables name the columns of the
+    row it finds. Every constant and :class:`Param` is a ``?n`` parameter,
+    never spliced into the text.
+    """
+    rules = list(program)
+    for n, rule in enumerate(rules):
+        read = {atom.table for atom in rule.body}
+        read.update(negated.atom.table for negated in rule.negated)
+        if rule.head.table in tables or read & {r.head.table for r in rules[n:]}:
+            raise EngineError(
+                f"no SQL for {rule}: it writes a base table or reads a table"
+                " derived after it"
+            )
+    columns = {name: table.schema.columns for name, table in tables.items()}
+    numbers: dict[tuple[type, Any], int] = {}  # (type, constant) -> its ?n
+    aliases = itertools.count()
+
+    def value(term: Any) -> str:
+        key = (type(term), term)
+        if key not in numbers:
+            numbers[key] = len(numbers) + 1
+        return f"?{numbers[key]}"
+
+    def unify(atom: Atom, alias: str, scope: dict[str, str]) -> list[str]:
+        """Equalities for ``atom``'s terms; a variable not yet in ``scope``
+        names its column."""
+        tests = []
+        for column, term in zip(columns[atom.table], atom.terms, strict=True):
+            if term is ANY:
+                continue
+            ref = f"{alias}.{quote_identifier(column)}"
+            if type(term) is not Var:
+                tests.append(f"{ref} = {value(term)}")
+            elif term.name in scope:
+                tests.append(f"{ref} = {scope[term.name]}")
+            else:
+                scope[term.name] = ref
+        return tests
+
+    def source(atom: Atom) -> tuple[str, str]:
+        alias = quote_identifier(f"{atom.table}_{next(aliases)}")
+        return alias, f"{quote_identifier(atom.table)} AS {alias}"
+
+    def expr(node: Expr, scope: dict[str, str]) -> str:
+        kind = type(node)
+        if kind is Ref:
+            if node.name not in scope:
+                raise EngineError(f"unbound name {node.name!r} in expression")
+            return scope[node.name]
+        if kind is Const:
+            return value(node.value)
+        if kind is Cmp:
+            left, right = expr(node.left, scope), expr(node.right, scope)
+            return f"({left} {_SQL_OPS[node.op]} {right})"
+        if kind is Not:
+            return f"(NOT {expr(node.item, scope)})"
+        if kind is And or kind is Or:
+            if not node.items:
+                return "1" if kind is And else "0"
+            joiner = " AND " if kind is And else " OR "
+            return "(" + joiner.join(expr(item, scope) for item in node.items) + ")"
+        raise EngineError(f"no SQL for condition {node}")
+
+    def select(rule: Rule, distinct: bool) -> str:
+        bound: dict[str, str] = {}
+        sources, where = [], []
+        for atom in rule.body:
+            alias, from_item = source(atom)
+            sources.append(from_item)
+            where += unify(atom, alias, bound)
+        where += [expr(condition, bound) for condition in rule.conditions]
+        for negated in rule.negated:
+            alias, from_item = source(negated.atom)
+            scope = dict(bound)
+            tests = unify(negated.atom, alias, scope)
+            tests += [expr(condition, scope) for condition in negated.conditions]
+            found = f"SELECT 1 FROM {from_item}"
+            where.append(f"NOT EXISTS ({found}{_clause(' WHERE ', tests)})")
+        head = [
+            bound[term.name] if type(term) is Var else value(term)
+            for term in rule.head.terms
+        ]
+        return (
+            f"SELECT {'DISTINCT ' if distinct else ''}{', '.join(head) or '1'}"
+            + _clause(" FROM ", sources, ", ")
+            + _clause(" WHERE ", where)
+        )
+
+    def union(head: str) -> str:
+        arms = [rule for rule in rules if rule.head.table == head]
+        return " UNION ".join(select(rule, len(arms) == 1) for rule in arms)
+
+    final = rules[-1].head
+    temporaries = []
+    for rule in rules:
+        head = rule.head
+        if head.table != final.table and head.terms and head.table not in columns:
+            columns[head.table] = tuple(f"c{i}" for i in range(len(head.terms)))
+            names = ", ".join(map(quote_identifier, columns[head.table]))
+            temporaries.append(
+                f"{quote_identifier(head.table)}({names}) AS ({union(head.table)})"
+            )
+    sql = _clause("WITH ", temporaries, ", ") + (" " if temporaries else "")
+    sql += union(final.table)
+    slots = tuple(term if type(term) is Param else _adapt(term) for _, term in numbers)
+    return ProgramSQL(sql, slots, len(final.terms))
+
+
+def _clause(keyword: str, items: Sequence[str], joiner: str = " AND ") -> str:
+    return keyword + joiner.join(items) if items else ""
 
 
 class SyncReport(NamedTuple):

@@ -17,7 +17,8 @@ the bound query run as a plain program and against the naive evaluators
 (Def. 14 for a BCQ, the reference scan for ``WITH``).
 
 The counting tests pin what an execution no longer does: translate,
-unfold, take a rule's shape, or compile.
+unfold, take a rule's shape, compile, or (on the sqlite backend) render
+the program's SQL.
 """
 
 from __future__ import annotations
@@ -251,11 +252,12 @@ def test_a_prepared_select_answers_as_a_fresh_translation_and_the_reference(data
 
 @pytest.fixture
 def calls(monkeypatch) -> Counter:
-    """Calls of the translators, of ``unfold`` and of the rule-shape taker."""
+    """Calls of the translators, of ``unfold``, of the rule-shape taker
+    and of the SQL renderer."""
     counts: Counter = Counter()
     for module, name in (
         (translate, "translate_bcq"), (translate, "translate_with"),
-        (translate, "unfold"), (datalog, "_shape"),
+        (translate, "unfold"), (datalog, "_shape"), (translate, "program_sql"),
     ):
         def counted(*args, _name=name, _function=getattr(module, name), **kwargs):
             counts[_name] += 1
@@ -371,3 +373,45 @@ def test_a_catalog_change_replans_instead_of_running_a_stale_plan():
         assert len(list(star.match_named(species="crow"))) == 30
         assert ask(version) == expected and _lookups() == before + 3
         assert ask(version) == expected and _lookups() == before + 3
+
+
+def _mirror_syncs(db: BeliefDBMS) -> int:
+    mvcc = db.snapshot_stats()["mvcc"]
+    return mvcc["mirror_syncs_full"] + mvcc["mirror_syncs_delta"]
+
+
+def test_the_sqlite_backend_runs_sql_rendered_once(calls):
+    """Every select on ``backend="sqlite"`` — a ``WITH`` select included —
+    runs on the pinned version's mirror, from SQL rendered on the
+    statement's first execution and never again: not for new parameters,
+    not in a new write epoch."""
+    db = BeliefDBMS(sightings_schema(), strict=False, backend="sqlite")
+    for name in USERS:
+        db.add_user(name)
+    _seed(db)
+    vectors = {
+        "select S.sid, S.species from BELIEF ? Sightings as S where S.sid = ?": [
+            ("Ann", "s1"), ("Ben", "s2"), (1, "s2"), ("Nobody", "s1"),
+        ],
+        "select s.sid from BELIEF ? Sightings s with status = ?": [
+            (user, status) for user in (*USERS, 2) for status in STATUSES
+        ],
+    }
+    prepared = {sql: db.prepare(sql) for sql in vectors}
+    for sql, statement in prepared.items():
+        db.execute_prepared(statement, vectors[sql][0])
+    assert calls["program_sql"] == len(prepared)
+    calls.clear()
+    for epoch, (sql, statement) in enumerate(
+        [item for item in prepared.items() for _ in range(3)]
+    ):
+        db.insert(("Ann",), "Sightings", _values(f"n{epoch}", "crow"))
+        syncs = _mirror_syncs(db)
+        for params in vectors[sql]:
+            with db.read_view() as version:
+                rows = db.execute_prepared(statement, params, version=version).rows
+                bound = statement.compiled.bind(params)
+                expected = set() if bound is None else _reference(version.store, bound)
+            assert set(rows) == expected, (sql, params)
+        assert _mirror_syncs(db) == syncs + 1, sql  # the new version's mirror
+    assert sum(calls.values()) == 0, calls
