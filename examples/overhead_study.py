@@ -4,8 +4,8 @@
 Builds synthetic belief databases with the annotation generator, varying the
 user count, participation skew, and annotation-depth distribution, and prints
 the relative overhead |R*|/n together with the eager-vs-lazy tradeoff of
-Sect. 6.3. The real experiments live in benchmarks/; this script is a quick,
-laptop-friendly look at the same phenomena.
+Sect. 6.3. ``python -m repro overhead`` measures one Table 1 cell at any
+scale; this script is a quick, laptop-friendly look at the same phenomena.
 
 Run:  python examples/overhead_study.py        (~20 s)
 """
@@ -69,7 +69,7 @@ def main() -> None:
     ]
     print(format_table(("mode", "|R*|", "|R*|/n"), rows))
     print("   lazy keeps the database near O(n + m); queries pay instead "
-          "(see benchmarks/test_ablation_lazy_vs_eager.py)")
+          "(see docs/performance.md)")
 
 
 if __name__ == "__main__":

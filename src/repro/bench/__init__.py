@@ -2,9 +2,6 @@
 
 from repro.bench.harness import (
     Timing,
-    bench_n,
-    bench_repeats,
-    bench_users_large,
     format_table,
     time_call,
 )
@@ -35,9 +32,6 @@ __all__ = [
     "QueryMeasurement",
     "TABLE1_DEPTH_DISTS",
     "Timing",
-    "bench_n",
-    "bench_repeats",
-    "bench_users_large",
     "build_experiment_store",
     "conflict_query",
     "content_query",

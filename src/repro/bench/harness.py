@@ -1,46 +1,11 @@
-"""Benchmark support: environment knobs, timing, and table rendering.
-
-The paper's experiments run at n = 10,000 annotations on a commercial RDBMS;
-pure-Python defaults are scaled down (n = 1,000) so the full suite finishes in
-minutes. The paper-scale runs stay one environment variable away:
-
-* ``BELIEFDB_BENCH_N``        — annotations per database (default 1000)
-* ``BELIEFDB_BENCH_REPEATS``  — databases per cell / timing repeats (default 3)
-* ``BELIEFDB_BENCH_USERS``    — the "large" user count of Table 1 (default 100)
-"""
+"""Benchmark support: timing and table rendering."""
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def bench_n() -> int:
-    """Annotations per generated database (paper: 10,000)."""
-    return _env_int("BELIEFDB_BENCH_N", 1000)
-
-
-def bench_repeats() -> int:
-    """Databases averaged per cell (paper: 10) / timing repeats."""
-    return _env_int("BELIEFDB_BENCH_REPEATS", 3)
-
-
-def bench_users_large() -> int:
-    """The large user count of Table 1 (paper: 100)."""
-    return _env_int("BELIEFDB_BENCH_USERS", 100)
 
 
 @dataclass

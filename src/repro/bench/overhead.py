@@ -12,7 +12,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.bench.harness import bench_repeats
 from repro.workload.generator import WorkloadConfig, build_store
 
 #: The three depth distributions of Table 1 (Pr[d = 0], Pr[d = 1], Pr[d = 2]).
@@ -49,16 +48,15 @@ def measure_overhead(
     participation: str,
     depth_distribution: Sequence[float],
     depth_label: str = "",
-    repeats: int | None = None,
+    repeats: int = 3,
     eager: bool = True,
     seed_base: int = 0,
 ) -> OverheadResult:
     """Average ``|R*|/n`` over ``repeats`` generated databases.
 
     The paper averages each Table 1 value over 10 databases with the same
-    parameters; ``repeats`` defaults to ``BELIEFDB_BENCH_REPEATS``.
+    parameters.
     """
-    repeats = bench_repeats() if repeats is None else repeats
     overheads: list[float] = []
     sizes: list[float] = []
     worlds: list[float] = []
@@ -90,7 +88,7 @@ def measure_overhead(
 def table1_grid(
     n_annotations: int,
     user_counts: Iterable[int] = (10, 100),
-    repeats: int | None = None,
+    repeats: int = 3,
 ) -> list[OverheadResult]:
     """The full Table 1 grid: {m} × {Zipf, uniform} × three depth skews."""
     results: list[OverheadResult] = []
@@ -113,7 +111,7 @@ def table1_grid(
 def figure6_sweep(
     ns: Sequence[int],
     n_users: int = 100,
-    repeats: int | None = None,
+    repeats: int = 3,
 ) -> dict[str, list[OverheadResult]]:
     """Figure 6: overhead vs. n for the two depth-skew series."""
     out: dict[str, list[OverheadResult]] = {}

@@ -12,8 +12,8 @@ only during query evaluation". This module implements that mode:
   the explicit database, invalidated on update).
 
 The answers are identical to the translated/eager path (tests assert this);
-the tradeoff — smaller database, slower queries — is measured by
-``benchmarks/test_ablation_lazy_vs_eager.py``.
+the tradeoff is a smaller database for slower queries; its last measured
+numbers are in ``docs/performance.md`` (the lazy-vs-eager ablation).
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ Why this wins: with a blocking request-per-connection server, every op pays
 a full client round trip plus a lock handoff before the *next* op of that
 connection can even be read. A pipelined connection keeps a window of
 requests parked server-side, so the lock never goes idle waiting on the
-network — see ``benchmarks/test_server_throughput.py``.
+network. The ``served_openloop`` workload of ``bench_ledger/`` measures
+this core with pipelined clients.
 
 The event loop runs on a dedicated daemon thread, so the server presents
 the exact same synchronous ``start()`` / ``stop()`` / context-manager

@@ -95,6 +95,44 @@ def test_auto_checkpoint_every_n_records(tmp_path):
     db.close()
 
 
+@pytest.mark.parametrize("checkpoint_every", [0, 5, 20])
+@pytest.mark.parametrize("stmt_cache_size", [128, 0])
+def test_churn_recovers_exactly_at_any_checkpoint_cadence(
+    tmp_path, checkpoint_every, stmt_cache_size
+):
+    """Every third statement deletes, so a snapshot holds the net state
+    and the WAL the history: recovery from either, replayed with or
+    without the statement cache, loses no statement."""
+    db = _durable(tmp_path, sync="off", checkpoint_every=checkpoint_every)
+    db.add_user("Carol")
+    live: list[str] = []
+    for i in range(60):
+        if i % 3 == 2:
+            db.execute_sql(
+                "delete from BELIEF ? Sightings where sid = ?",
+                ("Carol", live.pop(0)),
+            )
+        else:
+            live.append(f"s{i}")
+            db.execute_sql(
+                "insert into BELIEF ? Sightings values (?,?,?,?,?)",
+                ("Carol", f"s{i}", "Carol", "crow", "6-14-08", "Lake Forest"),
+            )
+    before = _explicit(db)
+    checkpoints = db.snapshot_stats()["durability"]["checkpoints"]
+    assert (checkpoints > 0) == (checkpoint_every > 0)
+    db.close()
+    recovered = BeliefDBMS(
+        sightings_schema(), strict=False, stmt_cache_size=stmt_cache_size,
+        durability=DurabilityManager(str(tmp_path / "data"), sync="off"),
+    )
+    try:
+        assert _explicit(recovered) == before
+        assert recovered.annotation_count() == len(live)
+    finally:
+        recovered.close()
+
+
 def test_torn_tail_is_discarded_and_logged(tmp_path):
     db = _durable(tmp_path)
     _workload(db)

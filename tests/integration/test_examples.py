@@ -56,6 +56,24 @@ def test_quickstart_output_contains_paper_answers():
     assert "overhead" in result.stdout
 
 
+def test_reproduce_paper_writes_its_report(tmp_path):
+    report = tmp_path / "report"
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES / "reproduce_paper.py"), str(report)],
+        capture_output=True,
+        text=True,
+        timeout=180,
+        env=_env_with_src(),
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    text = report.read_text()
+    assert "## Table 2" in text
+    # Fig. 6 counts rows, so its trends are facts; Table 2's are timings.
+    assert "- flat series rises: held" in text
+    assert "- skewed series falls: held" in text
+
+
 def test_cli_overhead_subcommand():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "overhead",

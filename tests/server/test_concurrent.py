@@ -14,8 +14,9 @@ import threading
 import pytest
 
 from repro.bdms.bdms import BeliefDBMS
-from repro.core.schema import sightings_schema
-from repro.server import BeliefClient, BeliefServer
+from repro.core.schema import experiment_schema, sightings_schema
+from repro.server import AsyncBeliefServer, BeliefClient, BeliefServer
+from repro.workload.generator import concurrent_trace
 from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
 
 N_CLIENTS = 10
@@ -152,3 +153,77 @@ def test_concurrent_readers_see_consistent_snapshots():
             r.join(timeout=60)
         assert not errors, errors
         assert db.annotation_count() == 60
+
+
+INSERT_SQL = "insert into Sightings values (?,?,?,?,?)"
+DISPUTE_SQL = "insert into BELIEF ? not Sightings values (?,?,?,?,?)"
+
+
+def _drive(discipline: str, client: BeliefClient, user: str, ops) -> None:
+    """One ``concurrent_trace`` stream, sent the way ``discipline`` says.
+
+    A stream's insert keys (its own) and dispute keys (a shared pool) are
+    disjoint, so grouping writes by kind changes no outcome.
+    """
+    writes = [op for op in ops if op.kind != "select"]
+    if discipline == "pipelined":
+        replies = [
+            client.submit(
+                "insert", relation=op.relation, values=list(op.values),
+                path=None, sign="+" if op.kind == "insert" else "-",
+            )
+            for op in writes
+        ]
+        for reply in replies:
+            reply.result()
+    elif discipline == "batched":
+        inserts = [list(op.values) for op in writes if op.kind == "insert"]
+        disputes = [[user, *op.values] for op in writes if op.kind == "dispute"]
+        if inserts:
+            client.execute_batch(INSERT_SQL, inserts)
+        if disputes:
+            client.execute_batch(DISPUTE_SQL, disputes)
+    else:  # txn: every write staged, one commit
+        client.begin()
+        for op in writes:
+            if op.kind == "insert":
+                client.execute_prepared(INSERT_SQL, list(op.values))
+            else:
+                client.execute_prepared(DISPUTE_SQL, [user, *op.values])
+        client.commit()
+    for op in ops:
+        if op.kind == "select":
+            client.drain(client.execute_prepared(op.sql))
+
+
+@pytest.mark.parametrize("discipline", ["pipelined", "batched", "txn"])
+def test_every_request_discipline_equals_wal_recovery(discipline, tmp_path):
+    """Concurrent clients on the asyncio core, each pipelining, batching or
+    committing transactions: no client errs, none hangs, and the live
+    database equals the one recovered from its WAL."""
+    streams = concurrent_trace(8, 24, seed=11)
+    db = durable_db(experiment_schema(), tmp_path / "data")
+    errors: list = []
+    with AsyncBeliefServer(db) as server:
+
+        def worker(user: str, ops) -> None:
+            try:
+                with BeliefClient(*server.address) as client:
+                    client.login(user, create=True)
+                    _drive(discipline, client, user, ops)
+            except Exception as exc:  # noqa: BLE001 — surface to the test
+                errors.append((user, exc))
+
+        threads = [
+            threading.Thread(target=worker, args=item)
+            for item in streams.items()
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "clients deadlocked"
+    assert not errors, errors
+    assert db.annotation_count() > 0
+    with recovered_from_wal(db):
+        pass

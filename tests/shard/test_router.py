@@ -9,9 +9,12 @@ fail typed (``CROSS_SHARD_TXN``) instead of silently losing atomicity.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.api import connect
+from repro.core.schema import sightings_schema
 from repro.errors import (
     CrossShardTransactionError,
     FrameTooLargeError,
@@ -21,6 +24,7 @@ from repro.errors import (
 )
 from repro.server.client import BeliefClient
 from repro.shard import CONTENT_KEY, HashRing, ShardCluster, WorkerSpec
+from repro.workload.generator import concurrent_trace
 
 INSERT = "insert into Sightings values (?,?,?,?,?)"
 ROW = ["s1", "u", "bald eagle", "6-14-08", "Lake Forest"]
@@ -456,3 +460,55 @@ class TestAdmissionPropagation:
                 pending.result()
                 blocker.close()
                 probe.close()
+
+
+DISPUTE = "insert into BELIEF ? not Sightings values (?,?,?,?,?)"
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["one-by-one", "batched"])
+def test_concurrent_curators_through_the_router(batched):
+    """Eight clients on their own streams through the router to four
+    shards, writing one statement at a time or in per-user batches: none
+    errs or hangs, and each reads back every sighting it reported."""
+    streams = concurrent_trace(8, 24, seed=11, schema=sightings_schema())
+    errors: list = []
+    with ShardCluster(n_shards=4) as cluster:
+
+        def worker(user: str, ops) -> None:
+            try:
+                with BeliefClient(*cluster.address) as client:
+                    client.login(user, create=True)
+                    inserts = [list(op.values) for op in ops
+                               if op.kind == "insert"]
+                    disputes = [[user, *op.values] for op in ops
+                                if op.kind == "dispute"]
+                    if batched:
+                        for sql, rows in ((INSERT, inserts),
+                                          (DISPUTE, disputes)):
+                            if rows:
+                                client.execute_batch(sql, rows)
+                    else:
+                        for op in ops:
+                            if op.kind == "insert":
+                                client.insert(op.relation, list(op.values))
+                            elif op.kind == "dispute":
+                                client.dispute(op.relation, list(op.values))
+                            else:
+                                client.drain(client.execute_prepared(op.sql))
+                    rows = client.drain(client.execute_prepared(
+                        f"select S.sid from BELIEF '{user}' Sightings as S"
+                    ))
+                    assert {v[0] for v in inserts} <= {r[0] for r in rows}
+            except Exception as exc:  # noqa: BLE001 — surface to the test
+                errors.append((user, exc))
+
+        threads = [
+            threading.Thread(target=worker, args=item)
+            for item in streams.items()
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "clients deadlocked"
+    assert not errors, errors

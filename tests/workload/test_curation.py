@@ -67,6 +67,14 @@ def test_threaded_server_run_holds_the_invariants():
             main.client.login(CURATORS[0])
             stats = run_curation(main, CONFIG, driver_factory=factory)
             _check(stats, CONFIG)
+            # Every loser's LIFECYCLE_CONFLICT reached the server's metric.
+            conflicts = sum(
+                sample["value"]
+                for family in main.client.metrics()["families"]
+                if family["name"] == "beliefdb_lifecycle_conflicts_total"
+                for sample in family["samples"]
+            )
+            assert conflicts == stats.conflicts
         finally:
             for client in clients:
                 client.close()
