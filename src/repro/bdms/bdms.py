@@ -1136,11 +1136,13 @@ class BeliefDBMS:
         values: Sequence[Value],
         sign: Sign | str = POSITIVE,
     ) -> bool:
-        """Entailment check: does ``D |= path t^sign`` hold?"""
-        world = self.world(path)
-        return world.entails(
-            self.schema.tuple(relation, *values), Sign.coerce(sign)
-        )
+        """Entailment check: does ``D |= path t^sign`` hold? One probe of
+        the tuple's key in the pinned version (:meth:`BeliefStore.entails`)."""
+        with self.read_view() as pinned:
+            store = pinned.store
+            resolved = tuple(store.resolve_user(u) for u in path)
+            t = self.schema.tuple(relation, *values)
+            return store.entails(resolved, t, Sign.coerce(sign))
 
     def kripke(self) -> KripkeStructure:
         """The canonical Kripke structure of the current belief database."""

@@ -92,10 +92,9 @@ class BeliefShell:
         if command == "worlds":
             lines = []
             for path in sorted(self.db.store.states(), key=lambda p: (len(p), repr(p))):
-                world = self.db.store.entailed_world(path)
+                positives, negatives = self.db.store.sign_counts(path)
                 lines.append(
-                    f"  {format_path(path)}: {len(world.positives)}+ / "
-                    f"{len(world.negatives)}-"
+                    f"  {format_path(path)}: {positives}+ / {negatives}-"
                 )
             return "\n".join(lines)
         if command == "world":

@@ -9,9 +9,10 @@ exit; this package makes it survive. Three pieces:
   registry + explicit belief statements;
 * :mod:`repro.durability.manager` / :mod:`repro.durability.recovery` — the
   :class:`DurabilityManager` gluing them together: recovery = newest
-  snapshot + WAL-tail replay through the BDMS prepared-statement cache (the
-  bulk-restore fast path), logging = fsync'd append before every
-  acknowledgement, checkpoint = snapshot + prune.
+  snapshot + WAL-tail replay through the BDMS prepared-statement cache
+  (which saves ~3% of replay time: the time goes outside parse/compile),
+  logging = fsync'd append before every acknowledgement, checkpoint =
+  snapshot + prune.
 
 Typical use::
 

@@ -1,4 +1,4 @@
-"""Replay WAL records into a BeliefDBMS — the bulk-restore fast path.
+"""Replay WAL records into a BeliefDBMS.
 
 The WAL is the one serial log of accepted writes (the order writers took
 the write mutex). SQL writes are stored as *template + parameters*
@@ -6,10 +6,12 @@ the write mutex). SQL writes are stored as *template + parameters*
 rather than as bound literal SQL. Replay feeds them back through
 :meth:`~repro.bdms.bdms.BeliefDBMS.execute_sql`, so the BDMS
 prepared-statement LRU collapses every repetition of a template into one
-parse + one compile — recovering a 50k-op log costs ~as many parses as
-there are *distinct statements*, not as many as there are records. The
-statement-level records (``add_user`` / ``insert`` / ``delete``, from
-programmatic clients) skip SQL entirely.
+parse + one compile — recovering a log costs ~as many parses as there are
+*distinct statements*, not as many as there are records. That saves little:
+2,000 records replayed in 0.394 s with the cache and 0.406 s without it
+(about 3%, ~5k records/s either way), so replay time is spent outside
+parse/compile. The statement-level records (``add_user`` / ``insert`` /
+``delete``, from programmatic clients) skip SQL entirely.
 
 Replay is strict: only *accepted* operations are ever logged, so a record
 that fails to re-apply on the snapshot base means the log and snapshot

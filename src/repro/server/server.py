@@ -1026,12 +1026,12 @@ class BeliefServer:
             store = version.store
             for path in sorted(store.states(),
                                key=lambda p: (len(p), repr(p))):
-                world = store.entailed_world(path)
+                positives, negatives = store.sign_counts(path)
                 out.append({
                     "path": _jsonify(path),
                     "label": format_path(path),
-                    "positives": len(world.positives),
-                    "negatives": len(world.negatives),
+                    "positives": positives,
+                    "negatives": negatives,
                 })
         return out
 

@@ -439,6 +439,47 @@ class BeliefStore:
         self._check_path_users(path)
         return core_entailed_world(self.explicit_db, path)
 
+    def entails(self, path: BeliefPath, t: GroundTuple, sign: Sign) -> bool:
+        """``D |= path t^sign`` (Def. 12), no world built in eager mode.
+
+        Prop. 7 reads only the tuples sharing ``t``'s key: ``t+`` holds iff
+        ``t`` is a positive, ``t−`` iff it is a stated negative or another
+        tuple with its key is a positive (an *unstated* negative). Those
+        tuples are one ``V(wid, key)`` bucket, so the answer is one probe;
+        a tuple never inserted has no tid and can only be an unstated
+        negative. Lazy stores read the closure's world (cached per path).
+        """
+        if not self.eager:
+            return self.entailed_world(path).entails(t, sign)
+        wid = self.resolve_path(path)
+        if t.relation == self.schema.users_relation:
+            return False  # the users catalog holds no beliefs
+        tid = self._tid_by_tuple.get(t)
+        wanted = sign_to_str(sign)
+        for _, row_tid, _, s, _ in self.v_table(t.relation).match_named(
+            wid=wid, key=t.key
+        ):
+            if row_tid == tid:
+                if s == wanted:
+                    return True
+            elif s == SIGN_POS and sign is NEGATIVE:
+                return True
+        return False
+
+    def sign_counts(self, path: BeliefPath) -> tuple[int, int]:
+        """``(positives, negatives)`` of ``D̄_path``: in eager mode a count
+        of ``s`` over the world's ``V(wid)`` rows, no tuple looked up."""
+        if not self.eager:
+            world = self.entailed_world(path)
+            return len(world.positives), len(world.negatives)
+        wid = self.resolve_path(path)
+        positives = total = 0
+        for rel in self.schema.content_relations:
+            for row in self.v_table(rel.name).match_named(wid=wid):
+                total += 1
+                positives += row[3] == SIGN_POS
+        return positives, total - positives
+
     def world_content(
         self, path: BeliefPath
     ) -> list[tuple[GroundTuple, Sign, bool]]:

@@ -9,19 +9,23 @@ fail typed (``CROSS_SHARD_TXN``) instead of silently losing atomicity.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
 
 from repro.api import connect
+from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.errors import (
+    BeliefDBError,
     CrossShardTransactionError,
     FrameTooLargeError,
     ServerOverloadedError,
     TransactionError,
     UnknownUserError,
 )
+from repro.server import AsyncBeliefServer, BeliefServer
 from repro.server.client import BeliefClient
 from repro.shard import CONTENT_KEY, HashRing, ShardCluster, WorkerSpec
 from repro.workload.generator import concurrent_trace
@@ -134,6 +138,70 @@ class TestSingleShardRouting:
             "believes", relation="Sightings",
             values=["ph-1", "u", "jay", "d", "l"], path=["PlacerTarget"],
         ) is True
+
+
+BELIEVER = "Believer"
+B_CROW = ["bel-1", "u", "crow", "d", "l"]
+B_RAVEN = ["bel-1", "u", "raven", "d", "l"]   # same key as B_CROW
+B_EAGLE = ["bel-2", "u", "eagle", "d", "l"]   # a stated negative
+B_OWL = ["bel-3", "u", "owl", "d", "l"]       # never inserted
+#: (values, sign, answer) at ``[BELIEVER]`` — every shape must give these.
+BELIEVES_PROBES = [
+    (B_CROW, "+", True), (B_CROW, "-", False),
+    (B_RAVEN, "+", False), (B_RAVEN, "-", True),   # unstated negative
+    (B_EAGLE, "+", False), (B_EAGLE, "-", True),   # stated negative
+    (B_OWL, "+", False), (B_OWL, "-", False),      # not believed either way
+]
+#: (path, values) -> the typed error's class name.
+BELIEVES_ERRORS = [
+    (["NoSuchBeliever"], B_CROW, "UnknownUserError"),
+    ([BELIEVER, BELIEVER], B_CROW, "InvalidBeliefPath"),
+    ([BELIEVER], B_CROW[:3], "SchemaError"),
+]
+
+
+@contextlib.contextmanager
+def _believes_on(shape, request):
+    """``believes(path, values, sign)`` on one deployment shape, over the
+    fixture: ``B_CROW`` believed and ``B_EAGLE`` disbelieved by BELIEVER."""
+    if shape == "embedded":
+        db = BeliefDBMS(sightings_schema())
+        db.add_user(BELIEVER)
+        db.insert([BELIEVER], "Sightings", B_CROW)
+        db.insert([BELIEVER], "Sightings", B_EAGLE, sign="-")
+        yield lambda path, values, sign: db.believes(
+            path, "Sightings", values, sign
+        )
+        return
+    with contextlib.ExitStack() as stack:
+        if shape == "router":
+            address = request.getfixturevalue("cluster").address
+        else:
+            core = BeliefServer if shape == "threaded" else AsyncBeliefServer
+            address = stack.enter_context(
+                core(BeliefDBMS(sightings_schema()))
+            ).address
+        client = stack.enter_context(BeliefClient(*address))
+        client.add_user(BELIEVER)
+        client.insert("Sightings", B_CROW, path=[BELIEVER])
+        client.insert("Sightings", B_EAGLE, path=[BELIEVER], sign="-")
+        yield lambda path, values, sign: client.believes(
+            "Sightings", values, path=path, sign=sign
+        )
+
+
+@pytest.mark.parametrize("shape", ["embedded", "threaded", "async", "router"])
+def test_believes_answers_alike_on_every_shape(shape, request):
+    """Same booleans, same typed errors, embedded to sharded. "Does not
+    believe t" (``+`` False) and "believes not-t" (``-`` True) are distinct
+    facts, and a tuple can be neither."""
+    with _believes_on(shape, request) as believes:
+        for values, sign, answer in BELIEVES_PROBES:
+            assert believes([BELIEVER], values, sign) is answer, (values, sign)
+        for path, values, error in BELIEVES_ERRORS:
+            with pytest.raises(BeliefDBError) as raised:
+                believes(path, values, "+")
+            assert type(raised.value).__name__ == error, path
 
 
 class TestFanOutReads:
