@@ -688,7 +688,7 @@ def _compile(
                 lines.append(f"{pad}if {rowid} is None: {reject}")
             else:
                 bucket = f"b{depth}"
-                # list(): the owner may add to the set while a fork reads it.
+                # list(): the owner may add to the bucket while a fork reads it.
                 snapshot = f"({bucket},) if type({bucket}) is int else list({bucket})"
                 if invariant:
                     hoisted.append(f"    {bucket} = {lookup}")

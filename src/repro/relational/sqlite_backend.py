@@ -269,8 +269,7 @@ class SqliteMirror:
     ) -> list[tuple[Any, ...]]:
         """Run SQL with positional (sequence) or named (mapping) parameters."""
         bound = params if isinstance(params, Mapping) else tuple(params)
-        cursor = self.connection.execute(sql, bound)
-        return [tuple(row) for row in cursor.fetchall()]
+        return self.connection.execute(sql, bound).fetchall()
 
     def explain(
         self, sql: str, params: Sequence[Any] | Mapping[str, Any] = ()

@@ -63,19 +63,28 @@ delta sync rests on that invariant, and so do the indexes:
   a loop reads), under the same two rules as ``prober`` — "Visibility"
   above, and the bucket snapshot below.
 
-A bucket is the bare rowid while one row carries the value and a ``set``
-from the second row on; the unique-key dict is the same shape.
+A bucket is the bare rowid while one row carries the value and a
+``list`` of rowids in ascending order from the second row on; the
+unique-key dict maps each key to its bare rowid. Rowids are issued in
+increasing order, so an insert appends to its buckets; only an index built
+while deletes are pending folds those older rows in with ``insort``. One
+removal is a bisect and a ``del``; a purge that takes several rowids out of
+one bucket filters that bucket once. A list costs ~9 bytes a rowid where a
+``set`` costs ~80-100 (its hash table grows 4x and stays mostly empty).
 
 Thread safety: one thread writes (the BDMS write mutex); any number read
 forks. Readers only ``get`` from dicts and snapshot a bucket with
-``list(bucket)``, both atomic under the interpreter lock; everything that
-restructures a bucket runs on the writer's side. (``tuple(bucket)`` is not
-atomic: it takes the set's iterator *before* it allocates the result, that
+``list(bucket)``, both atomic under the interpreter lock: ``list()``
+allocates its own object first, then copies the bucket's item array in one
+C-level step whose allocation (the plain allocator) runs no GC — so no
+finalizer, no Python code at which the interpreter could switch to the
+writer. Everything that restructures a bucket — an append, an ``insort``,
+a ``del``, a filtered replacement installed with one dict store — runs on
+the writer's side, each step atomic. (``tuple(bucket)`` is not atomic: it
+takes hold of the bucket's items *before* it allocates the result, that
 allocation may run the cyclic GC, the GC a finalizer or weakref callback —
 Python code, at which the interpreter may switch to the writer — and the
-iterator then fails with "Set changed size during iteration". ``list()``
-allocates its object first and its item array with the plain allocator,
-which runs no GC.)
+copy then reads a bucket that changed under it.)
 """
 
 from __future__ import annotations
@@ -84,6 +93,7 @@ import operator
 import sys
 import threading
 import weakref
+from bisect import bisect_left, insort
 from collections import deque
 from typing import (
     Any,
@@ -100,8 +110,8 @@ from repro.errors import DuplicateKeyError
 from repro.relational.schema import TableSchema
 
 Row = tuple[Any, ...]
-#: value tuple -> the one rowid carrying it, or the set of them.
-Index = dict[tuple, "int | set[int]"]
+#: value tuple -> the one rowid carrying it, or the ascending list of them.
+Index = dict[tuple, "int | list[int]"]
 
 
 class Access(NamedTuple):
@@ -221,19 +231,35 @@ def _bucket_add(index: Index, values: tuple, rowid: int) -> None:
     if bucket is None:
         index[values] = rowid
     elif type(bucket) is int:
-        index[values] = {bucket, rowid}
-    else:
-        bucket.add(rowid)
+        index[values] = [bucket, rowid] if bucket < rowid else [rowid, bucket]
+    elif bucket[-1] < rowid:
+        bucket.append(rowid)
+    else:  # an older row: only a build folding in pending deletes adds one
+        insort(bucket, rowid)
 
 
-def _bucket_discard(index: Index, values: tuple, rowid: int) -> None:
+def _bucket_discard(index: Index, values: tuple, rowids: Sequence[int]) -> None:
+    """Take ``rowids`` (distinct) out of the bucket of ``values``: one
+    bisect and ``del`` for a single rowid, one filtering pass for several
+    (a ``del`` each would move the bucket's tail once per rowid)."""
     bucket = index.get(values)
-    if type(bucket) is set:
-        bucket.discard(rowid)
-        if len(bucket) == 1:
-            (index[values],) = bucket
-    elif bucket == rowid:
-        del index[values]
+    if type(bucket) is not list:
+        if bucket in rowids:
+            del index[values]
+        return
+    if len(rowids) == 1:
+        at = bisect_left(bucket, rowids[0])
+        if at < len(bucket) and bucket[at] == rowids[0]:
+            del bucket[at]
+    else:
+        doomed = set(rowids)
+        bucket = [rowid for rowid in bucket if rowid not in doomed]
+        index[values] = bucket
+    if len(bucket) < 2:
+        if bucket:
+            index[values] = bucket[0]
+        else:
+            del index[values]
 
 
 class Table:
@@ -379,10 +405,23 @@ class Table:
             return
         oldest = lineage.oldest_fork()
         reach = len(pending) if oldest is None else oldest - lineage.purged
-        for _ in range(reach):
+        if reach == 1:  # the usual purge: one bisect per index, no grouping
             rowid, row = pending.popleft()
             for positions, index in self._indexes.items():
-                _bucket_discard(index, _picker(positions)(row), rowid)
+                _bucket_discard(index, _picker(positions)(row), (rowid,))
+        else:  # each bucket's removals together: one pass per bucket
+            taken = [pending.popleft() for _ in range(reach)]
+            for positions, index in self._indexes.items():
+                pick = _picker(positions)
+                shared: dict[tuple, list[int]] = {}
+                for rowid, row in taken:
+                    values = pick(row)
+                    if index.get(values) == rowid:  # a one-row bucket: this row
+                        del index[values]
+                    else:
+                        shared.setdefault(values, []).append(rowid)
+                for values, rowids in shared.items():
+                    _bucket_discard(index, values, rowids)
         lineage.purged += reach
 
     # -- mutation ---------------------------------------------------------------
@@ -520,7 +559,9 @@ class Table:
         return positions in self.lineage.indexes or positions in self._indexes
 
     def _build_index(self, positions: tuple[int, ...]) -> Index:
-        """One pass over the rows; then install (a reader sees it whole)."""
+        """One pass over the rows; then install (a reader sees it whole).
+        The row dict is in rowid order, so every bucket is built by appends;
+        the owner's pending deletes are older rows, folded in by ``insort``."""
         index: Index = {}
         pick = _picker(positions)
         for rowid, row in self._rows.items():
@@ -599,7 +640,7 @@ class Table:
                 return ()
             matches = []
             stale = 0
-            # list(): the owner may add to the set while a fork reads it.
+            # list(): the owner may add to the bucket while a fork reads it.
             for rowid in (bucket,) if type(bucket) is int else list(bucket):
                 row = held(rowid)
                 if row is None:
@@ -662,7 +703,7 @@ class Table:
     def path(self, access: Access) -> tuple[Callable, Callable, Callable]:
         """What a ``key`` or ``index`` access reads, for one execution:
         ``(value tuple -> bucket or None, rowid -> row or None, count
-        candidates dropped)``. A bucket is a rowid or a set of them that
+        candidates dropped)``. A bucket is a rowid or a list of them that
         the lineage's owner may be adding to: snapshot it with ``list()``,
         and look every candidate up — it may name a row this table does
         not hold (see "Visibility" above)."""

@@ -32,7 +32,7 @@ def _row(key: int, species: str) -> tuple:
 @pytest.mark.parametrize("loop", ["Table.prober", "compiled rule"])
 def test_pinned_readers_stay_exact_while_the_writer_churns_the_same_keys(loop):
     """Every answer equals the state of the epoch it was pinned at. The
-    world scan walks Carol's whole ``v_Sightings(wid)`` bucket — a set the
+    world scan walks Carol's whole ``v_Sightings(wid)`` bucket — a list the
     writer adds to and (deferred) removes from concurrently — and the point
     select reads the ``(wid, key)`` bucket whose key is rewritten. Most of a
     reader's time goes into walking that bucket again and again, through

@@ -20,6 +20,7 @@ from repro.relational import table as table_module
 from repro.relational.database import RelationalDatabase
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
+from tests.strategies import budget
 
 KEYED = TableSchema(
     "K", ("k", "a", "b"), key=("k",), indexes=(("a", "b"), ("a",))
@@ -62,13 +63,24 @@ def assert_probes_equal_scan(table: Table, model: dict[int, tuple], probe: tuple
 
 
 def from_scratch(model: dict[int, tuple], positions: tuple[int, ...]) -> dict:
-    index: dict[tuple, set[int]] = {}
-    for rowid, r in model.items():
-        index.setdefault(tuple(r[i] for i in positions), set()).add(rowid)
+    index: dict[tuple, list[int]] = {}
+    for rowid in sorted(model):
+        index.setdefault(tuple(model[rowid][i] for i in positions), []).append(
+            rowid
+        )
     return {
-        vals: next(iter(rowids)) if len(rowids) == 1 else rowids
+        vals: rowids[0] if len(rowids) == 1 else rowids
         for vals, rowids in index.items()
     }
+
+
+def assert_buckets_ascending(table: Table) -> None:
+    """Every bucket naming two or more rowids is a strictly ascending list."""
+    for index in (*table.lineage.indexes.values(), *table._indexes.values()):
+        for bucket in index.values():
+            if type(bucket) is not int:
+                assert type(bucket) is list and len(bucket) >= 2, bucket
+                assert all(a < b for a, b in zip(bucket, bucket[1:])), bucket
 
 
 def apply(table: Table, model: dict[int, tuple], kind: str, args: tuple) -> None:
@@ -108,6 +120,7 @@ def step(owner, model, forks, probe, kind, args) -> None:
         apply(owner, model, kind, args)
     for table, rows in [(owner, model), *forks]:
         assert_probes_equal_scan(table, rows, probe)
+        assert_buckets_ascending(table)
 
 
 @pytest.mark.parametrize("schema", [KEYED, PLAIN], ids=["keyed", "plain"])
@@ -128,6 +141,36 @@ def test_every_fork_probes_like_a_scan_of_its_own_rows(schema, ops, probe):
         assert not lineage.pending and not lineage.forks
         for positions, index in lineage.indexes.items():
             assert index == from_scratch(model, positions), positions
+
+
+@budget(100)
+@given(
+    rows=st.lists(row, min_size=1, max_size=40),
+    doomed=st.lists(st.integers(0, 39), unique=True),
+    later=st.lists(row, max_size=10),
+    pattern=st.sampled_from(PATTERNS),
+)
+def test_an_index_built_over_pending_deletes_has_ascending_buckets(
+    rows, doomed, later, pattern
+):
+    """Deletes a live fork still reaches are older rows than any the owner
+    holds past them: the index built over both folds them in out of rowid
+    order, in delete order, and must come out exactly as a fresh build."""
+    t = Table(PLAIN, auto_index=False)
+    t.insert_many(rows)
+    held = t.snapshot_fork()
+    for rowid in (r for r in doomed if r < len(rows)):
+        t.delete_rowid(rowid)
+    t.insert_many(later)
+    t.create_index(tuple(PLAIN.columns[i] for i in pattern))
+    index = t.lineage.indexes[pattern]
+    assert index == from_scratch({**dict(held.items()), **dict(t.items())}, pattern)
+    assert_buckets_ascending(t)
+    del held
+    t.snapshot_fork()  # purges every pending delete in one pass
+    assert not t.lineage.pending
+    assert index == from_scratch(dict(t.items()), pattern)
+    assert_buckets_ascending(t)
 
 
 def test_fork_held_across_delete_and_reinsert_of_the_same_key():

@@ -1,10 +1,13 @@
 """Row storage and hash indexes."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateKeyError, SchemaError, UnknownColumnError
+from repro.relational import table as table_module
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 
@@ -252,11 +255,63 @@ class TestIndexes:
         t.create_index(("a",))
         first, second = t.insert((1, 2, 3)), t.insert((1, 9, 9))
         (index,) = t.lineage.indexes.values()
-        assert index == {(1,): {first, second}}
-        t.delete_rowid(first)
-        assert index == {(1,): second}
+        assert index == {(1,): [first, second]}
+        third = t.insert((1, 5, 5))
+        assert index == {(1,): [first, second, third]}
         t.delete_rowid(second)
+        assert index == {(1,): [first, third]}
+        t.delete_rowid(first)
+        assert index == {(1,): third}
+        t.delete_rowid(third)
         assert index == {}
+
+    @pytest.mark.parametrize("how", ["delete_rowids", "clear", "after_fork"])
+    def test_a_batch_delete_filters_each_bucket_once(self, how):
+        """k rows leaving one bucket in one purge cost one pass over that
+        bucket, not k bisect-deletes (each of which moves the bucket's
+        tail): counted, not timed."""
+        t = make_table(auto_index=False)
+        t.create_index(("a",))
+        t.insert_many([(i % 3, i, "x") for i in range(30)])
+        (index,) = t.lineage.indexes.values()
+        doomed = [rowid for rowid in range(30) if rowid % 3 == 0 and rowid % 2]
+        with mock.patch.object(
+            table_module, "bisect_left", wraps=table_module.bisect_left
+        ) as bisects, mock.patch.object(
+            table_module, "_bucket_discard", wraps=table_module._bucket_discard
+        ) as discards:
+            if how == "clear":
+                t.clear()
+            elif how == "delete_rowids":
+                t.delete_rowids(doomed)
+            else:  # queued under a fork, purged by the owner's next fork
+                held = t.snapshot_fork()
+                t.delete_rowids(doomed)
+                assert discards.call_count == 0
+                del held
+                t.snapshot_fork()
+        assert bisects.call_count == 0
+        if how == "clear":
+            assert sorted(call.args[1] for call in discards.call_args_list) == [
+                (0,), (1,), (2,)
+            ]
+            assert index == {}
+        else:
+            assert [call.args[1:] for call in discards.call_args_list] == [
+                ((0,), doomed)
+            ]
+            assert index[(0,)] == [r for r in range(0, 30, 3) if r not in doomed]
+
+    def test_one_delete_from_a_bucket_is_one_bisect(self):
+        t = make_table(auto_index=False)
+        t.create_index(("a",))
+        t.insert_many([(0, i, "x") for i in range(10)])
+        with mock.patch.object(
+            table_module, "bisect_left", wraps=table_module.bisect_left
+        ) as bisects:
+            t.delete_rowid(4)
+        assert bisects.call_count == 1
+        assert t.lineage.indexes[(0,)] == {(0,): [0, 1, 2, 3, 5, 6, 7, 8, 9]}
 
     def test_no_auto_index_below_threshold(self):
         t = make_table(auto_index=True)

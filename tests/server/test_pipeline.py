@@ -15,6 +15,7 @@ request order, the asyncio server completes in-flight requests concurrently
 from __future__ import annotations
 
 import random
+import socket
 import threading
 
 import pytest
@@ -28,6 +29,7 @@ from repro.server import (
     AsyncBeliefServer,
     BeliefClient,
     BeliefServer,
+    protocol,
 )
 from repro.server.client import ConnectionLost
 from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
@@ -229,6 +231,36 @@ def test_server_death_fails_every_inflight_reply(core):
     finally:
         client.close()
         server.stop()
+
+
+def test_a_hang_up_with_every_request_unanswered_fails_every_reply():
+    """The deterministic form of the test above: a stub listener reads all
+    five pipelined requests and closes without answering any, so no
+    response can be flushed first and every pending reply must fail."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    received: list[dict] = []
+
+    def read_five_then_hang_up() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            for _ in range(5):
+                received.append(protocol.read_frame(conn))
+
+    thread = threading.Thread(target=read_five_then_hang_up, daemon=True)
+    thread.start()
+    client = BeliefClient(*listener.getsockname(), wire="json")
+    try:
+        pending = [client.submit("ping") for _ in range(5)]
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert [frame["op"] for frame in received] == ["ping"] * 5
+        for reply in pending:
+            with pytest.raises(ConnectionLost):
+                reply.result()
+        assert client.inflight == 0
+    finally:
+        client.close()
+        listener.close()
 
 
 def test_close_with_inflight_fails_pendings(client):
