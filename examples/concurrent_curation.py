@@ -44,20 +44,23 @@ def curate(address, name: str, index: int, barrier: threading.Barrier) -> None:
     with BeliefClient(*address) as client:
         client.login(name, create=True)
         barrier.wait(timeout=10)
+        report = client.prepare("insert into Sightings values (?,?,?,?,?)")
         for k in range(REPORTS_PER_USER):
             sid = f"s{(index + k) % (len(USERS) * 2)}"
-            client.insert(
-                "Sightings",
+            client.execute_prepared(
+                report,
                 [sid, name, SPECIES[(index + k) % len(SPECIES)],
                  "6-14-08", "Lake Forest"],
             )
-        # Dispute a couple of readings other users may believe.
+        # Dispute a couple of readings other users may believe: a negative
+        # belief in my own world ("not" with no BELIEF prefix).
+        dispute = client.prepare("insert into not Sightings values (?,?,?,?,?)")
         for k in range(3):
             sid = f"s{(index + k + 1) % (len(USERS) * 2)}"
             other = SPECIES[(index + k + 1) % len(SPECIES)]
-            client.dispute(
-                "Sightings", [sid, USERS[(index + 1) % len(USERS)],
-                              other, "6-14-08", "Lake Forest"],
+            client.execute_prepared(
+                dispute, [sid, USERS[(index + 1) % len(USERS)],
+                          other, "6-14-08", "Lake Forest"],
             )
 
 

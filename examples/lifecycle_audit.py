@@ -47,7 +47,9 @@ def run_scene(client: BeliefClient) -> list[dict]:
     """The curation scene against whatever ``client`` is connected to."""
     client.login("Bob", create=True)
     client.login("Carol", create=True)
-    assert client.insert("Sightings", SIGHTING)
+    inserted = client.execute_prepared(
+        "insert into Sightings values (?,?,?,?,?)", SIGHTING)
+    assert inserted["rowcount"] == 1
 
     view = client.lifecycle_propose(
         "Sightings", SIGHTING,

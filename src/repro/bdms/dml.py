@@ -29,6 +29,7 @@ from repro.beliefsql.compiler import (
     CompiledInsert,
     CompiledUpdate,
 )
+from repro.core.paths import validate_path
 from repro.core.schema import Value
 from repro.core.statements import POSITIVE
 from repro.storage.updates import delete_tuple, insert_tuple
@@ -47,6 +48,7 @@ def apply_insert(store: "BeliefStore", op: CompiledInsert) -> bool:
 def apply_delete(store: "BeliefStore", op: CompiledDelete) -> int:
     """Delete the *explicit* statements matching the WHERE clause."""
     path = tuple(store.resolve_user(u) for u in op.path)
+    validate_path(path)  # an invalid path is an error, as for insert
     explicit = store.explicit_db.explicit_world(path)
     pool = explicit.positives if op.sign is POSITIVE else explicit.negatives
     doomed = [t for t in pool if t.relation == op.relation and op.predicate(t)]

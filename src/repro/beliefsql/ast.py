@@ -4,22 +4,28 @@ The grammar extends SQL's four DML statements with a *belief specification* in
 front of relation names::
 
     select selectlist
-      from (((BELIEF user)+ not?)? relationname (as alias)?)+
+      from ((BELIEF user)* not? relationname (as alias)?)+
      where conditionlist
 
-    insert into ((BELIEF user)+ not?)? relationname values (...)
-    delete from ((BELIEF user)+ not?)? relationname where conditionlist
-    update ((BELIEF user)+ not?)? relationname set assignments where conditionlist
+    insert into (BELIEF user)* not? relationname values (...)
+    delete from (BELIEF user)* not? relationname where conditionlist
+    delete from (BELIEF user)* not? relationname values (...)
+    update (BELIEF user)* not? relationname set assignments where conditionlist
 
 A ``BELIEF`` argument is either a literal (user name or id) or a correlated
 column reference like ``U.uid`` (only meaningful inside ``select``). ``not``
-flips the sign of the whole belief specification — "user w does *not* believe".
+makes the statement a *negative* belief — "w believes t is false" — at the
+path before it; with no ``BELIEF`` it is the statement's own world (the
+session's default path for DML, the root for a select). That is not the
+absence of a belief: ``delete from R values (t)`` removes the explicit
+``t`` and leaves no ``not t`` behind. ``delete ... values`` names one tuple
+by its full value list, column names unneeded.
 
-Every value position (insert values, ``set`` assignments, condition operands,
-``BELIEF`` arguments) additionally accepts a ``?`` *placeholder*: the parser
-numbers them left to right and :func:`bind_statement` substitutes a parameter
-vector at execute time, so one parsed/compiled statement serves many
-parameter bindings (see :meth:`repro.bdms.bdms.BeliefDBMS.execute_prepared`).
+Every value position (``VALUES`` lists, ``set`` assignments, condition
+operands, ``BELIEF`` arguments) additionally accepts a ``?`` *placeholder*:
+the parser numbers them left to right and :func:`bind_statement` substitutes
+a parameter vector at execute time, so one parsed/compiled statement serves
+many parameter bindings (see :meth:`repro.bdms.bdms.BeliefDBMS.execute_prepared`).
 """
 
 from __future__ import annotations
@@ -174,13 +180,18 @@ class InsertStatement:
 
 @dataclass(frozen=True)
 class DeleteStatement:
+    """``where`` conditions, or (``values`` not None) one full tuple."""
+
     belief: BeliefSpec
     relation: str
     conditions: tuple[Condition, ...] = ()
+    values: tuple[Any, ...] | None = None
 
     def __str__(self) -> str:
         prefix = f"{self.belief} " if self.belief.path or self.belief.negated else ""
         sql = f"delete from {prefix}{self.relation}"
+        if self.values is not None:
+            sql += f" values ({', '.join(_value_str(v) for v in self.values)})"
         if self.conditions:
             sql += " where " + " and ".join(map(str, self.conditions))
         return sql
@@ -233,9 +244,8 @@ def statement_placeholders(statement: Statement) -> int:
     for spec in specs:
         for operand in spec.path:
             found += _operand_placeholders(operand)
-    if isinstance(statement, InsertStatement):
-        for value in statement.values:
-            found += _operand_placeholders(value)
+    for value in getattr(statement, "values", None) or ():
+        found += _operand_placeholders(value)
     if isinstance(statement, UpdateStatement):
         for _, value in statement.assignments:
             found += _operand_placeholders(value)
@@ -348,6 +358,8 @@ def bind_statement(statement: Statement, params: Sequence[Any]) -> Statement:
             _bind_spec(statement.belief, bound),
             statement.relation,
             _bind_conditions(statement.conditions, bound),
+            statement.values
+            and tuple(_bind_value(v, bound) for v in statement.values),
         )
     return UpdateStatement(
         _bind_spec(statement.belief, bound),

@@ -718,25 +718,40 @@ def _comparisons(
     ]
 
 
-def compile_insert(stmt: InsertStatement, schema: ExternalSchema) -> CompiledInsert:
-    relation = schema.relation(stmt.relation)
-    if len(stmt.values) != relation.arity:
+def _check_arity(
+    stmt: InsertStatement | DeleteStatement, schema: ExternalSchema
+) -> tuple[Any, ...]:
+    """A ``VALUES`` list, checked against its relation's arity."""
+    arity = schema.relation(stmt.relation).arity
+    if len(stmt.values) != arity:
         raise BeliefSQLCompileError(
-            f"{stmt.relation} expects {relation.arity} values, "
-            f"got {len(stmt.values)}"
+            f"{stmt.relation} expects {arity} values, got {len(stmt.values)}"
         )
+    return stmt.values
+
+
+def compile_insert(stmt: InsertStatement, schema: ExternalSchema) -> CompiledInsert:
     return CompiledInsert(
         _dml_path(stmt.belief), _dml_sign(stmt.belief), stmt.relation,
-        stmt.values, statement_placeholders(stmt),
+        _check_arity(stmt, schema), statement_placeholders(stmt),
     )
 
 
 def compile_delete(stmt: DeleteStatement, schema: ExternalSchema) -> CompiledDelete:
+    """``where`` compiles to its comparisons; ``values`` to an equality on
+    every column — the same predicate, so one apply path runs both."""
+    if stmt.values is None:
+        predicate = _dml_predicate(stmt.relation, stmt.conditions, schema)
+    else:
+        predicate = DmlPredicate(
+            ("=", i, None, None, v)
+            for i, v in enumerate(_check_arity(stmt, schema))
+        )
     return CompiledDelete(
         _dml_path(stmt.belief),
         _dml_sign(stmt.belief),
         stmt.relation,
-        _dml_predicate(stmt.relation, stmt.conditions, schema),
+        predicate,
         statement_placeholders(stmt),
     )
 

@@ -6,11 +6,11 @@ ints or floats (scientific notation accepted, so any finite float's ``repr``
 re-tokenizes). ``BELIEF`` arguments may be string literals, numbers,
 identifiers (user names), or correlated ``alias.column`` references.
 
-``?`` parameter markers are accepted wherever a literal is (insert values,
-``set`` values, condition operands, ``BELIEF`` arguments) and numbered left
-to right; a statement's parameter arity is derived from the AST by
-:func:`repro.beliefsql.ast.statement_placeholders`, which also verifies the
-indices form a contiguous ``0..n-1`` range.
+``?`` parameter markers are accepted wherever a literal is (``VALUES``
+lists, ``set`` values, condition operands, ``BELIEF`` arguments) and
+numbered left to right; a statement's parameter arity is derived from the
+AST by :func:`repro.beliefsql.ast.statement_placeholders`, which also
+verifies the indices form a contiguous ``0..n-1`` range.
 """
 
 from __future__ import annotations
@@ -189,10 +189,7 @@ class _Parser:
         path: list[Operand] = []
         while self.accept_keyword("belief"):
             path.append(self.parse_operand(allow_bare_column=False))
-        negated = False
-        if path and self.accept_keyword("not"):
-            negated = True
-        return BeliefSpec(tuple(path), negated)
+        return BeliefSpec(tuple(path), self.accept_keyword("not"))
 
     def parse_conditions(self) -> tuple[Condition, ...]:
         if not self.accept_keyword("where"):
@@ -311,21 +308,26 @@ class _Parser:
         belief = self.parse_belief_spec()
         relation = self.expect_identifier()
         self.expect_keyword("values")
+        return InsertStatement(belief, relation, self.parse_values())
+
+    def parse_values(self) -> tuple[Any, ...]:
+        """The parenthesized list after ``VALUES``."""
         self.expect_kind("lparen")
         values = [self.parse_value()]
         while self.current.kind == "comma":
             self.advance()
             values.append(self.parse_value())
         self.expect_kind("rparen")
-        return InsertStatement(belief, relation, tuple(values))
+        return tuple(values)
 
     def parse_delete(self) -> DeleteStatement:
         self.expect_keyword("delete")
         self.expect_keyword("from")
         belief = self.parse_belief_spec()
         relation = self.expect_identifier()
-        conditions = self.parse_conditions()
-        return DeleteStatement(belief, relation, conditions)
+        if self.accept_keyword("values"):
+            return DeleteStatement(belief, relation, values=self.parse_values())
+        return DeleteStatement(belief, relation, self.parse_conditions())
 
     def parse_update(self) -> UpdateStatement:
         self.expect_keyword("update")

@@ -10,8 +10,8 @@ pipelining, with zero extra machinery at the call sites::
     async with await AsyncBeliefClient.connect(host, port) as client:
         await client.login("Carol", create=True)
         results = await asyncio.gather(*[
-            client.call("insert", relation="Sightings", values=row,
-                        path=None, sign="+")
+            client.execute_prepared(
+                "insert into Sightings values (?,?,?,?,?)", row)
             for row in rows
         ])
 
@@ -37,7 +37,7 @@ from repro.server import binproto, protocol
 from repro.server.client import (
     ConnectionLost,
     RemoteStatement,
-    batch_statement_params,
+    batch_addressing,
     iter_batch_chunks,
     merge_batch_payload,
     unwrap_response,
@@ -287,26 +287,6 @@ class AsyncBeliefClient:
     async def add_user(self, name: str | None = None) -> Any:
         return await self.call("add_user", name=name)
 
-    async def insert(
-        self,
-        relation: str,
-        values: Sequence[Any],
-        path: Sequence[Any] | None = None,
-        sign: str = "+",
-    ) -> bool:
-        return await self.call(
-            "insert", relation=relation, values=list(values),
-            path=None if path is None else list(path), sign=sign,
-        )
-
-    async def dispute(
-        self,
-        relation: str,
-        values: Sequence[Any],
-        path: Sequence[Any] | None = None,
-    ) -> bool:
-        return await self.insert(relation, values, path=path, sign="-")
-
     async def prepare(self, sql: str) -> RemoteStatement:
         info = await self.call("prepare", sql=sql)
         return RemoteStatement(
@@ -338,7 +318,7 @@ class AsyncBeliefClient:
         chunk_rows: int = 256,
     ) -> dict[str, Any]:
         """Batched DML: one round trip / write-lock / WAL fsync per chunk."""
-        call_params = batch_statement_params(statement)
+        call_params = batch_addressing(statement)
         payload: dict[str, Any] | None = None
         for chunk in iter_batch_chunks(param_rows, chunk_rows):
             payload = merge_batch_payload(payload, await self.call(

@@ -89,7 +89,7 @@ def unwrap_response(response: "Response") -> Any:
     raise RemoteError(response.error["type"], response.error["message"])
 
 
-def batch_statement_params(statement: "RemoteStatement | str") -> dict[str, Any]:
+def batch_addressing(statement: "RemoteStatement | str") -> dict[str, Any]:
     """The ``stmt``/``sql`` addressing half of an ``execute_batch`` call."""
     if isinstance(statement, RemoteStatement):
         return {"stmt": statement.id}
@@ -736,40 +736,6 @@ class BeliefClient:
     def users(self) -> dict[Any, str]:
         return {uid: name for uid, name in self.call("users")}
 
-    def insert(
-        self,
-        relation: str,
-        values: Sequence[Any],
-        path: Sequence[Any] | None = None,
-        sign: str = "+",
-    ) -> bool:
-        """Insert a belief statement; ``path=None`` means the session world."""
-        return self.call(
-            "insert", relation=relation, values=list(values),
-            path=None if path is None else list(path), sign=sign,
-        )
-
-    def delete(
-        self,
-        relation: str,
-        values: Sequence[Any],
-        path: Sequence[Any] | None = None,
-        sign: str = "+",
-    ) -> bool:
-        return self.call(
-            "delete", relation=relation, values=list(values),
-            path=None if path is None else list(path), sign=sign,
-        )
-
-    def dispute(
-        self,
-        relation: str,
-        values: Sequence[Any],
-        path: Sequence[Any] | None = None,
-    ) -> bool:
-        """Insert a negative belief — "I do not believe this tuple"."""
-        return self.insert(relation, values, path=path, sign="-")
-
     # ------------------------------------------------- prepared statements
 
     def prepare(self, sql: str) -> RemoteStatement:
@@ -822,7 +788,7 @@ class BeliefClient:
         Returns the aggregate result payload: ``kind``, ``columns``,
         ``rowcount`` (summed), ``status``, ``elapsed_ms``.
         """
-        call_params = batch_statement_params(statement)
+        call_params = batch_addressing(statement)
         payload: dict[str, Any] | None = None
         chunk_bytes = self.max_frame_bytes // 3
         for chunk in iter_batch_chunks(param_rows, chunk_rows, chunk_bytes):

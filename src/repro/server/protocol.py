@@ -35,7 +35,7 @@ frames with different ordering guarantees:
 
 Clients must correlate strictly by id and must not pipeline a request that
 depends on the *effect* of an earlier one (``login`` then a default-path
-``insert``, ``prepare`` then ``execute_prepared`` on the new handle) without
+insert, ``prepare`` then ``execute_prepared`` on the new handle) without
 awaiting the earlier response first. Transactions sharpen this rule: every
 request between ``begin`` and ``commit``/``rollback`` — and those three ops
 themselves — depends on the session's transaction state, so **in-transaction
@@ -131,13 +131,11 @@ OP_TABLE: tuple[OpSpec, ...] = (
     # user management
     OpSpec("add_user", 0x06, ("name",), lock="write"),
     OpSpec("users", 0x07),
-    # One tuple, by value (Alg. 4 on the session's default path). Not
-    # transactional: autocommitting mid-transaction would interleave with
-    # the staged group.
-    OpSpec("insert", 0x08, _TUPLE, lock="write", route="by_path", in_txn=False),
-    OpSpec("delete", 0x09, _TUPLE, lock="write", route="by_path", in_txn=False),
-    # Retired (PR 15): nothing serves it; the slot stays so no later code
-    # moved and an old frame still decodes to the typed error.
+    # Retired: nothing serves these; the slots stay so no later code moved
+    # and an old frame still decodes to the typed error. A tuple write is
+    # BeliefSQL (``insert into [not] R values``, ``delete from R values``).
+    OpSpec("insert", 0x08, _TUPLE, lock=None, route=None),
+    OpSpec("delete", 0x09, _TUPLE, lock=None, route=None),
     OpSpec("execute", 0x0A, ("sql",), lock=None, route=None),
     # BeliefSQL statements (by handle or inline text), batches, paging.
     OpSpec("prepare", 0x0B, ("sql",)),
@@ -182,7 +180,7 @@ OP_TABLE: tuple[OpSpec, ...] = (
 )
 
 #: The ops a server or router answers, by name (``hello`` and the retired
-#: ``execute`` hold codes but are not database ops).
+#: ``insert`` / ``delete`` / ``execute`` hold codes but are not database ops).
 OPS: dict[str, OpSpec] = {
     spec.name: spec for spec in OP_TABLE
     if spec.lock is not None or spec.route is not None

@@ -8,7 +8,7 @@ server guards it with a writer-preference :class:`ReadWriteLock`:
 * *reads* (``select``, ``query``, ``believes``, ``world``, ``stats``, ...)
   evaluate against a pinned MVCC version and take no lock at all; the
   remaining session/catalog reads share the lock;
-* *writes* (``insert``, ``delete``, ``update``, ``add_user``) are exclusive,
+* *writes* (DML statements, batches, ``add_user``) are exclusive,
   which makes every update atomic and the whole history linearizable: the
   order in which writers acquire the lock *is* the serial order (on a
   durable database the WAL records it, and tests recover from it to check
@@ -807,29 +807,6 @@ class BeliefServer:
     def _op_users(self, session: ClientSession, params: dict[str, Any]) -> Any:
         return [[uid, name] for uid, name in sorted(self.db.users().items(),
                                                     key=lambda kv: repr(kv[0]))]
-
-    def _op_insert(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        path, relation, values, sign = self._statement_params(session, params)
-        return self.db.insert(path, relation, values, sign)
-
-    def _op_delete(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        path, relation, values, sign = self._statement_params(session, params)
-        return self.db.delete(path, relation, values, sign)
-
-    def _statement_params(
-        self, session: ClientSession, params: dict[str, Any]
-    ) -> tuple[tuple[Any, ...], str, list[Any], str]:
-        relation = _require(params, "relation")
-        values = _require(params, "values")
-        if not isinstance(values, (list, tuple)):
-            raise BeliefDBError("values must be a list")
-        raw_path = params.get("path")
-        if raw_path is not None and not isinstance(raw_path, (list, tuple)):
-            raise BeliefDBError("path must be a list of users (or null)")
-        path = session.effective_path(raw_path)
-        resolved = tuple(self.db.store.resolve_user(u) for u in path)
-        sign = params.get("sign", "+")
-        return resolved, relation, list(values), sign
 
     # ------------------------------------------------- prepared statements
 

@@ -48,7 +48,7 @@ from repro.beliefsql.ast import (
     UpdateStatement,
 )
 from repro.bdms.transaction import Transaction
-from repro.core.paths import User
+from repro.core.paths import User, validate_path
 from repro.errors import BeliefDBError, TransactionError
 from repro.server.protocol import estimated_row_bytes
 
@@ -115,7 +115,9 @@ class ClientSession:
             self.default_path = ()
 
     def set_path(self, path: Sequence[User]) -> None:
-        """Override the default belief path (``()`` = plain content)."""
+        """Override the default belief path (``()`` = plain content);
+        a path with adjacent repeated users raises :class:`InvalidBeliefPath`."""
+        validate_path(path)
         with self._mutex:
             self.default_path = tuple(path)
 

@@ -124,7 +124,11 @@ class ClientDriver:
     def insert(
         self, path: Sequence[Any], relation: str, values: Sequence[Any]
     ) -> None:
-        self.client.insert(relation, values, path=path)
+        marks = ", ".join("?" * len(values))
+        self.client.execute_prepared(
+            f"insert into {'BELIEF ? ' * len(path)}{relation} values ({marks})",
+            [*path, *values],
+        )
 
 
 # ------------------------------------------------------------------ phases

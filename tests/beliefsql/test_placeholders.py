@@ -19,7 +19,12 @@ from repro.beliefsql.compiler import (
 from repro.beliefsql.parser import parse_beliefsql
 from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
-from repro.errors import BeliefSQLError, ParameterBindingError
+from repro.errors import (
+    BeliefSQLCompileError,
+    BeliefSQLError,
+    BeliefSQLSyntaxError,
+    ParameterBindingError,
+)
 
 SCHEMA = sightings_schema()
 
@@ -262,3 +267,70 @@ class TestQuotingSafety:
             (self.SPIKY,),
         ).rows
         assert rows == [(self.SPIKY,)]
+
+
+# ------------------------------------------ one-tuple forms: NOT and VALUES
+
+
+class TestTupleForms:
+    """``NOT`` with no ``BELIEF`` and ``DELETE … VALUES``: the two forms a
+    remote client writes one tuple with. The router forwards
+    ``str(rewritten)`` to a worker, so each must re-parse to itself."""
+
+    FORMS = [
+        "insert into not Sightings values (?, 'it''s', 1.5, -3, ?)",
+        "delete from Sightings values (?, 'it''s', 1.5, -3, ?)",
+        "delete from not Sightings values ('s1', ?, 'O''Hare', 2, 'l')",
+        "delete from BELIEF ? not Sightings values (?, ?, ?, ?, 'x')",
+        "select S.sid from Sightings as S, not Sightings as N "
+        "where S.sid = N.sid and N.species = 'it''s'",
+    ]
+
+    @pytest.mark.parametrize("sql", FORMS)
+    def test_form_round_trips_through_str(self, sql):
+        stmt = parse_beliefsql(sql)
+        assert parse_beliefsql(str(stmt)) == stmt
+
+    def test_not_without_belief_is_a_negative_at_the_own_world(self):
+        stmt = parse_beliefsql("insert into not Sightings values (?,?,?,?,?)")
+        assert stmt.belief.path == () and stmt.belief.negated
+        compiled = compile_insert(stmt, SCHEMA)
+        assert compiled.path == () and str(compiled.sign) == "-"
+
+    def test_delete_values_binds_every_column(self):
+        stmt = parse_beliefsql("delete from Sightings values (?, 'c', ?, 'd', ?)")
+        assert stmt.conditions == ()
+        assert stmt.values == (Placeholder(0), "c", Placeholder(1), "d",
+                               Placeholder(2))
+        assert statement_placeholders(stmt) == 3
+        bound = bind_statement(stmt, ("s1", "crow", "l"))
+        assert bound.values == ("s1", "c", "crow", "d", "l")
+        assert parse_beliefsql(str(bound)) == bound
+
+    def test_session_rewrite_keeps_not(self):
+        from repro.server.session import ClientSession
+
+        session = ClientSession()
+        session.login(7, "Bob")
+        for sql in ("insert into not Sightings values (?,?,?,?,?)",
+                    "delete from not Sightings values (?,?,?,?,?)"):
+            rewritten = session.rewrite(parse_beliefsql(sql))
+            assert rewritten.belief.negated
+            assert [p.value for p in rewritten.belief.path] == [7]
+            assert parse_beliefsql(str(rewritten)) == rewritten
+
+    @pytest.mark.parametrize("values", ["(?)", "('s1', 'u', 'sp', 'd', 'l', 6)"])
+    def test_delete_values_arity_is_a_compile_error(self, values):
+        stmt = parse_beliefsql(f"delete from Sightings values {values}")
+        with pytest.raises(BeliefSQLCompileError, match="expects 5 values"):
+            compile_delete(stmt, SCHEMA)
+
+    @pytest.mark.parametrize("sql", [
+        "delete from not not Sightings values (1)",
+        "delete from Sightings values ()",
+        "delete from Sightings values (1) where sid = 1",
+        "delete from Sightings values (S.sid)",
+    ])
+    def test_malformed_forms_are_syntax_errors(self, sql):
+        with pytest.raises(BeliefSQLSyntaxError):
+            parse_beliefsql(sql)

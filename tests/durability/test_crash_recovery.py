@@ -34,12 +34,14 @@ from repro.core.schema import experiment_schema
 from repro.durability import DurabilityManager
 from repro.server import BeliefClient
 from repro.workload.generator import concurrent_trace
+from tests.wire_sql import tuple_write
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 N_USERS = 4
 OPS_PER_USER = 400
 KILL_AFTER_ACKS = 80
+INSERT = "insert into Sightings values (?,?,?,?,?)"
 
 
 def _spawn_server(
@@ -98,7 +100,9 @@ def _worker(
                     client.drain(client.execute_prepared(op.sql))
                     continue
                 sign = "+" if op.kind == "insert" else "-"
-                ok = client.insert(op.relation, list(op.values), sign=sign)
+                ok = client.execute_prepared(*tuple_write(
+                    "insert", op.relation, op.values, sign=sign
+                ))["rowcount"]
                 # Only now — after the server's response arrived — is this
                 # write acknowledged.
                 with lock:
@@ -200,9 +204,9 @@ def test_restart_after_clean_shutdown_replays_nothing(tmp_path):
         with BeliefClient(*address) as client:
             client.login("Carol", create=True)
             for i in range(5):
-                assert client.insert(
-                    "Sightings", [f"s{i}", "Carol", "crow", "6-14-08", "loc"]
-                )
+                assert client.execute_prepared(
+                    INSERT, [f"s{i}", "Carol", "crow", "6-14-08", "loc"]
+                )["rowcount"] == 1
         proc.send_signal(signal.SIGINT)
         proc.wait(timeout=15)
     finally:

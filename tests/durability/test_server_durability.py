@@ -9,6 +9,8 @@ from repro.core.schema import sightings_schema
 from repro.durability import DurabilityManager, snapshot as snap
 from repro.server import BeliefClient, BeliefServer
 
+INSERT = "insert into Sightings values (?,?,?,?,?)"
+
 
 def _durable(tmp_path) -> BeliefDBMS:
     return BeliefDBMS(
@@ -23,8 +25,8 @@ def test_background_checkpoint_thread(tmp_path):
         with BeliefClient(*server.address) as client:
             client.login("Carol", create=True)
             for i in range(5):
-                client.insert(
-                    "Sightings", [f"s{i}", "Carol", "crow", "6-14-08", "loc"]
+                client.execute_prepared(
+                    INSERT, [f"s{i}", "Carol", "crow", "6-14-08", "loc"]
                 )
             deadline = time.time() + 10
             while time.time() < deadline:
@@ -50,9 +52,9 @@ def test_idle_durable_server_does_not_rewrite_snapshots(tmp_path):
     db.add_user("Carol")
     with BeliefServer(db, checkpoint_interval=0.02) as server:
         with BeliefClient(*server.address) as client:
-            client.insert(
-                "Sightings", ["s1", "Carol", "crow", "6-14-08", "loc"],
-                path=["Carol"],
+            client.execute_prepared(
+                "insert into BELIEF 'Carol' Sightings values (?,?,?,?,?)",
+                ["s1", "Carol", "crow", "6-14-08", "loc"],
             )
         deadline = time.time() + 10
         while time.time() < deadline:
@@ -104,11 +106,11 @@ def test_server_write_path_is_wal_logged_before_ack(tmp_path):
     with BeliefServer(db) as server:
         with BeliefClient(*server.address) as client:
             client.login("Carol", create=True)
-            assert client.insert(
-                "Sightings", ["s1", "Carol", "bald eagle", "6-14-08", "loc"]
-            )
             assert client.execute_prepared(
-                "insert into Sightings values (?,?,?,?,?)",
+                INSERT, ["s1", "Carol", "bald eagle", "6-14-08", "loc"]
+            )["rowcount"] == 1
+            assert client.execute_prepared(
+                INSERT,
                 ["s2", "Carol", "crow", "6-15-08", "Union Bay"],
             )["rowcount"] == 1
     db.close()  # crash-equivalent: flush only, no checkpoint

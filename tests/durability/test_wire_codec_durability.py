@@ -59,11 +59,18 @@ def _run_workload(data_dir: Path, wire: str) -> bytes:
                     "insert into Sightings values (?,?,?,?,?)"
                 )
                 for row in ROWS[:8]:
-                    client.insert("Sightings", row)
+                    client.execute_prepared(
+                        "insert into Sightings values (?,?,?,?,?)", row
+                    )
                 client.execute_batch(stmt, ROWS[8:16])
                 for row in ROWS[16:20]:
                     client.execute_prepared(stmt, row)
-                client.dispute("Sightings", ROWS[0])
+                client.execute_prepared(
+                    "insert into not Sightings values (?,?,?,?,?)", ROWS[0]
+                )
+                client.execute_prepared(
+                    "delete from not Sightings values (?,?,?,?,?)", ROWS[0]
+                )
                 client.begin()
                 client.execute_prepared(stmt, ROWS[20])
                 client.commit()

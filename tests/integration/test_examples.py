@@ -26,6 +26,8 @@ FAST_EXAMPLES = [
     "beliefsql_tour.py",
     "concurrent_curation.py",
     "curation_transaction.py",
+    "lifecycle_audit.py",
+    "overhead_study.py",
 ]
 
 

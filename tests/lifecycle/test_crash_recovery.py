@@ -24,7 +24,7 @@ from repro.durability import DurabilityManager
 from repro.lifecycle.model import PROPOSED, TRANSITIONS
 from repro.server import BeliefClient
 
-from tests.durability.test_crash_recovery import _kill, _spawn_server
+from tests.durability.test_crash_recovery import INSERT, _kill, _spawn_server
 
 N_CURATORS = 3
 BELIEFS_PER_CURATOR = 2
@@ -48,7 +48,7 @@ def _curate(
             beliefs: list[str] = []
             for i in range(BELIEFS_PER_CURATOR):
                 row = [f"{name}-s{i}", name, "crow", "6-14-08", "lake"]
-                assert client.insert("Sightings", row)
+                assert client.execute_prepared(INSERT, row)["rowcount"] == 1
                 view = client.lifecycle_propose(
                     "Sightings", row, confidence=0.8,
                     decay="exponential:3600", derived_from=[name],
@@ -73,7 +73,7 @@ def _curate(
                         row = [f"{name}-s{gen}", name, "crow",
                                "6-14-08", "lake"]
                         gen += 1
-                        assert client.insert("Sightings", row)
+                        assert client.execute_prepared(INSERT, row)["rowcount"] == 1
                         view = client.lifecycle_propose(
                             "Sightings", row, confidence=0.8,
                         )

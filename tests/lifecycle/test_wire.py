@@ -23,14 +23,15 @@ from repro.shard import ShardCluster
 
 S1 = ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"]
 S2 = ["s2", "Carol", "crow", "6-15-08", "Discovery Park"]
+INSERT = "insert into Sightings values (?,?,?,?,?)"
 
 
 def _seed(client: BeliefClient) -> dict[str, str]:
     client.login("Carol", create=True)
     client.login("Bob", create=True)
     client.login("Carol")
-    assert client.insert("Sightings", S1)
-    assert client.insert("Sightings", S2)
+    assert client.execute_prepared(INSERT, S1)["rowcount"] == 1
+    assert client.execute_prepared(INSERT, S2)["rowcount"] == 1
     root = client.lifecycle_propose(
         "Sightings", S1, confidence=0.9, decay="exponential:3600",
         derived_from=["Bob"],
@@ -205,7 +206,7 @@ class TestShardRouter:
             for name in ("FanA", "FanB", "FanC", "FanD"):
                 client.login(name, create=True)
                 row = [f"fs-{name}", name, "heron", "7-1-08", "lake"]
-                assert client.insert("Sightings", row)
+                assert client.execute_prepared(INSERT, row)["rowcount"] == 1
                 client.lifecycle_propose(
                     "Sightings", row, decay="exponential:60",
                 )
@@ -224,7 +225,7 @@ class TestShardRouter:
         with BeliefClient(*cluster.address) as client:
             client.login("FinderX", create=True)
             row = ["fx1", "FinderX", "loon", "7-2-08", "bay"]
-            assert client.insert("Sightings", row)
+            assert client.execute_prepared(INSERT, row)["rowcount"] == 1
             bid = client.lifecycle_propose("Sightings", row)["belief"]
         # A fresh connection with no session path still finds the record.
         with BeliefClient(*cluster.address) as other:

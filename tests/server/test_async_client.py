@@ -18,6 +18,8 @@ from repro.errors import BeliefDBError, RejectedUpdateError
 from repro.server import AsyncBeliefClient, AsyncBeliefServer
 from repro.server.client import ConnectionLost
 
+INSERT = "insert into Sightings values (?,?,?,?,?)"
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -33,8 +35,8 @@ def test_gather_pipelines_and_correlates(server):
     async def main():
         async with await AsyncBeliefClient.connect(*server.address) as client:
             for i in range(8):
-                await client.insert(
-                    "Sightings", [f"s{i}", "Carol", f"sp{i}", "d", "l"]
+                await client.execute_prepared(
+                    INSERT, [f"s{i}", "Carol", f"sp{i}", "d", "l"]
                 )
             payloads = await asyncio.gather(*[
                 client.execute_prepared(
@@ -57,9 +59,10 @@ def test_session_ops_and_errors(server):
             info = await client.login("Carol", create=True)
             assert info["user_name"] == "Carol"
             assert (await client.whoami())["user_name"] == "Carol"
-            assert await client.insert(
-                "Sightings", ["s1", "Carol", "crow", "d", "l"]
+            inserted = await client.execute_prepared(
+                INSERT, ["s1", "Carol", "crow", "d", "l"]
             )
+            assert inserted["rowcount"] == 1
             assert await client.believes(
                 "Sightings", ["s1", "Carol", "crow", "d", "l"],
                 path=["Carol"],
@@ -78,12 +81,13 @@ def test_strict_rejection_maps_to_typed_error():
                 *server.address
             ) as client:
                 await client.login("Carol", create=True)
-                assert await client.insert(
-                    "Sightings", ["s1", "Carol", "crow", "d", "l"]
+                inserted = await client.execute_prepared(
+                    INSERT, ["s1", "Carol", "crow", "d", "l"]
                 )
+                assert inserted["rowcount"] == 1
                 with pytest.raises(RejectedUpdateError):
-                    await client.insert(
-                        "Sightings", ["s1", "Carol", "crow", "d", "l"]
+                    await client.execute_prepared(
+                        INSERT, ["s1", "Carol", "crow", "d", "l"]
                     )
 
         run(main())
@@ -96,8 +100,8 @@ def test_cancellation_mid_pipeline_keeps_correlation(server):
     async def main():
         async with await AsyncBeliefClient.connect(*server.address) as client:
             for i in range(6):
-                await client.insert(
-                    "Sightings", [f"s{i}", "Carol", f"sp{i}", "d", "l"]
+                await client.execute_prepared(
+                    INSERT, [f"s{i}", "Carol", f"sp{i}", "d", "l"]
                 )
             tasks = [
                 asyncio.ensure_future(client.execute_prepared(

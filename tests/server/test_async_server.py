@@ -23,6 +23,7 @@ from repro.server import AsyncBeliefServer, BeliefClient
 from repro.server.client import ConnectionLost
 from repro.workload.generator import concurrent_trace
 from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
+from tests.wire_sql import tuple_write
 
 S1 = ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"]
 
@@ -84,7 +85,7 @@ def test_stop_closes_connections_with_requests_in_flight():
     dispatch = server._dispatch
 
     def held_dispatch(session, request):
-        if request.op == "insert":
+        if request.op == "execute_prepared":
             tasks_cancelled.wait(5)
         return dispatch(session, request)
 
@@ -101,8 +102,9 @@ def test_stop_closes_connections_with_requests_in_flight():
         client.login("Carol", create=True)
         pending = [
             client.submit(
-                "insert", relation="Sightings", path=["Carol"], sign="+",
-                values=[f"p{i}", "Carol", "crow", "d", "l"],
+                "execute_prepared",
+                sql="insert into Sightings values (?,?,?,?,?)",
+                params=[f"p{i}", "Carol", "crow", "d", "l"],
             )
             for i in range(6)
         ]
@@ -188,15 +190,19 @@ def test_concurrent_workload_linearizes(tmp_path):
                         if op.kind == "select":
                             client.drain(client.execute_prepared(op.sql))
                             continue
-                        sign = "+" if op.kind == "insert" else "-"
+                        sql, params = tuple_write(
+                            "insert", op.relation, op.values,
+                            sign="+" if op.kind == "insert" else "-",
+                        )
                         window.append(client.submit(
-                            "insert", relation=op.relation,
-                            values=list(op.values), path=None, sign=sign,
+                            "execute_prepared", sql=sql, params=params,
                         ))
                         if len(window) >= 8:
-                            accepted.extend(r.result() for r in window)
+                            accepted.extend(
+                                r.result()["rowcount"] for r in window
+                            )
                             window.clear()
-                    accepted.extend(r.result() for r in window)
+                    accepted.extend(r.result()["rowcount"] for r in window)
             except Exception as exc:  # noqa: BLE001
                 errors.append((name, exc))
 
@@ -214,7 +220,7 @@ def test_concurrent_workload_linearizes(tmp_path):
     log = wal_records(db)
     assert [r["seq"] for r in log] == list(range(1, len(log) + 1))
     # A rejected op leaves no WAL record and no state.
-    assert sum(r["op"] == "insert" for r in log) == sum(accepted)
+    assert sum(r["op"] == "execute" for r in log) == sum(accepted)
     assert db.annotation_count() == sum(accepted)
     with recovered_from_wal(db):
         pass  # explicit statements, users, entailed worlds all compared
@@ -312,7 +318,10 @@ def test_unframeable_response_gets_typed_error_and_connection_survives(server):
     big = "x" * 300_000
     with BeliefClient(*server.address) as client:
         for i in range(4):
-            client.insert("Sightings", [f"s{i}", "Carol", big, "d", "l"])
+            client.execute_prepared(
+                "insert into Sightings values (?,?,?,?,?)",
+                [f"s{i}", "Carol", big, "d", "l"],
+            )
         with pytest.raises(FrameTooLargeError, match="frame ceiling"):
             # The world op answers in one frame: ~1.2 MiB of tuples here,
             # over the 1 MiB ceiling. (Selects and BCQs page by bytes.)

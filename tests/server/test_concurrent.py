@@ -18,11 +18,14 @@ from repro.core.schema import experiment_schema, sightings_schema
 from repro.server import AsyncBeliefServer, BeliefClient, BeliefServer
 from repro.workload.generator import concurrent_trace
 from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
+from tests.wire_sql import tuple_write
 
 N_CLIENTS = 10
 OPS_PER_CLIENT = 15
 
 SPECIES = ["bald eagle", "fish eagle", "crow", "raven", "osprey"]
+INSERT_SQL = "insert into Sightings values (?,?,?,?,?)"
+DISPUTE_SQL = "insert into BELIEF ? not Sightings values (?,?,?,?,?)"
 
 
 def _worker(address, name: str, index: int, barrier: threading.Barrier,
@@ -40,17 +43,17 @@ def _worker(address, name: str, index: int, barrier: threading.Barrier,
                 if k % 3 == 2:
                     # Dispute a tuple someone (maybe) believes.
                     other = SPECIES[(index + k + 1) % len(SPECIES)]
-                    ok = client.dispute(
-                        "Sightings",
+                    ok = client.execute_prepared(
+                        "insert into not Sightings values (?,?,?,?,?)",
                         [sid, name, other, "6-14-08", "Lake Forest"],
-                    )
+                    )["rowcount"]
                 else:
                     if k % 7 == 5:
                         client.drain(client.execute_prepared(
                             f"select S.sid from BELIEF '{name}' "
                             "Sightings as S"
                         ))
-                    ok = client.insert("Sightings", values)
+                    ok = client.execute_prepared(INSERT_SQL, values)["rowcount"]
                 accepted.append(bool(ok))
     except Exception as exc:  # noqa: BLE001 — surface to the main thread
         errors.append((name, exc))
@@ -97,7 +100,7 @@ def test_concurrent_writes_logged_in_serial_order(concurrent_run):
     # Every accepted write is one record; a rejected one (Alg. 4 said no)
     # leaves no WAL record and no state.
     assert len(accepted) == N_CLIENTS * OPS_PER_CLIENT
-    assert sum(r["op"] == "insert" for r in log) == sum(accepted)
+    assert sum(r["op"] == "execute" for r in log) == sum(accepted)
     assert db.annotation_count() == sum(accepted)
 
 
@@ -123,8 +126,8 @@ def test_concurrent_readers_see_consistent_snapshots():
                 with BeliefClient(*server.address) as client:
                     client.login("writer", create=True)
                     for k in range(60):
-                        client.insert(
-                            "Sightings",
+                        client.execute_prepared(
+                            INSERT_SQL,
                             [f"w{k}", "writer", "crow", "6-14-08", "Union Bay"],
                         )
             except Exception as exc:  # noqa: BLE001
@@ -155,10 +158,6 @@ def test_concurrent_readers_see_consistent_snapshots():
         assert db.annotation_count() == 60
 
 
-INSERT_SQL = "insert into Sightings values (?,?,?,?,?)"
-DISPUTE_SQL = "insert into BELIEF ? not Sightings values (?,?,?,?,?)"
-
-
 def _drive(discipline: str, client: BeliefClient, user: str, ops) -> None:
     """One ``concurrent_trace`` stream, sent the way ``discipline`` says.
 
@@ -168,11 +167,12 @@ def _drive(discipline: str, client: BeliefClient, user: str, ops) -> None:
     writes = [op for op in ops if op.kind != "select"]
     if discipline == "pipelined":
         replies = [
-            client.submit(
-                "insert", relation=op.relation, values=list(op.values),
-                path=None, sign="+" if op.kind == "insert" else "-",
+            client.submit("execute_prepared", sql=sql, params=params)
+            for sql, params in (
+                tuple_write("insert", op.relation, op.values,
+                            sign="+" if op.kind == "insert" else "-")
+                for op in writes
             )
-            for op in writes
         ]
         for reply in replies:
             reply.result()

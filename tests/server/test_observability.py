@@ -174,9 +174,9 @@ def test_wal_and_lock_metrics_move_on_durable_writes(tmp_path):
     with BeliefServer(db) as server:
         client = BeliefClient(*server.address)
         try:
-            client.call(
-                "insert", path=["Carol"], relation="Sightings",
-                values=["s1", "Carol", "bald eagle", "2008-05-12", "HMP"],
+            client.execute_prepared(
+                "insert into BELIEF 'Carol' Sightings values (?,?,?,?,?)",
+                ["s1", "Carol", "bald eagle", "2008-05-12", "HMP"],
             )
             families = _families(client)
         finally:

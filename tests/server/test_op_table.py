@@ -37,8 +37,8 @@ GOLDEN = [
     (0x05, "set_path", ("path",)),
     (0x06, "add_user", ("name",)),
     (0x07, "users", ()),
-    (0x08, "insert", _TUPLE),
-    (0x09, "delete", _TUPLE),
+    (0x08, "insert", _TUPLE),  # retired; the slot stays reserved
+    (0x09, "delete", _TUPLE),  # retired; the slot stays reserved
     (0x0A, "execute", ("sql",)),  # retired; the slot stays reserved
     (0x0B, "prepare", ("sql",)),
     (0x0C, "execute_prepared", ("stmt", "sql", "params", "max_rows")),
@@ -93,8 +93,8 @@ def test_table_is_well_formed():
         assert spec.route in (None, "local", "by_path", "fanout", "custom")
         # An op without a code says out loud that it rides the escape.
         assert spec.code is not None or spec.json_escape, spec.name
-    # Served = everything but the transport-level hello and retired execute.
-    assert set(names) - set(OPS) == {"hello", "execute"}
+    # Served = everything but the transport-level hello and the retired ops.
+    assert set(names) - set(OPS) == {"hello", "insert", "delete", "execute"}
 
 
 def test_json_escape_is_what_the_table_says():
@@ -161,8 +161,6 @@ CALLS = {
     "login": {"user": "Carol", "create": True},
     "set_path": {"path": []},
     "add_user": {"name": "Bob"},
-    "insert": {"relation": "Sightings", "values": ROW},
-    "delete": {"relation": "Sightings", "values": ROW},
     "prepare": {"sql": SELECT},
     "execute_prepared": {"sql": SELECT},
     "execute_batch": {"sql": INSERT, "param_rows": [ROW]},
@@ -236,7 +234,7 @@ def test_in_txn_column_is_the_refusal(counting_server):
     assert _dispatch(server, session, "begin").ok
     counts[:] = [0, 0]
     refused = sorted(n for n, s in OPS.items() if not s.in_txn)
-    assert refused == ["delete", "insert", "lifecycle"]
+    assert refused == ["lifecycle"]
     for op in refused:
         response = _dispatch(server, session, op)
         assert not response.ok

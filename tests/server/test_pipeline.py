@@ -35,6 +35,7 @@ from repro.server.client import ConnectionLost
 from tests.wal_oracle import durable_db, recovered_from_wal, wal_records
 
 S = ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"]
+INSERT = "insert into Sightings values (?,?,?,?,?)"
 
 SERVER_CORES = ("threaded", "async")
 
@@ -69,9 +70,8 @@ def test_pipelined_window_resolves_in_any_order(client):
     client.login("Carol", create=True)
     pending = [
         client.submit(
-            "insert", relation="Sightings",
-            values=[f"s{i}", "Carol", "crow", "d", "l"],
-            path=None, sign="+",
+            "execute_prepared", sql=INSERT,
+            params=[f"s{i}", "Carol", "crow", "d", "l"],
         )
         for i in range(12)
     ]
@@ -79,14 +79,16 @@ def test_pipelined_window_resolves_in_any_order(client):
     # Resolve in reverse submission order: each reply must still carry the
     # answer to ITS request (all accepts here — asserted per reply).
     for reply in reversed(pending):
-        assert reply.result() is True
+        assert reply.result()["rowcount"] == 1
     assert client.inflight == 0
 
 
 def test_each_reply_matches_its_request(client):
     """Distinguishable payloads prove correlation, not just completion."""
     for i in range(6):  # plain content (no session), visible to bare selects
-        client.insert("Sightings", [f"s{i}", "Carol", f"species{i}", "d", "l"])
+        client.execute_prepared(
+            INSERT, [f"s{i}", "Carol", f"species{i}", "d", "l"]
+        )
     pending = {
         i: client.submit(
             "execute_prepared",
@@ -126,12 +128,12 @@ def test_reply_resolves_exactly_once(client):
 
 def test_errors_travel_back_to_the_right_reply(client):
     client.login("Carol", create=True)
-    ok = client.submit("insert", relation="Sightings", values=list(S),
-                       path=None, sign="+")
-    bad = client.submit("insert", relation="NoSuchRelation", values=["x"],
-                        path=None, sign="+")
+    ok = client.submit("execute_prepared", sql=INSERT, params=list(S))
+    bad = client.submit("execute_prepared",
+                        sql="insert into NoSuchRelation values (?)",
+                        params=["x"])
     also_ok = client.submit("ping")
-    assert ok.result() is True
+    assert ok.result()["rowcount"] == 1
     with pytest.raises(BeliefDBError):
         bad.result()
     assert also_ok.result() == "pong"
@@ -314,9 +316,8 @@ def test_lost_pipeline_then_reconnect_never_replays(core):
         client.login("Carol", create=True)
         pending = [
             client.submit(
-                "insert", relation="Sightings",
-                values=[f"p{i}", "Carol", "crow", "d", "l"],
-                path=["Carol"], sign="+",
+                "execute_prepared", sql=INSERT,
+                params=[f"p{i}", "Carol", "crow", "d", "l"],
             )
             for i in range(6)
         ]
@@ -334,7 +335,7 @@ def test_lost_pipeline_then_reconnect_never_replays(core):
         # The next call reconnects; no lost insert is silently retried.
         assert client.ping()
         assert db.annotation_count() == applied_before
-        acked = sum(1 for o in outcomes if o is True)
+        acked = sum(1 for o in outcomes if o != "lost" and o["rowcount"])
         assert acked <= applied_before  # every ack corresponds to a write
     finally:
         client.close()

@@ -16,6 +16,7 @@ from repro.server.client import ConnectionLost
 from repro.server.server import ReadWriteLock
 
 S1 = ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"]
+INSERT = "insert into Sightings values (?,?,?,?,?)"
 
 
 @pytest.fixture
@@ -149,41 +150,47 @@ def test_explicit_belief_prefix_wins_over_session(client):
 def test_set_path_controls_default_world(client):
     client.login("Carol", create=True)
     client.set_path([])  # back to plain content
-    client.insert("Sightings", S1)
+    client.execute_prepared(INSERT, S1)
     root = client.world(path=[])
     assert len(root["positives"]) == 1
 
 
 def test_insert_query_delete_cycle(client):
     client.login("Carol", create=True)
-    assert client.insert("Sightings", S1) is True
+    assert client.execute_prepared(INSERT, S1)["rowcount"] == 1
     payload = client.execute_prepared("select S.sid, S.species "
                                       "from BELIEF 'Carol' Sightings as S")
     assert payload["rows"] == [["s1", "bald eagle"]]
-    assert client.delete("Sightings", S1) is True
+    deleted = client.execute_prepared(
+        "delete from Sightings values (?,?,?,?,?)", S1
+    )
+    assert deleted["rowcount"] == 1
     assert client.execute_prepared(
         "select S.sid from BELIEF 'Carol' Sightings as S"
     )["rows"] == []
 
 
 def test_dispute_inserts_negative_belief(client):
-    client.login("Carol", create=True)
-    client.insert("Sightings", S1, path=[])
+    client.execute_prepared(INSERT, S1)  # no login: the root world
     client.add_user("Bob")
     bob = BeliefClient(*((client.host, client.port)))
     try:
         bob.login("Bob")
-        assert bob.dispute("Sightings", S1) is True
+        disputed = bob.execute_prepared(
+            "insert into not Sightings values (?,?,?,?,?)", S1
+        )
+        assert disputed["rowcount"] == 1
         assert bob.believes("Sightings", S1, sign="-")
+        assert not bob.believes("Sightings", S1)
     finally:
         bob.close()
 
 
 def test_rejected_update_raises_matching_local_class(client):
     client.login("Carol", create=True)
-    client.insert("Sightings", S1)
+    client.execute_prepared(INSERT, S1)
     with pytest.raises(RejectedUpdateError):
-        client.insert("Sightings", S1)  # duplicate
+        client.execute_prepared(INSERT, S1)  # duplicate
 
 
 def test_unknown_op_gets_error_response_not_disconnect(server, client):
@@ -200,7 +207,7 @@ def test_malformed_sql_gets_error_response(client):
 
 def test_stats_and_introspection(client):
     client.login("Carol", create=True)
-    client.insert("Sightings", S1)
+    client.execute_prepared(INSERT, S1)
     stats = client.stats()
     assert stats["users"] == 1
     assert stats["annotations"] == 1

@@ -6,8 +6,8 @@ the transaction itself is **per-session** server state (like prepared
 statements and cursors), shared by both server cores. The rules under
 test:
 
-* in-transaction DML stages; other sessions and the programmatic
-  write ops are unaffected or rejected loudly;
+* in-transaction DML stages (one-tuple writes are DML too); other
+  sessions are unaffected and the lifecycle write op is rejected loudly;
 * ``commit`` applies under one write-lock acquisition and lands in the
   WAL as one framed group that recovers to the identical state;
 * a lost connection aborts — never silently retries — an open
@@ -106,15 +106,39 @@ def test_programmatic_ops_rejected_in_transaction(core):
         with BeliefClient(*server.address) as client:
             client.login("Carol", create=True)
             client.begin()
+            # A lifecycle write compares against the live registry.
             with pytest.raises(TransactionError, match="not transactional"):
-                client.insert("Sightings", ROW)
-            with pytest.raises(TransactionError, match="not transactional"):
-                client.delete("Sightings", ROW)
+                client.lifecycle_propose("Sightings", ROW)
             # Reads keep working.
             assert client.execute_prepared(
                 "select S.sid from Sightings as S"
             )["rows"] == []
             client.rollback()
+
+
+@CORES
+def test_tuple_sql_forms_stage_in_a_transaction(core):
+    """A negative insert and a delete by full tuple are DML like any
+    other: staged, invisible to the store until commit."""
+    db, server = _server(core)
+    other = ["s2"] + ROW[1:]
+    with server:
+        with BeliefClient(*server.address) as client:
+            client.login("Carol", create=True)
+            client.begin()
+            for sql, row in (
+                (INSERT, ROW),
+                ("insert into not Sightings values (?,?,?,?,?)", other),
+                ("delete from Sightings values (?,?,?,?,?)", ROW),
+            ):
+                payload = client.execute_prepared(sql, row)
+                assert payload["rowcount"] == -1
+                assert payload["status"].endswith("STAGED")
+            assert db.annotation_count() == 0
+            assert client.commit()["rowcount"] == 3
+    assert not db.believes(["Carol"], "Sightings", ROW)
+    assert db.believes(["Carol"], "Sightings", other, "-")
+    assert not db.believes(["Carol"], "Sightings", other)
 
 
 @CORES

@@ -33,6 +33,16 @@ from repro.shard import ShardCluster
 
 ROW = ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"]
 WIRES = ("json", "binary", "auto")
+INSERT = "insert into Sightings values (?,?,?,?,?)"
+#: Retired ops with a request each: the ``execute`` text op and the
+#: ``insert`` / ``delete`` tuple ops (BeliefSQL writes one tuple now).
+RETIRED = (
+    ("execute", {"sql": "select S.sid from Sightings as S"}),
+    ("insert", {"relation": "Sightings", "values": ROW, "path": None,
+                "sign": "+"}),
+    ("delete", {"relation": "Sightings", "values": ROW, "path": None,
+                "sign": "+"}),
+)
 
 
 def _dbms() -> BeliefDBMS:
@@ -45,16 +55,17 @@ def _exercise(client: BeliefClient, sid: str) -> None:
     info = client.login("Carol", create=True)
     assert info["user_name"] == "Carol"
     row = [sid] + ROW[1:]
-    assert client.insert("Sightings", row)
+    assert client.execute_prepared(INSERT, row)["rowcount"] == 1
     rows = client.drain(client.execute_prepared(
         "select S.species from BELIEF 'Carol' Sightings as S "
         f"where S.sid = '{sid}'"
     ))
     assert rows == [["bald eagle"]]
-    # The retired op: a typed error on every endpoint and codec (binary
-    # still has its reserved code), and the connection survives it.
-    with pytest.raises(BeliefDBError, match="unknown operation 'execute'"):
-        client.call("execute", sql="select S.sid from Sightings as S")
+    # The retired ops: a typed error on every endpoint and codec (binary
+    # still has their reserved codes), and the connection survives them.
+    for op, params in RETIRED:
+        with pytest.raises(BeliefDBError, match=f"unknown operation '{op}'"):
+            client.call(op, **params)
     page = client.execute_prepared(
         "select S.sid from BELIEF 'Carol' Sightings as S where S.sid = ?",
         [sid],
@@ -93,16 +104,18 @@ def test_async_server_async_client(wire):
             info = await client.login("Carol", create=True)
             assert info["user_name"] == "Carol"
             row = [f"aa-{wire}"] + ROW[1:]
-            assert await client.insert("Sightings", row)
+            inserted = await client.execute_prepared(INSERT, row)
+            assert inserted["rowcount"] == 1
             page = await client.execute_prepared(
                 "select S.species from BELIEF 'Carol' Sightings as S "
                 f"where S.sid = 'aa-{wire}'"
             )
             assert page["rows"] == [["bald eagle"]]
-            with pytest.raises(
-                BeliefDBError, match="unknown operation 'execute'"
-            ):
-                await client.call("execute", sql="select 1")
+            for op, params in RETIRED:
+                with pytest.raises(
+                    BeliefDBError, match=f"unknown operation '{op}'"
+                ):
+                    await client.call(op, **params)
             want = CODEC_JSON if wire == "json" else CODEC_BINARY
             assert client._codec.name == want
 
@@ -139,9 +152,8 @@ def test_mixed_codecs_share_one_server_concurrently():
                     client.login(f"u{i}", create=True)
                     barrier.wait(timeout=30)
                     for j in range(10):
-                        client.insert(
-                            "Sightings",
-                            [f"m{i}-{j}", f"u{i}", "crow", "d", "l"],
+                        client.execute_prepared(
+                            INSERT, [f"m{i}-{j}", f"u{i}", "crow", "d", "l"]
                         )
                     got = client.drain(client.execute_prepared(
                         f"select S.sid from BELIEF 'u{i}' Sightings as S "

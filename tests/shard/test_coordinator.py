@@ -18,6 +18,8 @@ from repro.errors import ShardUnavailableError
 from repro.server.client import BeliefClient
 from repro.shard import Coordinator, ShardCluster, ShardDirectory, WorkerSpec
 
+INSERT = "insert into Sightings values (?,?,?,?,?)"
+
 
 def _wait_until(predicate, timeout: float = 15.0) -> bool:
     deadline = time.time() + timeout
@@ -135,7 +137,7 @@ def test_restart_recovers_the_wal_on_the_same_data_dir(tmp_path):
         with BeliefClient(*cluster.address) as client:
             client.login("Durable", create=True)
             row = ["wal-1", "u", "crane", "d", "l"]
-            assert client.insert("Sightings", row)
+            assert client.execute_prepared(INSERT, row)["rowcount"] == 1
             home = cluster.router.ring.shard_for("Durable")
             cluster.coordinator.kill_worker(home)
             assert _wait_until(
@@ -157,7 +159,7 @@ def test_router_refuses_typed_while_shard_is_down(tmp_path):
             home = cluster.router.ring.shard_for("Refused")
             cluster.coordinator.kill_worker(home)
             with pytest.raises(ShardUnavailableError) as excinfo:
-                client.insert("Sightings", ["r-1", "u", "loon", "d", "l"])
+                client.execute_prepared(INSERT, ["r-1", "u", "loon", "d", "l"])
             assert excinfo.value.code == "SHARD_UNAVAILABLE"
             # A single-world select routes to its world's home shard, so
             # worlds living on the surviving shard stay readable…
@@ -188,8 +190,8 @@ def test_shard_status_tracks_restarts_and_load():
         with BeliefClient(*cluster.address) as client:
             client.login("Loady", create=True)
             for i in range(10):
-                client.insert(
-                    "Sightings", [f"load-{i}", "u", "gull", "d", "l"]
+                client.execute_prepared(
+                    INSERT, [f"load-{i}", "u", "gull", "d", "l"]
                 )
             cluster.coordinator.kill_worker(0)
             assert _wait_until(

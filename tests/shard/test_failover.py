@@ -29,6 +29,7 @@ from repro.errors import ShardUnavailableError
 from repro.server.client import BeliefClient
 from repro.shard import HashRing, ShardCluster, WorkerSpec
 from repro.workload.generator import concurrent_trace
+from tests.wire_sql import tuple_write
 
 N_SHARDS = 2
 OPS_PER_USER = 250
@@ -79,9 +80,9 @@ def _writer(
                 deadline = time.time() + 60
                 while True:
                     try:
-                        ok = client.insert(
-                            op.relation, list(op.values), sign=sign
-                        )
+                        ok = client.execute_prepared(*tuple_write(
+                            "insert", op.relation, op.values, sign=sign
+                        ))["rowcount"]
                         break
                     except ShardUnavailableError:
                         # Typed, not-executed, safe to retry — the victim

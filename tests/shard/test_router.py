@@ -97,7 +97,7 @@ class TestSingleShardRouting:
         client.login(alice, create=True)
         client.call("add_user", name=bob)
         row = ["route-1", "u", "heron", "d", "l"]
-        assert client.insert("Sightings", row)
+        assert client.execute_prepared(INSERT, row)["rowcount"] == 1
         home = cluster.router.ring.shard_for(alice)
         for shard in range(cluster.n_shards):
             with _worker_client(cluster, shard) as direct:
@@ -110,7 +110,9 @@ class TestSingleShardRouting:
         assert client.call(
             "believes", relation="Sightings", values=row
         ) is True
-        client.delete("Sightings", row)
+        client.execute_prepared(
+            "delete from Sightings values (?,?,?,?,?)", row
+        )
         assert client.call(
             "believes", relation="Sightings", values=row
         ) is False
@@ -119,9 +121,7 @@ class TestSingleShardRouting:
         names = _pick_per_shard_names(cluster.n_shards)
         for name in names:
             client.login(name, create=True)
-            client.insert(
-                "Sightings", [f"w-{name}", "u", "owl", "d", "l"]
-            )
+            client.execute_prepared(INSERT, [f"w-{name}", "u", "owl", "d", "l"])
         for name in names:
             world = client.call("world", path=[name])
             assert any(f"w-{name}" in t for t in world["positives"])
@@ -183,8 +183,14 @@ def _believes_on(shape, request):
             ).address
         client = stack.enter_context(BeliefClient(*address))
         client.add_user(BELIEVER)
-        client.insert("Sightings", B_CROW, path=[BELIEVER])
-        client.insert("Sightings", B_EAGLE, path=[BELIEVER], sign="-")
+        client.execute_prepared(
+            "insert into BELIEF ? Sightings values (?,?,?,?,?)",
+            [BELIEVER, *B_CROW],
+        )
+        client.execute_prepared(
+            "insert into BELIEF ? not Sightings values (?,?,?,?,?)",
+            [BELIEVER, *B_EAGLE],
+        )
         yield lambda path, values, sign: client.believes(
             "Sightings", values, path=path, sign=sign
         )
@@ -209,7 +215,7 @@ class TestFanOutReads:
         alice, bob = _pick_per_shard_names(cluster.n_shards)[:2]
         for name, sid in ((alice, "fan-a"), (bob, "fan-b")):
             client.login(name, create=True)
-            client.insert("Sightings", [sid, "u", "kite", "d", "l"])
+            client.execute_prepared(INSERT, [sid, "u", "kite", "d", "l"])
         rows_a = client.drain(client.execute_prepared(
             f"select S.sid from BELIEF '{alice}' Sightings as S"
         ))
@@ -228,8 +234,8 @@ class TestFanOutReads:
     def test_fanout_select_pages_through_router_cursor(self, client):
         client.login("Pager", create=True)
         for i in range(40):
-            client.insert(
-                "Sightings", [f"page-{i:03d}", "u", "swift", "d", "l"]
+            client.execute_prepared(
+                INSERT, [f"page-{i:03d}", "u", "swift", "d", "l"]
             )
         payload = client.execute_prepared(
             "select S.sid from BELIEF 'Pager' Sightings as S",
@@ -329,7 +335,7 @@ class TestTransactions:
         with pytest.raises(TransactionError, match="already open"):
             client.begin()
         with pytest.raises(TransactionError, match="not transactional"):
-            client.insert("Sightings", ROW)
+            client.lifecycle_propose("Sightings", ROW)
         # An empty transaction commits as a no-op with the worker envelope.
         result = client.commit()
         assert result["kind"] == "commit"
@@ -451,7 +457,7 @@ class TestFrameCeiling:
         ) as client:
             client.login("Giant", create=True)
             with pytest.raises(FrameTooLargeError) as excinfo:
-                client.insert("Sightings", ["g-1", "u", giant, "d", "l"])
+                client.execute_prepared(INSERT, ["g-1", "u", giant, "d", "l"])
             assert excinfo.value.code == "FRAME_TOO_LARGE"
             # The connection survived the refusal.
             assert client.call("ping") == "pong"
@@ -558,9 +564,12 @@ def test_concurrent_curators_through_the_router(batched):
                     else:
                         for op in ops:
                             if op.kind == "insert":
-                                client.insert(op.relation, list(op.values))
+                                client.execute_prepared(INSERT, op.values)
                             elif op.kind == "dispute":
-                                client.dispute(op.relation, list(op.values))
+                                client.execute_prepared(
+                                    "insert into not Sightings "
+                                    "values (?,?,?,?,?)", op.values,
+                                )
                             else:
                                 client.drain(client.execute_prepared(op.sql))
                     rows = client.drain(client.execute_prepared(

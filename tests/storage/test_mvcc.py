@@ -283,8 +283,9 @@ def test_stats_op_over_the_wire_holds_no_pins():
             for i in range(10):
                 payload = client.stats()
                 assert "mvcc" in payload and "version" in payload
-                client.insert(
-                    "Sightings", [f"w{i}"] + list(ROW[1:]), path=["Carol"]
+                client.execute_prepared(
+                    "insert into BELIEF 'Carol' Sightings values (?,?,?,?,?)",
+                    [f"w{i}"] + list(ROW[1:]),
                 )
     stats = db.versions.snapshot_stats()
     assert stats["active_pins"] == 0
