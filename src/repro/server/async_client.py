@@ -327,15 +327,6 @@ class AsyncBeliefClient:
         assert payload is not None
         return payload
 
-    async def query(self, bcq: str) -> list[list[Any]]:
-        """All answers of a raw BCQ (paged server-side like a select)."""
-        page = await self.call("query", bcq=bcq)
-        rows, cursor = list(page["rows"]), page["cursor"]
-        while page["has_more"]:
-            page = await self.call("fetch", cursor=cursor)
-            rows.extend(page["rows"])
-        return rows
-
     async def believes(
         self,
         relation: str,

@@ -226,7 +226,7 @@ class AsyncBeliefServer(BeliefServer):
         if task is not None:
             task._belief_conn = True  # type: ignore[attr-defined]
         peername = writer.get_extra_info("peername") or ("?", 0)
-        session = ClientSession(f"{peername[0]}:{peername[1]}")
+        session = self.session_type(f"{peername[0]}:{peername[1]}")
         with self._state_lock:
             self.stats["connections_total"] += 1
             self.stats["connections_active"] += 1

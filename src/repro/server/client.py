@@ -847,10 +847,6 @@ class BeliefClient:
     def close_cursor(self, cursor_id: int) -> bool:
         return bool(self.call("close_cursor", cursor=cursor_id)["closed"])
 
-    def query(self, bcq: str) -> list[list[Any]]:
-        """All answers of a raw BCQ (paged server-side like a select)."""
-        return self.drain(self.call("query", bcq=bcq))
-
     def believes(
         self,
         relation: str,

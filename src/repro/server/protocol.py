@@ -94,7 +94,8 @@ class OpSpec:
     "unknown operation".
 
     ``route`` is the router rule: ``local`` (the inherited ``_op_<name>``
-    runs on the router's own session, no shard involved), ``by_path``
+    runs on the router's own session; user lookups go through the
+    router's user registry), ``by_path``
     (forward to the shard owning the belief path's head, path made
     explicit), ``fanout`` (every shard, answers joined under shard
     headings), ``custom`` (``_route_<name>``), or None — not served.
@@ -124,16 +125,17 @@ OP_TABLE: tuple[OpSpec, ...] = (
     OpSpec("hello", 0x00, ("codecs", "version"), lock=None, route=None),
     # session
     OpSpec("ping", 0x01, lock="none", route="local", shed_exempt=True),
-    OpSpec("login", 0x02, ("user", "create"), lock="write"),
-    OpSpec("logout", 0x03),
-    OpSpec("whoami", 0x04),
-    OpSpec("set_path", 0x05, ("path",)),
+    OpSpec("login", 0x02, ("user", "create"), lock="write", route="local"),
+    OpSpec("logout", 0x03, route="local"),
+    OpSpec("whoami", 0x04, route="local"),
+    OpSpec("set_path", 0x05, ("path",), route="local"),
     # user management
     OpSpec("add_user", 0x06, ("name",), lock="write"),
     OpSpec("users", 0x07),
     # Retired: nothing serves these; the slots stay so no later code moved
     # and an old frame still decodes to the typed error. A tuple write is
-    # BeliefSQL (``insert into [not] R values``, ``delete from R values``).
+    # BeliefSQL (``insert into [not] R values``, ``delete from R values``),
+    # and so is a read (a BeliefSQL select; BCQ is the embedded API's).
     OpSpec("insert", 0x08, _TUPLE, lock=None, route=None),
     OpSpec("delete", 0x09, _TUPLE, lock=None, route=None),
     OpSpec("execute", 0x0A, ("sql",), lock=None, route=None),
@@ -158,8 +160,8 @@ OP_TABLE: tuple[OpSpec, ...] = (
     OpSpec("begin", 0x11),
     OpSpec("commit", 0x12, lock="write", names_session_state=True),
     OpSpec("rollback", 0x13, names_session_state=True),
-    # queries
-    OpSpec("query", 0x14, ("bcq",), lock="pinned"),
+    # queries (``query``, raw BCQ text, is retired; see above)
+    OpSpec("query", 0x14, ("bcq",), lock=None, route=None),
     OpSpec("believes", 0x15, _TUPLE, lock="pinned", route="by_path"),
     OpSpec("world", 0x16, ("path",), lock="pinned", route="by_path"),
     OpSpec("worlds", 0x17, lock="pinned"),
@@ -180,7 +182,8 @@ OP_TABLE: tuple[OpSpec, ...] = (
 )
 
 #: The ops a server or router answers, by name (``hello`` and the retired
-#: ``insert`` / ``delete`` / ``execute`` hold codes but are not database ops).
+#: ``insert`` / ``delete`` / ``execute`` / ``query`` hold codes but are not
+#: database ops).
 OPS: dict[str, OpSpec] = {
     spec.name: spec for spec in OP_TABLE
     if spec.lock is not None or spec.route is not None

@@ -5,7 +5,7 @@ Concurrency model
 :class:`~repro.bdms.bdms.BeliefDBMS` is not internally synchronized, so the
 server guards it with a writer-preference :class:`ReadWriteLock`:
 
-* *reads* (``select``, ``query``, ``believes``, ``world``, ``stats``, ...)
+* *reads* (``select``, ``believes``, ``world``, ``stats``, ...)
   evaluate against a pinned MVCC version and take no lock at all; the
   remaining session/catalog reads share the lock;
 * *writes* (DML statements, batches, ``add_user``) are exclusive,
@@ -214,6 +214,10 @@ class BeliefServer:
         :class:`~repro.obs.trace.SlowOpLog`). ``slow_op_ms=None`` disables
         tracing; ``0`` traces every op.
     """
+
+    #: The per-connection state every request is dispatched with (the
+    #: shard router serves a subclass that also holds its upstreams).
+    session_type = ClientSession
 
     def __init__(
         self,
@@ -540,7 +544,7 @@ class BeliefServer:
     def _serve_connection(
         self, conn_id: int, conn: socket.socket, peer: str
     ) -> None:
-        session = ClientSession(peer)
+        session = self.session_type(peer)
         # Every connection starts on the JSON floor; a hello may upgrade
         # it. The binary codec instance is per-connection (it owns a
         # reused encode buffer), created at negotiation time.
@@ -771,9 +775,11 @@ class BeliefServer:
     def _op_ping(self, session: ClientSession, params: dict[str, Any]) -> Any:
         return "pong"
 
-    def _op_login(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        user = _require(params, "user")
-        create = bool(params.get("create", False))
+    def _resolve_user(
+        self, session: ClientSession, user: Any, create: bool
+    ) -> tuple[Any, str]:
+        """A user reference (name or uid) as ``(uid, name)``; an unknown
+        name is registered when ``create`` is set."""
         store = self.db.store
         try:
             uid = store.resolve_user(user)
@@ -781,23 +787,34 @@ class BeliefServer:
             if not create or not isinstance(user, str):
                 raise
             uid = self.db.add_user(user)
-        session.login(uid, store.user_name(uid))
+        return uid, store.user_name(uid)
+
+    def _describe(self, session: ClientSession) -> dict[str, Any]:
         return session.describe()
+
+    def _op_login(self, session: ClientSession, params: dict[str, Any]) -> Any:
+        create = bool(params.get("create", False))
+        session.login(*self._resolve_user(
+            session, _require(params, "user"), create
+        ))
+        return self._describe(session)
 
     def _op_logout(self, session: ClientSession, params: dict[str, Any]) -> Any:
         session.logout()
-        return session.describe()
+        return self._describe(session)
 
     def _op_whoami(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        return session.describe()
+        return self._describe(session)
 
     def _op_set_path(self, session: ClientSession, params: dict[str, Any]) -> Any:
         path = _require(params, "path")
         if not isinstance(path, (list, tuple)):
             raise BeliefDBError("set_path expects a list of users")
-        resolved = tuple(self.db.store.resolve_user(u) for u in path)
-        session.set_path(resolved)
-        return session.describe()
+        session.set_path(tuple(
+            self._resolve_user(session, user, create=False)[0]
+            for user in path
+        ))
+        return self._describe(session)
 
     def _op_add_user(self, session: ClientSession, params: dict[str, Any]) -> Any:
         # An explicit uid pins the assignment — the shard router uses this to
@@ -970,11 +987,6 @@ class BeliefServer:
     ) -> Any:
         return {"closed": session.close_cursor(_require(params, "cursor"))}
 
-    def _op_query(self, session: ClientSession, params: dict[str, Any]) -> Any:
-        """A raw BCQ's answers, paged like a select's rows."""
-        rows = sorted(self.db.query(_require(params, "bcq")), key=repr)
-        return self._first_page(session, rows, DEFAULT_PAGE_ROWS)
-
     def _op_believes(self, session: ClientSession, params: dict[str, Any]) -> Any:
         relation = _require(params, "relation")
         values = _require(params, "values")
@@ -1058,11 +1070,8 @@ class BeliefServer:
         if actor is None:
             actor = session.user
         if action == "propose":
-            raw_path = params.get("path")
-            if raw_path is not None and not isinstance(raw_path, (list, tuple)):
-                raise BeliefDBError("path must be a list of users (or null)")
             result = self.db.lifecycle_propose(
-                session.effective_path(raw_path),
+                session.effective_path(params.get("path")),
                 _require(params, "relation"),
                 _require(params, "values"),
                 params.get("sign", "+"),
@@ -1095,11 +1104,11 @@ class BeliefServer:
         if kind == "record":
             return _jsonify(self.db.lifecycle_get(_require(params, "belief")))
         if kind == "queue":
-            raw_path = params.get("path")
-            if raw_path is not None and not isinstance(raw_path, (list, tuple)):
-                raise BeliefDBError("path must be a list of users (or null)")
+            # No path lists every world's queue, not the session default's.
+            path = params.get("path")
             return _jsonify(self.db.lifecycle_list(
-                path=raw_path, status=params.get("status"),
+                path=None if path is None else session.effective_path(path),
+                status=params.get("status"),
                 limit=params.get("limit"),
             ))
         if kind == "provenance":

@@ -9,7 +9,9 @@ which "each user sees their own belief world". An explicit ``BELIEF ...``
 prefix always wins over the default.
 
 The session only *rewrites* statements; all enforcement (path validity,
-consistency, Alg. 4 accept/reject) stays in the store.
+consistency, Alg. 4 accept/reject) stays in the store. The shard router
+keeps the same session (a subclass that adds its upstream connections), so
+this rewrite is the one place a default path is applied on any endpoint.
 
 Sessions also hold the connection's server-side *prepared statements*
 (``prepare`` op) and open *result cursors* (rows of a large select awaiting
@@ -37,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 from typing import Any, Sequence
 
 from repro.beliefsql.ast import (
@@ -127,6 +130,10 @@ class ClientSession:
         """Resolve a programmatic path argument: None means "my world"."""
         if path is None:
             return self.default_path
+        if not isinstance(path, (list, tuple)) or not all(
+            isinstance(user, Hashable) for user in path
+        ):
+            raise BeliefDBError("path must be a list of users (or null)")
         return tuple(path)
 
     def rewrite(self, statement: Statement) -> Statement:

@@ -96,36 +96,29 @@ class HashRing:
         return f"<HashRing shards={self.n_shards} vnodes={self.vnodes}>"
 
 
-def path_head(
-    path: Sequence[Any] | None, default_path: Sequence[Any], user: Any | None
-) -> Any:
+def path_head(path: Sequence[Any] | None, default_path: Sequence[Any]) -> Any:
     """The routing key for a programmatic op's belief path.
 
     ``path`` is the op's explicit path argument (``None`` means "session
-    default"); ``default_path`` is the session's default path and ``user``
-    its logged-in user. An empty effective path is plain content.
+    default"); ``default_path`` is the session's default path. An empty
+    effective path is plain content, whoever is logged in.
     """
     effective = default_path if path is None else path
-    if effective:
-        return effective[0]
-    if path is None and user is not None:
-        return user
-    return CONTENT_KEY
+    return effective[0] if effective else CONTENT_KEY
 
 
 def statement_head(
     belief_path: Sequence[Any],
     params: Sequence[Any],
     default_path: Sequence[Any],
-    user: Any | None,
 ) -> Any:
     """The routing key for a parsed DML statement's belief spec.
 
     The path head may be a :class:`~repro.beliefsql.ast.Placeholder` (e.g.
     ``insert into BELIEF ? not Sightings values (...)``) — then the bound
     parameter at its index is the key. A statement with no ``BELIEF`` prefix
-    routes by the session default (the worker session prepends the same
-    default, so router and worker agree on the statement's world).
+    routes by the session default (the one ``ClientSession.rewrite``
+    prepends before the statement is forwarded).
     """
     if belief_path:
         head = belief_path[0]
@@ -138,4 +131,4 @@ def statement_head(
             return params[head.index]
         value = getattr(head, "value", head)
         return value
-    return path_head(None, default_path, user)
+    return path_head(None, default_path)

@@ -9,12 +9,18 @@ is classified and either:
   anything else addressed by a belief path. The path *head* (the outermost
   believer) picks the shard via the consistent-hash ring, so a user's whole
   world tree lives together;
-* **fanned out to every shard** — selects, BCQ queries, ``worlds``,
-  ``users``, ``stats``, ``metrics``; results are merged (and re-paged
-  through the session's cursor registry, so large merged results still
-  stream in frame-sized pages);
-* **answered locally** — ``ping``, ``whoami``, session state, paging of
-  router-held cursors, and the new ``shard_status`` op.
+* **fanned out** — ``worlds``, ``users``, ``stats``, ``metrics``, and a
+  select joining worlds that live on several shards; results are merged
+  (and re-paged through the session's cursor registry, so large merged
+  results still stream in frame-sized pages);
+* **answered locally** — ``ping``, ``login`` / ``whoami`` / ``set_path``
+  and the rest of the session state, paging of router-held cursors, and
+  the ``shard_status`` op.
+
+The router keeps the same :class:`ClientSession` a server does, default
+path in uids: a prefix-less DML statement goes through
+``ClientSession.rewrite`` and travels with its path explicit, so every
+worker resolves it identically.
 
 Consistency rules:
 
@@ -36,15 +42,7 @@ import dataclasses
 import threading
 from typing import Any, Sequence
 
-from repro.beliefsql.ast import (
-    BeliefSpec,
-    DeleteStatement,
-    InsertStatement,
-    Literal,
-    SelectStatement,
-    Statement,
-    UpdateStatement,
-)
+from repro.beliefsql.ast import SelectStatement, Statement
 from repro.beliefsql.parser import parse_beliefsql
 from repro.errors import (
     BeliefDBError,
@@ -65,7 +63,6 @@ from repro.server.client import (
     merge_batch_payload,
 )
 from repro.server.server import (
-    DEFAULT_PAGE_ROWS,
     BeliefServer,
     ClientSession,
     _page_size,
@@ -82,8 +79,6 @@ from repro.shard.partitioning import (
 #: Shard-count buckets for the fan-out histogram (how many shards one
 #: request touched). Linear — fleets are small.
 _FANOUT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
-_DML_TYPES = (InsertStatement, DeleteStatement, UpdateStatement)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,23 +114,18 @@ class _RouterState:
         self.metrics = registry if registry is not None else MetricsRegistry()
 
 
-class RouterSession:
+class RouterSession(ClientSession):
     """Router-side state of one client connection.
 
-    Wraps the base :class:`ClientSession` (identity, default path, prepared
-    statements, the cursors merged fan-out results page through) and adds
-    what only the router needs: the *raw* belief path for routing (user
-    names, not uids), the per-shard upstream connections, and the
+    The server's :class:`ClientSession` (identity, default path, prepared
+    statements, the cursors merged fan-out results page through) plus what
+    only the router needs: the per-shard upstream connections and the
     transaction pin. Served by the threaded core, so one session's requests
     are serial — no locking needed here.
     """
 
-    def __init__(self, base: ClientSession) -> None:
-        self.base = base
-        #: The default path in raw (name) form — what routing hashes on.
-        self.raw_path: tuple[Any, ...] = ()
-        #: The logged-in user's name (routing key when the path is empty).
-        self.user_raw: Any | None = None
+    def __init__(self, peer: str = "?") -> None:
+        super().__init__(peer)
         #: shard -> (client, directory epoch at connect time).
         self.upstreams: dict[int, tuple[BeliefClient, int]] = {}
         self.in_txn = False
@@ -152,15 +142,13 @@ class RouterSession:
             except Exception:  # noqa: BLE001 — already broken
                 pass
 
-    def teardown(self) -> bool:
+    def abandon_transaction(self) -> bool:
         """Connection died: close upstreams; a pinned transaction dies with
-        its upstream connection (the worker discards it). Installed over
-        the base session's ``abandon_transaction`` hook."""
+        its upstream connection (the worker discards it)."""
         for shard in list(self.upstreams):
             self.drop_upstream(shard)
         had_txn = self.in_txn
-        self.in_txn = False
-        self.txn_shard = None
+        self.reset_txn()
         return had_txn
 
     def reset_txn(self) -> None:
@@ -176,6 +164,8 @@ class BeliefRouter(BeliefServer):
     control, metrics/slow-op instrumentation — and replaces the dispatch
     layer with the op table's ``route`` column.
     """
+
+    session_type = RouterSession
 
     def __init__(
         self,
@@ -231,36 +221,26 @@ class BeliefRouter(BeliefServer):
 
     # ------------------------------------------------------------- dispatch
 
-    def _router_session(self, session: ClientSession) -> RouterSession:
-        rsession = getattr(session, "router_state", None)
-        if rsession is None:
-            rsession = RouterSession(session)
-            session.router_state = rsession  # type: ignore[attr-defined]
-            # The serve loop calls abandon_transaction() when the
-            # connection dies — hook upstream teardown into it.
-            session.abandon_transaction = rsession.teardown  # type: ignore[method-assign]
-        return rsession
-
     def _run_op(
-        self, session: ClientSession, spec: protocol.OpSpec,
+        self, session: RouterSession, spec: protocol.OpSpec,
         params: dict[str, Any],
     ) -> Any:
         """Answer one op by the router rule in its op-table row."""
-        rsession = self._router_session(session)
-        if not spec.in_txn and rsession.in_txn:
+        if not spec.in_txn and session.in_txn:
             raise protocol.not_transactional(spec.name)
         if spec.route == "local":
-            # Session-only ops (and ``shard_status``): the server core's
-            # handler runs on the router's own session, no shard involved.
+            # Session ops (and ``shard_status``): the server core's handler
+            # runs on the router's own session, through the router's
+            # ``_resolve_user`` / ``_describe``.
             return getattr(self, f"_op_{spec.name}")(session, params)
         if spec.route == "by_path":
-            return self._forward_by_path(rsession, spec.name, params)
+            return self._forward_by_path(session, spec.name, params)
         if spec.route == "fanout":
             return "\n\n".join(
                 f"=== shard {shard} ===\n{text}"
-                for shard, text in self._fanout(rsession, spec.name)
+                for shard, text in self._fanout(session, spec.name)
             )
-        return getattr(self, f"_route_{spec.name}")(rsession, params)
+        return getattr(self, f"_route_{spec.name}")(session, params)
 
     def _forward_by_path(
         self, rsession: RouterSession, op: str, params: dict[str, Any]
@@ -268,12 +248,9 @@ class BeliefRouter(BeliefServer):
         """Forward to the shard that owns the belief path's head. The
         path always travels explicit: workers hold no session for router
         upstreams. Everything else is the worker's to validate."""
-        raw_path = params.get("path")
-        if raw_path is not None and not isinstance(raw_path, (list, tuple)):
-            raise BeliefDBError("path must be a list of users (or null)")
-        shard = self._shard_for_path(rsession, raw_path)
-        explicit = list(self._raw_effective(rsession, raw_path))
-        return self._forward(rsession, shard, op, **{**params, "path": explicit})
+        path = rsession.effective_path(params.get("path"))
+        shard = self._shard_for_path(rsession, path)
+        return self._forward(rsession, shard, op, **{**params, "path": list(path)})
 
     # ------------------------------------------------------------ upstreams
 
@@ -392,29 +369,21 @@ class BeliefRouter(BeliefServer):
 
     # -------------------------------------------------------------- routing
 
-    def _ring_key(self, head: Any) -> Any:
+    def _ring_key(self, rsession: RouterSession, head: Any) -> Any:
         """Normalize a path head for the ring: uids hash as their user's
-        name (both spellings of one user must land on one shard)."""
-        if not isinstance(head, str):
-            name = self._users_by_uid.get(head)
-            if name is not None:
-                return name
-        elif head in self._users_by_name:
-            return head
-        return head
-
-    def _raw_effective(
-        self, rsession: RouterSession, raw_path: Sequence[Any] | None
-    ) -> tuple[Any, ...]:
-        if raw_path is None:
-            return rsession.raw_path
-        return tuple(raw_path)
+        name (both spellings of one user must land on one shard). A uid
+        wins over a name, as in ``BeliefStore.resolve_user``. A uid the
+        registry mirror has not seen (a router restarted over existing
+        shards) refreshes the mirror first."""
+        if not isinstance(head, str) and head not in self._users_by_uid:
+            self._refresh_users(rsession)
+        return self._users_by_uid.get(head, head)
 
     def _shard_for_path(
-        self, rsession: RouterSession, raw_path: Sequence[Any] | None
+        self, rsession: RouterSession, path: Sequence[Any] | None
     ) -> int:
-        head = path_head(raw_path, rsession.raw_path, rsession.user_raw)
-        return self.ring.shard_for(self._ring_key(head))
+        head = path_head(path, rsession.default_path)
+        return self.ring.shard_for(self._ring_key(rsession, head))
 
     def _select_shards(
         self,
@@ -434,8 +403,8 @@ class BeliefRouter(BeliefServer):
         for item in statement.items:
             # Prefix-less from items read the plain content world — the
             # session default path applies to DML only, never to reads.
-            head = statement_head(item.belief.path, tuple(bind), (), None)
-            shards.add(self.ring.shard_for(self._ring_key(head)))
+            head = statement_head(item.belief.path, tuple(bind), ())
+            shards.add(self.ring.shard_for(self._ring_key(rsession, head)))
         return sorted(shards) or [self.ring.shard_for(CONTENT_KEY)]
 
     def _shard_for_statement(
@@ -446,28 +415,8 @@ class BeliefRouter(BeliefServer):
     ) -> int:
         belief = getattr(statement, "belief", None)
         path = belief.path if belief is not None else ()
-        head = statement_head(
-            path, tuple(bind), rsession.raw_path, rsession.user_raw
-        )
-        return self.ring.shard_for(self._ring_key(head))
-
-    def _rewrite(
-        self, rsession: RouterSession, statement: Statement
-    ) -> Statement:
-        """Prepend the session default path to prefix-less DML — the router
-        version of ``ClientSession.rewrite``, using raw *names* so the
-        forwarded text resolves identically on any worker."""
-        if not rsession.raw_path:
-            return statement
-        if not isinstance(statement, _DML_TYPES):
-            return statement
-        if statement.belief.path:
-            return statement
-        spec = BeliefSpec(
-            path=tuple(Literal(user) for user in rsession.raw_path),
-            negated=statement.belief.negated,
-        )
-        return dataclasses.replace(statement, belief=spec)
+        head = statement_head(path, tuple(bind), rsession.default_path)
+        return self.ring.shard_for(self._ring_key(rsession, head))
 
     # ---------------------------------------------------------------- users
 
@@ -551,7 +500,7 @@ class BeliefRouter(BeliefServer):
     # ------------------------------------------------------------ op bodies
 
     def _describe(self, rsession: RouterSession) -> dict[str, Any]:
-        desc = rsession.base.describe()
+        desc = rsession.describe()
         if not rsession.in_txn:
             desc["transaction"] = None
         elif rsession.txn_shard is None:
@@ -561,46 +510,6 @@ class BeliefRouter(BeliefServer):
             upstream = self._forward(rsession, rsession.txn_shard, "whoami")
             desc["transaction"] = upstream["transaction"]
         return desc
-
-    def _route_login(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        user = _require(params, "user")
-        create = bool(params.get("create", False))
-        uid, name = self._resolve_user(rsession, user, create)
-        rsession.base.login(uid, name)
-        rsession.user_raw = name
-        rsession.raw_path = (name,)
-        return self._describe(rsession)
-
-    def _route_logout(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        rsession.base.logout()
-        rsession.user_raw = None
-        rsession.raw_path = ()
-        return self._describe(rsession)
-
-    def _route_whoami(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        return self._describe(rsession)
-
-    def _route_set_path(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        path = _require(params, "path")
-        if not isinstance(path, (list, tuple)):
-            raise BeliefDBError("set_path expects a list of users")
-        resolved = []
-        raw = []
-        for user in path:
-            uid, name = self._resolve_user(rsession, user, create=False)
-            resolved.append(uid)
-            raw.append(name)
-        rsession.base.set_path(tuple(resolved))
-        rsession.raw_path = tuple(raw)
-        return self._describe(rsession)
 
     def _route_add_user(
         self, rsession: RouterSession, params: dict[str, Any]
@@ -644,7 +553,7 @@ class BeliefRouter(BeliefServer):
             param_count=info["param_count"],
             columns=tuple(info["columns"]),
         )
-        stmt_id = rsession.base.register_statement(prepared)
+        stmt_id = rsession.register_statement(prepared)
         return {
             "stmt": stmt_id,
             "kind": prepared.kind,
@@ -656,7 +565,7 @@ class BeliefRouter(BeliefServer):
         self, rsession: RouterSession, params: dict[str, Any]
     ) -> RouterStatement:
         if "stmt" in params:
-            prepared = rsession.base.statement(params["stmt"])
+            prepared = rsession.statement(params["stmt"])
             if not isinstance(prepared, RouterStatement):
                 raise BeliefDBError(
                     f"unknown prepared statement {params['stmt']!r}"
@@ -692,7 +601,7 @@ class BeliefRouter(BeliefServer):
             return self._fanout_select(
                 rsession, prepared.statement, prepared.sql, bind, max_rows
             )
-        rewritten = self._rewrite(rsession, prepared.statement)
+        rewritten = rsession.rewrite(prepared.statement)
         shard = self._shard_for_statement(rsession, rewritten, bind)
         if rsession.in_txn:
             self._pin_txn(rsession, shard)
@@ -740,7 +649,7 @@ class BeliefRouter(BeliefServer):
             "rowcount": len(rows),
             "status": f"SELECT {len(rows)}",
             "elapsed_ms": round(elapsed_ms, 3),
-            **self._first_page(rsession.base, rows, max_rows),
+            **self._first_page(rsession, rows, max_rows),
         }
 
     def _route_execute_batch(
@@ -754,7 +663,7 @@ class BeliefRouter(BeliefServer):
             isinstance(row, (list, tuple)) for row in rows
         ):
             raise BeliefDBError("param_rows must be a list of lists")
-        rewritten = self._rewrite(rsession, prepared.statement)
+        rewritten = rsession.rewrite(prepared.statement)
         groups: dict[int, list[list[Any]]] = {}
         for row in rows:
             shard = self._shard_for_statement(rsession, rewritten, tuple(row))
@@ -844,20 +753,6 @@ class BeliefRouter(BeliefServer):
         return self._forward(rsession, shard, "rollback")
 
     # ------------------------------------------------------- fan-out reads
-
-    def _route_query(
-        self, rsession: RouterSession, params: dict[str, Any]
-    ) -> Any:
-        """Every shard's answers (each drained from its worker's pages),
-        merged and re-paged through the session's cursor registry."""
-        bcq = _require(params, "bcq")
-        merged: list = []
-        for shard in range(self.ring.n_shards):
-            merged.extend(self._forward_fn(
-                rsession, shard, "query", lambda client: client.query(bcq)
-            ))
-        self._fanout_hist.observe(float(self.ring.n_shards))
-        return self._first_page(rsession.base, merged, DEFAULT_PAGE_ROWS)
 
     def _route_worlds(
         self, rsession: RouterSession, params: dict[str, Any]
@@ -974,16 +869,16 @@ class BeliefRouter(BeliefServer):
         an explicit ``path`` param or the session default (belief ids are
         content hashes — the router cannot invert them, so a transition
         addressed from outside the owning session must say which world the
-        belief lives in). ``decay_sweep`` fans out: every shard sweeps its
-        own records, each stamping its own WAL.
+        belief lives in; the worker ignores the path). ``decay_sweep`` fans
+        out: every shard sweeps its own records, each stamping its own WAL.
         """
         action = _require(params, "action")
         # Workers hold no session for router upstreams, so attribution is
         # forwarded explicitly: an explicit actor wins, else the curator
         # logged into *this* router session.
         actor = params.get("actor")
-        if actor is None and rsession.base.user is not None:
-            actor = rsession.base.user
+        if actor is None:
+            actor = rsession.user
         if action == "decay_sweep":
             swept = 0
             changed = 0
@@ -993,18 +888,9 @@ class BeliefRouter(BeliefServer):
                 swept += result["swept"]
                 changed += result["changed"]
             return {"swept": swept, "changed": changed}
-        raw_path = params.get("path")
-        if raw_path is not None and not isinstance(raw_path, (list, tuple)):
-            raise BeliefDBError("path must be a list of users (or null)")
-        shard = self._shard_for_path(rsession, raw_path)
-        forwarded = dict(params)
-        forwarded["actor"] = actor
-        if action == "propose":
-            # Workers hold no session state: the path is always explicit.
-            forwarded["path"] = list(self._raw_effective(rsession, raw_path))
-        else:
-            forwarded.pop("path", None)  # routing-only for transitions
-        return self._forward(rsession, shard, "lifecycle", **forwarded)
+        return self._forward_by_path(
+            rsession, "lifecycle", {**params, "actor": actor}
+        )
 
     def _route_audit(
         self, rsession: RouterSession, params: dict[str, Any]
@@ -1015,16 +901,8 @@ class BeliefRouter(BeliefServer):
         the belief (each id lives on exactly one shard)."""
         kind = params.get("kind", "log")
         if kind == "queue":
-            raw_path = params.get("path")
-            if raw_path is not None and not isinstance(raw_path, (list, tuple)):
-                raise BeliefDBError("path must be a list of users (or null)")
-            if raw_path is not None:
-                shard = self._shard_for_path(rsession, raw_path)
-                forwarded = dict(params)
-                forwarded["path"] = list(
-                    self._raw_effective(rsession, raw_path)
-                )
-                return self._forward(rsession, shard, "audit", **forwarded)
+            if params.get("path") is not None:
+                return self._forward_by_path(rsession, "audit", params)
             merged: list = []
             for _, views in self._fanout(rsession, "audit", **params):
                 merged.extend(views)

@@ -218,7 +218,6 @@ LOCK_FREE_CALLS = {
     "ping": {},
     "metrics": {},
     "execute_prepared": {"sql": SELECT, "params": []},
-    "query": {"bcq": BCQ},
     "believes": {"relation": "Sightings", "values": ["s1", *ROW_TAIL],
                  "path": ["Carol"], "sign": "+"},
     "world": {"path": ["Carol"]},
@@ -261,7 +260,7 @@ def test_pinned_read_ops_never_acquire_the_server_lock(backend, op):
         with BeliefClient(*server.address) as client:
             result = client.call(op, **LOCK_FREE_CALLS[op])
         assert counts == {"read": 0, "write": 0}
-        if op in ("execute_prepared", "query"):
+        if op == "execute_prepared":
             assert result["rows"] == [["s1"]]  # and it did read the store
 
 

@@ -49,7 +49,7 @@ GOLDEN = [
     (0x11, "begin", ()),
     (0x12, "commit", ()),
     (0x13, "rollback", ()),
-    (0x14, "query", ("bcq",)),
+    (0x14, "query", ("bcq",)),  # retired; the slot stays reserved
     (0x15, "believes", _TUPLE),
     (0x16, "world", ("path",)),
     (0x17, "worlds", ()),
@@ -94,7 +94,9 @@ def test_table_is_well_formed():
         # An op without a code says out loud that it rides the escape.
         assert spec.code is not None or spec.json_escape, spec.name
     # Served = everything but the transport-level hello and the retired ops.
-    assert set(names) - set(OPS) == {"hello", "insert", "delete", "execute"}
+    assert set(names) - set(OPS) == {
+        "hello", "insert", "delete", "execute", "query",
+    }
 
 
 def test_json_escape_is_what_the_table_says():
@@ -167,7 +169,6 @@ CALLS = {
     "close_statement": {"stmt": 1},
     "fetch": {"cursor": 1},
     "close_cursor": {"cursor": 1},
-    "query": {"bcq": "q(s) :- [] Sightings+(s, u, sp, d, l)"},
     "believes": {"relation": "Sightings", "values": ROW},
     "lifecycle": {"action": "decay_sweep"},
 }

@@ -7,7 +7,9 @@ nor ``not t`` — "believes not-t" and "does not believe t" stay distinct.
 Both forms leave exactly the explicit statements ``BeliefDBMS.insert(path,
 R, t, '-')`` / ``BeliefDBMS.delete(path, R, t)`` leave, fail with the same
 typed errors embedded, threaded, async and sharded, and reach the WAL as
-replayable template+params ``execute`` records.
+replayable template+params ``execute`` records. A session whose default
+path is empty writes plain content, which every shape reads back from the
+content world.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.errors import BeliefDBError
 from repro.server import AsyncBeliefServer, BeliefServer
-from repro.shard import ShardCluster
+from repro.shard import CONTENT_KEY, HashRing, ShardCluster
 from tests.wal_oracle import (
     durable_db,
     explicit_state,
@@ -49,16 +51,16 @@ ERRORS = [
 
 
 @contextlib.contextmanager
-def _deployment(shape, tmp_path):
-    """``(conn, db, believes)``: an api connection logged in as BELIEVER,
-    the durable database holding BELIEVER's world (the home shard's behind
+def _deployment(shape, tmp_path, user=BELIEVER):
+    """``(conn, db, believes)``: an api connection logged in as ``user``,
+    the durable database holding ``user``'s world (the home shard's behind
     the router), and ``believes(values, sign)`` at the session's world —
     a wire op for every shape but the embedded one."""
     if shape == "embedded":
         db = durable_db(sightings_schema(), tmp_path / "data")
-        with connect(db, user=BELIEVER) as conn:
+        with connect(db, user=user) as conn:
             yield conn, db, lambda values, sign: db.believes(
-                [BELIEVER], "Sightings", values, sign
+                [user], "Sightings", values, sign
             )
         return
     with contextlib.ExitStack() as stack:
@@ -67,13 +69,13 @@ def _deployment(shape, tmp_path):
                 ShardCluster(n_shards=2, data_dir=str(tmp_path / "shards"))
             )
             address = cluster.address
-            home = cluster.router.ring.shard_for(BELIEVER)
+            home = cluster.router.ring.shard_for(user)
             db = cluster.coordinator.workers[home]._server.db
         else:
             core = BeliefServer if shape == "threaded" else AsyncBeliefServer
             db = durable_db(sightings_schema(), tmp_path / "data")
             address = stack.enter_context(core(db)).address
-        conn = stack.enter_context(connect(address, user=BELIEVER))
+        conn = stack.enter_context(connect(address, user=user))
         yield conn, db, lambda values, sign: conn.client.believes(
             "Sightings", values, sign=sign
         )
@@ -128,3 +130,27 @@ def test_set_path_refuses_an_adjacent_repeat(shape, tmp_path):
         assert conn.default_path == before
         assert conn.execute(NEGATE, U).rowcount == 1
         assert believes(U, "-") is True
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_an_empty_default_path_writes_plain_content(shape, tmp_path):
+    """After ``set_path([])`` a plain insert is content, not the user's
+    belief: the content world holds it and a prefix-less select reads it.
+    The user's home shard is not the content shard, so a router that
+    routed the insert by the logged-in user would lose it there."""
+    ring = HashRing(2)
+    user = next(
+        name for name in (f"user-{i}" for i in range(100))
+        if ring.shard_for(name) != ring.shard_for(CONTENT_KEY)
+    )
+    with _deployment(shape, tmp_path, user) as (conn, db, believes):
+        conn.set_path([])
+        assert conn.default_path == ()
+        assert conn.execute(INSERT, T).rowcount == 1
+        if shape == "embedded":
+            positives = [str(t) for t in db.world([]).positives]
+        else:
+            positives = conn.client.world(path=[])["positives"]
+        assert len(positives) == 1
+        rows = conn.execute("select S.sid from Sightings S").rows
+        assert [tuple(row) for row in rows] == [(T[0],)]

@@ -34,14 +34,16 @@ from repro.shard import ShardCluster
 ROW = ["s1", "Carol", "bald eagle", "6-14-08", "Lake Forest"]
 WIRES = ("json", "binary", "auto")
 INSERT = "insert into Sightings values (?,?,?,?,?)"
-#: Retired ops with a request each: the ``execute`` text op and the
-#: ``insert`` / ``delete`` tuple ops (BeliefSQL writes one tuple now).
+#: Retired ops with a request each: the ``execute`` text op, the
+#: ``insert`` / ``delete`` tuple ops (BeliefSQL writes one tuple now) and
+#: the ``query`` BCQ-text op (BeliefSQL selects read).
 RETIRED = (
     ("execute", {"sql": "select S.sid from Sightings as S"}),
     ("insert", {"relation": "Sightings", "values": ROW, "path": None,
                 "sign": "+"}),
     ("delete", {"relation": "Sightings", "values": ROW, "path": None,
                 "sign": "+"}),
+    ("query", {"bcq": "q(s) :- [] Sightings+(s, u, sp, d, l)"}),
 )
 
 

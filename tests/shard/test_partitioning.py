@@ -68,24 +68,23 @@ def test_canonical_key_separates_names_from_uids():
 
 def test_path_head_rules():
     # Explicit path wins; empty explicit path means plain content.
-    assert path_head(["Bob"], ["Alice"], "Alice") == "Bob"
-    assert path_head([], ["Alice"], "Alice") == CONTENT_KEY
-    # No explicit path: the session default, then the logged-in user.
-    assert path_head(None, ["Alice", "Bob"], "Alice") == "Alice"
-    assert path_head(None, [], "Carol") == "Carol"
-    assert path_head(None, [], None) == CONTENT_KEY
+    assert path_head(["Bob"], ["Alice"]) == "Bob"
+    assert path_head([], ["Alice"]) == CONTENT_KEY
+    # No explicit path: the session default; an empty one is plain content.
+    assert path_head(None, ["Alice", "Bob"]) == "Alice"
+    assert path_head(None, []) == CONTENT_KEY
 
 
 def test_statement_head_literal_and_placeholder():
-    assert statement_head((Literal("Bob"),), (), ["Alice"], "Alice") == "Bob"
+    assert statement_head((Literal("Bob"),), (), ["Alice"]) == "Bob"
     # A placeholder head routes by its bound parameter.
     assert statement_head(
-        (Placeholder(0),), ("Carol",), ["Alice"], "Alice"
+        (Placeholder(0),), ("Carol",), ["Alice"]
     ) == "Carol"
     # No BELIEF prefix: route like the session default.
-    assert statement_head((), (), ["Alice"], "Alice") == "Alice"
+    assert statement_head((), (), ["Alice"]) == "Alice"
 
 
 def test_statement_head_missing_parameter_is_typed():
     with pytest.raises(BeliefDBError, match="needs parameter 0"):
-        statement_head((Placeholder(0),), (), [], None)
+        statement_head((Placeholder(0),), (), [])
