@@ -31,9 +31,11 @@ the catalog — what key and indexes each table has — so that every step
 gets the best access path its bound columns can have. A step over a unique
 key is two dict lookups and no loop; a step over an index iterates its
 bucket in place (the table's probe loop, :meth:`Table.prober`, written out
-inline: snapshot the bucket, look each rowid up in the rows this execution
-holds, compare the bound columns the index does not cover); only a step
-nothing covers calls the table's prober. Variables are locals of that
+inline: one ``get`` per level of the index — the first column's value,
+then the rest in the inner map it finds, with no key tuple built —
+snapshot the bucket, look each rowid up in the rows this execution holds,
+compare the bound columns the index does not cover); only a step nothing
+covers calls the table's prober. Variables are locals of that
 function, every condition and negated atom is tested in the outermost loop
 that binds all its variables, and the innermost statement adds the head
 tuple to the result set. Nothing about the rule is looked at again per row.
@@ -76,7 +78,7 @@ from repro.relational.expressions import (
     compare,
 )
 from repro.relational.schema import TableSchema
-from repro.relational.table import Access, Row, Table
+from repro.relational.table import NO_ROWS, Access, Row, Table
 
 
 @dataclass(frozen=True)
@@ -681,7 +683,14 @@ def _compile(
             # this execution holds, the bound columns the dict does not
             # cover compared after.
             reads.append(f"(get{depth}, held{depth}, stale{depth})")
-            lookup = f"get{depth}({row_of(terms[i] for i in access.positions)})"
+            if access.kind == "key":
+                lookup = f"get{depth}({row_of(terms[i] for i in access.positions)})"
+            else:  # one ``get`` per level of the index
+                lead, *rest = (value(terms[i]) for i in access.positions)
+                lookup = f"get{depth}({lead})"
+                if rest:
+                    inner = rest[0] if len(rest) == 1 else f"({', '.join(rest)})"
+                    lookup = f"get{depth}({lead}, NO_ROWS).get({inner})"
             rowid = f"i{depth}"
             if access.kind == "key":
                 lines.append(f"{pad}{rowid} = {lookup}")
@@ -754,7 +763,7 @@ def _compile(
             "    return out",
         ]
     )
-    namespace: dict[str, Any] = {"compare": compare}
+    namespace: dict[str, Any] = {"compare": compare, "NO_ROWS": NO_ROWS}
     exec(compile(source, f"<plan of {head[0]}>", "exec"), namespace)
     return RulePlan(namespace["run"], tuple(accesses))
 

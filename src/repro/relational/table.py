@@ -63,9 +63,19 @@ delta sync rests on that invariant, and so do the indexes:
   a loop reads), under the same two rules as ``prober`` — "Visibility"
   above, and the bucket snapshot below.
 
-A bucket is the bare rowid while one row carries the value and a
-``list`` of rowids in ascending order from the second row on; the
-unique-key dict maps each key to its bare rowid. Rowids are issued in
+An index is a trie of at most two levels. A one-column index maps the
+value to its bucket. A wider index maps its first column's value to an
+inner map, keyed by the bare second value (by a tuple of the rest from
+three columns on), whose values are the buckets. No cell of a ``(wid,
+key)`` index pays for a key tuple of its own: the inner map's key is a
+value the row already holds, and the world's inner map is shared by all its
+cells. An inner map is created holding its first bucket and deleted when
+its last row leaves, so a world whose rows are all purged leaves nothing
+behind. The unique-key dict stays flat: it maps each key tuple to its bare
+rowid.
+
+A bucket is the bare rowid while one row carries the values and a ``list``
+of rowids in ascending order from the second row on. Rowids are issued in
 increasing order, so an insert appends to its buckets; only an index built
 while deletes are pending folds those older rows in with ``insort``. One
 removal is a bisect and a ``del``; a purge that takes several rowids out of
@@ -73,18 +83,24 @@ one bucket filters that bucket once. A list costs ~9 bytes a rowid where a
 ``set`` costs ~80-100 (its hash table grows 4x and stays mostly empty).
 
 Thread safety: one thread writes (the BDMS write mutex); any number read
-forks. Readers only ``get`` from dicts and snapshot a bucket with
-``list(bucket)``, both atomic under the interpreter lock: ``list()``
-allocates its own object first, then copies the bucket's item array in one
-C-level step whose allocation (the plain allocator) runs no GC — so no
-finalizer, no Python code at which the interpreter could switch to the
-writer. Everything that restructures a bucket — an append, an ``insort``,
-a ``del``, a filtered replacement installed with one dict store — runs on
-the writer's side, each step atomic. (``tuple(bucket)`` is not atomic: it
-takes hold of the bucket's items *before* it allocates the result, that
-allocation may run the cyclic GC, the GC a finalizer or weakref callback —
-Python code, at which the interpreter may switch to the writer — and the
-copy then reads a bucket that changed under it.)
+forks. Readers only ``get`` from dicts — the outer map, then the inner map
+they found — and snapshot a bucket with ``list(bucket)``, each step atomic
+under the interpreter lock: ``list()`` allocates its own object first, then
+copies the bucket's item array in one C-level step whose allocation (the
+plain allocator) runs no GC — so no finalizer, no Python code at which the
+interpreter could switch to the writer. Everything that restructures the
+trie runs on the writer's side, each step atomic: an append, an
+``insort``, a ``del``, a filtered bucket installed with one dict store, an
+inner map installed (already holding its first bucket) or removed (already
+empty) with one dict store or delete. Between two steps a reader sees a
+state the writer passed through; a reader that still holds an inner map the
+writer has since removed reads it empty, as the index was once the map was
+gone, and no row a live fork holds can be in an inner map that goes (see
+"Deferred removal"). (``tuple(bucket)`` is not atomic: it takes hold of the
+bucket's items *before* it allocates the result, that allocation may run
+the cyclic GC, the GC a finalizer or weakref callback — Python code, at
+which the interpreter may switch to the writer — and the copy then reads a
+bucket that changed under it.)
 """
 
 from __future__ import annotations
@@ -95,6 +111,7 @@ import threading
 import weakref
 from bisect import bisect_left, insort
 from collections import deque
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -110,8 +127,14 @@ from repro.errors import DuplicateKeyError
 from repro.relational.schema import TableSchema
 
 Row = tuple[Any, ...]
-#: value tuple -> the one rowid carrying it, or the ascending list of them.
-Index = dict[tuple, "int | list[int]"]
+#: A bucket is the one rowid carrying an index's values, or the ascending
+#: list of them. A one-column index maps the value to its bucket; a wider
+#: one maps its first column's value to an inner map from the rest (the bare
+#: second value; a tuple from three columns on) to the bucket.
+Index = dict[Any, Any]
+
+#: What a first value no inner map exists for reads as: nothing (read only).
+NO_ROWS: Mapping[Any, Any] = MappingProxyType({})
 
 
 class Access(NamedTuple):
@@ -213,8 +236,8 @@ _PICKERS: dict[tuple[int, ...], Callable[[Row], tuple]] = {}
 
 
 def _picker(positions: tuple[int, ...]) -> Callable[[Row], tuple]:
-    """The function taking a row to its values at ``positions``, as a tuple
-    (a C-level ``itemgetter`` where it can be: this runs per row written)."""
+    """The function taking a row to its unique key, as a tuple (a C-level
+    ``itemgetter`` where it can be: this runs per row written)."""
     pick = _PICKERS.get(positions)
     if pick is None:
         if len(positions) > 1:
@@ -226,26 +249,61 @@ def _picker(positions: tuple[int, ...]) -> Callable[[Row], tuple]:
     return pick
 
 
-def _bucket_add(index: Index, values: tuple, rowid: int) -> None:
-    bucket = index.get(values)
+#: positions -> ``row -> `` the inner-map key of an index on them.
+_RESTS: dict[tuple[int, ...], Callable[[Row], Any]] = {}
+
+
+def _rest(positions: tuple[int, ...]) -> Callable[[Row], Any] | None:
+    """The function taking a row to its key in the inner map of an index on
+    ``positions`` — the bare second value, a tuple of the rest from three
+    columns on; None for a one-column index, which has no inner map."""
+    if len(positions) == 1:
+        return None
+    rest = _RESTS.get(positions)
+    if rest is None:
+        rest = _RESTS[positions] = operator.itemgetter(*positions[1:])
+    return rest
+
+
+def _bucket_add(level: dict, value: Any, rowid: int) -> None:
+    bucket = level.get(value)
     if bucket is None:
-        index[values] = rowid
+        level[value] = rowid
     elif type(bucket) is int:
-        index[values] = [bucket, rowid] if bucket < rowid else [rowid, bucket]
+        level[value] = [bucket, rowid] if bucket < rowid else [rowid, bucket]
     elif bucket[-1] < rowid:
         bucket.append(rowid)
     else:  # an older row: only a build folding in pending deletes adds one
         insort(bucket, rowid)
 
 
-def _bucket_discard(index: Index, values: tuple, rowids: Sequence[int]) -> None:
-    """Take ``rowids`` (distinct) out of the bucket of ``values``: one
+def _index_rows(
+    index: Index, positions: tuple[int, ...], items: Iterable[tuple[int, Row]]
+) -> None:
+    """Add each ``(rowid, row)`` to ``index`` on ``positions``. A new inner
+    map is installed already holding its first bucket: one dict store."""
+    first, rest = positions[0], _rest(positions)
+    if rest is None:
+        for rowid, row in items:
+            _bucket_add(index, row[first], rowid)
+        return
+    for rowid, row in items:
+        value = row[first]
+        inner = index.get(value)
+        if inner is None:
+            index[value] = {rest(row): rowid}
+        else:
+            _bucket_add(inner, rest(row), rowid)
+
+
+def _bucket_discard(level: dict, value: Any, rowids: Sequence[int]) -> None:
+    """Take ``rowids`` (distinct) out of the bucket of ``value``: one
     bisect and ``del`` for a single rowid, one filtering pass for several
     (a ``del`` each would move the bucket's tail once per rowid)."""
-    bucket = index.get(values)
+    bucket = level.get(value)
     if type(bucket) is not list:
         if bucket in rowids:
-            del index[values]
+            del level[value]
         return
     if len(rowids) == 1:
         at = bisect_left(bucket, rowids[0])
@@ -254,12 +312,39 @@ def _bucket_discard(index: Index, values: tuple, rowids: Sequence[int]) -> None:
     else:
         doomed = set(rowids)
         bucket = [rowid for rowid in bucket if rowid not in doomed]
-        index[values] = bucket
+        level[value] = bucket
     if len(bucket) < 2:
         if bucket:
-            index[values] = bucket[0]
+            level[value] = bucket[0]
         else:
-            del index[values]
+            del level[value]
+
+
+def _inner_discard(
+    index: Index, first: Any, value: Any, rowids: Sequence[int]
+) -> None:
+    """:func:`_bucket_discard` in the inner map of ``first``; an inner map
+    left empty goes with one dict delete."""
+    level = index.get(first)
+    if level is not None:
+        _bucket_discard(level, value, rowids)
+        if not level:
+            del index[first]
+
+
+def _finder(index: dict, access: Access) -> Callable[[Sequence], Any]:
+    """``values -> bucket or None`` for a ``key`` or ``index`` access,
+    ``values`` in the order of ``access.positions``: one ``get`` per level
+    of the trie (the key dict is one flat level keyed by tuples)."""
+    get = index.get
+    if access.kind == "key":
+        return lambda values: get(tuple(values))
+    width = len(access.positions)
+    if width == 1:
+        return lambda values: get(values[0])
+    if width == 2:
+        return lambda values: get(values[0], NO_ROWS).get(values[1])
+    return lambda values: get(values[0], NO_ROWS).get(tuple(values[1:]))
 
 
 class Table:
@@ -408,20 +493,33 @@ class Table:
         if reach == 1:  # the usual purge: one bisect per index, no grouping
             rowid, row = pending.popleft()
             for positions, index in self._indexes.items():
-                _bucket_discard(index, _picker(positions)(row), (rowid,))
+                first, rest = row[positions[0]], _rest(positions)
+                if rest is None:
+                    _bucket_discard(index, first, (rowid,))
+                else:
+                    _inner_discard(index, first, rest(row), (rowid,))
         else:  # each bucket's removals together: one pass per bucket
             taken = [pending.popleft() for _ in range(reach)]
             for positions, index in self._indexes.items():
-                pick = _picker(positions)
+                at, rest = positions[0], _rest(positions)
                 shared: dict[tuple, list[int]] = {}
                 for rowid, row in taken:
-                    values = pick(row)
-                    if index.get(values) == rowid:  # a one-row bucket: this row
-                        del index[values]
+                    first = row[at]
+                    if rest is None:
+                        level, value = index, first
                     else:
-                        shared.setdefault(values, []).append(rowid)
-                for values, rowids in shared.items():
-                    _bucket_discard(index, values, rowids)
+                        level, value = index[first], rest(row)
+                    if level.get(value) == rowid:  # a one-row bucket: this row
+                        del level[value]
+                        if not level and level is not index:
+                            del index[first]
+                    else:
+                        shared.setdefault((first, value), []).append(rowid)
+                for (first, value), rowids in shared.items():
+                    if rest is None:
+                        _bucket_discard(index, first, rowids)
+                    else:
+                        _inner_discard(index, first, value, rowids)
         lineage.purged += reach
 
     # -- mutation ---------------------------------------------------------------
@@ -446,7 +544,7 @@ class Table:
         self._next_rowid += 1
         self._rows[rowid] = row
         for positions, index in self._indexes.items():
-            _bucket_add(index, _picker(positions)(row), rowid)
+            _index_rows(index, positions, ((rowid, row),))
         return rowid
 
     def insert_many(self, rows: Iterable[Iterable[Any]]) -> None:
@@ -487,8 +585,7 @@ class Table:
         self._next_rowid = start + len(rows)
         self._rows.update(zip(rowids, rows))
         for positions, index in self._indexes.items():
-            for rowid, values in zip(rowids, map(_picker(positions), rows)):
-                _bucket_add(index, values, rowid)
+            _index_rows(index, positions, zip(rowids, rows))
 
     def delete_rowid(self, rowid: int) -> Row:
         self._materialize()
@@ -563,14 +660,11 @@ class Table:
         The row dict is in rowid order, so every bucket is built by appends;
         the owner's pending deletes are older rows, folded in by ``insort``."""
         index: Index = {}
-        pick = _picker(positions)
-        for rowid, row in self._rows.items():
-            _bucket_add(index, pick(row), rowid)
+        _index_rows(index, positions, self._rows.items())
         lineage = self.lineage
         if self._frozen_at is None:
             # Rows deleted here that live forks still hold.
-            for rowid, row in lineage.pending:
-                _bucket_add(index, pick(row), rowid)
+            _index_rows(index, positions, lineage.pending)
         else:
             lineage.wanted.add(positions)
         self._indexes[positions] = index
@@ -627,15 +721,12 @@ class Table:
 
             return scan
         _, _, pick, checks = access
-        lookup = (self._key_values if index is None else index).get
+        find = _finder(self._key_values if index is None else index, access)
         held = rows.get
         lineage = self.lineage
 
         def probe(values: tuple) -> Sequence:
-            bucket = lookup(
-                values if pick is None
-                else tuple([values[j] for j in pick])
-            )
+            bucket = find(values if pick is None else [values[j] for j in pick])
             if bucket is None:
                 return ()
             matches = []
@@ -702,11 +793,14 @@ class Table:
 
     def path(self, access: Access) -> tuple[Callable, Callable, Callable]:
         """What a ``key`` or ``index`` access reads, for one execution:
-        ``(value tuple -> bucket or None, rowid -> row or None, count
-        candidates dropped)``. A bucket is a rowid or a list of them that
-        the lineage's owner may be adding to: snapshot it with ``list()``,
-        and look every candidate up — it may name a row this table does
-        not hold (see "Visibility" above)."""
+        ``(get, rowid -> row or None, count candidates dropped)``. ``get``
+        takes the key tuple of a ``key`` access, the value of a one-column
+        index and the first value of a wider one, whose inner map then
+        takes the rest (``get(first, NO_ROWS).get(rest)``); each returns
+        None where nothing is stored. A bucket is a rowid or a list of them
+        that the lineage's owner may be adding to: snapshot it with
+        ``list()``, and look every candidate up — it may name a row this
+        table does not hold (see "Visibility" above)."""
         index = self._index_of(access)
         return (
             (self._key_values if index is None else index).get,

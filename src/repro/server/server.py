@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import socket
 import threading
+from collections.abc import Hashable
 from contextlib import nullcontext
 from typing import Any, Callable
 
@@ -808,7 +809,9 @@ class BeliefServer:
 
     def _op_set_path(self, session: ClientSession, params: dict[str, Any]) -> Any:
         path = _require(params, "path")
-        if not isinstance(path, (list, tuple)):
+        if not isinstance(path, (list, tuple)) or not all(
+            isinstance(user, Hashable) for user in path
+        ):
             raise BeliefDBError("set_path expects a list of users")
         session.set_path(tuple(
             self._resolve_user(session, user, create=False)[0]

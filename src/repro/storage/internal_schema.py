@@ -107,8 +107,8 @@ def create_internal_tables(
     b-trees come from this one list. (A chain whose user is a variable —
     ``q3``: "which users ..." — probes E by ``wid1`` alone. That index is
     not declared: at m = 100 users it costs every insert a bucket update
-    per new edge and the store 10% of its memory, for a query shape most
-    stores never see; the engine builds and then keeps it where the shape
+    per new edge, and the store 0.4 MB of its 41.8 MB traced, for a query
+    shape most stores never see; the engine builds and then keeps it where the shape
     does occur, see "Adoption" in :mod:`repro.relational.table`.)
     """
     engine.create_table(TableSchema(U_TABLE, ("uid", "name"), key=("uid",)))

@@ -213,3 +213,76 @@ def test_a_bucket_written_mid_probe_is_read_whole(loop):
     for answer in answers:  # each a whole bucket of some moment
         assert set(range(50)) <= answer <= {v for _, v in table}
         assert answer == set(range(max(answer) + 1))
+
+
+@pytest.mark.parametrize("loop", ["Table.prober", "compiled rule"])
+def test_an_inner_map_made_and_removed_mid_probe_is_read_whole(loop):
+    """The race above, one level down. A two-column index maps its first
+    value to an inner map, which the writer installs already holding its
+    first row and removes once its last row is gone. The finalizer writer
+    here keeps doing both to the probed first value: one row in the probed
+    bucket and up to two beside it, inserted as one batch and deleted as
+    one (a one-row purge or a grouped one), so the probes keep meeting the
+    inner map coming and going. Every answer is still the bucket of one
+    moment: empty, or the one row of a generation the writer inserted."""
+    table = Table(TableSchema("t", ("k", "g", "v"), indexes=(("k", "g"),)))
+    table.insert((2, 0, -1))  # a first value the writer leaves alone
+    if loop == "compiled rule":
+        rule = Rule(Atom("q", (Var("v"),)), [Atom("t", (1, 0, Var("v")))])
+
+        def probe() -> set:
+            return {v for (v,) in evaluate_rule({"t": table}, rule)}
+    else:
+        prober = table.prober((0, 1))
+
+        def probe() -> set:
+            return {row[2] for row in prober((1, 0))}
+
+    generation = [0]
+    live: list[int] = []
+    inserted: set[int] = set()
+    removals = [0]
+
+    class Writer:
+        """Cyclic garbage whose finalizer creates or removes the probed
+        first value's inner map and leaves the next such garbage behind."""
+
+        def __init__(self) -> None:
+            self.me = self
+
+        def __del__(self) -> None:
+            if not generation:
+                return
+            if generation[0] % 5 == 4:  # a pause: probes land on both sides
+                pass
+            elif live:
+                table.delete_rowids(live)
+                live.clear()
+                removals[0] += 1
+            else:
+                gen = generation[0]
+                start = table.next_rowid
+                table.insert_many([(1, g, gen) for g in range(gen % 3 + 1)])
+                live.extend(range(start, table.next_rowid))
+                inserted.add(gen)
+            generation[0] += 1
+            Writer()
+
+    threshold = gc.get_threshold()
+    Writer()
+    gc.set_threshold(1, 10**9, 10**9)  # young collections only, all the time
+    try:
+        answers = []
+        for i in range(60):
+            [[] for _ in range(i % 4)]  # vary where the GC lands
+            answers.append(probe())
+    finally:
+        generation.clear()
+        gc.set_threshold(*threshold)
+        gc.collect()
+    assert len(inserted) > 20 and removals[0] > 20  # both, throughout
+    for answer in answers:
+        assert answer == set() or (len(answer) == 1 and answer <= inserted)
+    assert any(answers) and not all(answers)
+    (index,) = table.lineage.indexes.values()
+    assert set(index) == ({1, 2} if live else {2})  # no empty inner map left

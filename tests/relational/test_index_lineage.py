@@ -26,6 +26,7 @@ KEYED = TableSchema(
     "K", ("k", "a", "b"), key=("k",), indexes=(("a", "b"), ("a",))
 )
 PLAIN = TableSchema("P", ("k", "a", "b"))
+V_LIKE = TableSchema("V", ("wid", "tid", "key"), indexes=(("wid", "key"),))
 PATTERNS = [c for n in (1, 2, 3) for c in combinations(range(3), n)]
 
 value = st.integers(0, 3)
@@ -63,24 +64,44 @@ def assert_probes_equal_scan(table: Table, model: dict[int, tuple], probe: tuple
 
 
 def from_scratch(model: dict[int, tuple], positions: tuple[int, ...]) -> dict:
-    index: dict[tuple, list[int]] = {}
+    """The index a build over ``model`` gives: a one-column index maps the
+    value to its bucket, a wider one the first value to an inner map from
+    the rest (the bare second value, a tuple from three columns on)."""
+    flat: dict[tuple, list[int]] = {}
     for rowid in sorted(model):
-        index.setdefault(tuple(model[rowid][i] for i in positions), []).append(
+        flat.setdefault(tuple(model[rowid][i] for i in positions), []).append(
             rowid
         )
-    return {
-        vals: rowids[0] if len(rowids) == 1 else rowids
-        for vals, rowids in index.items()
-    }
+    index: dict = {}
+    for values, rowids in flat.items():
+        bucket = rowids[0] if len(rowids) == 1 else rowids
+        if len(values) == 1:
+            index[values[0]] = bucket
+        else:
+            rest = values[1] if len(values) == 2 else values[1:]
+            index.setdefault(values[0], {})[rest] = bucket
+    return index
+
+
+def buckets(table: Table):
+    """Every bucket of every index ``table`` probes, through both levels."""
+    for positions, index in (
+        *table.lineage.indexes.items(), *table._indexes.items()
+    ):
+        if len(positions) == 1:
+            yield from index.values()
+            continue
+        for inner in index.values():
+            assert type(inner) is dict and inner, inner  # no empty inner map
+            yield from inner.values()
 
 
 def assert_buckets_ascending(table: Table) -> None:
     """Every bucket naming two or more rowids is a strictly ascending list."""
-    for index in (*table.lineage.indexes.values(), *table._indexes.values()):
-        for bucket in index.values():
-            if type(bucket) is not int:
-                assert type(bucket) is list and len(bucket) >= 2, bucket
-                assert all(a < b for a, b in zip(bucket, bucket[1:])), bucket
+    for bucket in buckets(table):
+        if type(bucket) is not int:
+            assert type(bucket) is list and len(bucket) >= 2, bucket
+            assert all(a < b for a, b in zip(bucket, bucket[1:])), bucket
 
 
 def apply(table: Table, model: dict[int, tuple], kind: str, args: tuple) -> None:
@@ -171,6 +192,33 @@ def test_an_index_built_over_pending_deletes_has_ascending_buckets(
     assert not t.lineage.pending
     assert index == from_scratch(dict(t.items()), pattern)
     assert_buckets_ascending(t)
+
+
+@pytest.mark.parametrize("fork", ["none", "dies_before_the_purge"])
+def test_a_world_whose_last_row_goes_leaves_no_inner_map(fork):
+    """``V``'s ``(wid, key)`` index in small: once a world's last row is
+    purged, the index has no entry for that ``wid`` — whether the purge is
+    the delete's own (no fork alive) or the owner's next fork's (the fork
+    that reached the rows died first)."""
+    t = Table(V_LIKE, auto_index=False)
+    t.insert_many([(wid, k, k % 3) for wid in (1, 2) for k in range(6)])
+    t.insert((3, 0, 0))  # a world of one row
+    index = t.lineage.indexes[(0, 2)]
+    assert sorted(index) == [1, 2, 3]
+    assert index[1] == {0: [0, 3], 1: [1, 4], 2: [2, 5]}
+    held = t.snapshot_fork() if fork != "none" else None
+    doomed = [rowid for rowid, row in t.items() if row[0] == 1]
+    t.delete_rowid(doomed[0])  # a one-row purge, then a grouped one
+    t.delete_rowids(doomed[1:])
+    t.delete_rowid(12)
+    if held is not None:  # the fork still reaches both worlds' rows
+        assert sorted(index) == [1, 2, 3]
+        assert sorted(held.match_rowids({0: 1, 2: 0})) == [0, 3]
+        del held
+        t.snapshot_fork()
+    assert not t.lineage.pending
+    assert sorted(index) == [2]
+    assert index == from_scratch(dict(t.items()), (0, 2))
 
 
 def test_fork_held_across_delete_and_reinsert_of_the_same_key():

@@ -255,13 +255,13 @@ class TestIndexes:
         t.create_index(("a",))
         first, second = t.insert((1, 2, 3)), t.insert((1, 9, 9))
         (index,) = t.lineage.indexes.values()
-        assert index == {(1,): [first, second]}
+        assert index == {1: [first, second]}
         third = t.insert((1, 5, 5))
-        assert index == {(1,): [first, second, third]}
+        assert index == {1: [first, second, third]}
         t.delete_rowid(second)
-        assert index == {(1,): [first, third]}
+        assert index == {1: [first, third]}
         t.delete_rowid(first)
-        assert index == {(1,): third}
+        assert index == {1: third}
         t.delete_rowid(third)
         assert index == {}
 
@@ -293,14 +293,14 @@ class TestIndexes:
         assert bisects.call_count == 0
         if how == "clear":
             assert sorted(call.args[1] for call in discards.call_args_list) == [
-                (0,), (1,), (2,)
+                0, 1, 2
             ]
             assert index == {}
         else:
             assert [call.args[1:] for call in discards.call_args_list] == [
-                ((0,), doomed)
+                (0, doomed)
             ]
-            assert index[(0,)] == [r for r in range(0, 30, 3) if r not in doomed]
+            assert index[0] == [r for r in range(0, 30, 3) if r not in doomed]
 
     def test_one_delete_from_a_bucket_is_one_bisect(self):
         t = make_table(auto_index=False)
@@ -311,7 +311,7 @@ class TestIndexes:
         ) as bisects:
             t.delete_rowid(4)
         assert bisects.call_count == 1
-        assert t.lineage.indexes[(0,)] == {(0,): [0, 1, 2, 3, 5, 6, 7, 8, 9]}
+        assert t.lineage.indexes[(0,)] == {0: [0, 1, 2, 3, 5, 6, 7, 8, 9]}
 
     def test_no_auto_index_below_threshold(self):
         t = make_table(auto_index=True)

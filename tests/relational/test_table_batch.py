@@ -153,8 +153,9 @@ def test_a_batch_stores_each_rowid_once():
     t.insert_many([(k, k % 4, k % 3) for k in range(600)])
     same = {rowid: id(rowid) for rowid in t._rows}
     named = list(t._key_values.values())
-    for index in t.lineage.indexes.values():
-        for bucket in index.values():
+    for positions, index in t.lineage.indexes.items():
+        levels = index.values() if len(positions) > 1 else (index,)
+        for bucket in (bucket for level in levels for bucket in level.values()):
             named.extend((bucket,) if type(bucket) is int else bucket)
     assert len(named) == 3 * len(same)
     assert all(id(rowid) == same[rowid] for rowid in named)

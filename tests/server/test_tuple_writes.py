@@ -132,6 +132,22 @@ def test_set_path_refuses_an_adjacent_repeat(shape, tmp_path):
         assert believes(U, "-") is True
 
 
+@pytest.mark.parametrize("shape", ("threaded", "async", "router"))
+def test_set_path_refuses_a_user_that_is_not_a_value(shape, tmp_path):
+    """A list or a map in a path names no user: ``set_path`` refuses it
+    with its own typed error, and the session keeps the path it had."""
+    with _deployment(shape, tmp_path) as (conn, db, believes):
+        before = conn.default_path
+        for path in ([[BELIEVER]], [BELIEVER, {"user": BELIEVER}]):
+            with pytest.raises(BeliefDBError) as raised:
+                conn.client.set_path(path)
+            assert type(raised.value) is BeliefDBError
+            assert str(raised.value) == "set_path expects a list of users"
+        assert conn.client.whoami()["default_path"] == list(before)
+        assert conn.execute(NEGATE, U).rowcount == 1
+        assert believes(U, "-") is True
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_an_empty_default_path_writes_plain_content(shape, tmp_path):
     """After ``set_path([])`` a plain insert is content, not the user's
