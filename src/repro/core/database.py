@@ -15,13 +15,16 @@ are invalidated on every mutation via a version counter.
 Belief databases support copy-on-write forks (:meth:`BeliefDatabase
 .snapshot_fork`) so the MVCC layer can freeze the explicit-annotation
 mirror together with the relational representation: a fork shares the
-statement sets with its origin until either side mutates, and each fork
-carries its own entailed-world cache — closure caches are therefore
-naturally version-keyed.
+statement sets with its origin, and the side that mutates copies them
+first only while the other still holds them (the table layer's rule,
+:meth:`repro.relational.table.Table._materialize`) — a fork released
+before the next write costs that write nothing. Each fork carries its own
+entailed-world cache, so closure caches are naturally version-keyed.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from typing import Iterable, Iterator
 
@@ -96,8 +99,20 @@ class BeliefDatabase:
         return fork
 
     def _materialize(self) -> None:
-        """Unshare before a mutation (one-level copies of the signed sets)."""
+        """Unshare before a mutation: one-level copies of the signed sets,
+        made only while another fork still holds them."""
         if self._shared:
+            # Two references each, ours and the call's: every fork that
+            # shared them is gone (CPython counts exactly; a count that ran
+            # high would only cost the copy back).
+            if (
+                sys.getrefcount(self._statements) == 2
+                and sys.getrefcount(self._positives) == 2
+                and sys.getrefcount(self._negatives) == 2
+                and sys.getrefcount(self._registered_users) == 2
+            ):
+                self._shared = False
+                return
             self._statements = set(self._statements)
             self._positives = defaultdict(
                 set, {k: set(v) for k, v in self._positives.items()}

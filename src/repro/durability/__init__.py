@@ -35,7 +35,6 @@ from repro.durability.recovery import (
     replay_records,
 )
 from repro.durability.snapshot import (
-    build_snapshot,
     load_latest_snapshot,
     restore_snapshot,
     write_snapshot,
@@ -56,7 +55,6 @@ __all__ = [
     "RecoveryReport",
     "ReplayStats",
     "replay_records",
-    "build_snapshot",
     "load_latest_snapshot",
     "restore_snapshot",
     "write_snapshot",

@@ -427,7 +427,7 @@ class DurabilityManager:
         with self._lock:
             self._ensure_open()
             seq = self.last_seq
-            snap.write_snapshot(self.snapshot_dir, snap.build_snapshot(db, seq))
+            snap.write_snapshot(self.snapshot_dir, db, seq)
             snap.prune_snapshots(self.snapshot_dir, self.keep_snapshots)
             # Prune the WAL only back to the *oldest retained* snapshot, not
             # the one just written: recovery falls back to an older snapshot

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.statements import BeliefStatement, Sign
 from repro.errors import BeliefDBError, DurabilityError
@@ -50,7 +50,8 @@ def list_snapshots(directory: str) -> list[tuple[int, str]]:
 def statement_order(statement: Any) -> tuple:
     """Sort key for rebuilding explicit statements shallowest-path-first.
 
-    Shared by snapshot building and the transaction rollback rebuild
+    Shared by the snapshot writer (which sorts one path at a time to the
+    same order) and the transaction rollback rebuild
     (:meth:`BeliefDBMS._rollback_rebuild`), so the two deterministic
     rebuild paths can never diverge in ordering.
     """
@@ -60,30 +61,51 @@ def statement_order(statement: Any) -> tuple:
     )
 
 
-def build_snapshot(db: Any, seq: int) -> dict[str, Any]:
-    """Serialize a BDMS's users + explicit statements as of WAL ``seq``.
+_COMPACT = (",", ":")
 
-    The optional ``lifecycle`` key carries the lifecycle registry (records
-    + the full audit history) when anything is tracked; snapshots from
-    before the lifecycle subsystem simply lack the key and restore fine.
+
+def _dumps(value: Any) -> str:
+    return json.dumps(value, separators=_COMPACT)
+
+
+def _statement_entries(db: Any) -> Iterator[dict[str, Any]]:
+    """The explicit statements in :func:`statement_order`, one at a time:
+    the paths sorted by ``(len, repr)``, then one path's statements."""
+    explicit = db.store.explicit_db
+    for path in sorted(explicit.support(), key=lambda p: (len(p), repr(p))):
+        signs = sorted(
+            explicit.explicit_signs(path),
+            key=lambda pair: (repr(pair[0]), str(pair[1])),
+        )
+        for t, sign in signs:
+            yield {
+                "path": list(path),
+                "relation": t.relation,
+                "values": list(t.values),
+                "sign": str(sign),
+            }
+
+
+def write_snapshot(directory: str, db: Any, seq: int) -> str:
+    """Atomically persist a BDMS's users + explicit statements as of WAL
+    ``seq``; returns the file's final path.
+
+    The file is one JSON object: ``format``, ``seq``, ``users``,
+    ``statements``, ``counts``, and ``lifecycle`` (the registry's records
+    + full audit history) when anything is tracked; snapshots from before
+    the lifecycle subsystem simply lack that key and restore fine. The
+    statements are written one at a time, so the transient is one path's
+    statements rather than the whole list.
     """
-    statements = sorted(db.store.explicit_statements(), key=statement_order)
-    payload = {
+    head = {
         "format": SNAPSHOT_FORMAT,
         "seq": seq,
         "users": sorted(
             ([uid, name] for uid, name in db.users().items()),
             key=lambda pair: repr(pair[0]),
         ),
-        "statements": [
-            {
-                "path": list(s.path),
-                "relation": s.tuple.relation,
-                "values": list(s.tuple.values),
-                "sign": str(s.sign),
-            }
-            for s in statements
-        ],
+    }
+    tail: dict[str, Any] = {
         "counts": {
             "annotations": db.annotation_count(),
             "users": len(db.users()),
@@ -91,16 +113,16 @@ def build_snapshot(db: Any, seq: int) -> dict[str, Any]:
     }
     lifecycle = db.store.lifecycle
     if lifecycle.record_count() or lifecycle.audit_count():
-        payload["lifecycle"] = lifecycle.dump()
-    return payload
-
-
-def write_snapshot(directory: str, payload: dict[str, Any]) -> str:
-    """Atomically persist one snapshot; returns its final path."""
-    final = os.path.join(directory, snapshot_name(int(payload["seq"])))
+        tail["lifecycle"] = lifecycle.dump()
+    final = os.path.join(directory, snapshot_name(seq))
     tmp = final + ".tmp"
     with open(tmp, "w", encoding="utf-8") as sink:
-        json.dump(payload, sink, separators=(",", ":"))
+        sink.write(_dumps(head)[:-1] + ',"statements":[')
+        separator = ""
+        for entry in _statement_entries(db):
+            sink.write(separator + _dumps(entry))
+            separator = ","
+        sink.write("]," + _dumps(tail)[1:])
         sink.flush()
         os.fsync(sink.fileno())
     os.replace(tmp, final)

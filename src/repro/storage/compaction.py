@@ -68,9 +68,7 @@ def vacuum_star(store: BeliefStore) -> VacuumStats:
         doomed = [row[0] for row in star if row[0] not in keep]
         for tid in doomed:
             star.delete_matching({0: tid})
-            t = store._tuple_by_tid.pop(tid, None)
-            if t is not None:
-                store._tid_by_tuple.pop(t, None)
+            store.forget_tid(tid)
             removed += 1
     if removed:
         # A lifecycle row may name a dropped tid; a re-insert gets a new one.

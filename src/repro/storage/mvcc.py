@@ -12,17 +12,21 @@ mid-scan.
 Lifecycle of a version:
 
 1. **build** — the first pin at a given epoch forks the live store (under
-   the manager's mutex; O(registries): the row dicts stay shared, and the
-   fork's tables probe the live tables' hash indexes instead of building
-   any — :mod:`repro.relational.table`);
+   the manager's mutex; O(tables): the row dicts, the explicit mirror and
+   the world, user and tuple registries stay shared — the live store
+   copies one before changing it only while a fork still holds it, and a
+   fork ignores tids at or above its watermark — and the fork's tables
+   probe the live tables' hash indexes instead of building any —
+   :mod:`repro.relational.table`);
 2. **share** — later pins at the same epoch reuse the cached fork, each
    incrementing its pin count;
 3. **retire** — a write bumps the epoch, so the version stops being
    current; it survives while readers still hold pins. A version nobody
    has pinned is dropped when the write *starts*
-   (:meth:`VersionManager.retire_idle`): a live table copies its row dict
-   on write only for forks that still exist, so a write no reader is
-   watching copies nothing;
+   (:meth:`VersionManager.retire_idle`): the live store copies a table's
+   row dict, the explicit statement sets or a registry on write only for
+   forks that still exist, so a write no reader is watching copies
+   nothing;
 4. **GC** — once its pin count reaches zero and it is no longer current,
    the version is dropped (``mvcc_gc_reclaimed_total`` counts these) and
    its sqlite mirror, if it built one, is handed to the manager. Dropping

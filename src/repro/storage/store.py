@@ -23,6 +23,7 @@ tests, powers lazy evaluation via the core closure, and supports rebuilding.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from typing import Iterable, Iterator
 
@@ -64,6 +65,22 @@ from repro.storage.internal_schema import (
     star_table_name,
     v_table_name,
 )
+
+
+#: The world and user registries, each with the one-level-deep copy its
+#: owner makes before changing it while a fork still holds it.
+_FORKED_REGISTRIES = {
+    "_wid_by_path": dict,
+    "_path_by_wid": dict,
+    "_depth": dict,
+    "_s_parent": dict,
+    "_s_children": lambda held: defaultdict(
+        set, {wid: set(children) for wid, children in held.items()}
+    ),
+    "_edges": lambda held: {wid: dict(per) for wid, per in held.items()},
+    "_users": dict,
+    "_uid_by_name": dict,
+}
 
 
 def sign_to_str(sign: Sign) -> str:
@@ -110,10 +127,16 @@ class BeliefStore:
         self._uid_by_name: dict[str, User] = {}
         self._next_uid = 1
 
-        # Tuple registry mirroring the star tables.
+        #: True while a fork may share the registries above.
+        self._shared = False
+
+        # Tuple registry mirroring the star tables. Append-only, and shared
+        # with every fork: a store sees only the tids below its _next_tid,
+        # and only their owner (the store that made them) appends to them.
         self._tid_by_tuple: dict[GroundTuple, int] = {}
         self._tuple_by_tid: dict[int, GroundTuple] = {}
         self._next_tid = 1
+        self._owns_tuples = True
 
         self.lifecycle = LifecycleRegistry()
 
@@ -138,7 +161,7 @@ class BeliefStore:
         """``(wid, tid)`` of the statement a lifecycle key names — its
         ``(path, relation, values, sign)`` — if both ids exist here."""
         wid = self._wid_by_path.get(key[0])
-        tid = self._tid_by_tuple.get(GroundTuple(key[1], key[2]))
+        tid = self._tid(GroundTuple(key[1], key[2]))
         return None if wid is None or tid is None else (wid, tid)
 
     # ------------------------------------------------------------- snapshots
@@ -146,37 +169,68 @@ class BeliefStore:
     def fork_snapshot(self) -> "BeliefStore":
         """An immutable-by-convention copy-on-write fork of the whole store.
 
-        The engine tables (the lifecycle relations among them), the explicit
-        mirror and the lifecycle registry fork copy-on-write (rows stay
-        shared until one side mutates); the small registries are copied
-        eagerly — O(worlds + users + tuples) dict copies, paid once per
-        pinned version, never per write. The result is a fully functional
-        :class:`BeliefStore`, so every query backend evaluates against it
-        unchanged; the MVCC layer (:mod:`repro.storage.mvcc`) hands these
-        out as pinned versions and mutates only the live store.
+        Nothing is copied: O(tables). The engine tables (the lifecycle
+        relations among them), the explicit mirror, the lifecycle registry
+        and the world and user registries are shared, and the side that
+        changes one first copies it only while the other still holds it
+        (the table layer's rule, :meth:`repro.relational.table.Table.
+        _materialize`). So a write no fork is watching costs its delta, and
+        one that creates a world or a user under a pinned fork pays one
+        copy of those registries. The tuple registries are append-only and
+        shared outright: the fork ignores every tid at or above its
+        ``_next_tid``. The result is a fully functional :class:`BeliefStore`,
+        so every query backend evaluates against it unchanged; the MVCC
+        layer (:mod:`repro.storage.mvcc`) hands these out as pinned
+        versions and mutates only the live store.
         """
         fork = BeliefStore.__new__(BeliefStore)
         fork.schema = self.schema
         fork.eager = self.eager
         fork.engine = self.engine.snapshot_fork()
         fork.explicit_db = self.explicit_db.snapshot_fork()
-        fork._wid_by_path = dict(self._wid_by_path)
-        fork._path_by_wid = dict(self._path_by_wid)
-        fork._depth = dict(self._depth)
-        fork._s_parent = dict(self._s_parent)
-        fork._s_children = defaultdict(
-            set, {k: set(v) for k, v in self._s_children.items()}
-        )
+        for name in _FORKED_REGISTRIES:
+            setattr(fork, name, getattr(self, name))
+        fork._shared = self._shared = True
         fork._next_wid = self._next_wid
-        fork._edges = {wid: dict(per) for wid, per in self._edges.items()}
-        fork._users = dict(self._users)
-        fork._uid_by_name = dict(self._uid_by_name)
         fork._next_uid = self._next_uid
-        fork._tid_by_tuple = dict(self._tid_by_tuple)
-        fork._tuple_by_tid = dict(self._tuple_by_tid)
+        fork._tid_by_tuple = self._tid_by_tuple
+        fork._tuple_by_tid = self._tuple_by_tid
         fork._next_tid = self._next_tid
+        fork._owns_tuples = False
         fork._lifecycle = self._lifecycle.fork(fork)
         return fork
+
+    def _own(self) -> None:
+        """Before changing a world or user registry: copy each one a fork
+        still holds. Pins take the write mutex, so no fork appears during a
+        write and the count is exact there."""
+        if not self._shared:
+            return
+        self._shared = False
+        for name, copy in _FORKED_REGISTRIES.items():
+            held = getattr(self, name)
+            # Ours are three: the attribute, ``held`` and the call's argument.
+            if sys.getrefcount(held) > 3:
+                setattr(self, name, copy(held))
+
+    def _own_tuples(self) -> None:
+        """Before anything but the owner's append to the tuple registries:
+        keep them only if nothing else holds them, else copy the tids below
+        ``_next_tid`` (the owner may append meanwhile: ``dict()`` copies in
+        one step)."""
+        if (
+            self._owns_tuples
+            and sys.getrefcount(self._tuple_by_tid) == 2
+            and sys.getrefcount(self._tid_by_tuple) == 2
+        ):
+            return
+        limit = self._next_tid
+        by_tid = {
+            tid: t for tid, t in dict(self._tuple_by_tid).items() if tid < limit
+        }
+        self._tuple_by_tid = by_tid
+        self._tid_by_tuple = {t: tid for tid, t in by_tid.items()}
+        self._owns_tuples = True
 
     # ------------------------------------------------------------------ users
 
@@ -197,6 +251,7 @@ class BeliefStore:
         display = name if name is not None else str(uid)
         if display in self._uid_by_name:
             raise SchemaError(f"user name {display!r} already registered")
+        self._own()
         self._users[uid] = display
         self._uid_by_name[display] = uid
         self.engine.table(U_TABLE).insert((uid, display))
@@ -301,6 +356,7 @@ class BeliefStore:
 
     def register_world(self, path: BeliefPath, s_parent_wid: int) -> int:
         """Create registry + D/S rows for a new world. Used by ``idWorld``."""
+        self._own()
         wid = self._next_wid
         self._next_wid += 1
         self._wid_by_path[path] = wid
@@ -318,6 +374,7 @@ class BeliefStore:
         old = self._s_parent.get(wid)
         if old == new_parent:
             return
+        self._own()
         if old is not None:
             self._s_children[old].discard(wid)
         self._s_parent[wid] = new_parent
@@ -341,6 +398,7 @@ class BeliefStore:
         """Give the new world ``wid`` at ``path`` its outgoing edges
         ``(wid, u, dss(path·u))``, one for every user that can extend
         ``path``: the registry in one pass, ``E`` in one batch."""
+        self._own()
         targets = self._edges[wid]
         for uid in self._users:
             if can_extend(path, uid):
@@ -351,6 +409,7 @@ class BeliefStore:
 
     def set_edge(self, wid: int, uid: User, target: int) -> None:
         """Insert or redirect the unique (wid, uid) edge, in E and registry."""
+        self._own()
         edge_table = self.engine.table(E_TABLE)
         if uid in self._edges[wid]:
             edge_table.delete_matching({0: wid, 1: uid})
@@ -369,12 +428,19 @@ class BeliefStore:
 
     # ------------------------------------------------------------------ tuples
 
+    def _tid(self, t: GroundTuple) -> int | None:
+        """``t``'s tid if this store has one (below its watermark)."""
+        tid = self._tid_by_tuple.get(t)
+        return tid if tid is not None and tid < self._next_tid else None
+
     def tid_for(self, t: GroundTuple, create: bool = False) -> int | None:
         """The internal key of a ground tuple, optionally creating a star row."""
-        tid = self._tid_by_tuple.get(t)
+        tid = self._tid(t)
         if tid is not None or not create:
             return tid
         self.schema.validate(t)
+        if not self._owns_tuples:
+            self._own_tuples()
         tid = self._next_tid
         self._next_tid += 1
         self._tid_by_tuple[t] = tid
@@ -383,7 +449,17 @@ class BeliefStore:
         return tid
 
     def tuple_for_tid(self, tid: int) -> GroundTuple:
+        if tid >= self._next_tid:
+            raise KeyError(tid)
         return self._tuple_by_tid[tid]
+
+    def forget_tid(self, tid: int) -> None:
+        """Drop ``tid`` from the tuple registry (its star row is gone);
+        a fork that still holds the registry keeps it."""
+        self._own_tuples()
+        t = self._tuple_by_tid.pop(tid, None)
+        if t is not None:
+            self._tid_by_tuple.pop(t, None)
 
     def v_table(self, relation: str) -> Table:
         return self.engine.table(v_table_name(relation))
@@ -454,7 +530,7 @@ class BeliefStore:
         wid = self.resolve_path(path)
         if t.relation == self.schema.users_relation:
             return False  # the users catalog holds no beliefs
-        tid = self._tid_by_tuple.get(t)
+        tid = self._tid(t)
         wanted = sign_to_str(sign)
         for _, row_tid, _, s, _ in self.v_table(t.relation).match_named(
             wid=wid, key=t.key

@@ -38,8 +38,7 @@ def _explicit(db: BeliefDBMS) -> list[str]:
 
 def test_snapshot_round_trip(tmp_path):
     db = _curated_db()
-    payload = snap.build_snapshot(db, seq=42)
-    path = snap.write_snapshot(str(tmp_path), payload)
+    path = snap.write_snapshot(str(tmp_path), db, seq=42)
     assert os.path.basename(path) == snap.snapshot_name(42)
 
     loaded, skipped = snap.load_latest_snapshot(str(tmp_path))
@@ -64,8 +63,7 @@ def test_snapshot_round_trip_generated_workload(tmp_path):
     populate_store(db.store, WorkloadConfig(
         n_annotations=120, n_users=8, participation="zipf", seed=3,
     ))
-    payload = snap.build_snapshot(db, seq=1)
-    snap.write_snapshot(str(tmp_path), payload)
+    snap.write_snapshot(str(tmp_path), db, seq=1)
     loaded, _ = snap.load_latest_snapshot(str(tmp_path))
     restored = BeliefDBMS(experiment_schema(), strict=False)
     snap.restore_snapshot(restored, loaded)
@@ -75,17 +73,18 @@ def test_snapshot_round_trip_generated_workload(tmp_path):
 
 def test_restore_requires_empty_database(tmp_path):
     db = _curated_db()
-    payload = snap.build_snapshot(db, seq=1)
+    snap.write_snapshot(str(tmp_path), db, seq=1)
+    payload, _ = snap.load_latest_snapshot(str(tmp_path))
     with pytest.raises(DurabilityError):
         snap.restore_snapshot(db, payload)  # db is not empty
 
 
 def test_damaged_latest_snapshot_falls_back_to_older(tmp_path):
     db = _curated_db()
-    snap.write_snapshot(str(tmp_path), snap.build_snapshot(db, seq=10))
+    snap.write_snapshot(str(tmp_path), db, seq=10)
     db.insert(["Carol"], "Sightings",
               ("s9", "Carol", "raven", "7-01-08", "Cedar River"))
-    newest = snap.write_snapshot(str(tmp_path), snap.build_snapshot(db, seq=20))
+    newest = snap.write_snapshot(str(tmp_path), db, seq=20)
 
     with open(newest, "w") as handle:
         handle.write('{"format": 1, "seq"')  # torn mid-write
@@ -103,24 +102,77 @@ def test_wrong_format_snapshot_skipped(tmp_path):
 
 
 def test_no_tmp_file_left_behind(tmp_path):
-    snap.write_snapshot(
-        str(tmp_path), snap.build_snapshot(_curated_db(), seq=7)
-    )
+    snap.write_snapshot(str(tmp_path), _curated_db(), seq=7)
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
 
 def test_prune_keeps_newest(tmp_path):
     db = _curated_db()
     for seq in (1, 2, 3, 4):
-        snap.write_snapshot(str(tmp_path), snap.build_snapshot(db, seq=seq))
+        snap.write_snapshot(str(tmp_path), db, seq=seq)
     removed = snap.prune_snapshots(str(tmp_path), keep=2)
     assert removed == 2
     assert [seq for seq, _ in snap.list_snapshots(str(tmp_path))] == [3, 4]
 
 
 def test_restore_rejects_tampered_counts(tmp_path):
-    payload = snap.build_snapshot(_curated_db(), seq=1)
+    snap.write_snapshot(str(tmp_path), _curated_db(), seq=1)
+    payload, _ = snap.load_latest_snapshot(str(tmp_path))
     payload["counts"]["annotations"] += 1
     restored = BeliefDBMS(sightings_schema(), strict=False)
     with pytest.raises(DurabilityError):
         snap.restore_snapshot(restored, payload)
+
+
+def _payload_in_one_piece(db: BeliefDBMS, seq: int) -> dict:
+    """The snapshot object built whole: every statement in one sorted list."""
+    statements = sorted(
+        db.store.explicit_db.statements(), key=snap.statement_order
+    )
+    payload = {
+        "format": snap.SNAPSHOT_FORMAT,
+        "seq": seq,
+        "users": sorted(
+            ([uid, name] for uid, name in db.users().items()),
+            key=lambda pair: repr(pair[0]),
+        ),
+        "statements": [
+            {
+                "path": list(s.path),
+                "relation": s.tuple.relation,
+                "values": list(s.tuple.values),
+                "sign": str(s.sign),
+            }
+            for s in statements
+        ],
+        "counts": {
+            "annotations": db.annotation_count(),
+            "users": len(db.users()),
+        },
+    }
+    lifecycle = db.store.lifecycle
+    if lifecycle.record_count() or lifecycle.audit_count():
+        payload["lifecycle"] = lifecycle.dump()
+    return payload
+
+
+@pytest.mark.parametrize("tracked", [False, True])
+def test_streamed_snapshot_matches_the_whole_payload_byte_for_byte(
+    tmp_path, tracked
+):
+    db = BeliefDBMS(experiment_schema(), strict=False)
+    populate_store(db.store, WorkloadConfig(
+        n_annotations=150, n_users=6, participation="zipf", seed=11,
+    ))
+    if tracked:
+        statement = sorted(db.store.explicit_db.statements(), key=str)[0]
+        db.lifecycle_propose(
+            list(statement.path), statement.tuple.relation,
+            statement.tuple.values, sign=str(statement.sign), ts=1.0,
+        )
+    path = snap.write_snapshot(str(tmp_path), db, seq=5)
+    with open(path, "rb") as source:
+        written = source.read()
+    expected = json.dumps(_payload_in_one_piece(db, 5), separators=(",", ":"))
+    assert written == expected.encode("utf-8")
+    assert ('"lifecycle"' in expected) is tracked
