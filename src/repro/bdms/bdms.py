@@ -72,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover — type-only import (avoids a cycle)
     from repro.durability.manager import DurabilityManager
 
 from repro.bdms.dml import apply_compiled
-from repro.bdms.result import Result
+from repro.bdms.result import Result, natural_order
 from repro.bdms.transaction import Transaction
 from repro.beliefsql.ast import (
     DeleteStatement,
@@ -804,7 +804,7 @@ class BeliefDBMS:
         compiled = prepared.compiled
         rows: list[tuple] = []
         if prepared.kind == "select":
-            rows = sorted(self._select(compiled, params, version), key=repr)
+            rows = natural_order(self._select(compiled, params, version))
             rowcount = len(rows)
         else:
             # DML: WAL-logged as one replayable template + parameter record.

@@ -4,7 +4,7 @@ Every statement executed through the DB-API surface of :mod:`repro.api` —
 and through :meth:`repro.bdms.bdms.BeliefDBMS.execute_prepared` underneath
 it — returns a :class:`Result`:
 
-* ``rows``       — result tuples (``[]`` for DML), sorted deterministically;
+* ``rows``       — result tuples (``[]`` for DML), in :func:`natural_order`;
 * ``columns``    — column names derived from the select list (``()`` for DML);
 * ``rowcount``   — rows returned (select) or statements affected (DML;
   an insert is 1 when accepted, 0 when rejected in non-strict mode);
@@ -21,7 +21,7 @@ iteration/indexing straight over the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Literal, Sequence, TypeVar, overload
+from typing import Any, Collection, Iterator, Literal, Sequence, TypeVar, overload
 
 ResultKind = Literal["select", "insert", "delete", "update", "commit"]
 
@@ -33,6 +33,17 @@ _T = TypeVar("_T")
 RESULT_KINDS: tuple[ResultKind, ...] = (
     "select", "insert", "delete", "update", "commit",
 )
+
+
+def natural_order(rows: Collection[tuple]) -> list[tuple]:
+    """A select's rows sorted by their values (``1, 2, 10``), by ``repr``
+    where one column holds values that do not compare (``3`` and ``'x'``).
+    Either way the order is the answer's own, so every endpoint returns the
+    same rows in the same order."""
+    try:
+        return sorted(rows)
+    except TypeError:
+        return sorted(rows, key=repr)
 
 
 @dataclass

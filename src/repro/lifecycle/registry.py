@@ -33,15 +33,19 @@ the owner copies one before mutating it only while a fork still holds it
 (the table layer's rule, :meth:`repro.relational.table.Table._materialize`)
 — and the audit list is shared outright: it is append-only and only the
 live head appends (under the BDMS write mutex), so a fork just remembers the
-length watermark at fork time and reads ``audit[:watermark]``. The
-relations fork with the store's other tables.
+length watermark at fork time and reads ``audit[:watermark]``. So is the
+index beside it, each belief's event positions in ascending order: a fork
+reads the positions below its watermark (one bisect), so a belief's history
+costs its own events, not the whole log. The relations fork with the
+store's other tables.
 """
 
 from __future__ import annotations
 
 import sys
 import weakref
-from typing import TYPE_CHECKING, Any, Iterable
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import LifecycleConflictError, LifecycleError
 from repro.lifecycle.model import (
@@ -119,6 +123,9 @@ class LifecycleRegistry:
         # Shared append-only audit history; _audit_len is this view's bound.
         self._audit: list[tuple] = []
         self._audit_len = 0
+        #: Belief id -> its events' positions in ``_audit``, ascending
+        #: (shared and append-only too).
+        self._audit_at: dict[str, list[int]] = {}
         self._next_audit_seq = 1
 
     # ------------------------------------------------------------------ forks
@@ -132,6 +139,7 @@ class LifecycleRegistry:
         fork._shared = self._shared = True
         fork._store = weakref.ref(store) if store is not None else None
         fork._audit = self._audit  # shared; bounded by the watermark below
+        fork._audit_at = self._audit_at
         fork._audit_len = self._audit_len
         fork._next_audit_seq = self._next_audit_seq
         return fork
@@ -270,12 +278,16 @@ class LifecycleRegistry:
         self, belief: str | None = None, limit: int | None = None
     ) -> list[dict[str, Any]]:
         """Audit history (oldest first), optionally for one belief id."""
-        events = self._audit[: self._audit_len]
-        if belief is not None:
-            events = [e for e in events if e[2] == belief]
+        end = self._audit_len
+        if belief is None:
+            positions: Sequence[int] = range(end)
+        else:
+            positions = self._audit_at.get(belief, ())
+            positions = positions[: bisect_left(positions, end)]
         if limit is not None and limit >= 0:
-            events = events[-limit:]
-        return [_event_view(e) for e in events]
+            positions = positions[-limit:]
+        audit = self._audit
+        return [_event_view(audit[at]) for at in positions]
 
     # -------------------------------------------------------------- provenance
 
@@ -359,6 +371,8 @@ class LifecycleRegistry:
 
     def _audit_append(self, *values: Any) -> None:
         """Append one event: its ``_EVENT_FIELDS`` values but the ``seq``."""
+        if values[2] is not None:  # a decay sweep names no belief
+            self._audit_at.setdefault(values[2], []).append(len(self._audit))
         self._audit.append((*values, self._next_audit_seq))
         self._next_audit_seq += 1
         self._audit_len += 1
@@ -480,6 +494,9 @@ class LifecycleRegistry:
             registry._by_id[record.belief_id] = record.key
         registry._audit = [_event_kept(e) for e in payload.get("audit", ())]
         registry._audit_len = len(registry._audit)
+        for at, event in enumerate(registry._audit):
+            if event[2] is not None:
+                registry._audit_at.setdefault(event[2], []).append(at)
         registry._next_audit_seq = int(
             payload.get("next_audit_seq", registry._audit_len + 1)
         )

@@ -29,16 +29,17 @@ A rule is compiled (:func:`compile_rule`) into one generated function: a
 nest of loops, one step per body atom in a greedy join order chosen from
 the catalog — what key and indexes each table has — so that every step
 gets the best access path its bound columns can have. A step over a unique
-key is two dict lookups and no loop; a step over an index iterates its
-bucket in place (the table's probe loop, :meth:`Table.prober`, written out
-inline: one ``get`` per level of the index — the first column's value,
-then the rest in the inner map it finds, with no key tuple built —
-snapshot the bucket, look each rowid up in the rows this execution holds,
-compare the bound columns the index does not cover); only a step nothing
-covers calls the table's prober. Variables are locals of that
-function, every condition and negated atom is tested in the outermost loop
-that binds all its variables, and the innermost statement adds the head
-tuple to the result set. Nothing about the rule is looked at again per row.
+key is two dict lookups and no loop, the first on the value a one-column
+key holds (only a wider key's values make a tuple); a step over an index
+iterates its bucket in place (the table's probe loop, :meth:`Table.prober`,
+written out inline: one ``get`` per level of the index — the first
+column's value, then the rest in the inner map it finds, with no key tuple
+built — snapshot the bucket, look each rowid up in the rows this
+execution holds, compare the bound columns the index does not cover); only
+a step nothing covers calls the table's prober. Variables are locals of
+that function, every condition and negated atom is tested in the outermost
+loop that binds all its variables, and the innermost statement adds the
+head tuple to the result set. Nothing about the rule is looked at again per row.
 (Past 15 loops the nest continues in a nested function that the innermost
 loop calls: CPython compiles at most 20 nested blocks.)
 
@@ -599,6 +600,10 @@ def _compile(
     def row_of(terms: Iterable[int | str | None]) -> str:
         return "(" + "".join(f"{value(t)}, " for t in terms if t is not None) + ")"
 
+    def key_of(terms: Sequence[int | str]) -> str:
+        """A key dict's key: the bare value of a one-column key."""
+        return value(terms[0]) if len(terms) == 1 else row_of(terms)
+
     #: (variables it reads, the test that rejects a binding), not yet placed
     guards = [
         (set(_condition_variables(cond)), f"not {_expr_source(cond, local, True)}")
@@ -628,7 +633,7 @@ def _compile(
         passes = " and ".join(residual)
         access = tables[n].access(columns)
         if access.kind == "key" and not access.checks:
-            row = f"held{n}(get{n}({row_of(terms[i] for i in access.positions)}))"
+            row = f"held{n}(get{n}({key_of([terms[i] for i in access.positions])}))"
             if residual:
                 test = f"({found} := {row}) is not None and {passes}"
             else:
@@ -684,7 +689,7 @@ def _compile(
             # cover compared after.
             reads.append(f"(get{depth}, held{depth}, stale{depth})")
             if access.kind == "key":
-                lookup = f"get{depth}({row_of(terms[i] for i in access.positions)})"
+                lookup = f"get{depth}({key_of([terms[i] for i in access.positions])})"
             else:  # one ``get`` per level of the index
                 lead, *rest = (value(terms[i]) for i in access.positions)
                 lookup = f"get{depth}({lead})"

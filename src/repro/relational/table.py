@@ -71,8 +71,10 @@ key)`` index pays for a key tuple of its own: the inner map's key is a
 value the row already holds, and the world's inner map is shared by all its
 cells. An inner map is created holding its first bucket and deleted when
 its last row leaves, so a world whose rows are all purged leaves nothing
-behind. The unique-key dict stays flat: it maps each key tuple to its bare
-rowid.
+behind. The unique-key dict is one level, like a one-column index, and
+holds the bare rowid: a one-column key (``tid``, ``wid``, ``uid``) maps
+the bare value, which the row already holds, and only a wider key (the
+``lifecycle`` relation's ``(wid, tid, s)``) a tuple of its values.
 
 A bucket is the bare rowid while one row carries the values and a ``list``
 of rowids in ascending order from the second row on. Rowids are issued in
@@ -231,21 +233,17 @@ class Lineage:
         return min(live) if live else None
 
 
-#: positions -> ``row -> tuple(row[i] for i in positions)``, built once.
-_PICKERS: dict[tuple[int, ...], Callable[[Row], tuple]] = {}
+#: positions -> ``row -> `` its key in the unique-key dict, built once.
+_PICKERS: dict[tuple[int, ...], Callable[[Row], Any]] = {}
 
 
-def _picker(positions: tuple[int, ...]) -> Callable[[Row], tuple]:
-    """The function taking a row to its unique key, as a tuple (a C-level
-    ``itemgetter`` where it can be: this runs per row written)."""
+def _picker(positions: tuple[int, ...]) -> Callable[[Row], Any]:
+    """The function taking a row to its unique key: the bare value of a
+    one-column key, a tuple of the values of a wider one (a C-level
+    ``itemgetter`` either way: this runs per row written)."""
     pick = _PICKERS.get(positions)
     if pick is None:
-        if len(positions) > 1:
-            pick = operator.itemgetter(*positions)
-        else:
-            (position,) = positions
-            pick = lambda row: (row[position],)  # noqa: E731
-        _PICKERS[positions] = pick
+        pick = _PICKERS[positions] = operator.itemgetter(*positions)
     return pick
 
 
@@ -335,11 +333,12 @@ def _inner_discard(
 def _finder(index: dict, access: Access) -> Callable[[Sequence], Any]:
     """``values -> bucket or None`` for a ``key`` or ``index`` access,
     ``values`` in the order of ``access.positions``: one ``get`` per level
-    of the trie (the key dict is one flat level keyed by tuples)."""
+    of the trie, on the bare value where a level is keyed by one column
+    (the key dict is one level, keyed by a tuple only for a wider key)."""
     get = index.get
-    if access.kind == "key":
-        return lambda values: get(tuple(values))
     width = len(access.positions)
+    if access.kind == "key" and width > 1:
+        return lambda values: get(tuple(values))
     if width == 1:
         return lambda values: get(values[0])
     if width == 2:
@@ -356,7 +355,7 @@ class Table:
         self._rows: dict[int, Row] = {}
         self._next_rowid = 0
         self._key_positions = schema.key_indexes
-        self._key_values: dict[tuple, int] = {}
+        self._key_values: dict[Any, int] = {}
         #: True while ``_rows``/``_key_values`` are shared with a fork.
         self._shared = False
         #: Shared with every fork, and with nothing else.
@@ -536,9 +535,7 @@ class Table:
         if self._key_positions:
             key = _picker(self._key_positions)(row)
             if key in self._key_values:
-                raise DuplicateKeyError(
-                    f"{self.schema.name}: duplicate key {key!r}"
-                )
+                raise self._duplicate(key)
             self._key_values[key] = self._next_rowid
         rowid = self._next_rowid
         self._next_rowid += 1
@@ -572,12 +569,10 @@ class Table:
             pick_key, stored = _picker(self._key_positions), self._key_values
             keys = dict(zip(map(pick_key, rows), rowids))
             if len(keys) < len(rows) or not stored.keys().isdisjoint(keys):
-                seen: set[tuple] = set()
+                seen: set = set()
                 for key in map(pick_key, rows):
                     if key in seen or key in stored:
-                        raise DuplicateKeyError(
-                            f"{self.schema.name}: duplicate key {key!r}"
-                        )
+                        raise self._duplicate(key)
                     seen.add(key)
         self._materialize()
         if self._key_positions:
@@ -622,15 +617,31 @@ class Table:
             [rid for rid, row in self._rows.items() if predicate(row)]
         )
 
-    def delete_key(self, key: tuple) -> Row:
-        """Delete the row whose unique key is ``key``; returns it."""
-        return self.delete_rowid(self._key_values[key])
+    def delete_key(self, key: Any) -> Row:
+        """Delete the row whose unique key is ``key`` (the bare value of a
+        one-column key, or its 1-tuple; a tuple of a wider key's values);
+        returns it."""
+        return self.delete_rowid(self._key_values[self._stored_key(key)])
 
-    def delete_keys(self, keys: Iterable[tuple]) -> int:
+    def delete_keys(self, keys: Iterable[Any]) -> int:
         """Delete the rows whose unique keys are ``keys`` (distinct, all
-        held) as one batch (:meth:`delete_rowids`); return the count."""
-        held = self._key_values
-        return self.delete_rowids([held[key] for key in keys])
+        held; each as :meth:`delete_key` takes it) as one batch
+        (:meth:`delete_rowids`); return the count."""
+        held, stored = self._key_values, self._stored_key
+        return self.delete_rowids([held[stored(key)] for key in keys])
+
+    def _stored_key(self, key: Any) -> Any:
+        """``key`` as the key dict holds it: a one-column key's 1-tuple
+        unwrapped to its value."""
+        if len(self._key_positions) == 1 and type(key) is tuple:
+            (key,) = key
+        return key
+
+    def _duplicate(self, key: Any) -> DuplicateKeyError:
+        """The error naming ``key`` (as stored) in tuple form."""
+        if len(self._key_positions) == 1:
+            key = (key,)
+        return DuplicateKeyError(f"{self.schema.name}: duplicate key {key!r}")
 
     def delete_matching(self, bound: Mapping[int, Any]) -> int:
         """Delete rows whose columns (by position) equal the bound values."""
@@ -794,9 +805,9 @@ class Table:
     def path(self, access: Access) -> tuple[Callable, Callable, Callable]:
         """What a ``key`` or ``index`` access reads, for one execution:
         ``(get, rowid -> row or None, count candidates dropped)``. ``get``
-        takes the key tuple of a ``key`` access, the value of a one-column
-        index and the first value of a wider one, whose inner map then
-        takes the rest (``get(first, NO_ROWS).get(rest)``); each returns
+        takes the value of a one-column key or index, the tuple of a wider
+        key's values, and the first value of a wider index, whose inner map
+        then takes the rest (``get(first, NO_ROWS).get(rest)``); each returns
         None where nothing is stored. A bucket is a rowid or a list of them
         that the lineage's owner may be adding to: snapshot it with
         ``list()``, and look every candidate up — it may name a row this

@@ -132,6 +132,40 @@ class TestForks:
         fork = registry.fork()
         assert fork._audit is registry._audit  # O(1) fork, by construction
 
+    def test_audit_by_belief_equals_the_full_filter_on_forks_and_live(self):
+        """``audit_events(belief=b, limit=k)`` reads ``b``'s own positions;
+        it must answer exactly as filtering the whole visible history, on
+        a fork taken mid-history, on the live registry and on a restore."""
+        registry = LifecycleRegistry()
+        ids = [
+            _propose(registry, values=(f"s{i}",), ts=float(i),
+                     confidence=0.9, decay="linear:0.001")
+            for i in range(4)
+        ]
+        _transition(registry, ids[0], "ACTIVE")
+        registry.apply({"op": "lifecycle", "action": "decay_sweep", "ts": 50.0})
+        _transition(registry, ids[2], "ACTIVE")
+        fork = registry.fork()  # mid-history: later events are not its own
+        _transition(registry, ids[0], "CHALLENGED")
+        ids.append(_propose(registry, values=("late",)))
+        _transition(registry, ids[2], "CHALLENGED")
+        registry.apply({"op": "lifecycle", "action": "decay_sweep", "ts": 90.0})
+        _transition(registry, ids[4], "ACTIVE")
+        restored = LifecycleRegistry.from_dump(registry.dump())
+        assert fork.audit_count() < registry.audit_count()
+        for view in (fork, registry, restored):
+            history = view.audit_events()
+            for bid in [*ids, "b-unknown"]:
+                mine = [event for event in history if event["belief"] == bid]
+                assert view.audit_events(belief=bid) == mine
+                for limit in (0, 1, 2, 3, 10):
+                    assert view.audit_events(belief=bid, limit=limit) == \
+                        mine[-limit:], (bid, limit)
+            for limit in (0, 1, 5):
+                assert view.audit_events(limit=limit) == history[-limit:]
+        assert len(fork.audit_events(belief=ids[0])) == 2
+        assert fork.audit_events(belief=ids[4]) == []
+
 
 class TestProvenance:
     def test_chain_walks_derived_from_links(self):
