@@ -54,6 +54,7 @@ prepared-statement cache underneath (parse+compile once, bind many)::
 Transactions (:meth:`~BeliefDBMS.begin_transaction` /
 :meth:`~BeliefDBMS.commit_transaction`) group DML into atomic units — see
 :mod:`repro.bdms.transaction`. Every DML route (autocommit, batch, commit,
+the programmatic :meth:`~BeliefDBMS.insert` / :meth:`~BeliefDBMS.delete`,
 and a transaction's read view) applies a statement to a store through
 :func:`repro.bdms.dml.apply_compiled`, and only there.
 """
@@ -71,7 +72,7 @@ from typing import TYPE_CHECKING, Any, Callable, Literal, Sequence, Union
 if TYPE_CHECKING:  # pragma: no cover — type-only import (avoids a cycle)
     from repro.durability.manager import DurabilityManager
 
-from repro.bdms.dml import apply_compiled
+from repro.bdms.dml import apply_compiled, tuple_sql
 from repro.bdms.result import Result, natural_order
 from repro.bdms.transaction import Transaction
 from repro.beliefsql.ast import (
@@ -98,13 +99,12 @@ from repro.core.database import BeliefDatabase
 from repro.core.kripke import KripkeStructure, canonical_kripke
 from repro.core.paths import User
 from repro.core.schema import ExternalSchema, Value
-from repro.core.statements import NEGATIVE, POSITIVE, BeliefStatement, Sign
+from repro.core.statements import POSITIVE, BeliefStatement, Sign
 from repro.core.worlds import BeliefWorld
 from repro.errors import (
     BeliefDBError,
     LifecycleConflictError,
     LifecycleError,
-    QueryError,
     RejectedUpdateError,
     TransactionAbortedError,
     TransactionError,
@@ -114,13 +114,12 @@ from repro.lifecycle.model import check_status
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import MetricsRegistry
 from repro.query.bcq import BCQuery, LifecycleSelect
-from repro.query.lazy import evaluate_lazy
 from repro.query.naive import evaluate_naive, evaluate_naive_with
 from repro.query.parser import parse_bcq
 from repro.relational.datalog import plan_cache_stats
 from repro.storage.mvcc import Version, VersionManager
 from repro.storage.store import BeliefStore
-from repro.storage.updates import delete_tuple, insert_statement, insert_tuple
+from repro.storage.updates import insert_statement
 
 _BACKENDS = ("engine", "sqlite", "naive", "lazy")
 
@@ -133,14 +132,6 @@ CompiledStatement = Union[
     CompiledDelete,
     CompiledUpdate,
 ]
-
-
-def _rejected_insert(path: tuple, t: Any, sign: Sign) -> RejectedUpdateError:
-    """Strict mode's error for an insert Alg. 4 refused."""
-    return RejectedUpdateError(
-        f"insert rejected: {t} with sign {sign} conflicts "
-        f"with explicit beliefs at path {path!r} (or is a duplicate)"
-    )
 
 
 def execute_entry(sql: str, params: Sequence[Value]) -> dict[str, Any]:
@@ -549,27 +540,7 @@ class BeliefDBMS:
         inserts plain (root-world) content. Returns True on success; conflicts
         with explicit beliefs raise (strict) or return False.
         """
-        self._check_durable_writable()
-        with self._writing():
-            resolved = tuple(self.store.resolve_user(u) for u in path)
-            t = self.schema.tuple(relation, *values)
-            try:
-                ok = insert_tuple(self.store, resolved, t, Sign.coerce(sign))
-            finally:
-                # Bump even on rejection: idWorld may have materialized new
-                # worlds before the conflict was detected.
-                self.versions.bump()
-            if ok:
-                self._log_durable({
-                    "op": "insert",
-                    "path": list(resolved),
-                    "relation": relation,
-                    "values": list(t.values),
-                    "sign": str(Sign.coerce(sign)),
-                })
-        if not ok and self.strict:
-            raise _rejected_insert(resolved, t, Sign.coerce(sign))
-        return ok
+        return bool(self._write_tuple("insert", path, relation, values, sign))
 
     def delete(
         self,
@@ -579,27 +550,30 @@ class BeliefDBMS:
         sign: Sign | str = POSITIVE,
     ) -> bool:
         """Delete one explicit belief statement (implicit ones cannot be)."""
-        self._check_durable_writable()
-        with self._writing():
+        if self._write_tuple("delete", path, relation, values, sign):
+            return True
+        if self.strict:
             resolved = tuple(self.store.resolve_user(u) for u in path)
             t = self.schema.tuple(relation, *values)
-            try:
-                ok = delete_tuple(self.store, resolved, t, Sign.coerce(sign))
-            finally:
-                self.versions.bump()
-            if ok:
-                self._log_durable({
-                    "op": "delete",
-                    "path": list(resolved),
-                    "relation": relation,
-                    "values": list(t.values),
-                    "sign": str(Sign.coerce(sign)),
-                })
-        if not ok and self.strict:
             raise RejectedUpdateError(
                 f"delete rejected: no explicit statement for {t} at {resolved!r}"
             )
-        return ok
+        return False
+
+    def _write_tuple(
+        self,
+        verb: str,
+        path: Sequence[Any],
+        relation: str,
+        values: Sequence[Value],
+        sign: Sign | str,
+    ) -> int:
+        """Run the prepared ``insert`` / ``delete`` of one tuple; rows
+        affected. The relation and arity are checked against the schema
+        before the name goes into statement text."""
+        self.schema.tuple(relation, *values)
+        sql = tuple_sql(verb, len(path), relation, len(values), Sign.coerce(sign))
+        return self._apply_dml(self.prepare(sql), ([*path, *values],))
 
     # ------------------------------------------------------------------ queries
 
@@ -649,7 +623,7 @@ class BeliefDBMS:
         SQL rendered from it on the version's mirror; the lazy backend runs
         the translation of a ``WITH`` select too (it reads explicit rows
         only). The naive backend, and lazy for a BCQ, evaluate the bound
-        query.
+        query by Def. 14 over the explicit statements.
         """
         store = version.store
         lifecycle = isinstance(compiled, CompiledLifecycleSelect)
@@ -666,11 +640,7 @@ class BeliefDBMS:
             return set()
         if lifecycle:
             return evaluate_naive_with(store, query)
-        if self.backend == "lazy":
-            return evaluate_lazy(store, query)
-        return evaluate_naive(
-            store.explicit_db, query, users=store.users()
-        )
+        return evaluate_naive(store.explicit_db, query, users=store.users())
 
     # ------------------------------------------------------------------ BeliefSQL
 
@@ -807,15 +777,7 @@ class BeliefDBMS:
             rows = natural_order(self._select(compiled, params, version))
             rowcount = len(rows)
         else:
-            # DML: WAL-logged as one replayable template + parameter record.
-            self._check_durable_writable()
-            with self._writing():
-                try:
-                    rowcount = self._execute_dml_row(compiled, params)
-                finally:
-                    self.versions.bump()
-                if rowcount:
-                    self._log_durable(execute_entry(prepared.sql, params))
+            rowcount = self._apply_dml(prepared, (params,))
         elapsed_ms = self._observe_statement(prepared.kind, watch)
         return Result(
             kind=prepared.kind,
@@ -852,6 +814,29 @@ class BeliefDBMS:
         if prepared.kind == "select":
             raise BeliefDBError("execute_batch is for DML, not select")
         watch = Stopwatch()
+        total = self._apply_dml(prepared, param_rows)
+        elapsed_ms = self._observe_statement(prepared.kind, watch)
+        return Result(
+            kind=prepared.kind,
+            rows=[],
+            columns=(),
+            rowcount=total,
+            status=f"{prepared.kind.upper()} {total}",
+            elapsed_ms=elapsed_ms,
+        )
+
+    def _apply_dml(
+        self,
+        prepared: PreparedStatement,
+        param_rows: Sequence[Sequence[Value]],
+    ) -> int:
+        """Apply one prepared DML statement per parameter vector as one
+        write; rows affected.
+
+        One epoch bump, and on a durable database one WAL append of an
+        ``execute`` record per row that took effect: a statement, a batch
+        and a programmatic ``insert`` / ``delete`` all write through here.
+        """
         self._check_durable_writable()
         compiled = prepared.compiled
         total = 0
@@ -865,20 +850,13 @@ class BeliefDBMS:
                     total += rowcount
             finally:
                 # One epoch bump for the whole batch: readers see the batch
-                # prefix exactly as the log records it.
+                # prefix exactly as the log records it. Bump even on a
+                # rejection: idWorld may have made worlds before it.
                 self.versions.bump()
                 # Log whatever was applied even when a later row raised
                 # (strict mode): memory and log must agree on the prefix.
                 self._log_durable_batch(entries)
-        elapsed_ms = self._observe_statement(prepared.kind, watch)
-        return Result(
-            kind=prepared.kind,
-            rows=[],
-            columns=(),
-            rowcount=total,
-            status=f"{prepared.kind.upper()} {total}",
-            elapsed_ms=elapsed_ms,
-        )
+        return total
 
     def _log_durable_batch(self, entries: list[dict[str, Any]]) -> None:
         """Batch analogue of :meth:`_log_durable` (one fsync for N records)."""
@@ -913,8 +891,8 @@ class BeliefDBMS:
         all (:meth:`DurabilityManager.log_transaction`).
 
         If any statement is rejected mid-apply (strict mode), the applied
-        prefix is **rolled back** — the store is rebuilt from the explicit
-        annotations captured at commit start, the same deterministic
+        prefix is **rolled back** — the store is rebuilt from the pre-commit
+        explicit annotations, the same deterministic
         rebuild recovery uses — and :class:`TransactionAbortedError` is
         raised; the database is exactly as it was before the commit and
         nothing reaches the log.
@@ -953,37 +931,36 @@ class BeliefDBMS:
         self._check_durable_writable()
         with self._writing():
             # Undo capture: the explicit annotations + users are the complete
-            # logical state (snapshots persist exactly this); references only,
-            # so the capture is O(annotations) pointer copies per commit.
+            # logical state (snapshots persist exactly this). The store
+            # journals each explicit statement the apply adds or discards,
+            # so a commit pays for what it changes, not for the database.
             # Deliberate tradeoff: inverse-delta undo does not compose with
             # the eager closure (one insert ripples implicit beliefs across
-            # worlds), and the capture must precede the first mutation —
+            # worlds), so an abort rebuilds from the pre-commit statements;
             # mid-apply failures can occur even in non-strict mode (unknown
-            # users, schema violations), so strict-only capture would be
-            # unsound.
-            undo_users = list(self.store.users().items())
-            undo_statements = list(self.store.explicit_statements())
+            # users, schema violations), so the journal always runs.
             entries: list[dict[str, Any]] = []
             applied_statements = 0
             total = 0
             try:
-                for s in staged:
-                    for params in s.param_rows:
-                        rowcount = self._execute_dml_row(
-                            s.prepared.compiled, params
-                        )
-                        total += rowcount
-                        if rowcount:
-                            entries.append(
-                                execute_entry(s.prepared.sql, params)
+                with self.store.explicit_journal() as journal:
+                    for s in staged:
+                        for params in s.param_rows:
+                            rowcount = self._execute_dml_row(
+                                s.prepared.compiled, params
                             )
-                    applied_statements += 1
+                            total += rowcount
+                            if rowcount:
+                                entries.append(
+                                    execute_entry(s.prepared.sql, params)
+                                )
+                        applied_statements += 1
             except BeliefDBError as exc:
                 # Apply-time failure: nothing was logged, so rolling memory
                 # back really does leave the database unchanged (the rebuild
                 # ends by invalidating cached versions, so no new pin can
                 # observe the aborted prefix).
-                self._rollback_rebuild(undo_users, undo_statements)
+                self._rollback_rebuild(journal)
                 txn._mark("aborted")
                 self._note_txn("aborted")
                 raise TransactionAbortedError(
@@ -1057,16 +1034,19 @@ class BeliefDBMS:
         with self._stmt_lock:
             self._txn_stats[key] += 1
 
-    def _rollback_rebuild(self, users, statements) -> None:
+    def _rollback_rebuild(self, journal) -> None:
         """Restore the pre-commit state after a failed commit.
 
-        Deterministic rebuild from the captured explicit annotations —
-        exactly how snapshots restore — so the rolled-back store is
-        semantically identical to the pre-commit one (the closure of the
-        same explicit statements under the same users).
+        Deterministic rebuild from the pre-commit explicit annotations
+        (the current ones, with the commit's ``journal`` undone) — exactly
+        how snapshots restore — so the rolled-back store is semantically
+        identical to the pre-commit one (the closure of the same explicit
+        statements under the same users; a commit adds no user).
         """
         from repro.durability.snapshot import statement_order
 
+        users = list(self.store.users().items())
+        statements = self.store.explicit_before(journal)
         # Transactions stage only DML, so the lifecycle registry (records +
         # audit log) is untouched by the failed commit: carry the object
         # over to the rebuilt store instead of losing it — after the
@@ -1100,14 +1080,17 @@ class BeliefDBMS:
         The one place a statement reaches the store: autocommit, batch and
         commit all call this under the write mutex and log / bump the epoch
         themselves. Returns rows affected; in strict mode an insert that
-        Alg. 4 rejects raises instead, exactly like :meth:`insert`.
+        Alg. 4 rejects raises instead.
         """
         rowcount = apply_compiled(self.store, compiled, params)
         if not rowcount and self.strict and isinstance(compiled, CompiledInsert):
             op = compiled.bind(params)
             path = tuple(self.store.resolve_user(u) for u in op.path)
             t = self.schema.tuple(op.relation, *op.values)
-            raise _rejected_insert(path, t, op.sign)
+            raise RejectedUpdateError(
+                f"insert rejected: {t} with sign {op.sign} conflicts "
+                f"with explicit beliefs at path {path!r} (or is a duplicate)"
+            )
         return rowcount
 
     # ------------------------------------------------------------------ views

@@ -7,9 +7,11 @@ than a DBMS instance, and :func:`apply_compiled` is the only way a
 compiled statement reaches a store. It has two callers:
 
 * :meth:`BeliefDBMS._execute_dml_row <repro.bdms.bdms.BeliefDBMS>` applies
-  to the live store for autocommit, ``execute_batch`` and
-  ``commit_transaction`` (WAL logging, the strict-mode error and the one
-  epoch bump per statement, batch or commit are layered on by the DBMS);
+  to the live store for autocommit, ``execute_batch``,
+  ``commit_transaction`` and the programmatic ``BeliefDBMS.insert`` /
+  ``delete``, which run the prepared statement :func:`tuple_sql` names
+  (WAL logging, the strict-mode error and the one epoch bump per
+  statement, batch or commit are layered on by the DBMS);
 * the transaction read view (:meth:`~repro.bdms.transaction.Transaction
   .read_version`) replays the session's staged statements onto a private
   copy-on-write fork so in-transaction selects read through the write
@@ -31,11 +33,26 @@ from repro.beliefsql.compiler import (
 )
 from repro.core.paths import validate_path
 from repro.core.schema import Value
-from repro.core.statements import POSITIVE
+from repro.core.statements import NEGATIVE, POSITIVE, Sign
 from repro.storage.updates import delete_tuple, insert_tuple
 
 if TYPE_CHECKING:  # pragma: no cover — type-only import (avoids a cycle)
     from repro.storage.store import BeliefStore
+
+
+def tuple_sql(
+    verb: str, depth: int, relation: str, arity: int, sign: Sign = POSITIVE
+) -> str:
+    """The parameterized ``insert`` / ``delete`` of one tuple: the path's
+    ``depth`` users, then the ``arity`` values, all bound as ``?``.
+
+    ``relation`` is spliced into the text, so callers pass only a name the
+    schema holds.
+    """
+    head = "insert into" if verb == "insert" else "delete from"
+    marks = ", ".join("?" * arity)
+    not_ = "not " if sign is NEGATIVE else ""
+    return f"{head} {'BELIEF ? ' * depth}{not_}{relation} values ({marks})"
 
 
 def apply_insert(store: "BeliefStore", op: CompiledInsert) -> bool:
@@ -46,8 +63,12 @@ def apply_insert(store: "BeliefStore", op: CompiledInsert) -> bool:
 
 
 def apply_delete(store: "BeliefStore", op: CompiledDelete) -> int:
-    """Delete the *explicit* statements matching the WHERE clause."""
+    """Delete the *explicit* statements matching the WHERE clause, or the
+    one a ``values`` list names (that cell alone is read)."""
     path = tuple(store.resolve_user(u) for u in op.path)
+    if op.values is not None:
+        t = store.schema.tuple(op.relation, *op.values)
+        return 1 if delete_tuple(store, path, t, op.sign) else 0
     validate_path(path)  # an invalid path is an error, as for insert
     explicit = store.explicit_db.explicit_world(path)
     pool = explicit.positives if op.sign is POSITIVE else explicit.negatives

@@ -600,11 +600,15 @@ class CompiledInsert:
 
 @dataclass(frozen=True)
 class CompiledDelete:
+    """A ``where`` delete holds its ``predicate``; a ``values`` delete holds
+    the one tuple's ``values`` instead (``predicate`` is None)."""
+
     path: tuple[Any, ...]
     sign: Sign
     relation: str
-    predicate: Callable[[GroundTuple], bool]
+    predicate: Callable[[GroundTuple], bool] | None
     param_count: int = 0
+    values: tuple[Any, ...] | None = None
 
     def bind(self, params: Sequence[Any] = ()) -> "CompiledDelete":
         bound = check_parameters(self.param_count, params)
@@ -613,11 +617,15 @@ class CompiledDelete:
         predicate = self.predicate
         if isinstance(predicate, DmlPredicate):
             predicate = predicate.bind(bound)
+        values = self.values
+        if values is not None:
+            values = tuple(_bind_term(v, bound) for v in values)
         return CompiledDelete(
             tuple(_bind_term(u, bound) for u in self.path),
             self.sign,
             self.relation,
             predicate,
+            values=values,
         )
 
 
@@ -738,21 +746,21 @@ def compile_insert(stmt: InsertStatement, schema: ExternalSchema) -> CompiledIns
 
 
 def compile_delete(stmt: DeleteStatement, schema: ExternalSchema) -> CompiledDelete:
-    """``where`` compiles to its comparisons; ``values`` to an equality on
-    every column — the same predicate, so one apply path runs both."""
+    """``where`` compiles to its comparisons; ``values`` stays the one
+    tuple it names, so the delete reads that tuple's cell and nothing else."""
     if stmt.values is None:
         predicate = _dml_predicate(stmt.relation, stmt.conditions, schema)
+        values = None
     else:
-        predicate = DmlPredicate(
-            ("=", i, None, None, v)
-            for i, v in enumerate(_check_arity(stmt, schema))
-        )
+        predicate = None
+        values = _check_arity(stmt, schema)
     return CompiledDelete(
         _dml_path(stmt.belief),
         _dml_sign(stmt.belief),
         stmt.relation,
         predicate,
         statement_placeholders(stmt),
+        values,
     )
 
 

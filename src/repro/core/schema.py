@@ -21,7 +21,7 @@ Tuple universes of distinct relations are disjoint by construction because a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
 
@@ -120,13 +120,6 @@ class GroundTuple:
         """True iff ``other`` is from the same relation and shares the key."""
         return self.relation == other.relation and self.values[0] == other.values[0]
 
-    def replace_values(self, **changes: Value) -> "GroundTuple":
-        """Unsupported without a schema; see :meth:`ExternalSchema.replace`."""
-        raise SchemaError(
-            "attribute names are not known to a bare GroundTuple; "
-            "use ExternalSchema.replace(tuple, **changes)"
-        )
-
     def __str__(self) -> str:
         inner = ", ".join(repr(v) for v in self.values)
         return f"{self.relation}({inner})"
@@ -165,10 +158,6 @@ class ExternalSchema:
 
     def __len__(self) -> int:
         return len(self._relations)
-
-    @property
-    def relation_names(self) -> tuple[str, ...]:
-        return tuple(self._relations)
 
     @property
     def content_relations(self) -> tuple[RelationDef, ...]:

@@ -72,9 +72,6 @@ class BeliefStatement:
         """
         return BeliefStatement((user,) + self.path, self.tuple, self.sign)
 
-    def with_path(self, path: BeliefPath) -> "BeliefStatement":
-        return BeliefStatement(path, self.tuple, self.sign)
-
     def __str__(self) -> str:
         prefix = "" if not self.path else f"[{format_path(self.path)}] "
         return f"{prefix}{self.tuple}{self.sign}"

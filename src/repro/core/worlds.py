@@ -23,11 +23,11 @@ Algorithm 2/4.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.schema import GroundTuple, Value
-from repro.core.statements import NEGATIVE, POSITIVE, BeliefStatement, Sign
+from repro.core.statements import NEGATIVE, POSITIVE, Sign
 from repro.errors import InconsistencyError
 
 #: A relation-qualified key, the unit of all conflict checks.
@@ -57,15 +57,6 @@ class BeliefWorld:
     ) -> "BeliefWorld":
         return cls(frozenset(positives), frozenset(negatives))
 
-    @classmethod
-    def from_statements(cls, statements: Iterable[BeliefStatement]) -> "BeliefWorld":
-        """Collect the tuples of statements (their paths are ignored)."""
-        pos: set[GroundTuple] = set()
-        neg: set[GroundTuple] = set()
-        for stmt in statements:
-            (pos if stmt.sign is POSITIVE else neg).add(stmt.tuple)
-        return cls(frozenset(pos), frozenset(neg))
-
     # -- basic views -------------------------------------------------------
 
     def is_empty(self) -> bool:
@@ -81,14 +72,6 @@ class BeliefWorld:
 
     def __len__(self) -> int:
         return len(self.positives) + len(self.negatives)
-
-    def positive_keys(self) -> dict[KeyId, GroundTuple]:
-        """Map each relation-qualified key to its positive tuple.
-
-        Only meaningful for consistent worlds (where keys are unique in ``I+``);
-        for inconsistent worlds an arbitrary representative per key survives.
-        """
-        return {t.key_id: t for t in self.positives}
 
     # -- consistency (Prop. 5) ----------------------------------------------
 
@@ -256,13 +239,6 @@ class MutableWorld:
                 return False
         self._add(t, sign)
         return True
-
-    def inherit_world(self, base: "MutableWorld | BeliefWorld") -> None:
-        """Adopt all of ``base``'s content that is consistent with ``self``."""
-        for t in base.positives:
-            self.inherit(t, POSITIVE)
-        for t in base.negatives:
-            self.inherit(t, NEGATIVE)
 
     def _add(self, t: GroundTuple, sign: Sign) -> None:
         if sign is POSITIVE:

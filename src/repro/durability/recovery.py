@@ -10,8 +10,14 @@ parse + one compile — recovering a log costs ~as many parses as there are
 *distinct statements*, not as many as there are records. That saves little:
 2,000 records replayed in 0.394 s with the cache and 0.406 s without it
 (about 3%, ~5k records/s either way), so replay time is spent outside
-parse/compile. The statement-level records (``add_user`` / ``insert`` /
-``delete``, from programmatic clients) skip SQL entirely.
+parse/compile.
+
+The kinds written today are ``execute`` (every DML write, the programmatic
+:meth:`~repro.bdms.bdms.BeliefDBMS.insert` / ``delete`` included),
+``add_user``, ``lifecycle`` and the ``txn_begin`` / ``txn_commit`` framing.
+An older WAL may also hold tuple-level ``insert`` / ``delete`` records;
+replay still reads them, through those same two methods, so an older data
+dir recovers unchanged.
 
 Replay is strict: only *accepted* operations are ever logged, so a record
 that fails to re-apply on the snapshot base means the log and snapshot

@@ -199,7 +199,6 @@ def restore_snapshot(db: Any, payload: dict[str, Any]) -> int:
             raise DurabilityError(
                 f"snapshot lifecycle section is damaged: {exc}"
             ) from exc
-    db._mirror_dirty = True
     db.invalidate_statements()
     return applied
 

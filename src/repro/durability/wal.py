@@ -32,7 +32,7 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import DurabilityError
 
@@ -298,14 +298,3 @@ class WalWriter:
     def closed(self) -> bool:
         return self._file is None
 
-
-def append_records(
-    directory: str, records: Iterable[dict[str, Any]], sync: str = "off"
-) -> None:
-    """Test/tooling helper: write records (carrying ``seq``) to a fresh WAL."""
-    writer = WalWriter(directory, sync=sync)
-    try:
-        for record in records:
-            writer.append(record, int(record["seq"]))
-    finally:
-        writer.close()

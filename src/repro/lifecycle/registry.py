@@ -270,10 +270,6 @@ class LifecycleRegistry:
             self._records.values(), key=lambda r: (r.created_ts, r.belief_id)
         )
 
-    def status_of(self, key: BeliefKey) -> str | None:
-        record = self._records.get(key)
-        return record.status if record is not None else None
-
     def audit_events(
         self, belief: str | None = None, limit: int | None = None
     ) -> list[dict[str, Any]]:
@@ -285,7 +281,7 @@ class LifecycleRegistry:
             positions = self._audit_at.get(belief, ())
             positions = positions[: bisect_left(positions, end)]
         if limit is not None and limit >= 0:
-            positions = positions[-limit:]
+            positions = positions[max(0, len(positions) - limit):]
         audit = self._audit
         return [_event_view(audit[at]) for at in positions]
 

@@ -32,7 +32,7 @@ import re
 import threading
 from bisect import bisect_left
 from threading import get_ident
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 #: Wire-op / statement latency buckets, in seconds: a fixed log scale of
 #: 1-2.5-5 steps per decade from 100µs to 10s (plus the implicit +Inf).
@@ -547,7 +547,3 @@ class MetricsRegistry:
         lines.append(f"{family.name}_sum{plain} {_format_value(child.sum)}")
         lines.append(f"{family.name}_count{plain} {child.count}")
 
-
-def resolve_children(metric: _Metric, label: str, values: Iterable[str]) -> dict:
-    """Pre-resolve one-label children for a hot path (skip the dict hop)."""
-    return {value: metric.labels(**{label: value}) for value in values}

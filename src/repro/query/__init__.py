@@ -23,7 +23,7 @@ from repro.query.bcq import (
     var,
 )
 from repro.query.explain import ExplainReport, explain
-from repro.query.lazy import LazyEvaluator, evaluate_lazy
+from repro.query.lazy import evaluate_lazy
 from repro.query.naive import evaluate_naive
 from repro.query.parser import parse_bcq
 from repro.query.sql_gen import GeneratedSQL, evaluate_sql, generate_sql
@@ -39,7 +39,6 @@ __all__ = [
     "BCQuery",
     "ExplainReport",
     "GeneratedSQL",
-    "LazyEvaluator",
     "ModalSubgoal",
     "RESULT_TABLE",
     "Term",

@@ -676,7 +676,7 @@ def evaluate_translated(
     call, or a :class:`TranslatedQuery` — a prepared select's, translated
     once — run with ``params``. A BCQ requires an *eager* store (the
     valuation tables must materialize the entailed worlds; lazy stores
-    evaluate through :class:`repro.query.lazy.LazyEvaluator`); a ``WITH``
+    evaluate through :func:`repro.query.lazy.evaluate_lazy`); a ``WITH``
     select reads explicit rows only, which every store holds.
     """
     if not isinstance(query, TranslatedQuery):
@@ -684,6 +684,6 @@ def evaluate_translated(
     if not store.eager and isinstance(query.query, BCQuery):
         raise QueryError(
             "translated evaluation needs an eager store; "
-            "use LazyEvaluator for lazy stores"
+            "use evaluate_lazy for lazy stores"
         )
     return query.run(store, params)

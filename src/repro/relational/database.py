@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import EngineError, UnknownTableError
 from repro.relational.datalog import Program, Row, run_program
@@ -29,11 +29,6 @@ class RelationalDatabase:
         table.lineage.counters = self.index_counters
         self._tables[schema.name] = table
         return table
-
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise UnknownTableError(f"unknown table {name!r}")
-        del self._tables[name]
 
     def has_table(self, name: str) -> bool:
         return name in self._tables

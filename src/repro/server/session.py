@@ -298,11 +298,6 @@ class ClientSession:
                 ),
             }
 
-    def require_user(self) -> User:
-        if self.user is None:
-            raise BeliefDBError("no user logged in on this session")
-        return self.user
-
     def __repr__(self) -> str:
         who = self.user_name if self.user is not None else "<anonymous>"
         return f"<ClientSession {who} @ {self.peer} path={self.default_path!r}>"

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from typing import Iterable, Iterator
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.core.closure import entailed_world as core_entailed_world
 from repro.core.database import BeliefDatabase
@@ -51,7 +52,6 @@ from repro.storage.internal_schema import (
     D_TABLE,
     DERIVES_TABLE,
     E_TABLE,
-    EXPLICIT_NO,
     EXPLICIT_YES,
     LIFECYCLE_TABLE,
     LIFECYCLE_TABLES,
@@ -130,6 +130,10 @@ class BeliefStore:
         #: True while a fork may share the registries above.
         self._shared = False
 
+        #: While :meth:`explicit_journal` runs: each explicit statement whose
+        #: membership changed, mapped to whether it was there at the start.
+        self._journal: dict[BeliefStatement, bool] | None = None
+
         # Tuple registry mirroring the star tables. Append-only, and shared
         # with every fork: a store sees only the tids below its _next_tid,
         # and only their owner (the store that made them) appends to them.
@@ -197,6 +201,7 @@ class BeliefStore:
         fork._tuple_by_tid = self._tuple_by_tid
         fork._next_tid = self._next_tid
         fork._owns_tuples = False
+        fork._journal = None
         fork._lifecycle = self._lifecycle.fork(fork)
         return fork
 
@@ -486,8 +491,43 @@ class BeliefStore:
 
     def add_explicit(self, path: BeliefPath, t: GroundTuple, sign: Sign) -> None:
         """Record explicit statement ``path t^sign`` (its V row is in)."""
-        self.explicit_db.add(BeliefStatement(path, t, sign), check=False)
+        statement = BeliefStatement(path, t, sign)
+        self._note_explicit(statement)
+        self.explicit_db.add(statement, check=False)
         self._lifecycle.statement_inserted(path, t, str(sign))
+
+    def discard_explicit(self, path: BeliefPath, t: GroundTuple, sign: Sign) -> None:
+        """Forget explicit statement ``path t^sign`` (its V row is gone)."""
+        statement = BeliefStatement(path, t, sign)
+        self._note_explicit(statement)
+        self.explicit_db.discard(statement)
+
+    def _note_explicit(self, statement: BeliefStatement) -> None:
+        if self._journal is not None and statement not in self._journal:
+            self._journal[statement] = statement in self.explicit_db
+
+    @contextmanager
+    def explicit_journal(self) -> Iterator[dict[BeliefStatement, bool]]:
+        """Record, while the block runs, which explicit statements change.
+
+        Yields the journal: each statement added or discarded in the block,
+        mapped to whether it was there when the block began. With it the
+        statements as they were are recovered (:meth:`explicit_before`)
+        without copying them up front.
+        """
+        self._journal = journal = {}
+        try:
+            yield journal
+        finally:
+            self._journal = None
+
+    def explicit_before(
+        self, journal: dict[BeliefStatement, bool]
+    ) -> list[BeliefStatement]:
+        """The explicit statements as they were when ``journal`` began."""
+        before = [s for s in self.explicit_statements() if s not in journal]
+        before += [s for s, present in journal.items() if present]
+        return before
 
     def delete_v(self, relation: str, **bound: Value) -> int:
         table = self.v_table(relation)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from repro.core.paths import BeliefPath, can_extend, is_suffix, validate_path
 from repro.core.schema import GroundTuple, Value
-from repro.core.statements import POSITIVE, BeliefStatement, Sign
+from repro.core.statements import BeliefStatement, Sign
 from repro.relational.datalog import Atom, Program, Rule, Var
 from repro.relational.table import Table
 from repro.storage.internal_schema import (
@@ -257,7 +257,7 @@ def delete_tuple(
     ):
         return False
     store.delete_v(relation, wid=wid, tid=tid, s=sign_str, e=EXPLICIT_YES)
-    store.explicit_db.discard(BeliefStatement(path, t, sign))
+    store.discard_explicit(path, t, sign)
     if store.eager:
         propagate_key(store, wid, relation, key)
     return True

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro.bdms.dml import tuple_sql
 from repro.errors import LifecycleConflictError
 from repro.workload.generator import LOCATIONS, SPECIES
 
@@ -124,9 +125,8 @@ class ClientDriver:
     def insert(
         self, path: Sequence[Any], relation: str, values: Sequence[Any]
     ) -> None:
-        marks = ", ".join("?" * len(values))
         self.client.execute_prepared(
-            f"insert into {'BELIEF ? ' * len(path)}{relation} values ({marks})",
+            tuple_sql("insert", len(path), relation, len(values)),
             [*path, *values],
         )
 

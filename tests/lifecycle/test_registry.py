@@ -160,9 +160,10 @@ class TestForks:
                 assert view.audit_events(belief=bid) == mine
                 for limit in (0, 1, 2, 3, 10):
                     assert view.audit_events(belief=bid, limit=limit) == \
-                        mine[-limit:], (bid, limit)
+                        (mine[-limit:] if limit else []), (bid, limit)
             for limit in (0, 1, 5):
-                assert view.audit_events(limit=limit) == history[-limit:]
+                assert view.audit_events(limit=limit) == \
+                    (history[-limit:] if limit else [])
         assert len(fork.audit_events(belief=ids[0])) == 2
         assert fork.audit_events(belief=ids[4]) == []
 

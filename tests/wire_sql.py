@@ -2,14 +2,18 @@
 
 A remote client writes a single belief statement with ``execute_prepared``:
 ``insert into [BELIEF ?]* [not] R values (...)`` or the same ``delete from``
-form. :func:`tuple_write` builds the ``(sql, params)`` pair so a test can
-say which tuple, path and sign it means and pass the pair to a blocking or
-an asyncio client alike.
+form, the text :func:`repro.bdms.dml.tuple_sql` builds for
+``BeliefDBMS.insert`` / ``delete`` too. :func:`tuple_write` builds the
+``(sql, params)`` pair so a test can say which tuple, path and sign it
+means and pass the pair to a blocking or an asyncio client alike.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
+
+from repro.bdms.dml import tuple_sql
+from repro.core.statements import Sign
 
 
 def tuple_write(
@@ -23,7 +27,5 @@ def tuple_write(
     tuple at ``path`` — ``()`` is the session's default world, which is
     the root only when no user is logged in — with ``sign`` ``+`` or
     ``-``."""
-    spec = "BELIEF ? " * len(path) + ("not " if sign == "-" else "")
-    head = {"insert": "insert into", "delete": "delete from"}[verb]
-    marks = ", ".join("?" * len(values))
-    return f"{head} {spec}{relation} values ({marks})", [*path, *values]
+    sql = tuple_sql(verb, len(path), relation, len(values), Sign.coerce(sign))
+    return sql, [*path, *values]
