@@ -178,7 +178,10 @@ class BeliefDBMS:
         :class:`RejectedUpdateError`; otherwise they return False/0 silently.
     stmt_cache_size:
         Capacity of the LRU prepared-statement cache (parse+compile results
-        keyed on SQL text / statement AST). 0 disables caching.
+        keyed on SQL text / statement AST). 0 disables caching. The
+        programmatic :meth:`insert` / :meth:`delete` run through it too: each
+        call counts as a hit or miss, and each (verb, path length, sign,
+        relation, arity) text holds a slot beside the clients' statements.
     durability:
         An optional :class:`~repro.durability.manager.DurabilityManager`.
         When given, the constructor first *recovers* (newest snapshot + WAL
@@ -649,7 +652,9 @@ class BeliefDBMS:
 
         Repeated ``prepare`` of the same SQL text skips the parse *and* the
         compile; ``?`` placeholders are bound per execution by
-        :meth:`execute_prepared`.
+        :meth:`execute_prepared`. :meth:`insert` / :meth:`delete` prepare
+        their statements here as well, so they count in the cache's hits
+        and misses and can evict a client's statement.
         """
         return self._cached(sql, lambda: self._compile(parse_beliefsql(sql), sql))
 

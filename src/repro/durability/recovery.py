@@ -16,8 +16,12 @@ The kinds written today are ``execute`` (every DML write, the programmatic
 :meth:`~repro.bdms.bdms.BeliefDBMS.insert` / ``delete`` included),
 ``add_user``, ``lifecycle`` and the ``txn_begin`` / ``txn_commit`` framing.
 An older WAL may also hold tuple-level ``insert`` / ``delete`` records;
-replay still reads them, through those same two methods, so an older data
-dir recovers unchanged.
+replay still reads them, through those same two methods. Those methods now
+bind each value as a ``?`` parameter, so such a record recovers unchanged
+when every value binds (``str``, ``int``, finite ``float``). The older
+methods logged values unchecked: a record holding one that does not bind
+(a ``null``, a boolean, a non-finite float) stops recovery with a
+:class:`~repro.errors.DurabilityError` naming its ``seq``.
 
 Replay is strict: only *accepted* operations are ever logged, so a record
 that fails to re-apply on the snapshot base means the log and snapshot
