@@ -99,7 +99,7 @@ from repro.core.database import BeliefDatabase
 from repro.core.kripke import KripkeStructure, canonical_kripke
 from repro.core.paths import User
 from repro.core.schema import ExternalSchema, Value
-from repro.core.statements import POSITIVE, BeliefStatement, Sign
+from repro.core.statements import POSITIVE, Sign
 from repro.core.worlds import BeliefWorld
 from repro.errors import (
     BeliefDBError,
@@ -643,7 +643,9 @@ class BeliefDBMS:
             return set()
         if lifecycle:
             return evaluate_naive_with(store, query)
-        return evaluate_naive(store.explicit_db, query, users=store.users())
+        return evaluate_naive(
+            store.to_belief_database(), query, users=store.users()
+        )
 
     # ------------------------------------------------------------------ BeliefSQL
 
@@ -1135,7 +1137,7 @@ class BeliefDBMS:
     def kripke(self) -> KripkeStructure:
         """The canonical Kripke structure of the current belief database."""
         return canonical_kripke(
-            self.store.explicit_db, users=self.store.users().keys()
+            self.store.to_belief_database(), users=self.store.users().keys()
         )
 
     def belief_database(self) -> BeliefDatabase:
@@ -1206,7 +1208,7 @@ class BeliefDBMS:
             resolved = tuple(self.store.resolve_user(u) for u in path)
             t = self.schema.tuple(relation, *values)
             coerced = Sign.coerce(sign)
-            if BeliefStatement(resolved, t, coerced) not in self.store.explicit_db:
+            if not self.store.has_explicit(resolved, t, coerced):
                 raise LifecycleError(
                     f"no explicit statement {t} with sign {coerced} at path "
                     f"{resolved!r} — insert it before proposing lifecycle "
@@ -1347,7 +1349,7 @@ class BeliefDBMS:
 
     def annotation_count(self) -> int:
         """Number of explicit belief statements (the paper's ``n``)."""
-        return len(self.store.explicit_db)
+        return self.store.explicit_count
 
     def size(self) -> int:
         """``|R*|``: total internal tuples (Sect. 5.4)."""
@@ -1392,7 +1394,7 @@ class BeliefDBMS:
         with self.read_view() as pinned:
             store = pinned.store
             epoch = pinned.epoch
-            annotations = len(store.explicit_db)
+            annotations = store.explicit_count
             total_rows = store.total_rows()
             by_status: dict[str, int] = {}
             for record in store.lifecycle.records():

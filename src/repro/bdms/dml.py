@@ -70,9 +70,10 @@ def apply_delete(store: "BeliefStore", op: CompiledDelete) -> int:
         t = store.schema.tuple(op.relation, *op.values)
         return 1 if delete_tuple(store, path, t, op.sign) else 0
     validate_path(path)  # an invalid path is an error, as for insert
-    explicit = store.explicit_db.explicit_world(path)
-    pool = explicit.positives if op.sign is POSITIVE else explicit.negatives
-    doomed = [t for t in pool if t.relation == op.relation and op.predicate(t)]
+    doomed = [
+        t for t, sign in store.explicit_signs(path, op.relation)
+        if sign is op.sign and op.predicate(t)
+    ]
     count = 0
     for t in sorted(doomed, key=repr):
         if delete_tuple(store, path, t, op.sign):
@@ -92,7 +93,7 @@ def apply_update(store: "BeliefStore", op: CompiledUpdate) -> int:
     world = store.entailed_world(path)
     pool = world.positives if op.sign is POSITIVE else world.negatives
     matches = [t for t in pool if t.relation == op.relation and op.predicate(t)]
-    explicit = store.explicit_db.explicit_signs(path)
+    explicit = store.explicit_signs(path, op.relation)
     count = 0
     for t in sorted(matches, key=repr):
         replacement = store.schema.replace(t, **dict(op.assignments))

@@ -11,20 +11,10 @@ A belief database is a set of belief statements ``w t^s``. It induces:
 
 The class is mutable (annotations accumulate over time); entailed-world caches
 are invalidated on every mutation via a version counter.
-
-Belief databases support copy-on-write forks (:meth:`BeliefDatabase
-.snapshot_fork`) so the MVCC layer can freeze the explicit-annotation
-mirror together with the relational representation: a fork shares the
-statement sets with its origin, and the side that mutates copies them
-first only while the other still holds them (the table layer's rule,
-:meth:`repro.relational.table.Table._materialize`) — a fork released
-before the next write costs that write nothing. Each fork carries its own
-entailed-world cache, so closure caches are naturally version-keyed.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import defaultdict
 from typing import Iterable, Iterator
 
@@ -71,57 +61,8 @@ class BeliefDatabase:
         self.version = 0
         #: Cache for entailed worlds, managed by repro.core.closure.
         self._entailed_cache: dict[BeliefPath, BeliefWorld] = {}
-        #: True while the statement sets are shared with a COW fork.
-        self._shared = False
         for stmt in statements:
             self.add(stmt)
-
-    # -- copy-on-write forks ---------------------------------------------------
-
-    def snapshot_fork(self) -> "BeliefDatabase":
-        """A copy-on-write fork sharing the statement sets until a mutation.
-
-        The fork gets its own (warm, shallow-copied) entailed-world cache —
-        :class:`~repro.core.worlds.BeliefWorld` values are immutable — so
-        closure results computed against one version never leak into
-        another.
-        """
-        fork = BeliefDatabase.__new__(BeliefDatabase)
-        fork.schema = self.schema
-        fork._statements = self._statements
-        fork._positives = self._positives
-        fork._negatives = self._negatives
-        fork._registered_users = self._registered_users
-        fork.version = self.version
-        fork._entailed_cache = dict(self._entailed_cache)
-        fork._shared = True
-        self._shared = True
-        return fork
-
-    def _materialize(self) -> None:
-        """Unshare before a mutation: one-level copies of the signed sets,
-        made only while another fork still holds them."""
-        if self._shared:
-            # Two references each, ours and the call's: every fork that
-            # shared them is gone (CPython counts exactly; a count that ran
-            # high would only cost the copy back).
-            if (
-                sys.getrefcount(self._statements) == 2
-                and sys.getrefcount(self._positives) == 2
-                and sys.getrefcount(self._negatives) == 2
-                and sys.getrefcount(self._registered_users) == 2
-            ):
-                self._shared = False
-                return
-            self._statements = set(self._statements)
-            self._positives = defaultdict(
-                set, {k: set(v) for k, v in self._positives.items()}
-            )
-            self._negatives = defaultdict(
-                set, {k: set(v) for k, v in self._negatives.items()}
-            )
-            self._registered_users = set(self._registered_users)
-            self._shared = False
 
     # -- mutation ------------------------------------------------------------
 
@@ -138,7 +79,6 @@ class BeliefDatabase:
             return
         if check:
             self._check_addition(stmt)
-        self._materialize()
         self._statements.add(stmt)
         side = self._positives if stmt.sign is POSITIVE else self._negatives
         side[stmt.path].add(stmt.tuple)
@@ -169,7 +109,6 @@ class BeliefDatabase:
         """Remove a statement if present; return whether it was present."""
         if stmt not in self._statements:
             return False
-        self._materialize()
         self._statements.remove(stmt)
         side = self._positives if stmt.sign is POSITIVE else self._negatives
         bucket = side[stmt.path]
@@ -181,7 +120,6 @@ class BeliefDatabase:
 
     def register_user(self, user: User) -> None:
         if user not in self._registered_users:
-            self._materialize()
             self._registered_users.add(user)
             self._touch()
 

@@ -70,11 +70,12 @@ def _dumps(value: Any) -> str:
 
 def _statement_entries(db: Any) -> Iterator[dict[str, Any]]:
     """The explicit statements in :func:`statement_order`, one at a time:
-    the paths sorted by ``(len, repr)``, then one path's statements."""
-    explicit = db.store.explicit_db
-    for path in sorted(explicit.support(), key=lambda p: (len(p), repr(p))):
+    the states sorted by ``(len, repr)``, then one state's ``e='y'`` V rows
+    (one scan of V in all, O(``|R*|``))."""
+    store = db.store
+    for path in sorted(store.states(), key=lambda p: (len(p), repr(p))):
         signs = sorted(
-            explicit.explicit_signs(path),
+            store.explicit_signs(path),
             key=lambda pair: (repr(pair[0]), str(pair[1])),
         )
         for t, sign in signs:

@@ -8,9 +8,8 @@ only during query evaluation". This module implements that mode:
 * the store is created with ``eager=False`` — its valuation tables hold only
   explicit rows, so ``|R*|`` stays ``O(n + m)``;
 * queries run through the Def. 14 evaluator over the explicit statements
-  (:func:`evaluate_lazy`), which reconstructs entailed worlds on demand via
-  the closure's suffix-chain walk (cached per world on the explicit
-  database, invalidated on update).
+  (:func:`evaluate_lazy`), built from V for the query, which reconstructs
+  entailed worlds on demand via the closure's suffix-chain walk.
 
 The answers are identical to the translated/eager path (tests assert this);
 the tradeoff is a smaller database for slower queries; its last measured

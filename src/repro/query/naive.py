@@ -94,8 +94,8 @@ def evaluate_naive_with(
         return set()
     registry = store.lifecycle
     rows = set()
-    for t, sign in store.explicit_db.explicit_signs(path):
-        if t.relation != select.relation or sign is not select.sign:
+    for t, sign in store.explicit_signs(path, select.relation):
+        if sign is not select.sign:
             continue
         if not all(
             compare(

@@ -82,7 +82,7 @@ def hollow_states(store: BeliefStore) -> frozenset[tuple]:
     These are exactly the states a batch re-materialization would not
     create: paths outside the prefix closure of the current support.
     """
-    live = store.explicit_db.states()
+    live = store.to_belief_database().states()
     return frozenset(path for path in store.states() if path not in live)
 
 

@@ -11,22 +11,22 @@ mid-scan.
 
 Lifecycle of a version:
 
-1. **build** — the first pin at a given epoch forks the live store (under
-   the manager's mutex; O(tables): the row dicts, the explicit mirror and
-   the world, user and tuple registries stay shared — the live store
-   copies one before changing it only while a fork still holds it, and a
-   fork ignores tids at or above its watermark — and the fork's tables
-   probe the live tables' hash indexes instead of building any —
-   :mod:`repro.relational.table`);
+1. **build** — the first pin at a given epoch forks the live store under
+   the manager's mutex, in O(tables). The row dicts stay shared, V's
+   ``e='y'`` rows among them (the store's only record of the explicit
+   statements), and so do the world, user and tuple registries: the live
+   store copies one before changing it only while a fork still holds it,
+   and a fork ignores tids at or above its watermark. The fork's tables
+   probe the live tables' hash indexes instead of building any
+   (:mod:`repro.relational.table`);
 2. **share** — later pins at the same epoch reuse the cached fork, each
    incrementing its pin count;
 3. **retire** — a write bumps the epoch, so the version stops being
    current; it survives while readers still hold pins. A version nobody
    has pinned is dropped when the write *starts*
    (:meth:`VersionManager.retire_idle`): the live store copies a table's
-   row dict, the explicit statement sets or a registry on write only for
-   forks that still exist, so a write no reader is watching copies
-   nothing;
+   row dict or a registry on write only for forks that still exist, so a
+   write no reader is watching copies nothing;
 4. **GC** — once its pin count reaches zero and it is no longer current,
    the version is dropped (``mvcc_gc_reclaimed_total`` counts these) and
    its sqlite mirror, if it built one, is handed to the manager. Dropping
@@ -69,6 +69,7 @@ Metrics (all under the shared registry): ``beliefdb_mvcc_live_versions``,
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -91,6 +92,9 @@ class Version:
     connections are not concurrency-friendly). ``manager`` is the
     :class:`VersionManager` whose carried mirror this version may take;
     a private fork that was written to (a transaction read view) has none.
+    The version holds it by weak reference: the manager holds the version,
+    and a cycle would keep a dropped database's fork alive until a full
+    collection.
     """
 
     __slots__ = ("epoch", "store", "pins", "_manager", "_mirror", "_mirror_lock")
@@ -104,7 +108,7 @@ class Version:
         self.epoch = epoch
         self.store = store
         self.pins = 0
-        self._manager = manager
+        self._manager = weakref.ref(manager) if manager else None
         self._mirror: "SqliteMirror | None" = None
         # RLock: callers hold it across sync + query (one mirror, many
         # reader threads); synced_mirror re-enters it harmlessly.
@@ -116,7 +120,7 @@ class Version:
 
         with self._mirror_lock:
             if self._mirror is None:
-                manager = self._manager
+                manager = self._manager and self._manager()
                 mirror = manager.take_mirror(self.epoch) if manager else None
                 if mirror is None:
                     mirror = SqliteMirror()

@@ -86,8 +86,7 @@ def materialize(
         explicit = belief_db.explicit_signs(path)
         _fill_world(store, wid, world, explicit)
 
-    for stmt in belief_db.statements():
-        store.explicit_db.add(stmt, check=False)
+    store.explicit_count = len(belief_db)
     return store
 
 

@@ -16,9 +16,11 @@ Two materialization modes (Sect. 6.3):
   are stored; the default rule is applied at query time
   (:mod:`repro.query.lazy`). The database stays small, queries do more work.
 
-The store also keeps a mirror :class:`~repro.core.database.BeliefDatabase` of
-the explicit statements. It is the source of truth for consistency checks in
-tests, powers lazy evaluation via the core closure, and supports rebuilding.
+The explicit statements (the paper's ``D``) are V's ``e='y'`` rows and
+nothing else: the store keeps only their count. :meth:`explicit_signs` reads
+one world's through V's ``(wid)`` index, and :meth:`to_belief_database`
+builds a core :class:`~repro.core.database.BeliefDatabase` from all of them
+for the Def. 14 evaluator, the Kripke structure and rebuilds.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ class BeliefStore:
         create_internal_tables(self.engine, schema)
         create_lifecycle_tables(self.engine)
 
-        #: Mirror of the explicit annotations as a core belief database.
-        self.explicit_db = BeliefDatabase(schema=schema)
+        #: The explicit statements held: V's ``e='y'`` rows (the paper's n).
+        self.explicit_count = 0
 
         # World registry (mirrors D and S, plus the path mapping that the
         # relational representation keeps implicit in E).
@@ -174,8 +176,9 @@ class BeliefStore:
         """An immutable-by-convention copy-on-write fork of the whole store.
 
         Nothing is copied: O(tables). The engine tables (the lifecycle
-        relations among them), the explicit mirror, the lifecycle registry
-        and the world and user registries are shared, and the side that
+        relations among them, and V, whose ``e='y'`` rows are the explicit
+        statements), the lifecycle registry and the world and user
+        registries are shared, and the side that
         changes one first copies it only while the other still holds it
         (the table layer's rule, :meth:`repro.relational.table.Table.
         _materialize`). So a write no fork is watching costs its delta, and
@@ -191,7 +194,7 @@ class BeliefStore:
         fork.schema = self.schema
         fork.eager = self.eager
         fork.engine = self.engine.snapshot_fork()
-        fork.explicit_db = self.explicit_db.snapshot_fork()
+        fork.explicit_count = self.explicit_count
         for name in _FORKED_REGISTRIES:
             setattr(fork, name, getattr(self, name))
         fork._shared = self._shared = True
@@ -260,7 +263,6 @@ class BeliefStore:
         self._users[uid] = display
         self._uid_by_name[display] = uid
         self.engine.table(U_TABLE).insert((uid, display))
-        self.explicit_db.register_user(uid)
         edge_table = self.engine.table(E_TABLE)
         for wid, path in self._path_by_wid.items():
             if can_extend(path, uid):
@@ -490,28 +492,27 @@ class BeliefStore:
         self.v_table(relation).insert((wid, tid, key, s, e))
 
     def add_explicit(self, path: BeliefPath, t: GroundTuple, sign: Sign) -> None:
-        """Record explicit statement ``path t^sign`` (its V row is in)."""
-        statement = BeliefStatement(path, t, sign)
-        self._note_explicit(statement)
-        self.explicit_db.add(statement, check=False)
+        """Count explicit statement ``path t^sign``, absent until its
+        ``e='y'`` V row went in."""
+        if self._journal is not None:
+            self._journal.setdefault(BeliefStatement(path, t, sign), False)
+        self.explicit_count += 1
         self._lifecycle.statement_inserted(path, t, str(sign))
 
     def discard_explicit(self, path: BeliefPath, t: GroundTuple, sign: Sign) -> None:
-        """Forget explicit statement ``path t^sign`` (its V row is gone)."""
-        statement = BeliefStatement(path, t, sign)
-        self._note_explicit(statement)
-        self.explicit_db.discard(statement)
-
-    def _note_explicit(self, statement: BeliefStatement) -> None:
-        if self._journal is not None and statement not in self._journal:
-            self._journal[statement] = statement in self.explicit_db
+        """Uncount explicit statement ``path t^sign``, present until its
+        ``e='y'`` V row went out."""
+        if self._journal is not None:
+            self._journal.setdefault(BeliefStatement(path, t, sign), True)
+        self.explicit_count -= 1
 
     @contextmanager
     def explicit_journal(self) -> Iterator[dict[BeliefStatement, bool]]:
         """Record, while the block runs, which explicit statements change.
 
         Yields the journal: each statement added or discarded in the block,
-        mapped to whether it was there when the block began. With it the
+        mapped to whether it was there when the block began — known from
+        its first change (an add finds it absent, a discard present). With it the
         statements as they were are recovered (:meth:`explicit_before`)
         without copying them up front.
         """
@@ -548,12 +549,54 @@ class BeliefStore:
         return BeliefWorld(frozenset(pos), frozenset(neg))
 
     def entailed_world(self, path: BeliefPath) -> BeliefWorld:
-        """``D̄_path`` — from V in eager mode, via the core closure when lazy."""
+        """``D̄_path`` — from V in eager mode; when lazy, the explicit worlds
+        of the suffix chain folded from the root (Fig. 9's overriding union)."""
         if self.eager:
             return self.state_world(self.resolve_path(path))
         validate_path(path)
         self._check_path_users(path)
-        return core_entailed_world(self.explicit_db, path)
+        world = self.explicit_world(ROOT_PATH)
+        for i in reversed(range(len(path))):
+            world = self.explicit_world(path[i:]).override(world)
+        return world
+
+    def explicit_signs(
+        self, path: BeliefPath, relation: str | None = None
+    ) -> set[tuple[GroundTuple, Sign]]:
+        """``D_path`` as ``(tuple, sign)`` pairs: the ``e='y'`` V rows of the
+        world at exactly ``path`` (none if it is no state), of ``relation``
+        alone when given, read through V's ``(wid)`` index."""
+        wid = self._wid_by_path.get(path)
+        if wid is None:
+            return set()
+        names = (relation,) if relation else [
+            rel.name for rel in self.schema.content_relations
+        ]
+        return {
+            (self._tuple_by_tid[tid], str_to_sign(s))
+            for name in names
+            for _, tid, _, s, e in self.v_table(name).match_named(wid=wid)
+            if e == EXPLICIT_YES
+        }
+
+    def explicit_world(self, path: BeliefPath) -> BeliefWorld:
+        """``D_path``, the explicit belief world at ``path`` (Def. 8(3))."""
+        signs = self.explicit_signs(path)
+        return BeliefWorld(
+            frozenset(t for t, sign in signs if sign is POSITIVE),
+            frozenset(t for t, sign in signs if sign is NEGATIVE),
+        )
+
+    def has_explicit(self, path: BeliefPath, t: GroundTuple, sign: Sign) -> bool:
+        """Is ``path t^sign`` an explicit statement? One ``V(wid, key)`` probe."""
+        wid, tid = self._wid_by_path.get(path), self._tid(t)
+        if wid is None or tid is None:
+            return False
+        wanted = (tid, sign_to_str(sign), EXPLICIT_YES)
+        return any(
+            (row[1], row[3], row[4]) == wanted
+            for row in self.v_table(t.relation).match_named(wid=wid, key=t.key)
+        )
 
     def entails(self, path: BeliefPath, t: GroundTuple, sign: Sign) -> bool:
         """``D |= path t^sign`` (Def. 12), no world built in eager mode.
@@ -601,7 +644,7 @@ class BeliefStore:
     ) -> list[tuple[GroundTuple, Sign, bool]]:
         """Entailed content of the world at ``path`` with explicitness flags."""
         world = self.entailed_world(path)
-        explicit = self.explicit_db.explicit_signs(path)
+        explicit = self.explicit_signs(path)
         out = [(t, POSITIVE, (t, POSITIVE) in explicit) for t in world.positives]
         out += [(t, NEGATIVE, (t, NEGATIVE) in explicit) for t in world.negatives]
         return out
@@ -630,24 +673,38 @@ class BeliefStore:
     # ------------------------------------------------------------------ dumps
 
     def explicit_statements(self) -> Iterator[BeliefStatement]:
-        return iter(self.explicit_db.statements())
+        """Every explicit statement: the ``e='y'`` rows of one scan of V."""
+        for rel in self.schema.content_relations:
+            for wid, tid, _, s, e in self.v_table(rel.name):
+                if e == EXPLICIT_YES:
+                    yield BeliefStatement(
+                        self._path_by_wid[wid], self._tuple_by_tid[tid],
+                        str_to_sign(s),
+                    )
 
     def to_belief_database(self) -> BeliefDatabase:
-        """A fresh core belief database holding the explicit annotations."""
-        return BeliefDatabase(
-            self.explicit_db.statements(),
-            schema=self.schema,
-            users=self._users.keys(),
-        )
+        """A fresh core belief database holding the explicit annotations
+        (Algorithm 4 admitted each one: Def. 8(4) is not checked again)."""
+        db = BeliefDatabase(schema=self.schema, users=self._users.keys())
+        for statement in self.explicit_statements():
+            db.add(statement, check=False)
+        return db
+
+    @property
+    def explicit_db(self) -> BeliefDatabase:
+        """For the bench ledger (wl_table2.py, evaluate_lazy): D built from V."""
+        return self.to_belief_database()
 
     # -------------------------------------------------------------- invariants
 
     def check_invariants(self) -> None:
         """Deep self-check used by the test-suite (registry vs. tables vs. core).
 
-        Verifies that D/S/E mirror the registries, that every eager world's V
-        content equals the core closure of the explicit statements, and that
-        explicitness flags match. Raises AssertionError on any mismatch.
+        Verifies that D/S/E mirror the registries, that the explicit
+        statements (V's ``e='y'`` rows) are consistent and as many as
+        counted, and that every eager world's V content, each belief once,
+        equals their core closure. Raises AssertionError on any mismatch
+        (InconsistencyError on inconsistent explicit rows).
         """
         d_rows = set(map(tuple, self.engine.table(D_TABLE)))
         assert d_rows == {
@@ -672,19 +729,21 @@ class BeliefStore:
                 assert self._s_parent[wid] == self.wid_of_dss(
                     path[1:]
                 ), f"S backlink of world {wid} is not the dss of the suffix"
+        explicit = self.to_belief_database().check_consistent()
+        assert len(explicit) == self.explicit_count, (
+            f"{self.explicit_count} explicit statements counted, "
+            f"{len(explicit)} in V"
+        )
         if not self.eager:
             return
         for wid, path in self._path_by_wid.items():
             stored = self.state_world(wid)
-            expected = core_entailed_world(self.explicit_db, path)
+            expected = core_entailed_world(explicit, path)
             assert stored == expected, (
                 f"world {wid} ({path!r}): V content {stored} "
                 f"!= closure {expected}"
             )
-            explicit = self.explicit_db.explicit_signs(path)
-            for rel in self.schema.content_relations:
-                for _, tid, _, s, e in self.v_table(rel.name).match_named(wid=wid):
-                    pair = (self._tuple_by_tid[tid], str_to_sign(s))
-                    assert (e == EXPLICIT_YES) == (pair in explicit), (
-                        f"world {wid}: explicitness flag wrong for {pair}"
-                    )
+            rows = self.v_rows_for_world(wid)
+            assert len({(row[1], row[3]) for row in rows}) == len(rows), (
+                f"world {wid}: a belief is stored twice"
+            )

@@ -245,21 +245,13 @@ def delete_tuple(
     that the deleted annotation was blocking reappear.
     """
     validate_path(path)
-    wid = store.wid_for_path(path)
-    tid = store.tid_for(t)
-    if wid is None or tid is None:
+    if not store.has_explicit(path, t, sign):
         return False
-    relation, key = t.relation, t.key
-    sign_str = sign_to_str(sign)
-    rows = store.v_rows_for_key(wid, relation, key)
-    if not any(
-        r[1] == tid and r[3] == sign_str and r[4] == EXPLICIT_YES for r in rows
-    ):
-        return False
-    store.delete_v(relation, wid=wid, tid=tid, s=sign_str, e=EXPLICIT_YES)
+    wid, tid = store.wid_for_path(path), store.tid_for(t)
+    store.delete_v(t.relation, wid=wid, tid=tid, s=sign_to_str(sign), e=EXPLICIT_YES)
     store.discard_explicit(path, t, sign)
     if store.eager:
-        propagate_key(store, wid, relation, key)
+        propagate_key(store, wid, t.relation, t.key)
     return True
 
 

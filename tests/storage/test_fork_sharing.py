@@ -1,8 +1,8 @@
 """What a pinned version costs the writer, counted by object identity.
 
-A fork shares the store's world, user and tuple registries and the
-explicit mirror's statement sets. The side that changes one first copies it
-only while the other still holds it, so:
+A fork shares the store's world, user and tuple registries (and its
+tables, V's explicit ``e='y'`` rows among them). The side that changes a
+registry first copies it only while the other still holds it, so:
 
 * pin -> release -> write copies nothing: the live store keeps the very
   objects it had;
@@ -23,7 +23,6 @@ from repro.storage.updates import delete_statement
 
 ROW = ("s1", "Carol", "bald eagle", "6-14-08", "Lake Forest")
 
-EXPLICIT_SETS = ("_statements", "_positives", "_negatives", "_registered_users")
 REGISTRIES = (
     "_wid_by_path", "_path_by_wid", "_depth", "_s_parent", "_s_children",
     "_edges", "_users", "_uid_by_name", "_tid_by_tuple", "_tuple_by_tid",
@@ -40,10 +39,7 @@ def seeded_db() -> BeliefDBMS:
 
 
 def held_objects(store) -> dict[str, object]:
-    objects = {name: getattr(store, name) for name in REGISTRIES}
-    for name in EXPLICIT_SETS:
-        objects[f"explicit_db.{name}"] = getattr(store.explicit_db, name)
-    return objects
+    return {name: getattr(store, name) for name in REGISTRIES}
 
 
 def write_everything(db: BeliefDBMS) -> None:
@@ -59,7 +55,7 @@ def write_everything(db: BeliefDBMS) -> None:
 
 def frozen_state(store) -> dict[str, object]:
     return {
-        "statements": store.explicit_db.statements(),
+        "statements": set(store.explicit_statements()),
         "states": store.states(),
         "users": store.users(),
         "edges": {
@@ -153,7 +149,7 @@ def test_a_fork_that_writes_takes_its_own_tuple_registry():
 def test_a_fork_taken_before_vacuum_or_compact_resolves_its_tids():
     db = seeded_db()
     store = db.store
-    delete_statement(store, next(iter(store.explicit_db.statements())))
+    delete_statement(store, next(store.explicit_statements()))
     fork = store.fork_snapshot()
     held = dict(fork._tuple_by_tid)
     assert vacuum_star(store).removed_tuples == 1

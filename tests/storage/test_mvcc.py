@@ -16,6 +16,9 @@ leans on:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.bdms.bdms import BeliefDBMS
 from repro.core.schema import sightings_schema
 from repro.obs.metrics import MetricsRegistry
@@ -86,16 +89,17 @@ def test_mutating_a_fork_never_leaks_back():
         assert names == {"s1"}
 
 
-def test_fork_entailed_cache_is_warm_but_private():
-    from repro.core.closure import entailed_world
-
+def test_fork_explicit_statements_are_frozen():
+    """A fork's explicit statements are its own V's ``e='y'`` rows: the
+    live store's later inserts and deletes never reach them."""
     db = seeded_db()
-    carol = (db.store.uid_for_name("Carol"),)
-    entailed_world(db.store.explicit_db, carol)  # warm the closure cache
     fork = db.store.fork_snapshot()
-    assert fork.explicit_db._entailed_cache  # shallow-copied, not empty
-    db.insert(["Carol"], "Sightings", ("s2",) + ROW[1:])  # clears live cache
-    assert fork.explicit_db._entailed_cache  # fork cache survives
+    frozen = set(fork.explicit_statements())
+    db.insert(["Carol"], "Sightings", ("s2",) + ROW[1:])
+    db.delete(["Carol"], "Sightings", ROW)
+    assert set(fork.explicit_statements()) == frozen
+    assert fork.explicit_count == len(frozen) == 1
+    assert set(db.store.explicit_statements()) != frozen
 
 
 # ----------------------------------------------------------- pinning and GC
@@ -175,6 +179,26 @@ def test_retire_idle_spares_pinned_versions_and_carries_the_mirror():
     assert db.query(BCQ) == {("s1",), ("s2",)}  # the next version advances it
     stats = manager.snapshot_stats()
     assert (stats["mirror_syncs_full"], stats["mirror_syncs_delta"]) == (1, 1)
+
+
+def test_a_dropped_database_frees_its_cached_fork_without_the_collector():
+    """The cached version names its manager by weak reference: a database
+    dropped without ``close()`` after a read frees the fork at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        db = seeded_db()
+        assert db.query(BCQ) == {("s1",)}  # caches the epoch's version
+        version = db.pin_version()
+        fork = weakref.ref(version.store)
+        db.release_version(version)
+        del version
+        assert fork() is not None
+        del db
+        assert fork() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_live_versions_bounded_under_write_churn():

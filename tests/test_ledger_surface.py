@@ -101,3 +101,39 @@ def test_called_methods_exist(target):
     cls = getattr(importlib.import_module(module_name), cls_name)
     missing = [name for name in CALLED[target] if not hasattr(cls, name)]
     assert not missing, f"{target} lost {missing}"
+
+
+def test_explicit_db_is_a_belief_database_read_from_v():
+    """``wl_table2.py`` reads ``store.explicit_db`` and ``evaluate_lazy``:
+    the explicit statements as a core database, and Def. 14 over them."""
+    from repro.bdms.bdms import BeliefDBMS
+    from repro.core.database import BeliefDatabase
+    from repro.core.schema import sightings_schema
+    from repro.query.lazy import evaluate_lazy
+    from repro.query.naive import evaluate_naive
+    from repro.query.parser import parse_bcq
+
+    db = BeliefDBMS(sightings_schema())
+    db.add_user("Ann")
+    db.add_user("Ben")
+    row = ("s1", "u", "crow", "d", "l")
+    db.insert(["Ann"], "Sightings", row)
+    db.insert(["Ben"], "Sightings", row, sign="-")
+    db.insert(["Ann", "Ben"], "Sightings", ("s2",) + row[1:])
+    db.delete(["Ann"], "Sightings", row)
+    store = db.store
+    explicit = store.explicit_db
+    assert isinstance(explicit, BeliefDatabase)
+    assert explicit.statements() == set(store.explicit_statements())
+    assert len(explicit) == db.annotation_count() == 2
+    answers = []
+    for text in (
+        "q(s, sp) :- [1, 2] Sightings+(s, u, sp, d, l)",
+        "q(x, s) :- [x, 2] Sightings+(s, u, sp, d, l)",
+        "q(u) :- [1, 2] Sightings+(k, u, sp, d, l), "
+        "[1, 2] Sightings-('s1', u, sp, d, l)",
+    ):
+        query = parse_bcq(text, db.schema)
+        answers.append(evaluate_lazy(store, query))
+        assert answers[-1] == evaluate_naive(explicit, query, users=store.users())
+    assert all(answers)
